@@ -19,7 +19,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("suite_cold", "suite_warm", "edit_local", "edit_live")
+WORKLOADS = ("suite_warm", "edit_local", "edit_live")
 # A run must end within 180 s; the workload gets what the build left.
 RUN_LIMIT_S = 175
 

@@ -4,6 +4,7 @@
 //! `LiveAnnotator` sessions against one in-process `rtlt-annotated`.
 
 use crate::edits::{splitmix64, Edit, EditStream};
+use crate::speed::{Bracketed, IdleProbes, Interval};
 use crate::stats::{mean, median, percentile};
 use crate::trace::Trace;
 use crate::{Report, Run, StoreTotals};
@@ -184,26 +185,24 @@ pub fn run_local(run: &Run, trace: &Trace, report: &mut Report) {
     let before = StoreTotals::of(&store.stats());
     let mut last: Option<(String, String)> = None;
     let (mut dirty, mut reused) = (Vec::new(), Vec::new());
+    let mut timed = Bracketed::new(1);
+    // Traced runs alternate untraced and traced edits.
+    let mut traced = Vec::new();
     let min_edits = if trace.on() { 2 } else { 1 };
     let deadline = Instant::now() + run.seconds;
-    while report.ops_ms.len() + report.traced_ops_ms.len() < min_edits || Instant::now() < deadline
-    {
+    while traced.len() < min_edits || Instant::now() < deadline {
         let edit = stream.next_edit();
-        let tracing = trace.on() && report.ops_ms.len() > report.traced_ops_ms.len();
-        let t = Instant::now();
-        let out = if tracing {
-            trace.span(0, "op", |op| {
-                traced_reannotate(trace, op, &mut annotator, &edit.source, &base.model, &store)
-            })
-        } else {
-            traced_reannotate(&off, 0, &mut annotator, &edit.source, &base.model, &store)
-        };
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        if tracing {
-            report.traced_ops_ms.push(ms);
-        } else {
-            report.ops_ms.push(ms);
-        }
+        let tracing = trace.on() && traced.len() % 2 == 1;
+        traced.push(tracing);
+        let (out, _) = timed.time(|| {
+            if tracing {
+                trace.span(0, "op", |op| {
+                    traced_reannotate(trace, op, &mut annotator, &edit.source, &base.model, &store)
+                })
+            } else {
+                traced_reannotate(&off, 0, &mut annotator, &edit.source, &base.model, &store)
+            }
+        });
         report.attempted += 1;
         match out {
             Ok((out, _)) => {
@@ -219,6 +218,7 @@ pub fn run_local(run: &Run, trace: &Trace, report: &mut Report) {
             Err(e) => report.check(false, 1, &format!("edit re-annotates: {e}")),
         }
     }
+    report.timed(&timed, &traced);
     let after = StoreTotals::of(&store.stats());
 
     // The last revision against a cold recompute on an empty store.
@@ -241,7 +241,7 @@ pub fn run_local(run: &Run, trace: &Trace, report: &mut Report) {
 /// One session's timed edit, as its client saw it.
 struct SessionEdit {
     edit: Edit,
-    ms: f64,
+    timed: Interval,
     traced: bool,
     outcome: Result<live::LiveOutcome, String>,
 }
@@ -281,10 +281,14 @@ pub fn run_live(run: &Run, trace: &Trace, report: &mut Report) {
     let (base, handle, sessions) = state.expect("at least one set-up");
 
     // Two client threads, one connection each, closed loop: each sends its
-    // next edit a think time after the previous annotation arrives.
+    // next edit a think time after the previous annotation arrives. The
+    // service thread may run on either CPU, so host-speed probes are taken
+    // on two threads, whenever no edit is in flight.
+    let speed = IdleProbes::new(SESSIONS as usize);
     let deadline = Instant::now() + run.seconds;
     let model = &base.model;
     let client_store = &client_store;
+    let speed_ref = &speed;
     let per_session: Vec<Vec<SessionEdit>> = std::thread::scope(|scope| {
         let workers: Vec<_> = sessions
             .into_iter()
@@ -300,17 +304,17 @@ pub fn run_live(run: &Run, trace: &Trace, report: &mut Report) {
                     while edits.len() < min_edits || Instant::now() < deadline {
                         let edit = stream.next_edit();
                         let traced = trace.on() && edits.len() % 2 == 1;
-                        let t = Instant::now();
                         let mut call = |_| session.reannotate(&edit.source, model, client_store);
-                        let outcome = if traced {
-                            trace.span(0, "op", call)
-                        } else {
-                            call(0)
-                        };
-                        let ms = t.elapsed().as_secs_f64() * 1e3;
+                        let (outcome, timed) = speed_ref.time(|| {
+                            if traced {
+                                trace.span(0, "op", call)
+                            } else {
+                                call(0)
+                            }
+                        });
                         edits.push(SessionEdit {
                             edit,
-                            ms,
+                            timed,
                             traced,
                             outcome: outcome.map_err(|e| e.to_string()),
                         });
@@ -327,18 +331,18 @@ pub fn run_live(run: &Run, trace: &Trace, report: &mut Report) {
             .map(|w| w.join().expect("client thread"))
             .collect()
     });
+    speed.probe_if_idle();
     handle.stop();
+    for e in per_session.iter().flatten() {
+        report.op(e.timed.ms, speed.at_ref(e.timed), e.traced);
+    }
+    report.probes_ms.extend(speed.probes());
 
     let mut turns = Vec::new();
     let (mut dirty, mut reused) = (Vec::new(), Vec::new());
     let mut remote = 0usize;
     for e in per_session.iter().flatten() {
         report.attempted += 1;
-        if e.traced {
-            report.traced_ops_ms.push(e.ms);
-        } else {
-            report.ops_ms.push(e.ms);
-        }
         match &e.outcome {
             Ok(out) => {
                 remote += usize::from(out.remote);
@@ -421,7 +425,7 @@ pub fn run_live(run: &Run, trace: &Trace, report: &mut Report) {
             .iter()
             .flatten()
             .zip(replays.iter().flatten())
-            .map(|(e, (_, local_ms))| e.ms - local_ms)
+            .map(|(e, (_, local_ms))| e.timed.ms - local_ms)
             .filter(|w| w.is_finite())
             .collect();
         report.layer("live.turns_per_edit", mean(&turns));

@@ -1,22 +1,23 @@
-//! `suite_cold` and `suite_warm`: the 21-design suite prepared through an
-//! on-disk store and cross-validated in 3 folds — the first (cold) and any
-//! later (warm) run of an `RTLT_FAST=1` table binary.
+//! `suite_warm`: the 21-design suite prepared through an on-disk store and
+//! cross-validated in 3 folds — any run of an `RTLT_FAST=1` table binary
+//! after the first. The set-up is that first (cold) run: it fills the
+//! store, and the traced run takes the cold layers' numbers from it.
 
+use crate::speed::Bracketed;
 use crate::stats::{mean, median, percentile};
-use crate::trace::Trace;
+use crate::trace::{Span, Trace};
 use crate::{Report, Run, StoreTotals};
 use rtl_timer::annotate::annotate_source;
 use rtl_timer::cache::stage;
 use rtl_timer::pipeline::{cross_validate_with, PredictScratch, Prediction};
 use rtl_timer::{DesignSet, PrepareStages, RtlTimer, TimerConfig};
 use rtlt_store::{ContentHash, KeyBuilder, StatsSnapshot, Store};
-use std::path::Path;
 use std::time::Instant;
 
 /// Cross-validation folds (`RTLT_FAST=1`).
 const FOLDS: usize = 3;
-/// Source generations timed for `suite_cold`'s set-up (it is sub-ms).
-const GENERATE_REPS: usize = 1001;
+/// Set-up repetitions per run (their median is `setup_s`).
+const SETUP_REPS: usize = 2;
 
 /// One prepare + cross-validate pass and what it produced.
 struct Pass {
@@ -57,10 +58,6 @@ impl Summary {
             signal_r: mean(&p.preds.iter().map(Prediction::signal_r).collect::<Vec<_>>()),
             stats: p.stats.clone(),
         }
-    }
-
-    fn total_ms(&self) -> f64 {
-        (self.prepare_s + self.cv_s) * 1e3
     }
 }
 
@@ -115,9 +112,16 @@ fn traced_cv(
     out
 }
 
-/// One pass against `store`, traced when `trace` is on.
-fn pass(trace: &Trace, sources: &[(String, String)], cfg: &TimerConfig, store: &Store) -> Pass {
-    trace.span(0, "op", |op| {
+/// One pass against `store` under a root span named `root`, traced when
+/// `trace` is on.
+fn pass(
+    trace: &Trace,
+    root: &'static str,
+    sources: &[(String, String)],
+    cfg: &TimerConfig,
+    store: &Store,
+) -> Pass {
+    trace.span(0, root, |op| {
         let t = Instant::now();
         let set = trace
             .span(op, "pipeline.prepare", |_| {
@@ -144,100 +148,87 @@ fn pass(trace: &Trace, sources: &[(String, String)], cfg: &TimerConfig, store: &
     })
 }
 
-fn fresh_dir(dir: &Path) {
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir).expect("create store directory");
-}
-
-/// Which suite workload to run.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    Cold,
-    Warm,
-}
-
-pub fn run(mode: Mode, run: &Run, trace: &Trace, report: &mut Report) {
+pub fn run(run: &Run, trace: &Trace, report: &mut Report) {
     let cfg = run.cfg();
     let dir = run.work.join("store");
     let n = rtlt_designgen::generate_all().len();
 
-    // Set-up. Cold: generating the sources (sub-ms, so timed many times).
-    // Warm: the populating cold pass, once — it costs a whole cold pass.
-    let mut sources = Vec::new();
-    // The reference pass: its summary always, the whole pass only for the
-    // probes of a traced run.
-    let mut ref_summary: Option<Summary> = None;
-    let mut ref_pass: Option<Pass> = None;
-    match mode {
-        Mode::Cold => {
-            for _ in 0..GENERATE_REPS {
-                let t = Instant::now();
-                sources = rtlt_designgen::generate_all();
-                report.setup_s.push(t.elapsed().as_secs_f64());
-            }
-        }
-        Mode::Warm => {
-            let t = Instant::now();
-            sources = rtlt_designgen::generate_all();
-            fresh_dir(&dir);
-            let cold = pass(trace, &sources, &cfg, &Store::on_disk(&dir));
-            report.setup_s.push(t.elapsed().as_secs_f64());
-            ref_summary = Some(Summary::of(&cold, n, true));
-            ref_pass = trace.on().then_some(cold);
-        }
+    // Set-up: the populating cold pass into an emptied directory, repeated
+    // (`setup_s` is the median). The cold passes must agree; the last one
+    // fills the store the timed passes read, is the reference they are
+    // checked against, and is what a traced run takes the cold layers'
+    // numbers from.
+    let sources = rtlt_designgen::generate_all();
+    let mut setups: Vec<Summary> = Vec::new();
+    let mut cold = None;
+    for _ in 0..SETUP_REPS {
+        let t = Instant::now();
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create store directory");
+        let p = pass(trace, "setup", &sources, &cfg, &Store::on_disk(&dir));
+        report.setup_s.push(t.elapsed().as_secs_f64());
+        setups.push(Summary::of(&p, n, true));
+        cold = trace.on().then_some(p);
     }
+    let reference = setups.last().expect("at least one set-up");
+    report.check(
+        setups
+            .iter()
+            .all(|s| s.complete && s.preds == reference.preds && s.digest == reference.digest),
+        2 * n as u64,
+        "cold passes agree",
+    );
 
-    // Timed passes. In a traced run, untraced and traced passes alternate;
-    // only untraced ones feed the end-to-end metrics. Each pass is
-    // summarized (outside its timing) and dropped; the suite digest is
-    // taken of every cold pass and of the first warm one.
+    // Timed passes, each through a fresh `Store::on_disk` handle so the
+    // decoded front cache starts empty. In a traced run, untraced and
+    // traced passes alternate; only untraced ones feed the end-to-end
+    // metrics. Each pass is summarized (outside its timing) and dropped;
+    // the suite digest is taken of the first one.
     let off = Trace::new(false);
     let deadline = Instant::now() + run.seconds;
     let mut passes: Vec<Summary> = Vec::new();
     let mut traced: Vec<Summary> = Vec::new();
+    let mut timed = Bracketed::new(cfg.threads);
+    let mut order = Vec::new();
     let min_passes = if trace.on() { 2 } else { 1 };
     while passes.len() + traced.len() < min_passes || Instant::now() < deadline {
         let tracing = trace.on() && passes.len() > traced.len();
-        if mode == Mode::Cold {
-            fresh_dir(&dir);
-        }
+        timed.before();
         let p = pass(
             if tracing { trace } else { &off },
+            "op",
             &sources,
             &cfg,
             &Store::on_disk(&dir),
         );
-        let summary = Summary::of(&p, n, mode == Mode::Cold || passes.is_empty());
+        timed.after((p.prepare_s + p.cv_s) * 1e3);
+        order.push(tracing);
+        let summary = Summary::of(&p, n, passes.is_empty());
         if tracing {
             traced.push(summary);
         } else {
-            report.ops_ms.push(summary.total_ms());
             passes.push(summary);
         }
-        if ref_pass.is_none() && trace.on() {
-            ref_pass = Some(p);
-        }
     }
+    report.timed(&timed, &order);
     let _ = std::fs::remove_dir_all(&dir);
 
     // Output checks, outside the timed region. Every pass is compared
-    // with the reference (cold: the first timed pass; warm: the set-up's
-    // cold pass); a mismatch fails all of that pass's operations.
-    let ref_summary = ref_summary.as_ref().unwrap_or(&passes[0]);
+    // with the set-up's cold pass, and must take every prepare stage and
+    // every fold model from the store; a mismatch fails all of that
+    // pass's operations.
     for (i, s) in passes.iter().chain(&traced).enumerate() {
         report.attempted += 2 * n as u64;
-        let mut ok = s.complete
-            && s.preds == ref_summary.preds
-            && s.digest.is_none_or(|d| Some(d) == ref_summary.digest);
-        if mode == Mode::Warm {
-            // Warm: every prepare stage and every fold model from the store.
-            let prep = s.stats.aggregate(stage::PREPARE);
-            ok &= prep.misses == 0 && s.stats.namespace(stage::MODEL).misses == 0;
-        }
+        let prep = s.stats.aggregate(stage::PREPARE);
+        let ok = s.complete
+            && s.preds == reference.preds
+            && s.digest.is_none_or(|d| Some(d) == reference.digest)
+            && prep.misses == 0
+            && s.stats.namespace(stage::MODEL).misses == 0;
         report.check(
             ok,
             2 * n as u64,
-            &format!("pass {i} matches the reference pass"),
+            &format!("pass {i} matches the set-up's cold pass"),
         );
     }
 
@@ -246,9 +237,13 @@ pub fn run(mode: Mode, run: &Run, trace: &Trace, report: &mut Report) {
     let cv_s: Vec<f64> = passes.iter().map(|p| p.cv_s).collect();
     report.show("prepare_s", median(&prepare_s), "s", &note);
     report.show("cv_s", median(&cv_s), "s", &note);
+    let cold_note = "the set-up's cold pass";
+    report.show("cold_prepare_s", reference.prepare_s, "s", cold_note);
+    report.show("cold_cv_s", reference.cv_s, "s", cold_note);
     // `bit_r` / `signal_r`: deterministic per seed, so an output check
-    // (cold and warm print the same values) rather than a timed metric.
-    let (bit_r, signal_r) = (ref_summary.bit_r, ref_summary.signal_r);
+    // (every warm pass predicts the cold pass's bits) rather than a timed
+    // metric.
+    let (bit_r, signal_r) = (reference.bit_r, reference.signal_r);
     report.check(bit_r > 0.5 && signal_r > 0.5, 0, "mean CV R above 0.5");
     report.show("bit_r", bit_r, "1", "mean per-design bit-level R over CV");
     report.show(
@@ -258,38 +253,26 @@ pub fn run(mode: Mode, run: &Run, trace: &Trace, report: &mut Report) {
         "mean per-design signal-level R over CV",
     );
 
-    if let Some(p) = &ref_pass {
-        layers(mode, trace, &sources, &cfg, p, &passes, &traced, report);
+    if let Some(cold) = &cold {
+        layers(trace, &sources, &cfg, cold, &traced, report);
     }
 }
 
-/// Per-layer metrics of a traced run: spans of the traced passes plus
-/// three probes outside the timed passes (an in-memory prepare, a serial
-/// stage-by-stage prepare, and annotation rendering).
-#[allow(clippy::too_many_arguments)]
+/// Per-layer metrics of a traced run: spans of the set-up's cold pass and
+/// of the traced warm passes, plus three probes outside the timed passes
+/// (an in-memory prepare, a serial stage-by-stage prepare, and annotation
+/// rendering).
 fn layers(
-    mode: Mode,
     trace: &Trace,
     sources: &[(String, String)],
     cfg: &TimerConfig,
-    reference: &Pass,
-    passes: &[Summary],
+    cold: &Pass,
     traced: &[Summary],
     report: &mut Report,
 ) {
     // Store writes: the cold on-disk prepare minus the same prepare on an
     // in-memory store.
-    let on_disk = match mode {
-        Mode::Cold => median(
-            &passes
-                .iter()
-                .chain(traced)
-                .map(|p| p.prepare_s)
-                .collect::<Vec<_>>(),
-        ),
-        Mode::Warm => reference.prepare_s,
-    };
-    let digest = reference.set.content_digest();
+    let digest = cold.set.content_digest();
     let t = Instant::now();
     let mem = trace.span(0, "probe.prepare_in_memory", |_| {
         DesignSet::prepare_named_with(sources, cfg, &Store::in_memory())
@@ -300,26 +283,48 @@ fn layers(
         0,
         "in-memory prepare matches the on-disk one",
     );
-    report.layer("store.write_s", on_disk - in_memory);
+    report.layer("store.write_s", cold.prepare_s - in_memory);
 
     stage_probe(trace, sources, cfg, digest, report);
 
-    for p in &reference.preds {
-        let d = reference
+    for p in &cold.preds {
+        let d = cold
             .set
             .get(&p.design)
             .expect("CV predicts prepared designs");
         let _ = trace.span(0, "annotate.render", |_| annotate_source(d, p));
     }
 
-    // Store counters of a traced pass (cold: its fresh store; warm: a
-    // fresh handle over the populated directory).
-    StoreTotals::of(&traced[0].stats).report(report);
+    // Store counters: what the cold pass wrote and computed into its empty
+    // store, what a traced warm pass (a fresh handle over the populated
+    // directory) read and hit.
+    let written = StoreTotals::of(&cold.stats);
+    let read = StoreTotals::of(&traced[0].stats);
+    StoreTotals {
+        read: read.read,
+        hits: read.hits,
+        lookups: read.lookups,
+        ..written
+    }
+    .report(report);
 
     let seconds = |span| median(&trace.durations_ms(span)) / 1e3;
     report.layer("pipeline.prepare_s", seconds("pipeline.prepare"));
     report.layer("pipeline.cv_s", seconds("pipeline.cv"));
-    report.layer("ml.fit_s", seconds("ml.fit"));
+    // Models are fitted in the cold passes only; warm passes load them.
+    let spans = trace.spans();
+    let setups: Vec<&Span> = spans.iter().filter(|s| s.name == "setup").collect();
+    let fits: Vec<f64> = spans
+        .iter()
+        .filter(|s| {
+            s.name == "ml.fit"
+                && setups
+                    .iter()
+                    .any(|u| u.start_ns <= s.start_ns && s.end_ns <= u.end_ns)
+        })
+        .map(Span::ms)
+        .collect();
+    report.layer("ml.fit_s", median(&fits) / 1e3);
     let predict = trace.durations_ms("ml.predict");
     report.layer("ml.predict_ms_p50", median(&predict));
     report.layer("ml.predict_ms_max", percentile(&predict, 100.0));
@@ -327,7 +332,6 @@ fn layers(
         "annotate.render_ms",
         median(&trace.durations_ms("annotate.render")),
     );
-    report.traced_ops_ms = traced.iter().map(Summary::total_ms).collect();
 }
 
 /// Runs `compile → blast → label → featurize` serially for every source
