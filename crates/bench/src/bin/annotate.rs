@@ -12,8 +12,17 @@
 //!    than a cold full prepare of the same edited design, and
 //! 3. the annotated output is byte-identical to a cold recompute.
 //!
+//! The session then runs a short multi-edit stream — further lanes edited
+//! one after another, then a revert to the base — checking every revision
+//! against a cold recompute and reusing the resident revision each time.
+//! Each warm edit is timed per phase (`begin`/`step`/`finish`); the report
+//! carries `edit_ms_p50` and the phase medians, which the CI smoke lane
+//! gates against `warm_edit_ms` in `ci/bench-baseline.json`.
+//!
 //! With `--selfcheck` the process exits non-zero when any of the structural
-//! invariants (1) or (3) fail — the CI smoke job runs exactly that.
+//! invariants (1) or (3) fail, or a streamed revision differs from its
+//! cold recompute or misses the resident revision — the CI smoke job runs
+//! exactly that.
 //!
 //! Two extra modes turn the same loop into the live annotation service
 //! (`rtlt-annotated`, see `docs/sessions.md`):
@@ -26,10 +35,10 @@
 //!   incremental loop and reporting the per-edit round trips — and
 //!   degrading to local recompute (same bytes) when the server is gone.
 
-use rtl_timer::incremental::IncrementalAnnotator;
+use rtl_timer::incremental::{IncrementalAnnotator, ReannotateOutcome};
 use rtl_timer::live::{self, LiveAnnotator, LiveService};
 use rtl_timer::pipeline::{DesignSet, PrepareStages, RtlTimer};
-use rtlt_bench::{json::Json, positional_args, Bench};
+use rtlt_bench::{json::Json, median, positional_args, Bench};
 use rtlt_designgen::hier;
 use rtlt_store::Store;
 use std::time::Instant;
@@ -120,11 +129,9 @@ fn main() {
     // The edit: one lane's first pipeline stage changes.
     let edited_lane = lanes / 2;
     let edited = hier::edit_lane(&base, edited_lane).expect("lane edit");
-    let t = Instant::now();
-    let warm = annotator
-        .reannotate(&edited, &model, &bench.store)
-        .expect("incremental pass");
-    let warm_s = t.elapsed().as_secs_f64();
+    let mut phases = PhaseTimes::default();
+    let warm = phases.pass(&mut annotator, &edited, &model, &bench.store);
+    let warm_s = phases.edit_ms[0] / 1e3;
     println!(
         "edit lane{edited_lane}: dirty modules {:?}, {} / {} shards recomputed in {:.3}s",
         warm.dirty_modules, warm.dirty_shards, warm.total_shards, warm_s
@@ -158,6 +165,35 @@ fn main() {
         }
     );
 
+    // A short multi-edit stream through the same session: three more
+    // lanes edited one after another, then a revert to the base. Every
+    // revision must equal a cold recompute and reuse the resident one.
+    let mut stream = Vec::new();
+    let mut rev = edited.clone();
+    for lane in [0, lanes - 1, lanes / 4] {
+        rev = hier::edit_lane(&rev, lane).expect("lane edit");
+        stream.push(rev.clone());
+    }
+    stream.push(base.clone());
+    let (mut stream_identical, mut stream_resident) = (true, true);
+    for source in &stream {
+        let out = phases.pass(&mut annotator, source, &model, &bench.store);
+        let cold = IncrementalAnnotator::new(base_d, &cfg)
+            .reannotate(source, &model, &Store::in_memory())
+            .expect("cold pass");
+        stream_identical &= cold.annotated == out.annotated;
+        stream_resident &= out.resident_shards > 0;
+    }
+    let edit_ms_p50 = median(&phases.edit_ms);
+    println!(
+        "{} warm edits (1 + {} streamed): edit {edit_ms_p50:.1} ms p50 = begin {:.1} + step {:.1} + finish {:.1} ms (phase medians)",
+        phases.edit_ms.len(),
+        stream.len(),
+        median(&phases.begin_ms),
+        median(&phases.step_ms),
+        median(&phases.finish_ms),
+    );
+
     // A taste of the output.
     println!("\nannotated head:");
     for line in warm.annotated.lines().take(6) {
@@ -186,6 +222,14 @@ fn main() {
             warm.dirty_modules == vec![hier::lane_name(edited_lane)],
         ),
         ("byte-identical to cold recompute", byte_identical),
+        (
+            "every streamed revision byte-identical to cold recompute",
+            stream_identical,
+        ),
+        (
+            "every streamed revision reuses the resident one",
+            stream_resident,
+        ),
     ];
     let mut failed = false;
     for (what, ok) in checks {
@@ -217,6 +261,12 @@ fn main() {
                     ),
                 ),
                 ("reannotate_seconds", Json::Num(warm_s)),
+                ("stream_revisions", Json::UInt(stream.len() as u64)),
+                ("stream_byte_identical", Json::Bool(stream_identical)),
+                ("edit_ms_p50", Json::Num(edit_ms_p50)),
+                ("begin_ms_p50", Json::Num(median(&phases.begin_ms))),
+                ("step_ms_p50", Json::Num(median(&phases.step_ms))),
+                ("finish_ms_p50", Json::Num(median(&phases.finish_ms))),
                 ("cold_prepare_seconds", Json::Num(cold_prepare_s)),
                 ("speedup", Json::Num(speedup)),
                 ("byte_identical", Json::Bool(byte_identical)),
@@ -228,6 +278,39 @@ fn main() {
     if selfcheck && failed {
         eprintln!("[annotate] selfcheck FAILED");
         std::process::exit(1);
+    }
+}
+
+/// Per-phase wall times of the warm edits of a local session (ms).
+#[derive(Default)]
+struct PhaseTimes {
+    begin_ms: Vec<f64>,
+    step_ms: Vec<f64>,
+    finish_ms: Vec<f64>,
+    edit_ms: Vec<f64>,
+}
+
+impl PhaseTimes {
+    /// One re-annotation through the resumable job, timing each phase.
+    fn pass(
+        &mut self,
+        annotator: &mut IncrementalAnnotator,
+        source: &str,
+        model: &RtlTimer,
+        store: &Store,
+    ) -> ReannotateOutcome {
+        let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+        let t = Instant::now();
+        let mut job = annotator.begin(source, store).expect("edit compiles");
+        self.begin_ms.push(ms(t));
+        let t_step = Instant::now();
+        while !job.step(store, usize::MAX) {}
+        self.step_ms.push(ms(t_step));
+        let t_finish = Instant::now();
+        let out = job.finish(model, store);
+        self.finish_ms.push(ms(t_finish));
+        self.edit_ms.push(ms(t));
+        out
     }
 }
 

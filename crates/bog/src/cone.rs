@@ -290,6 +290,159 @@ pub fn extract_signal_cone(bog: &Bog, sig: usize) -> Bog {
     b.finish()
 }
 
+/// Decides whether a signal's [`extract_signal_cone`] comes out identical in
+/// two revisions of a design without rebuilding either extraction.
+///
+/// The extraction reads a cone only through its structure — operators,
+/// fanins in slot order, which Q pins are the signal's own — and through
+/// the labels it copies: the signal's name, width, line and top-level flag,
+/// each boundary register's signal name, bit and line, each input's name.
+/// [`ConeMatch::same_signal_cone`] walks both cones in lockstep and pairs
+/// their nodes one to one; if the pairing is a bijection that preserves all
+/// of these, the two extractions run step for step alike and produce the
+/// same bytes. Node ids themselves never matter, so edits elsewhere in the
+/// design that shift them do not defeat the match.
+#[derive(Debug, Default)]
+pub struct ConeMatch {
+    old: MatchSide,
+    new: MatchSide,
+    epoch: u32,
+    stack: Vec<(NodeId, NodeId)>,
+}
+
+/// Per-graph tables of a [`ConeMatch`].
+#[derive(Debug, Default)]
+struct MatchSide {
+    /// Register index of each `Dff` node (`u32::MAX` elsewhere).
+    reg_of: Vec<u32>,
+    /// Input-list index of each `Input` node (`u32::MAX` elsewhere).
+    input_of: Vec<u32>,
+    /// The paired node of the other graph, valid where `stamp == epoch`.
+    peer: Vec<NodeId>,
+    stamp: Vec<u32>,
+}
+
+impl MatchSide {
+    fn bind(&mut self, bog: &Bog) {
+        let n = bog.len();
+        self.reg_of.clear();
+        self.reg_of.resize(n, u32::MAX);
+        for (i, r) in bog.regs().iter().enumerate() {
+            self.reg_of[r.q as usize] = i as u32;
+        }
+        self.input_of.clear();
+        self.input_of.resize(n, u32::MAX);
+        for (i, (_, id)) in bog.inputs().iter().enumerate() {
+            self.input_of[*id as usize] = i as u32;
+        }
+        self.peer.clear();
+        self.peer.resize(n, NodeId::MAX);
+        self.stamp.clear();
+        self.stamp.resize(n, 0);
+    }
+
+    /// The name [`extract_signal_cone`] gives input node `id`.
+    fn input_name<'a>(&self, bog: &'a Bog, id: NodeId) -> &'a str {
+        match self.input_of[id as usize] {
+            u32::MAX => "in",
+            i => &bog.inputs()[i as usize].0,
+        }
+    }
+
+    /// `(signal name, bit, line)` of the register whose Q is `id`.
+    fn reg_label<'a>(&self, bog: &'a Bog, id: NodeId) -> Option<(&'a str, u32, u32)> {
+        let r = bog.regs().get(self.reg_of[id as usize] as usize)?;
+        let s = &bog.signals()[r.signal as usize];
+        Some((&s.name, r.bit, s.decl_line))
+    }
+}
+
+impl ConeMatch {
+    /// Tables bound to the two revisions, `old` and `new`. Queries must
+    /// pass the same two graphs.
+    pub fn new(old: &Bog, new: &Bog) -> ConeMatch {
+        let mut m = ConeMatch::default();
+        m.old.bind(old);
+        m.new.bind(new);
+        m
+    }
+
+    /// Whether `extract_signal_cone(new, new_sig)` equals
+    /// `extract_signal_cone(old, old_sig)`.
+    pub fn same_signal_cone(
+        &mut self,
+        old: &Bog,
+        old_sig: usize,
+        new: &Bog,
+        new_sig: usize,
+    ) -> bool {
+        debug_assert_eq!(self.old.stamp.len(), old.len(), "bound to another graph");
+        debug_assert_eq!(self.new.stamp.len(), new.len(), "bound to another graph");
+        let (so, sn) = (&old.signals()[old_sig], &new.signals()[new_sig]);
+        if old.name != new.name
+            || old.variant != new.variant
+            || so.name != sn.name
+            || so.width != sn.width
+            || so.decl_line != sn.decl_line
+            || so.top_level != sn.top_level
+        {
+            return false;
+        }
+        self.epoch += 1;
+        let q = |bog: &Bog, r: u32| bog.regs()[r as usize].q;
+        let d = |bog: &Bog, r: u32| bog.regs()[r as usize].d;
+        // The signal's own Q pins are pre-mapped by the extraction and
+        // never labeled: pair them, but do not expand them.
+        for (&ro, &rn) in so.regs.iter().zip(&sn.regs) {
+            if !self.pair(q(old, ro), q(new, rn)) {
+                return false;
+            }
+        }
+        self.stack.clear();
+        for (&ro, &rn) in so.regs.iter().zip(&sn.regs) {
+            if !self.pair(d(old, ro), d(new, rn)) {
+                return false;
+            }
+        }
+        while let Some((o, n)) = self.stack.pop() {
+            let (no, nn) = (old.node(o), new.node(n));
+            let same = no.op == nn.op
+                && match no.op {
+                    BogOp::Input => self.old.input_name(old, o) == self.new.input_name(new, n),
+                    BogOp::Const0 | BogOp::Const1 => true,
+                    BogOp::Dff => {
+                        let lo = self.old.reg_label(old, o);
+                        lo.is_some() && lo == self.new.reg_label(new, n)
+                    }
+                    op => (0..op.arity()).all(|k| self.pair(no.fanins[k], nn.fanins[k])),
+                };
+            if !same {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Pairs `o` with `n`, queueing them for comparison when both are new
+    /// to the walk. Fails when either is already paired with another node.
+    fn pair(&mut self, o: NodeId, n: NodeId) -> bool {
+        let e = self.epoch;
+        let (o_seen, n_seen) = (
+            self.old.stamp[o as usize] == e,
+            self.new.stamp[n as usize] == e,
+        );
+        if o_seen || n_seen {
+            return o_seen && n_seen && self.old.peer[o as usize] == n;
+        }
+        self.old.stamp[o as usize] = e;
+        self.old.peer[o as usize] = n;
+        self.new.stamp[n as usize] = e;
+        self.new.peer[n as usize] = o;
+        self.stack.push((o, n));
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,6 +543,58 @@ mod tests {
         let a = extract_signal_cone(&base, sig(&base, "churn"));
         let b = extract_signal_cone(&edited, sig(&edited, "churn"));
         assert_ne!(a.to_bytes(), b.to_bytes());
+    }
+
+    #[test]
+    fn cone_match_agrees_with_extraction_bytes() {
+        use rtlt_store::Codec;
+        let src = |churn: &str, pad: &str| {
+            format!(
+                "module m(input clk, input [7:0] a, input [7:0] b, output [7:0] q);
+                   reg [7:0] keep;{pad}
+                   reg [7:0] churn;
+                   reg [7:0] acc;
+                   always @(posedge clk) begin
+                     keep <= a + b;
+                     churn <= {churn};
+                     acc <= acc ^ (keep & churn);
+                   end
+                   assign q = acc;
+                 endmodule"
+            )
+        };
+        let base = blast(&compile(&src("a & b", ""), "m").unwrap());
+        let revisions = [
+            src("a & b", ""),
+            src("(a | b) + churn", ""),
+            src("a ^ b", ""),
+            src("b & a", ""),
+            // A declaration moved down a line: every later line shifts.
+            src("a & b", "\n"),
+        ];
+        for rev in revisions {
+            let edited = blast(&compile(&rev, "m").unwrap());
+            let mut m = ConeMatch::new(&base, &edited);
+            for (sig, s) in edited.signals().iter().enumerate() {
+                let old_sig = base
+                    .signals()
+                    .iter()
+                    .position(|o| o.name == s.name)
+                    .unwrap();
+                let same = extract_signal_cone(&base, old_sig).to_bytes()
+                    == extract_signal_cone(&edited, sig).to_bytes();
+                assert_eq!(
+                    m.same_signal_cone(&base, old_sig, &edited, sig),
+                    same,
+                    "{} in {rev}",
+                    s.name
+                );
+            }
+        }
+        // Different signals of one graph never match each other.
+        let mut m = ConeMatch::new(&base, &base);
+        assert!(m.same_signal_cone(&base, 0, &base, 0));
+        assert!(!m.same_signal_cone(&base, 0, &base, 1));
     }
 
     #[test]

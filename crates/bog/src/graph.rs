@@ -286,28 +286,17 @@ impl Bog {
     /// Longest-path logic level of every node (sources = 0, each
     /// combinational operator adds 1).
     pub fn levels(&self) -> Vec<u32> {
-        let order = self.topo_order();
-        let mut level = vec![0u32; self.nodes.len()];
-        for &id in &order {
-            let node = &self.nodes[id as usize];
-            if node.op.is_comb() {
-                let m = self
-                    .fanins(id)
-                    .iter()
-                    .map(|&f| level[f as usize])
-                    .max()
-                    .unwrap_or(0);
-                level[id as usize] = m + 1;
-            }
-        }
-        level
+        let mut out = Vec::new();
+        self.levels_into(&mut out);
+        out
     }
 
     /// Writes longest-path logic levels into `out` (cleared and refilled, so
-    /// one buffer serves many graphs). Uses a single id-order pass when the
-    /// graph lists every fanin before its reader — true for all
-    /// builder-produced graphs, including canonically extracted cones — and
-    /// falls back to [`Bog::levels`] otherwise. Results are identical.
+    /// one buffer serves many graphs). A single id-order pass when the graph
+    /// lists every fanin before its reader — true for all builder-produced
+    /// graphs, including variant conversions and canonically extracted
+    /// cones. Other graphs (hand-built or decoded ones) fall back to a pass
+    /// in [`Bog::topo_order`]; the levels are the same either way.
     pub fn levels_into(&self, out: &mut Vec<u32>) {
         let n = self.nodes.len();
         out.clear();
@@ -318,13 +307,31 @@ impl Bog {
             if node.op.is_comb() {
                 for &f in self.fanins(id) {
                     if f >= id {
-                        *out = self.levels();
+                        self.levels_in_topo_order(out);
                         return;
                     }
                     lvl = lvl.max(out[f as usize] + 1);
                 }
             }
             out.push(lvl);
+        }
+    }
+
+    /// [`Bog::levels_into`]'s fallback for graphs that list a fanin after
+    /// its reader: the same recurrence, evaluated in Kahn order.
+    fn levels_in_topo_order(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.resize(self.nodes.len(), 0);
+        for id in self.topo_order() {
+            if self.nodes[id as usize].op.is_comb() {
+                let m = self
+                    .fanins(id)
+                    .iter()
+                    .map(|&f| out[f as usize])
+                    .max()
+                    .unwrap_or(0);
+                out[id as usize] = m + 1;
+            }
         }
     }
 
@@ -696,17 +703,46 @@ mod tests {
         let _q = b.signal("q", 1, 0, true);
         b.set_reg_d(0, g3);
         let bog = b.finish();
-        let mut scratch = Vec::new();
-        bog.levels_into(&mut scratch);
-        assert_eq!(scratch, bog.levels());
+        let mut oracle = Vec::new();
+        bog.levels_in_topo_order(&mut oracle);
+        assert_eq!(bog.levels(), oracle);
+        for variant in BogVariant::ALL {
+            let v = bog.to_variant(variant);
+            v.levels_in_topo_order(&mut oracle);
+            assert_eq!(v.levels(), oracle, "{variant}");
+        }
         // Reuse on a second graph must fully overwrite the buffer.
+        let mut scratch = bog.levels();
         let mut b2 = BogBuilder::new("t2", BogVariant::Sog);
         let a = b2.input("a");
         let _q2 = b2.signal("q", 1, 0, true);
         b2.set_reg_d(0, a);
         let small = b2.finish();
         small.levels_into(&mut scratch);
-        assert_eq!(scratch, small.levels());
+        assert_eq!(scratch, vec![0, 0]);
+    }
+
+    #[test]
+    fn levels_fall_back_when_a_fanin_follows_its_reader() {
+        // n0 = x & n2, n1 = !n0, n2 = y & x: n0 reads n2, listed after it.
+        let node = |op, fanins| BogNode { op, fanins };
+        let bog = Bog {
+            name: "t".into(),
+            variant: BogVariant::Sog,
+            nodes: vec![
+                node(BogOp::And2, [3, 2, NO_NODE]),
+                node(BogOp::Not, [0, NO_NODE, NO_NODE]),
+                node(BogOp::And2, [4, 3, NO_NODE]),
+                node(BogOp::Input, [NO_NODE; 3]),
+                node(BogOp::Input, [NO_NODE; 3]),
+            ],
+            inputs: vec![("x".into(), 3), ("y".into(), 4)],
+            outputs: vec![("o".into(), 1)],
+            regs: Vec::new(),
+            signals: Vec::new(),
+        };
+        assert_eq!(bog.levels(), vec![2, 3, 1, 0, 0]);
+        assert_eq!(bog.stats().max_level, 3);
     }
 
     #[test]

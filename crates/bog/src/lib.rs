@@ -49,7 +49,8 @@ mod variants;
 
 pub use blast::blast;
 pub use cone::{
-    cone_fingerprint, extract_signal_cone, input_cone, input_cone_scratch, ConeInfo, ConeScratch,
+    cone_fingerprint, extract_signal_cone, input_cone, input_cone_scratch, ConeInfo, ConeMatch,
+    ConeScratch,
 };
 pub use graph::{
     Bog, BogBuilder, BogOp, BogReg, BogVariant, Endpoint, NodeId, SignalInfo, NO_NODE,

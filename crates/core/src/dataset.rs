@@ -468,8 +468,8 @@ pub struct FeaturizeScratch {
     order: Vec<usize>,
     /// Rank-percentile table reused by the merge.
     rank_pct: Vec<f64>,
-    /// Per-variant shard handles (cleared per variant, capacity kept).
-    shards: Vec<Arc<ConeShard>>,
+    /// Per-variant merge pieces (cleared per variant, capacity kept).
+    pieces: Vec<Piece>,
 }
 
 impl FeaturizeScratch {
@@ -479,53 +479,99 @@ impl FeaturizeScratch {
     }
 }
 
-/// Merges per-signal shards (signal order) into a full [`VariantData`],
-/// splicing in the design-global context: endpoint rank percentiles over
-/// the merged arrivals and the variant graph's design features.
-pub fn merge_shards(
-    variant: BogVariant,
-    design_feats: Vec<f64>,
-    shards: &[Arc<ConeShard>],
-) -> VariantData {
-    merge_shards_into(
-        variant,
-        design_feats,
-        shards,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    )
+/// One signal's slice of a variant, as the merge receives it.
+#[derive(Debug)]
+enum Piece {
+    /// A shard from the store or freshly computed: its rows are cloned.
+    Shard(Arc<ConeShard>),
+    /// A signal of `width` endpoints whose rows move over from the
+    /// previous revision's merged data.
+    Prior { width: usize },
 }
 
-/// [`merge_shards`] with caller-owned sort/rank buffers (reused across
-/// variants and designs by [`FeaturizeScratch`]).
-fn merge_shards_into(
+impl Piece {
+    fn endpoints(&self) -> usize {
+        match self {
+            Piece::Shard(shard) => shard.sta_at.len(),
+            Piece::Prior { width } => *width,
+        }
+    }
+}
+
+/// The one merge behind every featurize path: splices the pieces (signal
+/// order) into a full [`VariantData`], then splices in the design-global
+/// context — endpoint rank percentiles over the merged arrivals and the
+/// variant graph's design features, slots 0..4 of every row.
+///
+/// A [`Piece::Prior`] moves its rows, groups and endpoint arrays out of
+/// `prior`, the previous revision's data of the same variant over the same
+/// signal list (so its endpoints line up with the merged ones). A moved
+/// row equals the row its shard would give: the merge rewrites exactly the
+/// slots that depend on the rest of the design.
+fn merge_pieces(
     variant: BogVariant,
     design_feats: Vec<f64>,
-    shards: &[Arc<ConeShard>],
+    pieces: &[Piece],
+    mut prior: Option<&mut VariantData>,
     order: &mut Vec<usize>,
     rank_pct: &mut Vec<f64>,
 ) -> VariantData {
-    let n_eps: usize = shards.iter().map(|s| s.sta_at.len()).sum();
+    let n_eps: usize = pieces.iter().map(Piece::endpoints).sum();
+    let n_rows = prior.as_ref().map_or(0, |p| p.rows.len())
+        + pieces
+            .iter()
+            .map(|p| match p {
+                Piece::Shard(shard) => shard.rows.len(),
+                Piece::Prior { .. } => 0,
+            })
+            .sum::<usize>();
     let mut data = VariantData {
         variant,
-        rows: Vec::new(),
+        rows: Vec::with_capacity(n_rows),
         groups: Vec::with_capacity(n_eps),
         endpoint_sta_at: Vec::with_capacity(n_eps),
         driving_regs: Vec::with_capacity(n_eps),
         design_feats,
     };
-    for shard in shards {
+    for piece in pieces {
         let row_base = data.rows.len();
         let ep_base = data.endpoint_sta_at.len();
-        data.endpoint_sta_at.extend_from_slice(&shard.sta_at);
-        data.driving_regs.extend_from_slice(&shard.driving_regs);
-        for g in &shard.groups {
-            data.groups.push(g.iter().map(|r| r + row_base).collect());
-        }
-        for row in &shard.rows {
-            let mut row = row.clone();
-            row.endpoint += ep_base;
-            data.rows.push(row);
+        match piece {
+            Piece::Shard(shard) => {
+                data.endpoint_sta_at.extend_from_slice(&shard.sta_at);
+                data.driving_regs.extend_from_slice(&shard.driving_regs);
+                for g in &shard.groups {
+                    data.groups.push(g.iter().map(|r| r + row_base).collect());
+                }
+                for row in &shard.rows {
+                    let mut row = row.clone();
+                    row.endpoint += ep_base;
+                    data.rows.push(row);
+                }
+            }
+            Piece::Prior { width } => {
+                let prev = prior.as_deref_mut().expect("prior pieces need prior data");
+                debug_assert_eq!(prev.groups.len(), n_eps, "prior signal list differs");
+                let eps = ep_base..ep_base + width;
+                // Every group starts with its endpoint's critical-path row,
+                // so a signal's rows run from its first group's head to the
+                // next signal's.
+                let first = prev.groups[ep_base][0];
+                let end = prev.groups.get(eps.end).map_or(prev.rows.len(), |g| g[0]);
+                data.endpoint_sta_at
+                    .extend_from_slice(&prev.endpoint_sta_at[eps.clone()]);
+                data.driving_regs
+                    .extend_from_slice(&prev.driving_regs[eps.clone()]);
+                for g in &mut prev.groups[eps] {
+                    let mut g = std::mem::take(g);
+                    for r in &mut g {
+                        *r = *r - first + row_base;
+                    }
+                    data.groups.push(g);
+                }
+                data.rows
+                    .extend(prev.rows[first..end].iter_mut().map(std::mem::take));
+            }
         }
     }
 
@@ -549,6 +595,42 @@ fn merge_shards_into(
         row.features[1..4].copy_from_slice(&data.design_feats[0..3]);
     }
     data
+}
+
+/// One signal's canonical input-cone extraction and its two keys. The
+/// content hash of the cone's bytes keys the per-seed shard cache
+/// (name-sensitive); the structural fingerprint keys the shared
+/// seed-independent evaluation (name-free, so isomorphic cones of
+/// different signals collide).
+#[derive(Debug, Clone)]
+pub(crate) struct ConeExtraction {
+    /// The extracted cone ([`rtlt_bog::extract_signal_cone`]).
+    pub cone: Bog,
+    /// Content hash of the cone's codec bytes.
+    pub content: ContentHash,
+    /// Structural fingerprint ([`rtlt_bog::cone_fingerprint`]).
+    pub fingerprint: ContentHash,
+}
+
+impl ConeExtraction {
+    /// Extracts and hashes signal `sig` of `sog`.
+    pub(crate) fn of(sog: &Bog, sig: usize) -> ConeExtraction {
+        let cone = rtlt_bog::extract_signal_cone(sog, sig);
+        let content = ContentHash::of_bytes(&rtlt_store::Codec::to_bytes(&cone));
+        let fingerprint = rtlt_bog::cone_fingerprint(&cone);
+        ConeExtraction {
+            cone,
+            content,
+            fingerprint,
+        }
+    }
+
+    /// Every signal of `sog`, in signal order.
+    pub(crate) fn all(sog: &Bog) -> Vec<ConeExtraction> {
+        (0..sog.signals().len())
+            .map(|sig| ConeExtraction::of(sog, sig))
+            .collect()
+    }
 }
 
 /// Builds all four variants' datasets through the sharded path: one
@@ -578,9 +660,10 @@ pub fn build_all_variant_data(
     )
 }
 
-/// [`build_all_variant_data`] with an explicit scratch and dedup switch.
-/// With `dedup` set (the default path), each *unique* canonical cone gets
-/// one seed-independent [`ConeEval`] — computed via the levelized kernel,
+/// [`build_all_variant_data`] with an explicit scratch and dedup switch: a
+/// [`FeaturizeJob`] stepped to completion in one call. With `dedup` set
+/// (the default path), each *unique* canonical cone gets one
+/// seed-independent [`ConeEval`] — computed via the levelized kernel,
 /// memoized in-process and in the `conesta` namespace — and every signal
 /// sharing it replays only the seeded sampling. With `dedup` unset (the
 /// `RTLT_NO_CONE_DEDUP=1` escape hatch), every signal runs the legacy
@@ -594,162 +677,146 @@ pub fn build_all_variant_data_scratch(
     dedup: bool,
     scratch: &mut FeaturizeScratch,
 ) -> Vec<VariantData> {
-    let started = Instant::now();
-    // One canonical extraction per signal, shared by all four variants.
-    // Two hashes per cone: the full content hash keys the per-seed shard
-    // cache (name-sensitive, unchanged from before the split), while the
-    // structural fingerprint keys the shared seed-independent evaluation
-    // (name-free, so isomorphic cones of different signals collide).
-    let extractions: Vec<(Bog, ContentHash, ContentHash)> = (0..sog.signals().len())
-        .map(|sig| {
-            let sub = rtlt_bog::extract_signal_cone(sog, sig);
-            let content = ContentHash::of_bytes(&rtlt_store::Codec::to_bytes(&sub));
-            let fingerprint = rtlt_bog::cone_fingerprint(&sub);
-            (sub, content, fingerprint)
-        })
-        .collect();
-    TOTAL_SIGNALS.fetch_add(extractions.len() as u64, Ordering::Relaxed);
-    // Fingerprint multiplicity within this design: only cones that occur
-    // more than once go through the memoized `conesta` path — see
-    // `shared_cone_eval`.
-    let mut multiplicity: HashMap<&ContentHash, u32> = HashMap::new();
-    for (_, _, fp) in &extractions {
-        *multiplicity.entry(fp).or_insert(0) += 1;
-    }
-    UNIQUE_CONES.fetch_add(multiplicity.len() as u64, Ordering::Relaxed);
-
-    let out = BogVariant::ALL
-        .iter()
-        .enumerate()
-        .map(|(vi, &variant)| {
-            let design_feats = design_features(&sog.to_variant(variant));
-            // Once-map of this design × variant: canonical content →
-            // (variant-converted cone, shared evaluation). Signals are
-            // processed sequentially here (parallelism is across designs),
-            // so no locking.
-            let mut once: HashMap<ContentHash, (Arc<Bog>, Arc<ConeEval>)> = HashMap::new();
-            scratch.shards.clear();
-            for (sig, s) in sog.signals().iter().enumerate() {
-                let (sub, content, fingerprint) = &extractions[sig];
-                let n_eps = s.width as usize;
-                let seed = shard_seed(design_seed, vi, &s.name);
-                let key = shard_key(vi, clock, seed, content);
-                let (levels, cone_scratch) = (&mut scratch.levels, &mut scratch.cones);
-                let shard = store.get_or_compute(stage::SHARD, key, || {
-                    if !dedup {
-                        return build_cone_shard(&sub.to_variant(variant), n_eps, lib, clock, seed);
-                    }
-                    if multiplicity.get(fingerprint).copied().unwrap_or(1) > 1 {
-                        let (vbog, eval) = shared_cone_eval(
-                            store,
-                            &mut once,
-                            vi,
-                            variant,
-                            clock,
-                            fingerprint,
-                            sub,
-                            n_eps,
-                            lib,
-                            levels,
-                            cone_scratch,
-                        );
-                        replay_cone_shard(&vbog, &eval, n_eps, lib, clock, seed)
-                    } else {
-                        // Singleton cone (~90 % of signals on the bundled
-                        // suites): compute and replay in place — no store
-                        // round-trip, no Arc, crit rows moved not cloned.
-                        let vbog = sub.to_variant(variant);
-                        let eval =
-                            compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
-                        replay_cone_shard_owned(&vbog, eval, n_eps, lib, clock, seed)
-                    }
-                });
-                scratch.shards.push(shard);
-            }
-            merge_shards_into(
-                variant,
-                design_feats,
-                &scratch.shards,
-                &mut scratch.order,
-                &mut scratch.rank_pct,
-            )
-        })
-        .collect();
-    FEATURIZE_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    out
+    let mut job = FeaturizeJob::new(sog, clock, design_seed);
+    job.dedup = dedup;
+    std::mem::swap(&mut job.scratch, scratch);
+    while !job.step(store, sog, lib, usize::MAX) {}
+    std::mem::swap(&mut job.scratch, scratch);
+    job.finish().variant_data
 }
 
-/// A resumable [`build_all_variant_data`]: the same per-signal shard walk,
+/// The previous revision's merged datasets, offered to a [`FeaturizeJob`]
+/// over the same signal list. A signal flagged in `reuse` — its shard keys
+/// are unchanged — moves its rows out of `variant_data` instead of being
+/// looked up.
+#[derive(Debug)]
+pub(crate) struct PriorRows {
+    /// The previous revision's data, one per variant in
+    /// [`BogVariant::ALL`] order.
+    pub variant_data: Vec<VariantData>,
+    /// Per signal: whether its rows move over.
+    pub reuse: Vec<bool>,
+}
+
+/// Where a [`FeaturizeJob`]'s shards came from — counted by the job
+/// itself, so concurrent jobs on one store never see each other's lookups.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ShardCounts {
+    /// Shards computed (`shard`-namespace misses).
+    pub computed: u64,
+    /// Shards the store served.
+    pub stored: u64,
+    /// Shards whose rows moved over from the previous revision, with no
+    /// store lookup at all.
+    pub resident: u64,
+}
+
+/// What a finished [`FeaturizeJob`] hands back.
+#[derive(Debug)]
+pub(crate) struct FeaturizeOutput {
+    /// The merged datasets, one per variant in [`BogVariant::ALL`] order.
+    pub variant_data: Vec<VariantData>,
+    /// The cone extraction of every signal, in signal order.
+    pub extractions: Vec<ConeExtraction>,
+    /// Where the shards came from.
+    pub counts: ShardCounts,
+}
+
+/// The resumable sharded featurize walk behind every featurize path,
 /// sliced into bounded `step` calls so a single-threaded event loop can
 /// interleave many re-annotations without one large design starving the
-/// tick. Iteration order, cache keys, dedup behavior and merged output are
-/// identical to the one-shot path — a job stepped to completion produces
-/// byte-identical [`VariantData`] (the live annotation service's whole
-/// degrade story rests on this).
+/// tick. Iteration order, cache keys, dedup behavior and merged output do
+/// not depend on the slicing — a job stepped to completion produces the
+/// same [`VariantData`] as [`build_all_variant_data`] (which is this job
+/// stepped in one call; the live annotation service's whole degrade story
+/// rests on this).
 #[derive(Debug)]
 pub struct FeaturizeJob {
-    sog: Bog,
     clock: f64,
     design_seed: u64,
     dedup: bool,
-    extractions: Vec<(Bog, ContentHash, ContentHash)>,
+    extractions: Vec<ConeExtraction>,
     multiplicity: HashMap<ContentHash, u32>,
+    prior: Option<PriorRows>,
     scratch: FeaturizeScratch,
     once: HashMap<ContentHash, (Arc<Bog>, Arc<ConeEval>)>,
     vi: usize,
     sig: usize,
     done: Vec<VariantData>,
+    counts: ShardCounts,
 }
 
 impl FeaturizeJob {
-    /// Extracts every signal cone up front (cheap, linear) and positions
-    /// the job at the first shard of the first variant.
+    /// Extracts every signal cone of `sog` up front (cheap, linear) and
+    /// positions the job at the first shard of the first variant. `step`
+    /// must then be given the same `sog`.
     pub fn new(sog: &Bog, clock: f64, design_seed: u64) -> FeaturizeJob {
         let started = Instant::now();
-        let extractions: Vec<(Bog, ContentHash, ContentHash)> = (0..sog.signals().len())
-            .map(|sig| {
-                let sub = rtlt_bog::extract_signal_cone(sog, sig);
-                let content = ContentHash::of_bytes(&rtlt_store::Codec::to_bytes(&sub));
-                let fingerprint = rtlt_bog::cone_fingerprint(&sub);
-                (sub, content, fingerprint)
-            })
-            .collect();
+        let job =
+            FeaturizeJob::with_extractions(clock, design_seed, ConeExtraction::all(sog), None);
+        FEATURIZE_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        job
+    }
+
+    /// A job over cones the caller already extracted (signal order of the
+    /// SOG later passed to `step`). With `prior`, every signal it flags
+    /// moves its rows over from the previous revision; the rest are looked
+    /// up as usual.
+    pub(crate) fn with_extractions(
+        clock: f64,
+        design_seed: u64,
+        extractions: Vec<ConeExtraction>,
+        prior: Option<PriorRows>,
+    ) -> FeaturizeJob {
         TOTAL_SIGNALS.fetch_add(extractions.len() as u64, Ordering::Relaxed);
+        // Fingerprint multiplicity within this design: only cones that
+        // occur more than once go through the memoized `conesta` path —
+        // see `shared_cone_eval`.
         let mut multiplicity: HashMap<ContentHash, u32> = HashMap::new();
-        for (_, _, fp) in &extractions {
-            *multiplicity.entry(*fp).or_insert(0) += 1;
+        for e in &extractions {
+            *multiplicity.entry(e.fingerprint).or_insert(0) += 1;
         }
         UNIQUE_CONES.fetch_add(multiplicity.len() as u64, Ordering::Relaxed);
-        let job = FeaturizeJob {
-            sog: sog.clone(),
+        if let Some(p) = &prior {
+            assert_eq!(
+                p.reuse.len(),
+                extractions.len(),
+                "prior signal list differs"
+            );
+        }
+        FeaturizeJob {
             clock,
             design_seed,
             dedup: cone_dedup_enabled(),
             extractions,
             multiplicity,
+            prior,
             scratch: FeaturizeScratch::new(),
             once: HashMap::new(),
             vi: 0,
             sig: 0,
             done: Vec::with_capacity(BogVariant::ALL.len()),
-        };
-        FEATURIZE_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        job
+            counts: ShardCounts::default(),
+        }
+    }
+
+    /// Whether signal `sig` moves its rows over from the prior revision.
+    fn reuses(&self, sig: usize) -> bool {
+        self.prior.as_ref().is_some_and(|p| p.reuse[sig])
     }
 
     /// Every `(namespace, key)` pair the job will look up, in walk order —
     /// one [`Store::prefetch`] over these pulls all cold shards in a
     /// single batched GETM round trip before stepping begins.
-    pub fn shard_items(&self) -> Vec<(String, ContentHash)> {
+    pub fn shard_items(&self, sog: &Bog) -> Vec<(String, ContentHash)> {
         let mut items = Vec::with_capacity(BogVariant::ALL.len() * self.extractions.len());
         for vi in 0..BogVariant::ALL.len() {
-            for (sig, s) in self.sog.signals().iter().enumerate() {
-                let (_, content, _) = &self.extractions[sig];
-                let seed = shard_seed(self.design_seed, vi, &s.name);
-                items.push((
-                    stage::SHARD.to_owned(),
-                    shard_key(vi, self.clock, seed, content),
-                ));
+            for (sig, s) in sog.signals().iter().enumerate() {
+                if !self.reuses(sig) {
+                    let seed = shard_seed(self.design_seed, vi, &s.name);
+                    let key = shard_key(vi, self.clock, seed, &self.extractions[sig].content);
+                    items.push((stage::SHARD.to_owned(), key));
+                }
             }
         }
         items
@@ -772,84 +839,115 @@ impl FeaturizeJob {
         self.vi >= BogVariant::ALL.len()
     }
 
-    /// Evaluates up to `max_shards` more shards (at least one), merging
-    /// each variant as its last shard lands. Returns `true` once the job
-    /// is done and [`FeaturizeJob::finish`] may be called.
-    pub fn step(&mut self, store: &Store, lib: &Library, max_shards: usize) -> bool {
+    /// Evaluates up to `max_shards` more store lookups (at least one),
+    /// merging each variant as its last shard lands; rows moving over from
+    /// the prior revision cost no lookup and no budget. Returns `true` once
+    /// the job is done and `finish` may be called.
+    pub fn step(&mut self, store: &Store, sog: &Bog, lib: &Library, max_shards: usize) -> bool {
         let started = Instant::now();
         let mut budget = max_shards.max(1);
-        let n = self.sog.signals().len();
+        let n = sog.signals().len();
+        assert_eq!(n, self.extractions.len(), "job stepped on another SOG");
         while self.vi < BogVariant::ALL.len() {
-            let vi = self.vi;
-            let variant = BogVariant::ALL[vi];
+            let variant = BogVariant::ALL[self.vi];
             while self.sig < n {
-                if budget == 0 {
+                let piece = if self.reuses(self.sig) {
+                    self.counts.resident += 1;
+                    Piece::Prior {
+                        width: sog.signals()[self.sig].width as usize,
+                    }
+                } else if budget == 0 {
                     FEATURIZE_NANOS
                         .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     return false;
-                }
-                let sig = self.sig;
-                let s = &self.sog.signals()[sig];
-                let (sub, content, fingerprint) = &self.extractions[sig];
-                let n_eps = s.width as usize;
-                let seed = shard_seed(self.design_seed, vi, &s.name);
-                let key = shard_key(vi, self.clock, seed, content);
-                let dedup = self.dedup;
-                let clock = self.clock;
-                let (levels, cone_scratch) = (&mut self.scratch.levels, &mut self.scratch.cones);
-                let once = &mut self.once;
-                let multiplicity = &self.multiplicity;
-                let shard = store.get_or_compute(stage::SHARD, key, || {
-                    if !dedup {
-                        return build_cone_shard(&sub.to_variant(variant), n_eps, lib, clock, seed);
-                    }
-                    if multiplicity.get(fingerprint).copied().unwrap_or(1) > 1 {
-                        let (vbog, eval) = shared_cone_eval(
-                            store,
-                            once,
-                            vi,
-                            variant,
-                            clock,
-                            fingerprint,
-                            sub,
-                            n_eps,
-                            lib,
-                            levels,
-                            cone_scratch,
-                        );
-                        replay_cone_shard(&vbog, &eval, n_eps, lib, clock, seed)
-                    } else {
-                        let vbog = sub.to_variant(variant);
-                        let eval =
-                            compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
-                        replay_cone_shard_owned(&vbog, eval, n_eps, lib, clock, seed)
-                    }
-                });
-                self.scratch.shards.push(shard);
+                } else {
+                    budget -= 1;
+                    Piece::Shard(self.shard(store, sog, lib))
+                };
+                self.scratch.pieces.push(piece);
                 self.sig += 1;
-                budget -= 1;
             }
-            let design_feats = design_features(&self.sog.to_variant(variant));
-            self.done.push(merge_shards_into(
+            let design_feats = design_features(&sog.to_variant(variant));
+            let prior = self.prior.as_mut().map(|p| &mut p.variant_data[self.vi]);
+            self.done.push(merge_pieces(
                 variant,
                 design_feats,
-                &self.scratch.shards,
+                &self.scratch.pieces,
+                prior,
                 &mut self.scratch.order,
                 &mut self.scratch.rank_pct,
             ));
-            self.scratch.shards.clear();
+            self.scratch.pieces.clear();
             self.once.clear();
             self.vi += 1;
             self.sig = 0;
         }
+        // Only husks of the prior revision remain: release them now.
+        self.prior = None;
         FEATURIZE_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         true
     }
 
-    /// The merged variant datasets. Panics if the job is not done.
-    pub fn finish(self) -> Vec<VariantData> {
+    /// Looks the current signal's shard of the current variant up in the
+    /// `shard` namespace, computing it on a miss, and counts which it was.
+    fn shard(&mut self, store: &Store, sog: &Bog, lib: &Library) -> Arc<ConeShard> {
+        let (vi, clock, dedup) = (self.vi, self.clock, self.dedup);
+        let variant = BogVariant::ALL[vi];
+        let s = &sog.signals()[self.sig];
+        let ext = &self.extractions[self.sig];
+        let n_eps = s.width as usize;
+        let seed = shard_seed(self.design_seed, vi, &s.name);
+        let (levels, cone_scratch) = (&mut self.scratch.levels, &mut self.scratch.cones);
+        let (once, multiplicity) = (&mut self.once, &self.multiplicity);
+        let computed = Cell::new(false);
+        let key = shard_key(vi, clock, seed, &ext.content);
+        let shard = store.get_or_compute(stage::SHARD, key, || {
+            computed.set(true);
+            let sub = &ext.cone;
+            if !dedup {
+                return build_cone_shard(&sub.to_variant(variant), n_eps, lib, clock, seed);
+            }
+            if multiplicity.get(&ext.fingerprint).copied().unwrap_or(1) > 1 {
+                let (vbog, eval) = shared_cone_eval(
+                    store,
+                    once,
+                    vi,
+                    variant,
+                    clock,
+                    &ext.fingerprint,
+                    sub,
+                    n_eps,
+                    lib,
+                    levels,
+                    cone_scratch,
+                );
+                replay_cone_shard(&vbog, &eval, n_eps, lib, clock, seed)
+            } else {
+                // Singleton cone (~90 % of signals on the bundled suites):
+                // compute and replay in place — no store round-trip, no
+                // Arc, crit rows moved not cloned.
+                let vbog = sub.to_variant(variant);
+                let eval = compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
+                replay_cone_shard_owned(&vbog, eval, n_eps, lib, clock, seed)
+            }
+        });
+        if computed.get() {
+            self.counts.computed += 1;
+        } else {
+            self.counts.stored += 1;
+        }
+        shard
+    }
+
+    /// The merged variant datasets, the extractions and the shard counts.
+    /// Panics if the job is not done.
+    pub(crate) fn finish(self) -> FeaturizeOutput {
         assert!(self.is_done(), "FeaturizeJob finished before completion");
-        self.done
+        FeaturizeOutput {
+            variant_data: self.done,
+            extractions: self.extractions,
+            counts: self.counts,
+        }
     }
 }
 

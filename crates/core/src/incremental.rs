@@ -18,6 +18,14 @@
 //! 4. predict with the caller's (typically memoized, see
 //!    [`RtlTimer::fit_with`]) model and re-emit the annotated source.
 //!
+//! The annotator also keeps the **last finished revision resident**: every
+//! signal's cone extraction and keys, the merged rows of all four
+//! variants, and the module keys the revision was built from. The next
+//! edit re-extracts only the cones it may have reached and moves every
+//! other signal's rows over instead of looking its shards up, so the
+//! per-edit work that scales with the design shrinks to the design-global
+//! passes (variant conversions, rank percentiles, predict, render).
+//!
 //! The ground-truth label flow is deliberately **not** on this path: labels
 //! exist to train models, and an edited design has no ground truth until it
 //! is synthesized again. The per-endpoint pseudo-STA arrivals stand in as
@@ -27,15 +35,15 @@
 //! never what is computed.
 
 use crate::annotate::annotate_source;
-use crate::cache::{stage, PrepareKeys};
-use crate::dataset::FeaturizeJob;
+use crate::cache::PrepareKeys;
+use crate::dataset::{ConeExtraction, FeaturizeJob, FeaturizeOutput, PriorRows, VariantData};
 use crate::pipeline::{design_seed, DesignData, Prediction, PrepareStages, RtlTimer, TimerConfig};
-use rtlt_bog::Bog;
+use rtlt_bog::{Bog, ConeMatch};
 use rtlt_liberty::Library;
 use rtlt_store::{ContentHash, Store};
 use rtlt_verilog::VerilogError;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Result of one [`IncrementalAnnotator::reannotate`] pass.
 #[derive(Debug)]
@@ -48,13 +56,19 @@ pub struct ReannotateOutcome {
     /// Signals whose cone provenance contains a dirty module — the
     /// invalidation *upper bound* the module-granular architecture
     /// guarantees. The shards actually recomputed are a subset (content
-    /// keys skip cones whose logic an edit did not reach).
+    /// keys skip cones whose logic an edit did not reach). A source without
+    /// module keys (one the splitter cannot handle) bounds nothing, so
+    /// every signal is listed.
     pub dirty_cone_bound: Vec<String>,
-    /// Featurize shards recomputed in this pass (`shard`-namespace misses).
+    /// Featurize shards this pass computed.
     pub dirty_shards: u64,
-    /// Featurize shards served from the store.
+    /// Featurize shards this pass reused: served by the store or moved
+    /// over from the resident revision.
     pub reused_shards: u64,
-    /// Total shard lookups (signals × 4 representations).
+    /// The part of `reused_shards` moved over from the resident revision,
+    /// with no store lookup.
+    pub resident_shards: u64,
+    /// Total shards (signals × 4 representations).
     pub total_shards: u64,
     /// The prediction behind the annotation (for reporting).
     pub prediction: Prediction,
@@ -80,17 +94,157 @@ pub fn module_key_map(source: &str) -> BTreeMap<String, ContentHash> {
         .collect()
 }
 
+/// Modules whose key differs between two key maps — added, changed and
+/// removed ones — sorted by name.
+fn changed_modules(
+    old: &BTreeMap<String, ContentHash>,
+    new: &BTreeMap<String, ContentHash>,
+) -> Vec<String> {
+    let mut changed: Vec<String> = new
+        .iter()
+        .filter(|(name, key)| old.get(*name) != Some(*key))
+        .map(|(name, _)| name.clone())
+        .collect();
+    changed.extend(old.keys().filter(|name| !new.contains_key(*name)).cloned());
+    changed.sort();
+    changed
+}
+
+/// The last finished revision of a session, kept so the next edit moves
+/// what it did not touch instead of rebuilding it.
+struct Resident {
+    /// The revision's SOG: reused extractions are matched against it.
+    sog: Bog,
+    /// Per-module text keys the revision was built from.
+    module_keys: BTreeMap<String, ContentHash>,
+    /// Every signal's cone extraction and keys, in signal order.
+    extractions: Vec<ConeExtraction>,
+    /// The merged datasets, one per variant.
+    variant_data: Vec<VariantData>,
+}
+
+impl std::fmt::Debug for Resident {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Resident")
+            .field("signals", &self.extractions.len())
+            .field("modules", &self.module_keys.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A session's resident-revision slot, shared with its in-flight job:
+/// [`IncrementalAnnotator::begin`] takes the revision out and
+/// [`ReannotateJob::finish`] puts the new one back, so a second job begun
+/// meanwhile finds the slot empty and walks the whole design.
+#[derive(Debug, Default)]
+struct ResidentSlot(Arc<Mutex<Option<Resident>>>);
+
+impl ResidentSlot {
+    fn lock(&self) -> MutexGuard<'_, Option<Resident>> {
+        // The slot only ever holds whole revisions, so a poisoned lock
+        // still guards a consistent value.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn take(&self) -> Option<Resident> {
+        self.lock().take()
+    }
+
+    fn put(&self, revision: Resident) {
+        *self.lock() = Some(revision);
+    }
+
+    fn share(&self) -> ResidentSlot {
+        ResidentSlot(Arc::clone(&self.0))
+    }
+}
+
+/// Whether two revisions have the same signal list (names and widths, in
+/// order) — the precondition for moving rows between them.
+fn same_signals(old: &Bog, new: &Bog) -> bool {
+    old.signals().len() == new.signals().len()
+        && old
+            .signals()
+            .iter()
+            .zip(new.signals())
+            .all(|(a, b)| a.name == b.name && a.width == b.width)
+}
+
+/// Carries a resident revision over to `sog`, a revision with the same
+/// signal list. A signal outside the provenance bound of the modules
+/// changed since the resident revision keeps its extraction once a
+/// lockstep [`ConeMatch`] against the resident SOG shows a fresh extraction
+/// would be identical (an edit can still shift declaration lines, or
+/// rewire a pass-through module no provenance names). Every other signal
+/// is extracted afresh. Either way, a signal whose content key is
+/// unchanged moves its rows over instead of being looked up.
+fn carry_over(
+    prev: Resident,
+    sog: &Bog,
+    keys: &BTreeMap<String, ContentHash>,
+    provenance: &[Vec<String>],
+) -> (Vec<ConeExtraction>, PriorRows) {
+    let changed = changed_modules(&prev.module_keys, keys);
+    let mut matcher = ConeMatch::new(&prev.sog, sog);
+    let mut reuse = Vec::with_capacity(prev.extractions.len());
+    let extractions = prev
+        .extractions
+        .into_iter()
+        .enumerate()
+        .map(|(sig, old)| {
+            let bound = provenance[sig].iter().any(|m| changed.contains(m));
+            if !bound && matcher.same_signal_cone(&prev.sog, sig, sog, sig) {
+                #[cfg(test)]
+                assert_eq!(
+                    ConeExtraction::of(sog, sig).content,
+                    old.content,
+                    "reused extraction of {} differs from a fresh one",
+                    sog.signals()[sig].name
+                );
+                reuse.push(true);
+                old
+            } else {
+                let fresh = ConeExtraction::of(sog, sig);
+                reuse.push(fresh.content == old.content);
+                fresh
+            }
+        })
+        .collect();
+    let prior = PriorRows {
+        variant_data: prev.variant_data,
+        reuse,
+    };
+    (extractions, prior)
+}
+
 /// Driver of the edit → re-annotate loop for one design. `Clone` exists
 /// for the live service: it keeps one prototype per prepared design and
 /// clones it per OPEN, so every session starts from the same pinned clock
-/// and diff base a local loop would.
-#[derive(Debug, Clone)]
+/// and diff base a local loop would — and from an empty resident slot of
+/// its own.
+#[derive(Debug)]
 pub struct IncrementalAnnotator {
     name: String,
     cfg: TimerConfig,
     clock: f64,
     setup: f64,
     module_keys: BTreeMap<String, ContentHash>,
+    resident: ResidentSlot,
+}
+
+impl Clone for IncrementalAnnotator {
+    /// Copies the session context with a fresh, empty resident slot: a
+    /// clone never shares, or copies, another session's revision.
+    fn clone(&self) -> IncrementalAnnotator {
+        IncrementalAnnotator {
+            name: self.name.clone(),
+            cfg: self.cfg.clone(),
+            clock: self.clock,
+            setup: self.setup,
+            module_keys: self.module_keys.clone(),
+            resident: ResidentSlot::default(),
+        }
+    }
 }
 
 impl IncrementalAnnotator {
@@ -103,6 +257,7 @@ impl IncrementalAnnotator {
             clock: base.clock,
             setup: base.setup,
             module_keys: module_key_map(&base.source),
+            resident: ResidentSlot::default(),
         }
     }
 
@@ -131,62 +286,70 @@ impl IncrementalAnnotator {
     }
 
     /// Starts a resumable re-annotation pass: recompile + re-blast, diff
-    /// the dirty modules, bound the invalidation through provenance, and
-    /// prefetch every cold shard in one batched round trip. The returned
-    /// [`ReannotateJob`] is then driven by bounded
-    /// [`ReannotateJob::step`] calls — the live annotation service
-    /// interleaves many of these on one event-loop tick.
+    /// the dirty modules, bound the invalidation through provenance, carry
+    /// the resident revision over, and prefetch every shard left to look
+    /// up in one batched round trip. The returned [`ReannotateJob`] is then
+    /// driven by bounded [`ReannotateJob::step`] calls — the live
+    /// annotation service interleaves many of these on one event-loop tick.
+    ///
+    /// The job walks the whole design, as a cold pass would, when there is
+    /// no usable resident revision: on the first pass, while another job
+    /// of this session holds it, when the signal list changed, and for a
+    /// source without module keys. Every path produces the same bytes.
     ///
     /// # Errors
     ///
     /// Propagates frontend errors; session state (the module-key diff
-    /// base) is only advanced once the edit compiles.
+    /// base and the resident revision) is only touched once the edit
+    /// compiles.
     pub fn begin(&mut self, source: &str, store: &Store) -> Result<ReannotateJob, VerilogError> {
-        let before = store.stats().namespace(stage::SHARD);
         let stages = PrepareStages::new(&self.cfg);
         let blasted = stages.blasted_with(store, &self.name, source)?;
         let compiled = &blasted.compiled;
+        let sog = blasted.sog.clone();
 
         // Dirty-module diff against the previous pass (text-level hashes:
         // the report names what was edited, not its dependents). The
         // compile artifact carries the keys; a flat source the splitter
-        // could not handle carries none, and then every edit is a
-        // whole-design change anyway.
-        let new_keys: BTreeMap<String, ContentHash> =
-            compiled.module_keys.iter().cloned().collect();
-        let mut dirty_modules: Vec<String> = new_keys
-            .iter()
-            .filter(|(name, key)| self.module_keys.get(*name) != Some(*key))
-            .map(|(name, _)| name.clone())
-            .collect();
-        for gone in self.module_keys.keys() {
-            if !new_keys.contains_key(gone) {
-                dirty_modules.push(gone.clone());
-            }
-        }
-        dirty_modules.sort();
-        self.module_keys = new_keys;
+        // could not handle carries none.
+        let keys: BTreeMap<String, ContentHash> = compiled.module_keys.iter().cloned().collect();
+        let dirty_modules = changed_modules(&self.module_keys, &keys);
+        self.module_keys = keys.clone();
+        let flat = keys.is_empty();
 
         // The provenance map bounds what this edit may invalidate: cones
-        // whose module set contains a dirty module.
+        // whose module set contains a dirty module. Without module keys
+        // nothing bounds the edit, so every signal is in the bound.
         let provenance = rtlt_bog::signal_provenance(&compiled.netlist);
-        let dirty_cone_bound: Vec<String> = blasted
-            .sog
+        let dirty_cone_bound: Vec<String> = sog
             .signals()
             .iter()
             .zip(&provenance)
-            .filter(|(_, mods)| mods.iter().any(|m| dirty_modules.contains(m)))
+            .filter(|(_, mods)| flat || mods.iter().any(|m| dirty_modules.contains(m)))
             .map(|(s, _)| s.name.clone())
             .collect();
 
+        // A flat source never uses or keeps a resident revision.
+        let resident = self
+            .resident
+            .take()
+            .filter(|prev| !flat && same_signals(&prev.sog, &sog));
+        let (extractions, prior) = match resident {
+            Some(prev) => {
+                let (extractions, prior) = carry_over(prev, &sog, &keys, &provenance);
+                (extractions, Some(prior))
+            }
+            None => (ConeExtraction::all(&sog), None),
+        };
+
         // Featurize through the shard namespace against the pinned clock.
         let seed = design_seed(self.cfg.seed, &self.name);
-        let keys = PrepareKeys::derive(&self.name, source, &self.cfg);
-        let feat = FeaturizeJob::new(&blasted.sog, self.clock, seed);
+        let prepare_key = PrepareKeys::derive(&self.name, source, &self.cfg).featurize;
+        let feat = FeaturizeJob::with_extractions(self.clock, seed, extractions, prior);
         // Pull every cold shard from the fleet cache in one batched GETM
         // round trip (a no-op without a remote tier) — the stepped walk
         // then runs against staged payloads instead of per-key latency.
-        store.prefetch(&feat.shard_items());
+        store.prefetch(&feat.shard_items(&sog));
         Ok(ReannotateJob {
             name: self.name.clone(),
             source: source.to_owned(),
@@ -194,24 +357,26 @@ impl IncrementalAnnotator {
             setup: self.setup,
             seed,
             synth_effort: self.cfg.synth_effort,
-            prepare_key: keys.featurize,
+            prepare_key,
             ast_feats: compiled.ast_feats.clone(),
-            sog: blasted.sog.clone(),
+            sog,
             dirty_modules,
             dirty_cone_bound,
             lib: Library::pseudo_bog(),
             feat,
-            misses_before: before.misses,
-            hits_before: before.hits(),
+            slot: (!flat).then(|| self.resident.share()),
+            module_keys: keys,
         })
     }
 
     /// Advances the diff base to `source` without recomputing anything —
     /// called when a *remote* session produced this revision's annotation,
     /// so a later local fallback diffs against the revision the designer
-    /// actually sees, not a stale one.
+    /// actually sees, not a stale one. The resident revision is dropped:
+    /// it is no longer the one the designer sees.
     pub fn note_revision(&mut self, source: &str) {
         self.module_keys = module_key_map(source);
+        self.resident.take();
     }
 }
 
@@ -235,15 +400,18 @@ pub struct ReannotateJob {
     dirty_cone_bound: Vec<String>,
     lib: Library,
     feat: FeaturizeJob,
-    misses_before: u64,
-    hits_before: u64,
+    /// The session's resident slot (`None` for a flat source, which never
+    /// keeps its revision).
+    slot: Option<ResidentSlot>,
+    /// Module keys of this revision, kept with it once resident.
+    module_keys: BTreeMap<String, ContentHash>,
 }
 
 impl ReannotateJob {
     /// Evaluates up to `max_shards` more cone shards. Returns `true` once
     /// the pass is ready to [`ReannotateJob::finish`].
     pub fn step(&mut self, store: &Store, max_shards: usize) -> bool {
-        self.feat.step(store, &self.lib, max_shards)
+        self.feat.step(store, &self.sog, &self.lib, max_shards)
     }
 
     /// Total shards this pass evaluates (signals × variants).
@@ -261,10 +429,16 @@ impl ReannotateJob {
         &self.dirty_modules
     }
 
-    /// Assembles the design data, predicts, and renders the annotated
-    /// source. Panics if the job was not stepped to completion.
-    pub fn finish(self, model: &RtlTimer, store: &Store) -> ReannotateOutcome {
-        let variant_data = self.feat.finish();
+    /// Assembles the design data, predicts, renders the annotated source,
+    /// and leaves this revision resident in its session. Panics if the job
+    /// was not stepped to completion. The shard counts are the job's own
+    /// (no store is consulted here).
+    pub fn finish(self, model: &RtlTimer, _store: &Store) -> ReannotateOutcome {
+        let FeaturizeOutput {
+            variant_data,
+            extractions,
+            counts,
+        } = self.feat.finish();
         // Pseudo labels: the SOG pseudo-STA arrivals. Ground truth does not
         // exist for an unsynthesized edit; these only feed the labeled-
         // endpoint count of the WNS/TNS head and the (unused here)
@@ -293,14 +467,22 @@ impl ReannotateJob {
 
         let prediction = model.predict(&d);
         let annotated = annotate_source(&d, &prediction);
+        if let Some(slot) = self.slot {
+            slot.put(Resident {
+                sog: d.sog,
+                module_keys: self.module_keys,
+                extractions,
+                variant_data: d.variant_data,
+            });
+        }
 
-        let after = store.stats().namespace(stage::SHARD);
         ReannotateOutcome {
             annotated,
             dirty_modules: self.dirty_modules,
             dirty_cone_bound: self.dirty_cone_bound,
-            dirty_shards: after.misses - self.misses_before,
-            reused_shards: after.hits() - self.hits_before,
+            dirty_shards: counts.computed,
+            reused_shards: counts.stored + counts.resident,
+            resident_shards: counts.resident,
             total_shards,
             prediction,
         }
@@ -322,10 +504,10 @@ endmodule"
         )
     }
 
-    fn design(lane_a_body: &str) -> String {
+    fn design_of(lane_a: &str, lane_b: &str) -> String {
         format!(
-            "{}
-{}
+            "{lane_a}
+{lane_b}
 module hier_top(input clk, input [7:0] a, input [7:0] b, output [7:0] q);
   wire [7:0] ya;
   wire [7:0] yb;
@@ -334,31 +516,82 @@ module hier_top(input clk, input [7:0] a, input [7:0] b, output [7:0] q);
   reg [7:0] merge_r;
   always @(posedge clk) merge_r <= ya ^ yb;
   assign q = merge_r;
-endmodule",
-            lane("laneA", lane_a_body),
-            lane("laneB", "x ^ (x >> 1)")
+endmodule"
         )
     }
 
+    fn design(lane_a_body: &str) -> String {
+        design_of(&lane("laneA", lane_a_body), &lane("laneB", "x ^ (x >> 1)"))
+    }
+
     fn session() -> (IncrementalAnnotator, RtlTimer, Store, TimerConfig, String) {
+        session_with(design("x + 8'd3"), design("x - 8'd1"))
+    }
+
+    /// A session on `base` (top `hier_top`), with a model trained on
+    /// `trainer` renamed to its own top.
+    fn session_with(
+        base: String,
+        trainer: String,
+    ) -> (IncrementalAnnotator, RtlTimer, Store, TimerConfig, String) {
         let cfg = TimerConfig {
             threads: 2,
             ..Default::default()
         };
-        let base = design("x + 8'd3");
         let store = Store::in_memory();
         let sources = vec![
             ("hier_top".to_owned(), base.clone()),
-            (
-                "trainer".to_owned(),
-                design("x - 8'd1").replace("hier_top", "trainer"),
-            ),
+            ("trainer".to_owned(), trainer.replace("hier_top", "trainer")),
         ];
         let set = DesignSet::prepare_named_with(&sources, &cfg, &store).unwrap();
         let (train, test) = set.split(&["hier_top"]);
         let model = RtlTimer::fit(&train, &cfg);
         let annotator = IncrementalAnnotator::new(test[0], &cfg);
         (annotator, model, store, cfg, base)
+    }
+
+    /// The same session context with no diff base and no resident revision.
+    fn cold_twin(a: &IncrementalAnnotator) -> IncrementalAnnotator {
+        IncrementalAnnotator {
+            module_keys: BTreeMap::new(),
+            ..a.clone()
+        }
+    }
+
+    /// `source` annotated from scratch on an empty store.
+    fn cold(a: &IncrementalAnnotator, source: &str, model: &RtlTimer) -> ReannotateOutcome {
+        cold_twin(a)
+            .reannotate(source, model, &Store::in_memory())
+            .expect("cold pass")
+    }
+
+    /// The resident revision's rows, field for field, against a cold
+    /// featurize of its SOG — stricter than the rendered annotation, which
+    /// rounds slacks.
+    fn assert_resident_rows_are_cold(a: &IncrementalAnnotator) {
+        let slot = a.resident.lock();
+        let r = slot.as_ref().expect("a revision is resident");
+        let cold = crate::dataset::build_all_variant_data(
+            &Store::in_memory(),
+            &r.sog,
+            &Library::pseudo_bog(),
+            a.clock,
+            design_seed(a.cfg.seed, &a.name),
+        );
+        for (x, y) in r.variant_data.iter().zip(&cold) {
+            assert_eq!(x.variant, y.variant);
+            assert_eq!(x.rows, y.rows);
+            assert_eq!(x.groups, y.groups);
+            assert_eq!(x.endpoint_sta_at, y.endpoint_sta_at);
+            assert_eq!(x.driving_regs, y.driving_regs);
+            assert_eq!(x.design_feats, y.design_feats);
+        }
+    }
+
+    fn run(job: ReannotateJob, model: &RtlTimer, store: &Store) -> ReannotateOutcome {
+        let mut job = job;
+        while !job.step(store, usize::MAX) {}
+        job.finish(model, store)
     }
 
     #[test]
@@ -370,6 +603,7 @@ endmodule",
         assert!(out0.dirty_modules.is_empty());
         assert_eq!(out0.dirty_shards, 0, "baseline pass is fully warm");
         assert_eq!(out0.reused_shards, out0.total_shards);
+        assert_eq!(out0.resident_shards, 0, "nothing resident yet");
 
         // Edit laneB only. The provenance bound covers laneB's register and
         // the downstream merge register (it reads yb); the content keys
@@ -392,27 +626,23 @@ endmodule",
             "recomputation stays within the provenance bound"
         );
         assert_eq!(out.reused_shards, 8, "laneA + merge cones are reused");
+        assert_eq!(
+            out.resident_shards, 8,
+            "... straight from the last revision"
+        );
         assert!(out.annotated.contains("(merge_r) Slack@"));
     }
 
     #[test]
     fn incremental_annotation_matches_cold_recompute() {
-        let (mut annotator, model, store, cfg, base) = session();
+        let (mut annotator, model, store, _cfg, base) = session();
         let edited = base.replace("x + 8'd3", "x + (x << 1)");
         let warm = annotator.reannotate(&edited, &model, &store).unwrap();
         assert!(warm.dirty_shards < warm.total_shards, "some shards reused");
 
         // Cold pass: fresh store, fresh session state — everything
         // recomputes from scratch.
-        let cold_store = Store::in_memory();
-        let mut cold = IncrementalAnnotator {
-            name: "hier_top".to_owned(),
-            cfg: cfg.clone(),
-            clock: annotator.clock,
-            setup: annotator.setup,
-            module_keys: BTreeMap::new(),
-        };
-        let cold_out = cold.reannotate(&edited, &model, &cold_store).unwrap();
+        let cold_out = cold(&annotator, &edited, &model);
         assert_eq!(cold_out.dirty_shards, cold_out.total_shards);
         assert_eq!(
             warm.annotated, cold_out.annotated,
@@ -422,7 +652,7 @@ endmodule",
 
     #[test]
     fn chunked_stepping_is_byte_identical_to_one_shot() {
-        let (mut annotator, model, store, cfg, base) = session();
+        let (mut annotator, model, store, _cfg, base) = session();
         let edited = base.replace("x + 8'd3", "x + (x << 2)");
         let one_shot = annotator.reannotate(&edited, &model, &store).unwrap();
 
@@ -430,13 +660,7 @@ endmodule",
         // slicing the live service uses to keep one slow session from
         // starving its event-loop tick must not change a single byte.
         let cold_store = Store::in_memory();
-        let mut twin = IncrementalAnnotator {
-            name: "hier_top".to_owned(),
-            cfg: cfg.clone(),
-            clock: annotator.clock,
-            setup: annotator.setup,
-            module_keys: BTreeMap::new(),
-        };
+        let mut twin = cold_twin(&annotator);
         let mut job = twin.begin(&edited, &cold_store).unwrap();
         assert_eq!(job.total_shards(), 12);
         let mut steps = 0;
@@ -454,14 +678,221 @@ endmodule",
     #[test]
     fn broken_edit_reports_error_and_preserves_session() {
         let (mut annotator, model, store, _cfg, base) = session();
+        annotator.reannotate(&base, &model, &store).unwrap();
         let keys_before = annotator.module_keys.clone();
         let err = annotator
             .reannotate("module hier_top(input clk; endmodule", &model, &store)
             .unwrap_err();
         assert!(!err.message.is_empty());
         assert_eq!(annotator.module_keys, keys_before);
-        // The loop continues against the last good revision.
+        // The loop continues against the last good revision, still
+        // resident.
         let ok = annotator.reannotate(&base, &model, &store).unwrap();
         assert!(ok.annotated.contains("Slack@"));
+        assert_eq!(ok.resident_shards, ok.total_shards);
+    }
+
+    #[test]
+    fn every_revision_of_a_multi_edit_stream_matches_a_cold_recompute() {
+        let (mut annotator, model, store, _cfg, base) = session();
+        let lane_a = |body: &str| lane("laneA", body);
+        let lane_b = |body: &str| lane("laneB", body);
+        // laneA grows a second register signal feeding its output.
+        let lane_a_extra = "module laneA(input clk, input [7:0] x, output [7:0] y);
+  reg [7:0] r;
+  reg [7:0] extra;
+  always @(posedge clk) r <= x + 8'd3;
+  always @(posedge clk) extra <= r ^ x;
+  assign y = r ^ extra;
+endmodule";
+        enum Step {
+            Edit(String, bool),
+            Broken,
+            Remote(String),
+        }
+        use Step::{Broken, Edit, Remote};
+        let a1 = design_of(&lane_a("x + 8'd5"), &lane_b("x ^ (x >> 1)"));
+        let stream = [
+            // (revision, whether some rows must come from the resident one)
+            Edit(base.clone(), false),
+            Edit(a1.clone(), true),
+            Edit(design_of(&lane_a("x + 8'd5"), &lane_b("x | 8'd9")), true),
+            // Two lanes in one revision.
+            Edit(design_of(&lane_a("x - x"), &lane_b("x & 8'd7")), true),
+            // laneA's cone now reads its own register, so it samples more
+            // paths and laneB's resident rows after it shift.
+            Edit(design_of(&lane_a("r + x"), &lane_b("x & 8'd7")), true),
+            // A revert to the base: warm in the store, merge cone resident.
+            Edit(base.clone(), true),
+            // A new register signal: the signal list changed.
+            Edit(design_of(lane_a_extra, &lane_b("x ^ (x >> 1)")), false),
+            Broken,
+            Edit(design_of(lane_a_extra, &lane_b("x + 8'd1")), true),
+            Edit(a1.clone(), false),
+            // A remote pass produced this revision: nothing stays resident.
+            Remote(base.replace("x ^ (x >> 1)", "x ^ (x >> 3)")),
+            Edit(base.replace("x ^ (x >> 1)", "x ^ (x >> 4)"), false),
+            Edit(base.clone(), true),
+            // A line added to laneA shifts every declaration below it: the
+            // shifted cones are extracted afresh, laneA's rows stay.
+            Edit(
+                base.replacen("  assign y = r;", "  // widened next\n  assign y = r;", 1),
+                true,
+            ),
+        ];
+        let mut passes = 0;
+        for step in stream {
+            match step {
+                Edit(source, resident) => {
+                    let out = annotator.reannotate(&source, &model, &store).unwrap();
+                    let cold_out = cold(&annotator, &source, &model);
+                    assert_eq!(out.annotated, cold_out.annotated, "revision {passes}");
+                    assert_eq!(
+                        out.resident_shards > 0,
+                        resident,
+                        "revision {passes}: {} resident shards",
+                        out.resident_shards
+                    );
+                    assert_eq!(out.dirty_shards + out.reused_shards, out.total_shards);
+                    assert_resident_rows_are_cold(&annotator);
+                    passes += 1;
+                }
+                Broken => {
+                    let bad = base.replace("endmodule", "");
+                    assert!(annotator.reannotate(&bad, &model, &store).is_err());
+                }
+                Remote(source) => annotator.note_revision(&source),
+            }
+        }
+        assert!(passes >= 8);
+    }
+
+    #[test]
+    fn a_rewired_pass_through_module_is_caught_outside_the_provenance_bound() {
+        // `merge_r` reads laneA through `pick`, which only wires an input
+        // through: elaboration resolves that net away, so no cone's
+        // provenance names `pick`.
+        let with_pick = |wire: &str| {
+            format!(
+                "module pick(input [7:0] i, input [7:0] j, output [7:0] o);
+  assign o = {wire};
+endmodule
+{}",
+                design("x + 8'd3").replace(
+                    "  always @(posedge clk) merge_r <= ya ^ yb;",
+                    "  wire [7:0] p;
+  pick u2 (.i(ya), .j(yb), .o(p));
+  always @(posedge clk) merge_r <= p + yb;",
+                )
+            )
+        };
+        let (mut annotator, model, store, _cfg, base) =
+            session_with(with_pick("i"), with_pick("j"));
+        annotator.reannotate(&base, &model, &store).unwrap();
+        let rewired = with_pick("j");
+        let out = annotator.reannotate(&rewired, &model, &store).unwrap();
+        assert_eq!(out.dirty_modules, vec!["pick".to_owned()]);
+        assert!(
+            !out.dirty_cone_bound.contains(&"merge_r".to_owned()),
+            "provenance cannot see the pass-through module"
+        );
+        assert!(out.dirty_shards > 0, "merge_r's cone did change");
+        assert_eq!(out.annotated, cold(&annotator, &rewired, &model).annotated);
+        assert_resident_rows_are_cold(&annotator);
+    }
+
+    #[test]
+    fn interleaved_jobs_on_one_store_count_only_their_own_shards() {
+        let edit_a = |base: &str| base.replace("x + 8'd3", "x + (x << 3)");
+        let edit_b = |base: &str| base.replace("x ^ (x >> 1)", "x ^ (x >> 3)");
+        // Each session warms its own resident revision first, then edits
+        // its own lane.
+        let sessions = || {
+            let (proto, model, store, _cfg, base) = session();
+            let (mut a, mut b) = (proto.clone(), proto.clone());
+            a.reannotate(&base, &model, &store).unwrap();
+            b.reannotate(&base, &model, &store).unwrap();
+            (a, b, model, store, base)
+        };
+        let counts = |o: &ReannotateOutcome| (o.dirty_shards, o.reused_shards, o.resident_shards);
+
+        let (mut a, mut b, model, store, base) = sessions();
+        let alone_a = a.reannotate(&edit_a(&base), &model, &store).unwrap();
+        let alone_b = b.reannotate(&edit_b(&base), &model, &store).unwrap();
+
+        let (mut a, mut b, model, store, base) = sessions();
+        let mut ja = a.begin(&edit_a(&base), &store).unwrap();
+        let mut jb = b.begin(&edit_b(&base), &store).unwrap();
+        let (mut done_a, mut done_b) = (false, false);
+        while !(done_a && done_b) {
+            done_a = done_a || ja.step(&store, 1);
+            done_b = done_b || jb.step(&store, 1);
+        }
+        let (ia, ib) = (ja.finish(&model, &store), jb.finish(&model, &store));
+        assert_eq!(counts(&ia), counts(&alone_a));
+        assert_eq!(counts(&ib), counts(&alone_b));
+        assert_eq!(counts(&ia), (4, 8, 8), "one lane cone computed");
+        assert_eq!(ia.annotated, alone_a.annotated);
+        assert_eq!(ib.annotated, alone_b.annotated);
+    }
+
+    #[test]
+    fn a_job_begun_while_another_holds_the_revision_walks_the_whole_design() {
+        let (mut annotator, model, store, _cfg, base) = session();
+        annotator.reannotate(&base, &model, &store).unwrap();
+        let first = base.replace("x + 8'd3", "x + 8'd6");
+        let second = base.replace("x ^ (x >> 1)", "x ^ (x >> 5)");
+        let j1 = annotator.begin(&first, &store).unwrap();
+        let j2 = annotator.begin(&second, &store).unwrap();
+        let (o1, o2) = (run(j1, &model, &store), run(j2, &model, &store));
+        assert!(o1.resident_shards > 0, "the first job took the revision");
+        assert_eq!(o2.resident_shards, 0, "the second found the slot empty");
+        assert_eq!(o1.annotated, cold(&annotator, &first, &model).annotated);
+        assert_eq!(o2.annotated, cold(&annotator, &second, &model).annotated);
+        // The slot holds a finished revision again.
+        let again = annotator.reannotate(&base, &model, &store).unwrap();
+        assert!(again.resident_shards > 0);
+        assert_eq!(again.annotated, cold(&annotator, &base, &model).annotated);
+    }
+
+    #[test]
+    fn a_clone_starts_with_an_empty_slot_of_its_own() {
+        let (mut annotator, model, store, _cfg, base) = session();
+        annotator.reannotate(&base, &model, &store).unwrap();
+        let edited = base.replace("x + 8'd3", "x + 8'd4");
+        let mut clone = annotator.clone();
+        let from_clone = clone.reannotate(&edited, &model, &store).unwrap();
+        assert_eq!(from_clone.resident_shards, 0);
+        let from_original = annotator.reannotate(&edited, &model, &store).unwrap();
+        assert!(
+            from_original.resident_shards > 0,
+            "original kept its revision"
+        );
+        assert_eq!(from_clone.annotated, from_original.annotated);
+    }
+
+    #[test]
+    fn a_source_without_module_keys_bounds_every_signal_and_reuses_nothing() {
+        let (mut annotator, model, store, _cfg, base) = session();
+        annotator.reannotate(&base, &model, &store).unwrap();
+        // Two modules on one line: the splitter refuses the source, so the
+        // compile artifact carries no module keys.
+        let flat = |body: &str| {
+            design(body).replacen("endmodule\nmodule laneB", "endmodule module laneB", 1)
+        };
+        assert!(module_key_map(&flat("x + 8'd3")).is_empty());
+        let all = vec!["merge_r".to_owned(), "u0.r".to_owned(), "u1.r".to_owned()];
+        for body in ["x + 8'd3", "x + 8'd2"] {
+            let source = flat(body);
+            let out = annotator.reannotate(&source, &model, &store).unwrap();
+            assert_eq!(out.dirty_cone_bound, all, "every signal is bound");
+            assert_eq!(out.resident_shards, 0, "a flat source reuses nothing");
+            assert!(out.dirty_shards <= 4 * out.dirty_cone_bound.len() as u64);
+            assert_eq!(out.annotated, cold(&annotator, &source, &model).annotated);
+        }
+        // A flat pass leaves nothing resident for the next revision either.
+        let out = annotator.reannotate(&base, &model, &store).unwrap();
+        assert_eq!(out.resident_shards, 0);
+        assert_eq!(out.annotated, cold(&annotator, &base, &model).annotated);
     }
 }

@@ -6,10 +6,12 @@
 //! the session opcodes with `Failed`) — falling back to local recompute
 //! with the same bytes.
 
-use rtl_timer::live::{LiveAnnotator, LiveService};
+use rtl_timer::live::{diff_splices, source_check, LiveAnnotator, LiveService};
 use rtl_timer::pipeline::{DesignSet, RtlTimer, TimerConfig};
 use rtl_timer::IncrementalAnnotator;
+use rtlt_store::wire::{Frame, Request, Response};
 use rtlt_store::Store;
+use std::io::Write;
 use std::sync::Arc;
 
 fn lane(name: &str, body: &str) -> String {
@@ -109,11 +111,15 @@ fn two_concurrent_sessions_interleave_byte_identically() {
         let base_src = base_src.to_owned();
         move || {
             let client_store = Store::in_memory();
+            // The local twin's store holds the base revision's shards, as
+            // the service's does, so both see the same shards as cold.
             let local_store = Store::in_memory();
+            IncrementalAnnotator::new(&base, &cfg)
+                .reannotate(&base_src, &model, &local_store)
+                .expect("warm the twin's store");
             let mut live = LiveAnnotator::with_remote(&base, &cfg, &addr);
             let mut local = IncrementalAnnotator::new(&base, &cfg);
             let mut remote_passes = 0u32;
-            let _ = base_src;
             for edit in edits {
                 let out = live
                     .reannotate(&edit, &model, &client_store)
@@ -124,6 +130,13 @@ fn two_concurrent_sessions_interleave_byte_identically() {
                     "remote annotation must be byte-identical to the local loop"
                 );
                 assert_eq!(out.total_shards, twin.total_shards);
+                // Shard counts are per job: the other session's jobs,
+                // stepped on the same ticks, never leak into them.
+                assert_eq!(
+                    (out.dirty_shards, out.reused_shards),
+                    (twin.dirty_shards, twin.reused_shards),
+                    "per-session shard counts"
+                );
                 if out.remote {
                     remote_passes += 1;
                     assert!(
@@ -136,15 +149,27 @@ fn two_concurrent_sessions_interleave_byte_identically() {
         }
     };
 
+    // Five revisions per session: single-lane edits, both lanes at once,
+    // and a revert to the base.
     let alpha_edits = vec![
         fx.alpha.1.replace("x + 8'd3", "x + (x << 1)"),
         fx.alpha.1.replace("x ^ (x >> 1)", "x ^ (x >> 3)"),
+        fx.alpha
+            .1
+            .replace("x + 8'd3", "x - 8'd7")
+            .replace("x ^ (x >> 1)", "x & 8'd5"),
         fx.alpha.1.clone(),
+        fx.alpha.1.replace("x + 8'd3", "x | 8'd9"),
     ];
     let beta_edits = vec![
         fx.beta.1.replace("x + (x >> 2)", "x + (x >> 4)"),
         fx.beta.1.replace("x ^ (x >> 1)", "x ^ (x >> 2)"),
         fx.beta.1.replace("x + (x >> 2)", "x | (x << 2)"),
+        fx.beta.1.clone(),
+        fx.beta
+            .1
+            .replace("x + (x >> 2)", "x ^ 8'd1")
+            .replace("x ^ (x >> 1)", "x + 8'd2"),
     ];
     let a = run_session(&fx.alpha.0, &fx.alpha.1, alpha_edits);
     let b = run_session(&fx.beta.0, &fx.beta.1, beta_edits);
@@ -156,8 +181,94 @@ fn two_concurrent_sessions_interleave_byte_identically() {
             tb.join().expect("beta session"),
         )
     });
-    assert_eq!(ra, 3, "every alpha pass served remotely");
-    assert_eq!(rb, 3, "every beta pass served remotely");
+    assert_eq!(ra, 5, "every alpha pass served remotely");
+    assert_eq!(rb, 5, "every beta pass served remotely");
+    handle.stop();
+}
+
+/// Writes `requests` in one write and reads one reply per request.
+fn exchange(conn: &mut std::net::TcpStream, requests: &[Request]) -> Vec<Response> {
+    let mut buf = Vec::new();
+    for r in requests {
+        buf.extend_from_slice(&r.to_frame().to_bytes());
+    }
+    conn.write_all(&buf).expect("write requests");
+    requests
+        .iter()
+        .map(|_| Response::from_frame(&Frame::read_from(conn).expect("reply")).expect("decode"))
+        .collect()
+}
+
+#[test]
+fn pipelined_annotates_on_one_session_match_the_local_loop() {
+    let fx = fixture();
+    // One shard per tick: the first pipelined job is still in flight when
+    // the second begins, so the second finds the session's resident
+    // revision taken and walks the whole design.
+    let svc = LiveService::new(
+        Arc::clone(&fx.model),
+        fx.service_store,
+        &[&fx.alpha.0],
+        &fx.cfg,
+        1,
+    );
+    let handle = rtl_timer::live::spawn("127.0.0.1:0", svc).expect("bind");
+    let mut conn = std::net::TcpStream::connect(handle.addr).expect("connect");
+    let base = fx.alpha.1.clone();
+    let revisions = [
+        base.replace("x + 8'd3", "x + (x << 1)"),
+        base.replace("x + 8'd3", "x + (x << 2)"),
+        base.replace("x ^ (x >> 1)", "x ^ (x >> 3)"),
+    ];
+    let open = exchange(
+        &mut conn,
+        &[Request::Open {
+            design: "alpha".into(),
+            source: base.clone(),
+        }],
+    );
+    let Response::Session { session, .. } = open[0] else {
+        panic!("OPEN refused: {open:?}");
+    };
+    let edit = |from: &str, to: &str| Request::Edit {
+        session,
+        splices: diff_splices(from, to),
+        check: source_check(to),
+    };
+    let annotate = Request::Annotate { session };
+    // One edit answered first: the session now has a resident revision.
+    let mut replies = exchange(&mut conn, &[edit(&base, &revisions[0]), annotate.clone()]);
+    // Then two edits with their ANNOTATEs pipelined before any reply.
+    replies.extend(exchange(
+        &mut conn,
+        &[
+            edit(&revisions[0], &revisions[1]),
+            annotate.clone(),
+            edit(&revisions[1], &revisions[2]),
+            annotate,
+        ],
+    ));
+    let annotations: Vec<_> = replies
+        .into_iter()
+        .filter_map(|r| match r {
+            Response::Session { .. } => None,
+            Response::Annotation(a) => Some(a),
+            other => panic!("unexpected reply {other:?}"),
+        })
+        .collect();
+    assert_eq!(annotations.len(), 3);
+
+    let twin_store = Store::in_memory();
+    let mut twin = IncrementalAnnotator::new(&fx.alpha.0, &fx.cfg);
+    for (rev, remote) in revisions.iter().zip(&annotations) {
+        let local = twin.reannotate(rev, &fx.model, &twin_store).unwrap();
+        assert_eq!(remote.annotated, local.annotated, "same bytes");
+        assert_eq!(remote.total_shards, local.total_shards);
+        assert_eq!(
+            remote.dirty_shards + remote.reused_shards,
+            remote.total_shards
+        );
+    }
     handle.stop();
 }
 

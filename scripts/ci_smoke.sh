@@ -42,13 +42,23 @@ case "$job" in
     ;;
 
   # Incremental-annotation smoke: prepare a multi-module design, edit one
-  # module, and assert via --selfcheck that only the edited module's cones
-  # recompute and that the incremental annotation is byte-identical to a
-  # cold recompute. The bin exits non-zero if either breaks.
+  # module, then stream edits to three more lanes and a revert to the base
+  # through the same session. --selfcheck asserts that only the edited
+  # module's cones recompute, that every revision is byte-identical to a
+  # cold recompute, and that each streamed edit reuses the resident
+  # revision; the bin exits non-zero if any of that breaks. The median warm
+  # edit (edit_ms_p50) is then gated against warm_edit_ms in the committed
+  # baseline with the perf gate's 25 % slack.
   incremental-annotation)
     cd "$SMOKE_TMP"
     RTLT_FAST=1 "$BIN_DIR/annotate" --selfcheck --cache-dir "$SMOKE_TMP/rtlt-cache"
     grep -o '"speedup": *[0-9.]*' BENCH_annotate.json
+    edit_ms=$(json_num edit_ms_p50 BENCH_annotate.json)
+    base_edit=$(json_num warm_edit_ms "$REPO_ROOT/ci/bench-baseline.json")
+    summary="warm edit p50 ${edit_ms}ms (begin $(json_num begin_ms_p50 BENCH_annotate.json) + step $(json_num step_ms_p50 BENCH_annotate.json) + finish $(json_num finish_ms_p50 BENCH_annotate.json) ms; baseline ${base_edit}ms, limit $(awk -v b="$base_edit" 'BEGIN{printf "%.1f", b*1.25}')ms)"
+    echo "$summary"
+    echo "$summary" >> "${GITHUB_STEP_SUMMARY:-/dev/null}"
+    awk -v e="$edit_ms" -v b="$base_edit" 'BEGIN { exit !(e > 0 && e <= b * 1.25) }'
     ;;
 
   # Live annotation service smoke: start `annotate --serve`, drive one
