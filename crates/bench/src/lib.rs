@@ -114,8 +114,8 @@ pub fn run_maintenance(store: &Store) -> bool {
         println!("tier policy: {}", store.tier_policy().describe());
         if let Some(addr) = remote_addr() {
             // Live server-side load: how many peers share the cache right
-            // now, and how many exchanges are in flight across them. A
-            // pre-gen3 or unreachable server simply has no load to report.
+            // now, and how many exchanges are in flight across them. An old
+            // or unreachable server simply has no load to report.
             match RemoteTier::new(&addr).server_load() {
                 Some(load) => println!(
                     "remote server {addr}: wire v{}, {} connections, {} in-flight exchanges",

@@ -2,41 +2,38 @@
 //!
 //! The paper's early-optimization loop, served over the wire: a designer's
 //! editor OPENs a design, streams EDITs as line splices, and receives the
-//! re-annotated source from ANNOTATE in one round trip. The service is the
-//! same single-threaded poll-based event loop as `rtlt-stored`
-//! ([`rtlt_store::server`]) — nonblocking accept, [`FrameReassembler`] on
-//! the read side, flush-as-writable byte queue with backpressure on the
-//! write side — with one addition: **deferred replies**. An ANNOTATE does
-//! not compute inline (a cold pass on a large design would starve every
-//! other session's tick); it enqueues a resumable
+//! re-annotated source from ANNOTATE in one round trip. The service is a
+//! [`Handler`] on the same nonblocking event loop as `rtlt-stored`
+//! ([`rtlt_store::event_loop`]), with one addition: **deferred replies**. An
+//! ANNOTATE does not compute inline (a cold pass on a large design would
+//! starve every other session's tick); it enqueues a resumable
 //! [`ReannotateJob`](crate::incremental::ReannotateJob) and the loop
 //! advances every pending job by a bounded shard slice per tick,
-//! round-robin. Replies queue in request order per connection, so the
-//! serial client never sees reordering.
+//! round-robin. Every reply carries its request's tag, so a warm ANNOTATE
+//! may overtake a cold one on the same connection.
 //!
 //! Every failure mode degrades exactly like the artifact store: a dead
-//! server, a version-skewed peer (which answers `Failed` to the unknown
-//! session opcodes), or a refused edit all cause the
-//! [`LiveAnnotator`] to fall back to its local
-//! [`IncrementalAnnotator`] — and because the service runs the *same*
-//! resumable job pipeline over the *same* store keys, the fallback is
-//! byte-identical, not merely equivalent.
+//! server, a peer that does not serve sessions (which answers `Failed`),
+//! or a refused edit all cause the [`LiveAnnotator`] to fall back to its
+//! local [`IncrementalAnnotator`] — and because the service runs the
+//! *same* resumable job pipeline over the *same* store keys, the fallback
+//! is byte-identical, not merely equivalent.
 
 use crate::incremental::{IncrementalAnnotator, ReannotateJob, ReannotateOutcome};
 use crate::pipeline::{DesignData, RtlTimer, TimerConfig};
+use rtlt_store::client::{ClientConn, Timeouts};
 use rtlt_store::entry::fnv1a;
+use rtlt_store::event_loop::{self, Gauges, Handler, LoopHandle, Outbox};
 use rtlt_store::wire::{
-    op, tag_response, untag, AnnotationReply, EditSplice, Frame, FrameReassembler, Request,
-    Response, WireError, MAX_CONN_INFLIGHT,
+    AnnotationReply, EditSplice, FrameBudget, Request, Response, WireError, MAX_CONN_INFLIGHT,
 };
 use rtlt_store::Store;
 use rtlt_verilog::VerilogError;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
+use std::net::TcpListener;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Store-stats namespace the session client charges its wire round trips
 /// to — `print_store_stats`-style tables then show EDIT→ANNOTATE
@@ -49,22 +46,14 @@ pub const SESSION_NS: &str = "session";
 /// per tick) stays invisible.
 pub const DEFAULT_STEP_SHARDS: usize = 64;
 
-/// Per-connection idle timeout, matching the artifact store's loop.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
-/// Sleep when a full tick made no progress anywhere.
-const POLL_INTERVAL: Duration = Duration::from_micros(200);
-/// Read scratch size per tick.
-const READ_CHUNK: usize = 64 << 10;
-/// Client-side connect timeout.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-/// Client-side read timeout — generous: a cold first ANNOTATE legitimately
-/// computes for a while before its deferred reply flushes.
-const READ_TIMEOUT: Duration = Duration::from_secs(120);
-/// Client-side write timeout.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-/// Consecutive client failures before the session breaker trips open for
-/// the process lifetime, matching [`rtlt_store::RemoteTier`].
-const MAX_CONSECUTIVE_FAILURES: u32 = 3;
+/// Session-client socket timeouts. The read timeout is generous: a cold
+/// first ANNOTATE legitimately computes for a while before its deferred
+/// reply flushes.
+const CLIENT_TIMEOUTS: Timeouts = Timeouts {
+    connect: Duration::from_secs(2),
+    read: Duration::from_secs(120),
+    write: Duration::from_secs(10),
+};
 
 /// FNV-1a over the full source text — the cheap end-to-end check both
 /// sides of an EDIT exchange use to prove their mirrors agree.
@@ -141,6 +130,7 @@ pub struct LiveService {
     bases: HashMap<String, (IncrementalAnnotator, String)>,
     step_shards: usize,
     next_session: u64,
+    gauges: Gauges,
 }
 
 impl LiveService {
@@ -169,6 +159,7 @@ impl LiveService {
             bases,
             step_shards: step_shards.max(1),
             next_session: 1,
+            gauges: Gauges::default(),
         }
     }
 
@@ -177,6 +168,33 @@ impl LiveService {
         let mut names: Vec<String> = self.bases.keys().cloned().collect();
         names.sort();
         names
+    }
+
+    fn open(&mut self, conn: &mut Sessions, design: String, source: String) -> Response {
+        let Some((proto, base_source)) = self.bases.get(&design) else {
+            return Response::Failed(format!("unknown design {design}"));
+        };
+        let id = self.next_session;
+        self.next_session += 1;
+        let source = if source.is_empty() {
+            base_source.clone()
+        } else {
+            source
+        };
+        let check = source_check(&source);
+        conn.open.insert(
+            id,
+            LiveSession {
+                annotator: proto.clone(),
+                source,
+                revision: 0,
+            },
+        );
+        Response::Session {
+            session: id,
+            revision: 0,
+            check,
+        }
     }
 }
 
@@ -188,383 +206,123 @@ struct LiveSession {
     revision: u64,
 }
 
-/// One queued reply slot. Replies leave in request order; only the
-/// contiguous `Ready` prefix is ever promoted to the socket, so a deferred
-/// ANNOTATE holds back everything queued behind it (the serial client
-/// depends on ordering) without blocking other connections.
-enum ReplySlot {
-    Ready(Vec<u8>),
-    Waiting { job: u64 },
+/// The sessions and pending re-annotations of one connection: a dropped
+/// editor drops its server-side state with it.
+#[derive(Default)]
+pub struct Sessions {
+    open: HashMap<u64, LiveSession>,
+    /// Pending ANNOTATEs in arrival order, each with the tag its reply
+    /// goes out under.
+    jobs: Vec<(u64, ReannotateJob)>,
 }
 
-struct PendingReply {
-    tag: Option<u64>,
-    slot: ReplySlot,
-}
-
-/// One nonblocking connection on the live event loop. Sessions and their
-/// pending jobs are connection-scoped: a dropped editor drops its
-/// server-side state with it.
-struct LiveConn {
-    stream: TcpStream,
-    peer: SocketAddr,
-    rx: FrameReassembler,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    out: VecDeque<PendingReply>,
-    sessions: HashMap<u64, LiveSession>,
-    jobs: BTreeMap<u64, ReannotateJob>,
-    next_job: u64,
-    last_activity: Instant,
-    read_closed: bool,
-}
-
-impl LiveConn {
-    fn new(stream: TcpStream, peer: SocketAddr) -> LiveConn {
-        LiveConn {
-            stream,
-            peer,
-            rx: FrameReassembler::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            out: VecDeque::new(),
-            sessions: HashMap::new(),
-            jobs: BTreeMap::new(),
-            next_job: 1,
-            last_activity: Instant::now(),
-            read_closed: false,
-        }
-    }
-
-    /// Response bytes queued on the socket side but not yet flushed.
-    fn backlog(&self) -> u64 {
-        (self.wbuf.len() - self.wpos) as u64
-    }
-
-    fn push_ready(&mut self, tag: Option<u64>, frame: &Frame) {
-        self.out.push_back(PendingReply {
-            tag,
-            slot: ReplySlot::Ready(frame.to_bytes()),
-        });
-    }
-
-    fn push_failed(&mut self, tag: Option<u64>, msg: String) {
-        self.push_ready(tag, &Response::Failed(msg).to_frame());
-    }
-
-    /// Moves the contiguous ready prefix of the reply queue into the
-    /// write buffer, wrapping tagged replies in their envelopes.
-    fn promote(&mut self) {
-        while let Some(front) = self.out.front() {
-            let ReplySlot::Ready(_) = front.slot else {
-                break;
-            };
-            let reply = self.out.pop_front().expect("checked front");
-            let ReplySlot::Ready(bytes) = reply.slot else {
-                unreachable!()
-            };
-            match reply.tag {
-                Some(t) => {
-                    let inner = Frame::read_from(&mut bytes.as_slice()).expect("own frame");
-                    self.wbuf
-                        .extend_from_slice(&tag_response(t, &inner).to_bytes());
-                }
-                None => self.wbuf.extend_from_slice(&bytes),
-            }
-        }
-    }
-
-    /// Parses and answers one request frame. Never kills the connection:
-    /// malformed-but-framed requests, unknown designs, stale sessions and
-    /// broken edits all answer `Failed` — the client's cue to degrade to
-    /// its local annotator.
-    fn respond(&mut self, svc: &mut LiveService, frame: Frame) {
-        let (tag, inner) = if frame.op == op::TAGGED {
-            match untag(&frame) {
-                Ok((t, f)) => (Some(t), f),
-                Err(e) => {
-                    self.push_failed(None, e.to_string());
-                    return;
-                }
-            }
-        } else {
-            (None, frame)
+impl Sessions {
+    fn edit(&mut self, session: u64, splices: &[EditSplice], check: u64) -> Response {
+        let Some(s) = self.open.get_mut(&session) else {
+            return Response::Failed(format!("no session {session}"));
         };
-        match Request::from_frame(&inner) {
-            Ok(Request::Open { design, source }) => match svc.bases.get(&design) {
-                Some((proto, base_source)) => {
-                    let id = svc.next_session;
-                    svc.next_session += 1;
-                    let source = if source.is_empty() {
-                        base_source.clone()
-                    } else {
-                        source
-                    };
-                    let check = source_check(&source);
-                    self.sessions.insert(
-                        id,
-                        LiveSession {
-                            annotator: proto.clone(),
-                            source,
-                            revision: 0,
-                        },
-                    );
-                    self.push_ready(
-                        tag,
-                        &Response::Session {
-                            session: id,
-                            revision: 0,
-                            check,
-                        }
-                        .to_frame(),
-                    );
+        match apply_splices(&s.source, splices) {
+            Some(next) if source_check(&next) == check => {
+                s.source = next;
+                s.revision += 1;
+                Response::Session {
+                    session,
+                    revision: s.revision,
+                    check,
                 }
-                None => self.push_failed(tag, format!("unknown design {design}")),
-            },
-            Ok(Request::Edit {
+            }
+            Some(_) => Response::Failed("edit check mismatch".to_owned()),
+            None => Response::Failed("edit splices out of bounds".to_owned()),
+        }
+    }
+}
+
+impl Handler for LiveService {
+    type Conn = Sessions;
+    const NAME: &'static str = "rtlt-annotated";
+
+    fn gauges(&self) -> &Gauges {
+        &self.gauges
+    }
+
+    /// Never kills the connection: unknown designs, stale sessions and
+    /// broken edits all answer `Failed` — the client's cue to degrade to
+    /// its local annotator. ANNOTATE answers later, from `advance`.
+    fn request(&mut self, conn: &mut Sessions, tag: u64, req: Request, out: &mut Outbox) {
+        let resp = match req {
+            Request::Open { design, source } => self.open(conn, design, source),
+            Request::Edit {
                 session,
                 splices,
                 check,
-            }) => {
-                let applied = match self.sessions.get_mut(&session) {
-                    Some(s) => match apply_splices(&s.source, &splices) {
-                        Some(next) if source_check(&next) == check => {
-                            s.source = next;
-                            s.revision += 1;
-                            Ok(s.revision)
-                        }
-                        Some(_) => Err("edit check mismatch".to_owned()),
-                        None => Err("edit splices out of bounds".to_owned()),
-                    },
-                    None => Err(format!("no session {session}")),
-                };
-                match applied {
-                    Ok(revision) => self.push_ready(
-                        tag,
-                        &Response::Session {
-                            session,
-                            revision,
-                            check,
-                        }
-                        .to_frame(),
-                    ),
-                    Err(msg) => self.push_failed(tag, msg),
-                }
-            }
-            Ok(Request::Annotate { session }) => {
-                let begun = match self.sessions.get_mut(&session) {
-                    Some(s) => s
-                        .annotator
-                        .begin(&s.source, &svc.store)
-                        .map_err(|e| format!("edit error: {}", e.message)),
-                    None => Err(format!("no session {session}")),
-                };
-                match begun {
-                    Ok(job) => {
-                        let id = self.next_job;
-                        self.next_job += 1;
-                        self.jobs.insert(id, job);
-                        self.out.push_back(PendingReply {
-                            tag,
-                            slot: ReplySlot::Waiting { job: id },
-                        });
-                    }
-                    Err(msg) => self.push_failed(tag, msg),
-                }
-            }
-            Ok(Request::Close { session }) => match self.sessions.remove(&session) {
-                Some(s) => self.push_ready(
-                    tag,
-                    &Response::Session {
-                        session,
-                        revision: s.revision,
-                        check: source_check(&s.source),
-                    }
-                    .to_frame(),
-                ),
-                None => self.push_failed(tag, format!("no session {session}")),
+            } => conn.edit(session, &splices, check),
+            Request::Annotate { session } => match conn.open.get_mut(&session) {
+                Some(s) => match s.annotator.begin(&s.source, &self.store) {
+                    Ok(job) => return conn.jobs.push((tag, job)),
+                    Err(e) => Response::Failed(format!("edit error: {}", e.message)),
+                },
+                None => Response::Failed(format!("no session {session}")),
+            },
+            Request::Close { session } => match conn.open.remove(&session) {
+                Some(s) => Response::Session {
+                    session,
+                    revision: s.revision,
+                    check: source_check(&s.source),
+                },
+                None => Response::Failed(format!("no session {session}")),
             },
             // A store request reaching the annotation service: refuse it
             // the way a store refuses session verbs — the remote tier
             // treats `Failed` as a miss and recomputes.
-            Ok(_) => self.push_failed(tag, "rtlt-annotated serves sessions, not artifacts".into()),
-            Err(e) => self.push_failed(tag, e.to_string()),
-        }
+            _ => Response::Failed("rtlt-annotated serves sessions, not artifacts".into()),
+        };
+        out.send(tag, &resp);
     }
 
-    /// Advances every pending job by one bounded slice, finishing (and
-    /// readying the reply of) each job that completes. Returns whether
-    /// any job made progress.
-    fn advance_jobs(&mut self, svc: &LiveService) -> bool {
-        if self.jobs.is_empty() {
+    /// Steps every pending job by one bounded slice, then finishes (and
+    /// answers, under its tag) each job that completed.
+    fn advance(&mut self, conn: &mut Sessions, out: &mut Outbox) -> bool {
+        if conn.jobs.is_empty() {
             return false;
         }
         let mut finished = Vec::new();
-        for (&id, job) in self.jobs.iter_mut() {
-            if job.step(&svc.store, svc.step_shards) {
-                finished.push(id);
+        for (tag, mut job) in std::mem::take(&mut conn.jobs) {
+            if job.step(&self.store, self.step_shards) {
+                finished.push((tag, job));
+            } else {
+                conn.jobs.push((tag, job));
             }
         }
-        for id in finished {
-            let job = self.jobs.remove(&id).expect("finished job");
-            let out = job.finish(&svc.model, &svc.store);
+        for (tag, job) in finished {
+            let out_pass = job.finish(&self.model, &self.store);
             let reply = Response::Annotation(AnnotationReply {
-                annotated: out.annotated,
-                dirty_modules: out.dirty_modules,
-                dirty_cone_bound: out.dirty_cone_bound.len() as u64,
-                dirty_shards: out.dirty_shards,
-                reused_shards: out.reused_shards,
-                total_shards: out.total_shards,
-            })
-            .to_frame();
-            for slot in self.out.iter_mut() {
-                if matches!(slot.slot, ReplySlot::Waiting { job } if job == id) {
-                    slot.slot = ReplySlot::Ready(reply.to_bytes());
-                    break;
-                }
-            }
+                annotated: out_pass.annotated,
+                dirty_modules: out_pass.dirty_modules,
+                dirty_cone_bound: out_pass.dirty_cone_bound.len() as u64,
+                dirty_shards: out_pass.dirty_shards,
+                reused_shards: out_pass.reused_shards,
+                total_shards: out_pass.total_shards,
+            });
+            out.send(tag, &reply);
         }
         true
     }
-
-    /// Flushes queued bytes until the socket would block. Returns
-    /// `(alive, progressed)`.
-    fn flush(&mut self) -> (bool, bool) {
-        let mut progressed = false;
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return (false, progressed),
-                Ok(n) => {
-                    self.wpos += n;
-                    progressed = true;
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return (false, progressed),
-            }
-        }
-        if self.wpos == self.wbuf.len() && self.wpos > 0 {
-            self.wbuf.clear();
-            self.wpos = 0;
-        }
-        (true, progressed)
-    }
-
-    /// One scheduler tick: flush, read, parse/dispatch, advance jobs,
-    /// promote ready replies. Returns `(alive, progressed)`.
-    fn tick(&mut self, svc: &mut LiveService, scratch: &mut [u8]) -> (bool, bool) {
-        let (alive, mut progressed) = self.flush();
-        if !alive {
-            return (false, progressed);
-        }
-        if !self.read_closed && self.backlog() <= MAX_CONN_INFLIGHT {
-            loop {
-                match self.stream.read(scratch) {
-                    Ok(0) => {
-                        self.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.rx.ingest(&scratch[..n]);
-                        self.last_activity = Instant::now();
-                        progressed = true;
-                        if self.backlog() + self.rx.buffered() as u64 > MAX_CONN_INFLIGHT {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return (false, progressed),
-                }
-            }
-        }
-        loop {
-            match self.rx.next_frame() {
-                Ok(Some(frame)) => {
-                    progressed = true;
-                    self.respond(svc, frame);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    eprintln!("[rtlt-annotated] connection {}: {e}", self.peer);
-                    return (false, progressed);
-                }
-            }
-        }
-        progressed |= self.advance_jobs(svc);
-        self.promote();
-        if self.read_closed && self.backlog() == 0 && self.out.is_empty() && self.jobs.is_empty() {
-            return (false, progressed);
-        }
-        if self.last_activity.elapsed() > IDLE_TIMEOUT {
-            return (false, progressed);
-        }
-        (true, progressed)
-    }
 }
 
-/// Runs the live annotation event loop on the calling thread until `stop`
-/// is set (checked once per tick). Mirrors the artifact store's loop; the
-/// one addition is the per-tick round-robin advance of pending
-/// re-annotation jobs, which is what lets many concurrent sessions share
-/// the single thread fairly.
+/// Runs the live annotation service on the calling thread until `stop` is
+/// set (see [`rtlt_store::event_loop::run`]).
 ///
 /// # Panics
 ///
 /// If the listener cannot be switched to nonblocking mode.
 pub fn serve_until(listener: TcpListener, mut svc: LiveService, stop: &AtomicBool) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    let mut conns: Vec<LiveConn> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
-    while !stop.load(Ordering::Relaxed) {
-        let mut progressed = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    conns.push(LiveConn::new(stream, peer));
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    eprintln!("[rtlt-annotated] accept failed: {e}");
-                    break;
-                }
-            }
-        }
-        conns.retain_mut(|conn| {
-            let (alive, p) = conn.tick(&mut svc, &mut scratch);
-            progressed |= p;
-            alive
-        });
-        if !progressed {
-            std::thread::sleep(POLL_INTERVAL);
-        }
-    }
+    event_loop::run(listener, &mut svc, stop);
 }
 
 /// Handle to a [`spawn`]ed live service: the bound address plus a stop
-/// flag that shuts the loop down within a tick (tests use this to
-/// simulate a killed server).
-pub struct LiveHandle {
-    /// The bound listen address (useful with port 0).
-    pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-}
-
-impl LiveHandle {
-    /// Stops the event loop; open connections drop, clients degrade to
-    /// local annotation.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
+/// flag that shuts the loop down within a tick; open connections drop and
+/// clients degrade to local annotation.
+pub type LiveHandle = LoopHandle;
 
 /// Binds `addr` and serves the live annotation service on a background
 /// thread.
@@ -573,27 +331,18 @@ impl LiveHandle {
 ///
 /// Propagates the bind failure.
 pub fn spawn(addr: &str, svc: LiveService) -> std::io::Result<LiveHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    std::thread::spawn(move || serve_until(listener, svc, &flag));
-    Ok(LiveHandle { addr: bound, stop })
+    event_loop::spawn(addr, svc)
 }
 
-/// Reconnecting session client, [`rtlt_store::RemoteTier`]-style: serial
-/// framing, a consecutive-failure breaker that trips open for the process
-/// lifetime, and a source mirror kept in lockstep with the server through
-/// per-edit FNV checks. An EDIT and its ANNOTATE are written back to back
-/// and both replies read afterwards — one wire turnaround per edit.
+/// Session client on a [`ClientConn`]: lazy connect, the shared breaker,
+/// and a source mirror kept in lockstep with the server through per-edit
+/// FNV checks. An EDIT and its ANNOTATE are written in one write and both
+/// replies read afterwards — one wire turnaround per edit.
 pub struct SessionClient {
-    addr: String,
     design: String,
-    conn: Option<TcpStream>,
-    session: Option<u64>,
-    mirror: Option<String>,
-    failures: u32,
-    turns: u64,
+    conn: ClientConn,
+    /// The open session and the source both sides agree on.
+    session: Option<(u64, String)>,
 }
 
 impl SessionClient {
@@ -601,132 +350,88 @@ impl SessionClient {
     /// connection is attempted until the first [`SessionClient::annotate`].
     pub fn new(addr: &str, design: &str) -> SessionClient {
         SessionClient {
-            addr: addr.to_owned(),
             design: design.to_owned(),
-            conn: None,
+            conn: ClientConn::new(addr, CLIENT_TIMEOUTS),
             session: None,
-            mirror: None,
-            failures: 0,
-            turns: 0,
         }
     }
 
-    /// Whether the breaker has tripped: [`MAX_CONSECUTIVE_FAILURES`]
-    /// consecutive failed exchanges, after which every call returns
+    /// Whether the breaker has tripped: after that every call returns
     /// `None` without touching the network.
     pub fn is_down(&self) -> bool {
-        self.failures >= MAX_CONSECUTIVE_FAILURES
+        self.conn.is_down()
     }
 
     /// Wire turnarounds paid so far (write→read transitions).
     pub fn round_trips(&self) -> u64 {
-        self.turns
+        self.conn.round_trips()
     }
 
-    /// Annotates `source` remotely: reconnect + OPEN if needed, then a
-    /// pipelined EDIT + ANNOTATE. `None` on any failure (dead server,
-    /// version-skewed peer answering `Failed`, mirror divergence) — the
-    /// caller falls back to its local annotator.
+    /// Annotates `source` remotely: reconnect + OPEN if needed, then
+    /// EDIT + ANNOTATE in one write. `None` on any failure (dead server, a
+    /// peer answering `Failed`, mirror divergence) — the caller falls back
+    /// to its local annotator.
     pub fn annotate(&mut self, source: &str) -> Option<AnnotationReply> {
-        if self.is_down() {
-            return None;
-        }
-        match self.try_annotate(source) {
-            Ok(reply) => {
-                self.failures = 0;
-                self.mirror = Some(source.to_owned());
-                Some(reply)
-            }
-            Err(_) => {
-                self.failures += 1;
-                self.conn = None;
-                self.session = None;
-                self.mirror = None;
-                None
-            }
-        }
+        let (design, session) = (&self.design, &mut self.session);
+        // A session only survives successful exchanges, so one is open
+        // exactly while its connection is.
+        let result = self.conn.guarded(|conn| {
+            let (id, mirror) = match session.take() {
+                Some(open) => open,
+                None => (open_session(conn, design, source)?, source.to_owned()),
+            };
+            let reply = edit_and_annotate(conn, id, &mirror, source)?;
+            *session = Some((id, source.to_owned()));
+            Ok(reply)
+        });
+        result.ok()
     }
+}
 
-    /// Best-effort CLOSE of the current session (ignores failures — the
-    /// server reaps dropped connections anyway).
-    pub fn close(&mut self) {
-        if let (Some(mut conn), Some(session)) = (self.conn.take(), self.session.take()) {
-            let _ = conn.write_all(&Request::Close { session }.to_frame().to_bytes());
-            let _ = Frame::read_from(&mut conn);
-        }
-        self.mirror = None;
+/// OPENs a session seeded with the full current source, so both mirrors
+/// provably agree.
+fn open_session(conn: &mut ClientConn, design: &str, source: &str) -> Result<u64, WireError> {
+    let open = Request::Open {
+        design: design.to_owned(),
+        source: source.to_owned(),
+    };
+    match conn.exchange(&open)? {
+        Response::Session { session, check, .. } if check == source_check(source) => Ok(session),
+        // `Failed` here is a peer that does not serve sessions (e.g. a
+        // plain store) — same degrade as a dead server.
+        _ => Err(WireError::Malformed("open refused")),
     }
+}
 
-    fn try_annotate(&mut self, source: &str) -> Result<AnnotationReply, WireError> {
-        self.ensure_session(source)?;
-        let session = self.session.expect("session ensured");
-        let splices = diff_splices(self.mirror.as_deref().unwrap_or(""), source);
-        let check = source_check(source);
-        let conn = self.conn.as_mut().expect("connection ensured");
-        let mut buf = Request::Edit {
+/// Sends the mirror→source diff and an ANNOTATE in one write, then reads
+/// both replies, matched by tag.
+fn edit_and_annotate(
+    conn: &mut ClientConn,
+    session: u64,
+    mirror: &str,
+    source: &str,
+) -> Result<AnnotationReply, WireError> {
+    let check = source_check(source);
+    let edit = conn.send(&[
+        Request::Edit {
             session,
-            splices,
+            splices: diff_splices(mirror, source),
             check,
-        }
-        .to_frame()
-        .to_bytes();
-        buf.extend_from_slice(&Request::Annotate { session }.to_frame().to_bytes());
-        conn.write_all(&buf).map_err(|e| WireError::Io(e.kind()))?;
-        self.turns += 1;
-        match Response::from_frame(&Frame::read_from(conn)?)? {
-            Response::Session {
-                check: echoed_check,
-                ..
-            } if echoed_check == check => {}
-            _ => return Err(WireError::Malformed("edit refused")),
-        }
-        match Response::from_frame(&Frame::read_from(conn)?)? {
-            Response::Annotation(reply) => Ok(reply),
-            _ => Err(WireError::Malformed("annotate refused")),
+        },
+        Request::Annotate { session },
+    ])?;
+    let mut budget = FrameBudget::new(MAX_CONN_INFLIGHT);
+    let (mut edited, mut annotation) = (false, None);
+    for _ in 0..2 {
+        match conn.recv(&mut budget)? {
+            (t, Response::Session { check: c, .. }) if t == edit && c == check => edited = true,
+            (t, Response::Annotation(reply)) if t == edit + 1 => annotation = Some(reply),
+            _ => return Err(WireError::Malformed("edit or annotate refused")),
         }
     }
-
-    /// Connects and OPENs a session seeded with the full current source
-    /// (so both mirrors provably agree), if none is live.
-    fn ensure_session(&mut self, source: &str) -> Result<(), WireError> {
-        if self.conn.is_some() && self.session.is_some() {
-            return Ok(());
-        }
-        let addr = self
-            .addr
-            .to_socket_addrs()
-            .map_err(|e| WireError::Io(e.kind()))?
-            .next()
-            .ok_or(WireError::Io(std::io::ErrorKind::AddrNotAvailable))?;
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
-            .map_err(|e| WireError::Io(e.kind()))?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-        let mut stream = stream;
-        stream
-            .write_all(
-                &Request::Open {
-                    design: self.design.clone(),
-                    source: source.to_owned(),
-                }
-                .to_frame()
-                .to_bytes(),
-            )
-            .map_err(|e| WireError::Io(e.kind()))?;
-        self.turns += 1;
-        match Response::from_frame(&Frame::read_from(&mut stream)?)? {
-            Response::Session { session, check, .. } if check == source_check(source) => {
-                self.conn = Some(stream);
-                self.session = Some(session);
-                self.mirror = Some(source.to_owned());
-                Ok(())
-            }
-            // `Failed` here is the capability refusal of a version-skewed
-            // or plain-store peer — same degrade as a dead server.
-            _ => Err(WireError::Malformed("open refused")),
-        }
-    }
+    annotation
+        .filter(|_| edited)
+        .ok_or(WireError::Malformed("edit or annotate refused"))
 }
 
 /// Result of one [`LiveAnnotator::reannotate`] pass, remote or degraded.

@@ -1,15 +1,17 @@
 //! End-to-end tests of the live annotation service (`rtlt-annotated`):
 //! concurrent sessions over real TCP against one single-threaded event
 //! loop, byte-identity of every remote annotation vs. a local
-//! [`IncrementalAnnotator`], and the full degrade matrix — killed server
-//! mid-session and version-skewed peer (a plain artifact store answering
-//! the session opcodes with `Failed`) — falling back to local recompute
-//! with the same bytes.
+//! [`IncrementalAnnotator`], replies matched by tag whatever order they
+//! complete in, the refusal rule for bare and retired requests, and the
+//! full degrade matrix — killed server mid-session and a peer that does
+//! not serve sessions (a plain artifact store answering the session
+//! opcodes with `Failed`) — falling back to local recompute with the same
+//! bytes.
 
 use rtl_timer::live::{diff_splices, source_check, LiveAnnotator, LiveService};
 use rtl_timer::pipeline::{DesignSet, RtlTimer, TimerConfig};
 use rtl_timer::IncrementalAnnotator;
-use rtlt_store::wire::{Frame, Request, Response};
+use rtlt_store::wire::{op, tag_request, untag, Frame, Request, Response};
 use rtlt_store::Store;
 use std::io::Write;
 use std::sync::Arc;
@@ -186,17 +188,23 @@ fn two_concurrent_sessions_interleave_byte_identically() {
     handle.stop();
 }
 
-/// Writes `requests` in one write and reads one reply per request.
+/// Writes `requests` in one write, tagged by position, and returns one
+/// reply per request in request order — matched by tag, not by arrival.
 fn exchange(conn: &mut std::net::TcpStream, requests: &[Request]) -> Vec<Response> {
     let mut buf = Vec::new();
-    for r in requests {
-        buf.extend_from_slice(&r.to_frame().to_bytes());
+    for (tag, r) in requests.iter().enumerate() {
+        buf.extend_from_slice(&tag_request(tag as u64, &r.to_frame()).to_bytes());
     }
     conn.write_all(&buf).expect("write requests");
-    requests
-        .iter()
-        .map(|_| Response::from_frame(&Frame::read_from(conn).expect("reply")).expect("decode"))
-        .collect()
+    let mut replies = vec![None; requests.len()];
+    for _ in requests {
+        let frame = Frame::read_from(conn).expect("reply");
+        let (tag, inner) = untag(&frame).expect("tagged reply");
+        let slot = &mut replies[tag as usize];
+        assert!(slot.is_none(), "one reply per tag");
+        *slot = Some(Response::from_frame(&inner).expect("decode"));
+    }
+    replies.into_iter().map(|r| r.expect("every tag")).collect()
 }
 
 #[test]
@@ -273,6 +281,142 @@ fn pipelined_annotates_on_one_session_match_the_local_loop() {
 }
 
 #[test]
+fn a_warm_annotate_may_overtake_a_cold_one_and_replies_match_by_tag() {
+    let fx = fixture();
+    // One shard per tick: the cold first pass of session A walks the whole
+    // design while session B, already warm, re-annotates one lane.
+    let svc = LiveService::new(
+        Arc::clone(&fx.model),
+        fx.service_store,
+        &[&fx.alpha.0, &fx.beta.0],
+        &fx.cfg,
+        1,
+    );
+    let handle = rtl_timer::live::spawn("127.0.0.1:0", svc).expect("bind");
+    let mut conn = std::net::TcpStream::connect(handle.addr).expect("connect");
+    let (alpha, beta) = (fx.alpha.1.clone(), fx.beta.1.clone());
+    let opened = exchange(
+        &mut conn,
+        &[
+            Request::Open {
+                design: "alpha".into(),
+                source: alpha.clone(),
+            },
+            Request::Open {
+                design: "beta".into(),
+                source: beta.clone(),
+            },
+        ],
+    );
+    let [Response::Session { session: a, .. }, Response::Session { session: b, .. }] = opened[..]
+    else {
+        panic!("OPEN refused: {opened:?}");
+    };
+    let edit = |session: u64, from: &str, to: &str| Request::Edit {
+        session,
+        splices: diff_splices(from, to),
+        check: source_check(to),
+    };
+    let alpha1 = alpha.replace("x + 8'd3", "x + (x << 1)");
+    let beta1 = beta.replace("x + (x >> 2)", "x + (x >> 4)");
+    let beta2 = beta.replace("x + (x >> 2)", "x | (x << 2)");
+
+    // Session B goes warm: its first pass leaves a resident revision.
+    let warmup = exchange(
+        &mut conn,
+        &[edit(b, &beta, &beta1), Request::Annotate { session: b }],
+    );
+    // Then, in one write, A's cold first pass and B's warm one.
+    let replies = exchange(
+        &mut conn,
+        &[
+            edit(a, &alpha, &alpha1),
+            Request::Annotate { session: a },
+            edit(b, &beta1, &beta2),
+            Request::Annotate { session: b },
+        ],
+    );
+
+    let twin_store = Store::in_memory();
+    let mut twin_a = IncrementalAnnotator::new(&fx.alpha.0, &fx.cfg);
+    let mut twin_b = IncrementalAnnotator::new(&fx.beta.0, &fx.cfg);
+    let expect = [
+        (
+            &warmup[1],
+            twin_b.reannotate(&beta1, &fx.model, &twin_store).unwrap(),
+        ),
+        (
+            &replies[1],
+            twin_a.reannotate(&alpha1, &fx.model, &twin_store).unwrap(),
+        ),
+        (
+            &replies[3],
+            twin_b.reannotate(&beta2, &fx.model, &twin_store).unwrap(),
+        ),
+    ];
+    for (remote, local) in expect {
+        let Response::Annotation(remote) = remote else {
+            panic!("unexpected reply {remote:?}");
+        };
+        assert_eq!(remote.annotated, local.annotated, "same bytes, by tag");
+        assert_eq!(remote.total_shards, local.total_shards);
+    }
+    handle.stop();
+}
+
+#[test]
+fn bare_and_retired_requests_are_refused_on_a_live_connection() {
+    let fx = fixture();
+    let svc = LiveService::new(
+        Arc::clone(&fx.model),
+        fx.service_store,
+        &[&fx.alpha.0],
+        &fx.cfg,
+        rtl_timer::live::DEFAULT_STEP_SHARDS,
+    );
+    let handle = rtl_timer::live::spawn("127.0.0.1:0", svc).expect("bind");
+    let mut conn = std::net::TcpStream::connect(handle.addr).expect("connect");
+    let open = Request::Open {
+        design: "alpha".into(),
+        source: String::new(),
+    };
+
+    // A bare request gets a bare `Failed`: there is no tag to echo.
+    open.to_frame().write_to(&mut conn).expect("write");
+    let answer = Frame::read_from(&mut conn).expect("answer");
+    assert_eq!(answer.op, op::FAILED);
+
+    // Retired opcodes and an unknown one, each in an envelope, get
+    // `Failed` under their own tags; a real OPEN on the same connection is
+    // still served.
+    let mut bytes = Vec::new();
+    for (tag, opcode) in [1u8, 2, 3, 5, 0x7E].into_iter().enumerate() {
+        let inner = Frame {
+            op: opcode,
+            body: Vec::new(),
+        };
+        bytes.extend(tag_request(tag as u64, &inner).to_bytes());
+    }
+    bytes.extend(tag_request(5, &open.to_frame()).to_bytes());
+    conn.write_all(&bytes).expect("write");
+    let mut answers = Vec::new();
+    for _ in 0..6 {
+        let (tag, inner) = untag(&Frame::read_from(&mut conn).expect("answer")).expect("tagged");
+        answers.push((tag, Response::from_frame(&inner).expect("decode")));
+    }
+    answers.sort_by_key(|(tag, _)| *tag);
+    for (tag, resp) in &answers[..5] {
+        assert!(matches!(resp, Response::Failed(_)), "tag {tag}: {resp:?}");
+    }
+    assert!(
+        matches!(answers[5], (5, Response::Session { revision: 0, .. })),
+        "OPEN served after the refusals: {:?}",
+        answers[5]
+    );
+    handle.stop();
+}
+
+#[test]
 fn killed_server_mid_session_degrades_to_identical_local_bytes() {
     let fx = fixture();
     let svc = LiveService::new(
@@ -325,8 +469,8 @@ fn killed_server_mid_session_degrades_to_identical_local_bytes() {
 fn version_skewed_store_peer_refuses_sessions_and_client_degrades() {
     let fx = fixture();
     // A plain artifact store on the other end: it answers OPEN with
-    // `Failed` (unknown verb for its service), which must read as
-    // "annotate locally", not as an error.
+    // `Failed` (a verb it does not serve), which must read as "annotate
+    // locally", not as an error.
     let scratch =
         std::env::temp_dir().join(format!("rtlt-live-skew-{}-{}", std::process::id(), line!()));
     let server_addr = rtlt_store::server::spawn(

@@ -251,12 +251,12 @@ fn server_lost_mid_run_falls_back_to_the_static_remainder() {
         let server = ArtifactServer::new(&server_cfg);
         let (mut stream, _) = listener.accept().expect("one connection");
         for _ in 0..2 {
-            // A current fleet server speaks tagged envelopes, so the script
-            // does too: unwrap the envelope, dispatch, tag the answers.
+            // Every exchange is tagged, so the script is too: unwrap the
+            // envelope, dispatch, tag the answers.
             let frame = Frame::read_from(&mut stream).expect("request frame");
-            let (tag, inner) = untag(&frame).expect("gen-3 client speaks tagged");
+            let (tag, inner) = untag(&frame).expect("the client always tags");
             let responses = match Request::from_frame(&inner) {
-                Ok(Request::GetBatch { items }) => server.handle_batch(&items),
+                Ok(Request::GetBatch2 { items }) => server.handle_batch(&items),
                 Ok(req) => vec![server.handle(req)],
                 Err(e) => vec![Response::Failed(e.to_string())],
             };

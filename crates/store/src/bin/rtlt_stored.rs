@@ -23,7 +23,6 @@ use rtlt_store::plan::DEFAULT_LEASE_TIMEOUT;
 use rtlt_store::server::{self, ArtifactServer, ServerConfig, DEFAULT_ADDR};
 use rtlt_store::wire::Request;
 use std::net::TcpListener;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -76,7 +75,7 @@ fn main() {
         mem_budget,
         lease_timeout,
     };
-    let server = Arc::new(ArtifactServer::new(&cfg));
+    let server = ArtifactServer::new(&cfg);
     if let Some(budget) = gc_budget {
         if let rtlt_store::wire::Response::Done(r) = server.handle(Request::Gc {
             budget_bytes: budget,
@@ -96,7 +95,7 @@ fn main() {
     });
     let bound = listener.local_addr().expect("bound address");
     eprintln!(
-        "[rtlt-stored] serving {} (wire v{}, multiplexed event loop; dir {}, mem budget {} KiB, lease timeout {:.1}s)",
+        "[rtlt-stored] serving {} (wire v{}, tagged event loop; dir {}, mem budget {} KiB, lease timeout {:.1}s)",
         bound,
         rtlt_store::wire::WIRE_VERSION,
         cfg.dir.display(),

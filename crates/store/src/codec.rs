@@ -19,10 +19,7 @@ use std::sync::Arc;
 /// module-granular cache keys).
 ///
 /// v3: tier payloads are [`crate::compress`] frames (mode-tagged, possibly
-/// compressed) rather than bare codec bytes. v2 entries are still read
-/// transparently: their payloads are lifted into raw frames on the way out
-/// of the disk tier, so a v3 process warms from a v2 cache without
-/// recomputing.
+/// compressed) rather than bare codec bytes.
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Decode failure — a truncated, corrupted, or differently-versioned byte

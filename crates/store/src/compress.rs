@@ -113,8 +113,8 @@ fn unsortable_bits(m: u64) -> u64 {
 }
 
 /// Wraps `payload` in a raw passthrough frame (mode byte + verbatim bytes).
-/// This is the identity encoding: old uncompressed entries and legacy wire
-/// payloads are lifted into the frame space with it.
+/// This is the identity encoding: namespaces the tier policy keeps raw are
+/// stored this way.
 pub fn raw_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 1);
     out.push(MODE_RAW);

@@ -43,33 +43,16 @@ pub fn encode_entry(payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Oldest format version this build still reads. v2 entries carry bare
-/// codec bytes where v3 carries [`crate::compress`] frames; the disk tier
-/// lifts a v2 payload into a raw frame on read, so pre-compression caches
-/// stay warm across the upgrade.
-pub const MIN_FORMAT_VERSION: u32 = 2;
-
 /// Validates one entry and returns its payload slice, or `None` for any
-/// truncation, bad magic, version mismatch, length mismatch or checksum
-/// failure. Only current-version entries pass; use
-/// [`decode_entry_versioned`] to also accept readable older versions.
+/// truncation, bad magic, version mismatch (older formats included: a
+/// pre-compression entry reads as corrupt and is recomputed), length
+/// mismatch or checksum failure.
 pub fn decode_entry(bytes: &[u8]) -> Option<&[u8]> {
-    match decode_entry_versioned(bytes) {
-        Some((FORMAT_VERSION, payload)) => Some(payload),
-        _ => None,
-    }
-}
-
-/// Validates one entry accepting any readable format version
-/// ([`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]), returning the stamped
-/// version alongside the payload so the caller can interpret the payload
-/// bytes accordingly.
-pub fn decode_entry_versioned(bytes: &[u8]) -> Option<(u32, &[u8])> {
     if bytes.len() < ENTRY_OVERHEAD || bytes[..4] != ENTRY_MAGIC {
         return None;
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return None;
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
@@ -85,7 +68,7 @@ pub fn decode_entry_versioned(bytes: &[u8]) -> Option<(u32, &[u8])> {
     if fnv1a(payload) != checksum {
         return None;
     }
-    Some((version, payload))
+    Some(payload)
 }
 
 #[cfg(test)]
@@ -128,30 +111,52 @@ mod tests {
     }
 
     #[test]
-    fn readable_older_versions_decode_with_their_stamp() {
-        // A v2 entry, as a pre-compression build would have written it.
-        let payload = b"bare codec bytes";
+    fn older_format_entries_are_rejected_and_heal() {
+        use crate::{DiskTier, Store, StoreTier, TierLookup};
+        let dir = std::env::temp_dir().join(format!("rtlt-entry-v2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = crate::KeyBuilder::new("entry-v2").u64(1).finish();
+        let file = dir.join("src/ns").join(format!("{}.bin", key.to_hex()));
+
+        // A v2 entry, as a pre-compression build would have written it:
+        // bare codec bytes under a valid v2 envelope.
+        let value = 42u64;
+        let payload = crate::Codec::to_bytes(&value);
         let mut v2 = Vec::new();
         v2.extend_from_slice(&ENTRY_MAGIC);
         v2.extend_from_slice(&2u32.to_le_bytes());
         v2.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v2.extend_from_slice(payload);
-        v2.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        // Strict decoding rejects it; versioned decoding reports v2.
-        assert_eq!(decode_entry(&v2), None);
-        assert_eq!(decode_entry_versioned(&v2), Some((2u32, &payload[..])));
-        // Current-version entries report the current stamp.
-        let v3 = encode_entry(payload);
-        assert_eq!(
-            decode_entry_versioned(&v3),
-            Some((FORMAT_VERSION, &payload[..]))
+        v2.extend_from_slice(&payload);
+        v2.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        assert_eq!(decode_entry(&v2), None, "a v2 entry is rejected");
+        std::fs::create_dir_all(file.parent().expect("ns dir")).expect("ns dir");
+        std::fs::write(&file, &v2).expect("write v2 entry");
+
+        // A fleet merge counts it as invalid and does not copy it.
+        let merged = DiskTier::new(dir.join("merged")).merge_from(&dir.join("src"));
+        assert_eq!((merged.invalid_entries, merged.merged_files), (1, 0));
+
+        // A store over it reads a corrupt entry: it is removed, recomputed
+        // and rewritten, so a fresh store then hits the healed bytes.
+        let store = Store::on_disk(dir.join("src"));
+        let mut calls = 0;
+        let got = store.get_or_compute("ns", key, || {
+            calls += 1;
+            value
+        });
+        assert_eq!((*got, calls), (value, 1));
+        let healed = std::fs::read(&file).expect("rewritten entry");
+        assert!(
+            decode_entry(&healed).is_some(),
+            "rewritten at the current format"
         );
-        // Versions below the floor or above the current are rejected.
-        let mut v1 = v2.clone();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(decode_entry_versioned(&v1), None);
-        let mut v99 = v2;
-        v99[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(decode_entry_versioned(&v99), None);
+        let disk = DiskTier::new(dir.join("src"));
+        match disk.get_bytes("ns", key) {
+            TierLookup::Hit(frame) => {
+                assert_eq!(crate::compress::decompress(&frame), Some(payload))
+            }
+            other => panic!("healed entry should hit, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

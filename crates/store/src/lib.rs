@@ -21,8 +21,11 @@
 //!   per-namespace [`TierPolicy`] (`RTLT_TIER_POLICY`) choosing packed vs
 //!   raw payloads and an optional decoded-front-cache quota per namespace,
 //! * [`wire`]/[`remote`]/[`server`] — the `rtlt-stored` artifact service:
-//!   a length-prefixed binary protocol, the [`RemoteTier`] client and the
-//!   server loop, so CI fleets and developer machines share one warm cache,
+//!   a length-prefixed, always-tagged binary protocol, the [`RemoteTier`]
+//!   client and the server, so CI fleets and developer machines share one
+//!   warm cache,
+//! * [`event_loop`]/[`client`] — the one nonblocking server loop and the
+//!   one client connection every network service here is built on,
 //! * [`Store`] — the handle every call site goes through: a byte-budgeted
 //!   LRU cache of **decoded** `Arc<T>` artifacts fronting a composable
 //!   stack of byte tiers (disk, then optionally remote),
@@ -54,9 +57,11 @@
 //! site through this one handle is that new tiers — sharded fleets, a
 //! remote backend — land behind [`Store`] without touching call sites.
 
+pub mod client;
 pub mod codec;
 pub mod compress;
 pub mod entry;
+pub mod event_loop;
 pub mod hash;
 pub mod plan;
 pub mod remote;

@@ -1,476 +1,98 @@
 //! [`RemoteTier`] — the client side of the `rtlt-stored` artifact service.
 //!
-//! A [`StoreTier`] over one TCP connection (lazily established, reused
+//! A [`StoreTier`] over one [`ClientConn`] (lazily established, reused
 //! across requests, re-established after failures). The governing rule is
 //! **graceful degradation**: a server that is down, unreachable, slow, or
-//! speaking a different format version turns every operation into a miss
-//! or a no-op — the pipeline recomputes exactly what it would have
-//! computed cold, byte-identically, and never sees an error. After
-//! [`MAX_CONSECUTIVE_FAILURES`] the tier trips open and stops trying for
-//! the rest of the process, so a dead server costs a bounded number of
-//! connect timeouts rather than one per lookup.
+//! speaking another protocol turns every operation into a miss or a no-op
+//! — the pipeline recomputes exactly what it would have computed cold,
+//! byte-identically, and never sees an error. After
+//! [`MAX_CONSECUTIVE_FAILURES`](crate::client::MAX_CONSECUTIVE_FAILURES)
+//! the tier trips open and stops trying for the rest of the process.
 //!
-//! Against a generation-3 server the client is **pipelined**: every
-//! request travels in an [`op::TAGGED`] envelope, so one connection
-//! carries many in-flight exchanges and write-back PUTs become
-//! fire-and-forget — up to [`PIPELINE_WINDOW`] unacknowledged puts ride
-//! the wire while the pipeline keeps computing, and their acks are
-//! absorbed lazily (while awaiting some later response, or in
-//! [`RemoteTier::flush`]). Responses are matched by tag, not arrival
-//! order. The first exchange against an unknown peer doubles as the
-//! framing probe: a pre-gen3 server answers the envelope with a bare
-//! `Failed` ("request opcode") on the still-alive connection, and the
-//! client falls back to serialized one-at-a-time exchanges from then on —
-//! the same negotiation-by-refusal the encoding ops use, one generation
-//! up. `RTLT_NO_PIPELINE=1` forces the serialized path (A/B runs, CI).
-//!
-//! Payloads travel as [`crate::compress`] frames through the v2 data ops
-//! (`GET2`/`PUT2`/`GETM2`). A legacy server does not know those opcodes
-//! and answers `Failed` — a *healthy* answer that does not bump the
-//! failure counter; the client remembers the peer as legacy and falls
-//! back to the v1 ops, decompressing on the way out and lifting bare
-//! payloads into raw frames on the way in. Either way the store above
-//! sees frames, and a mixed-version fleet interoperates byte-identically.
+//! The client is **pipelined**: every request travels tagged, so
+//! write-back PUTs are fire-and-forget — up to [`PIPELINE_WINDOW`]
+//! unacknowledged puts ride the wire while the pipeline keeps computing,
+//! and their acks are absorbed lazily (while awaiting some later
+//! response, or in [`RemoteTier::flush`]). Payloads travel as the
+//! [`crate::compress`] frames the tiers hold.
 //!
 //! The tier also counts **round trips** — write→read turnarounds on the
-//! wire, the thing pipelining actually removes (request counts stay the
-//! same; waiting does not). [`RemoteTier::round_trips`] is cumulative and
-//! monotonic; the store samples it around remote calls to attribute
-//! turnarounds per namespace.
+//! wire. [`RemoteTier::round_trips`] is cumulative and monotonic; the
+//! store samples it around remote calls to attribute turnarounds per
+//! namespace.
 
-use crate::compress;
+use crate::client::{ClientConn, Timeouts};
 use crate::hash::ContentHash;
 use crate::plan::{LeaseGrant, PlanStats};
 use crate::tier::{GcReport, StoreTier, TierKind, TierLookup, TierStats};
-use crate::wire::{
-    op, tag_request, untag, Frame, FrameBudget, Request, Response, ServerLoad, WireError,
-    MAX_CONN_INFLIGHT, PAYLOAD_ENCODING_FRAME,
-};
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use crate::wire::{FrameBudget, Request, Response, ServerLoad, WireError, MAX_CONN_INFLIGHT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Consecutive transport failures after which the tier stops trying.
-pub const MAX_CONSECUTIVE_FAILURES: u32 = 3;
 
 /// Default connect/read/write timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// In-flight window of fire-and-forget PUTs: how many unacknowledged
-/// tagged writes may ride the wire before the client absorbs an ack.
-/// Small on purpose — the point is overlapping latency, not buffering
-/// unbounded bytes on either side.
+/// writes may ride the wire before the client absorbs an ack. Small on
+/// purpose — the point is overlapping latency, not buffering unbounded
+/// bytes on either side.
 pub const PIPELINE_WINDOW: usize = 8;
-
-/// What the peer's framing negotiation has established so far.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-enum PeerFraming {
-    /// Nothing exchanged yet: the first exchange probes with a tagged
-    /// envelope (when pipelining is enabled at all).
-    #[default]
-    Unknown,
-    /// The peer answered a tagged envelope in kind — multiplex away.
-    Tagged,
-    /// The peer refused the envelope opcode — serialize exchanges.
-    Serial,
-}
-
-#[derive(Debug, Default)]
-struct RemoteState {
-    conn: Option<TcpStream>,
-    consecutive_failures: u32,
-    /// The peer answered a v2 data opcode with `Failed` — it predates the
-    /// compressed-payload ops. Stick to the v1 ops from then on instead of
-    /// paying a doomed extra round trip per operation.
-    peer_legacy: bool,
-    framing: PeerFraming,
-    next_tag: u64,
-    /// Tags of fire-and-forget PUTs whose acks have not been absorbed yet
-    /// (bounded by [`PIPELINE_WINDOW`]).
-    pending_puts: VecDeque<u64>,
-    /// A request was written since the last read — the next read is a
-    /// wire turnaround.
-    wrote_since_read: bool,
-}
-
-/// Outcome of one tagged exchange attempt against a peer of unknown or
-/// tagged framing.
-enum TaggedOutcome<T> {
-    /// The peer answered in kind.
-    Answered(T),
-    /// The peer refused the envelope opcode (pre-gen3); the state is now
-    /// pinned [`PeerFraming::Serial`] and the caller re-sends bare.
-    Refused,
-}
 
 /// Client tier speaking to a shared `rtlt-stored` server.
 #[derive(Debug)]
 pub struct RemoteTier {
     addr: String,
-    timeout: Duration,
-    /// Whether tagged pipelining may be attempted at all (`false` forces
-    /// the serialized path — `RTLT_NO_PIPELINE=1`, A/B runs, tests).
-    pipeline: bool,
-    /// Cumulative write→read turnarounds on the wire (monotonic).
+    /// Mirror of the connection's turnaround count, readable without
+    /// waiting for an exchange in progress.
     turns: AtomicU64,
-    state: Mutex<RemoteState>,
+    conn: Mutex<ClientConn>,
 }
 
 impl RemoteTier {
     /// Client of the server at `addr` (`host:port`), with the
-    /// [`DEFAULT_TIMEOUT`]. Pipelining is on unless `RTLT_NO_PIPELINE=1`
-    /// is set in the environment.
+    /// [`DEFAULT_TIMEOUT`].
     pub fn new(addr: impl Into<String>) -> RemoteTier {
         RemoteTier::with_timeout(addr, DEFAULT_TIMEOUT)
     }
 
     /// Client with an explicit per-operation timeout.
     pub fn with_timeout(addr: impl Into<String>, timeout: Duration) -> RemoteTier {
-        let pipeline = !std::env::var("RTLT_NO_PIPELINE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        RemoteTier::with_options(addr, timeout, pipeline)
-    }
-
-    /// Client with explicit timeout and pipelining choice (tests and A/B
-    /// harnesses; production uses the environment-driven constructors).
-    pub fn with_options(addr: impl Into<String>, timeout: Duration, pipeline: bool) -> RemoteTier {
+        let addr = addr.into();
         RemoteTier {
-            addr: addr.into(),
-            timeout,
-            pipeline,
+            conn: Mutex::new(ClientConn::new(addr.clone(), Timeouts::uniform(timeout))),
+            addr,
             turns: AtomicU64::new(0),
-            state: Mutex::new(RemoteState::default()),
         }
-    }
-
-    /// The configured server address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Whether tagged pipelining may be attempted (configuration, not the
-    /// negotiated outcome — see [`RemoteTier::peer_tagged`]).
-    pub fn pipelining(&self) -> bool {
-        self.pipeline
     }
 
     /// Whether the tier has tripped open (too many consecutive failures).
     pub fn is_down(&self) -> bool {
-        self.state
-            .lock()
-            .expect("remote state lock")
-            .consecutive_failures
-            >= MAX_CONSECUTIVE_FAILURES
+        self.lock().is_down()
     }
 
-    /// Whether the peer has identified itself as a pre-compression server
-    /// (it answered a v2 data opcode with `Failed`), pinning this client
-    /// to the v1 ops with bare payloads.
-    pub fn peer_legacy(&self) -> bool {
-        self.state.lock().expect("remote state lock").peer_legacy
+    fn lock(&self) -> std::sync::MutexGuard<'_, ClientConn> {
+        self.conn.lock().expect("remote connection lock")
     }
 
-    /// The negotiated framing: `Some(true)` = the peer multiplexes tagged
-    /// envelopes, `Some(false)` = it refused them (serialized exchanges),
-    /// `None` = nothing exchanged yet.
-    pub fn peer_tagged(&self) -> Option<bool> {
-        match self.state.lock().expect("remote state lock").framing {
-            PeerFraming::Unknown => None,
-            PeerFraming::Tagged => Some(true),
-            PeerFraming::Serial => Some(false),
-        }
-    }
-
-    /// Cumulative write→read wire turnarounds this tier has paid.
-    pub fn wire_round_trips(&self) -> u64 {
-        self.turns.load(Ordering::Relaxed)
-    }
-
-    fn mark_peer_legacy(&self) {
-        self.state.lock().expect("remote state lock").peer_legacy = true;
-    }
-
-    fn connect(&self) -> Result<TcpStream, WireError> {
-        let mut last = WireError::Io(std::io::ErrorKind::NotFound);
-        let addrs: Vec<SocketAddr> = self
-            .addr
-            .to_socket_addrs()
-            .map_err(WireError::from)?
-            .collect();
-        for addr in addrs {
-            match TcpStream::connect_timeout(&addr, self.timeout) {
-                Ok(stream) => {
-                    stream.set_read_timeout(Some(self.timeout))?;
-                    stream.set_write_timeout(Some(self.timeout))?;
-                    stream.set_nodelay(true)?;
-                    return Ok(stream);
-                }
-                Err(e) => last = e.into(),
-            }
-        }
-        Err(last)
-    }
-
-    /// Runs one wire interaction under the failure breaker: refused
-    /// outright once tripped; a failure drops the connection (and any
-    /// unacknowledged puts with it — lost best-effort writes, never
-    /// corrupt ones) and bumps the counter; success resets it.
-    fn with_breaker<T>(
+    /// Runs one interaction on the connection under its breaker.
+    fn guarded<T>(
         &self,
-        f: impl FnOnce(&mut RemoteState) -> Result<T, WireError>,
+        f: impl FnOnce(&mut ClientConn) -> Result<T, WireError>,
     ) -> Result<T, WireError> {
-        let mut state = self.state.lock().expect("remote state lock");
-        if state.consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
-            return Err(WireError::Io(std::io::ErrorKind::ConnectionRefused));
-        }
-        let result = f(&mut state);
-        match &result {
-            Ok(_) => state.consecutive_failures = 0,
-            Err(_) => {
-                state.conn = None;
-                state.pending_puts.clear();
-                state.wrote_since_read = false;
-                state.consecutive_failures += 1;
-            }
-        }
+        let mut conn = self.lock();
+        let result = conn.guarded(f);
+        self.turns.store(conn.round_trips(), Ordering::Relaxed);
         result
-    }
-
-    fn send_frame(&self, state: &mut RemoteState, frame: &Frame) -> Result<(), WireError> {
-        if state.conn.is_none() {
-            state.conn = Some(self.connect()?);
-        }
-        let conn = state.conn.as_mut().expect("connection just set");
-        frame.write_to(conn)?;
-        state.wrote_since_read = true;
-        Ok(())
-    }
-
-    fn read_frame(
-        &self,
-        state: &mut RemoteState,
-        budget: &mut FrameBudget,
-    ) -> Result<Frame, WireError> {
-        if state.wrote_since_read {
-            state.wrote_since_read = false;
-            self.turns.fetch_add(1, Ordering::Relaxed);
-        }
-        let conn = state
-            .conn
-            .as_mut()
-            .ok_or(WireError::Io(std::io::ErrorKind::NotConnected))?;
-        Frame::read_budgeted(conn, budget)
-    }
-
-    /// Absorbs the ack of a previously fire-and-forgotten PUT. Any tag
-    /// that is neither the awaited one nor a pending put is a protocol
-    /// error — the demux has exactly those two kinds in flight.
-    fn absorb_put_ack(&self, state: &mut RemoteState, tag: u64) -> Result<(), WireError> {
-        match state.pending_puts.iter().position(|&t| t == tag) {
-            Some(i) => {
-                state.pending_puts.remove(i);
-                Ok(())
-            }
-            None => Err(WireError::Malformed("response for unknown tag")),
-        }
-    }
-
-    /// Reads one tagged response and absorbs it as a put ack.
-    fn drain_one_put(&self, state: &mut RemoteState) -> Result<(), WireError> {
-        let mut budget = FrameBudget::new(MAX_CONN_INFLIGHT);
-        let frame = self.read_frame(state, &mut budget)?;
-        if frame.op != op::TAGGED_RESP {
-            return Err(WireError::Malformed("untagged frame from tagged peer"));
-        }
-        let (tag, _) = untag(&frame)?;
-        self.absorb_put_ack(state, tag)
-    }
-
-    /// One bare (serialized) request/response exchange.
-    fn serial_exchange(
-        &self,
-        state: &mut RemoteState,
-        req: &Request,
-    ) -> Result<Response, WireError> {
-        self.send_frame(state, &req.to_frame())?;
-        let mut budget = FrameBudget::new(MAX_CONN_INFLIGHT);
-        let frame = self.read_frame(state, &mut budget)?;
-        Response::from_frame(&frame)
-    }
-
-    /// Sends `req` in a tagged envelope and awaits the response matching
-    /// its tag, absorbing put acks for other tags along the way. Against a
-    /// peer of unknown framing this doubles as the probe: a bare `Failed`
-    /// pins the peer serial and returns [`TaggedOutcome::Refused`].
-    fn tagged_exchange(
-        &self,
-        state: &mut RemoteState,
-        req: &Request,
-    ) -> Result<TaggedOutcome<Response>, WireError> {
-        let tag = state.next_tag;
-        state.next_tag += 1;
-        self.send_frame(state, &tag_request(tag, &req.to_frame()))?;
-        let mut budget = FrameBudget::new(MAX_CONN_INFLIGHT);
-        loop {
-            let frame = self.read_frame(state, &mut budget)?;
-            match self.demux(state, frame, tag)? {
-                Some(inner) => return Ok(TaggedOutcome::Answered(Response::from_frame(&inner)?)),
-                None => {
-                    if state.framing == PeerFraming::Serial {
-                        return Ok(TaggedOutcome::Refused);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Demultiplexes one received frame while awaiting `want`: returns the
-    /// inner frame when it answers `want`; absorbs put acks (yielding
-    /// `None` to keep reading); resolves the framing probe (a bare
-    /// `Failed` from an unknown peer pins it serial and yields `None` —
-    /// the caller observes the pinned state and re-sends bare).
-    fn demux(
-        &self,
-        state: &mut RemoteState,
-        frame: Frame,
-        want: u64,
-    ) -> Result<Option<Frame>, WireError> {
-        if frame.op == op::TAGGED_RESP {
-            state.framing = PeerFraming::Tagged;
-            let (tag, inner) = untag(&frame)?;
-            if tag == want {
-                return Ok(Some(inner));
-            }
-            self.absorb_put_ack(state, tag)?;
-            return Ok(None);
-        }
-        if state.framing == PeerFraming::Unknown {
-            // A pre-gen3 peer answers the envelope opcode with a bare
-            // Failed on the still-alive connection — the healthy refusal
-            // that pins serialized framing without touching the breaker.
-            return match Response::from_frame(&frame)? {
-                Response::Failed(_) => {
-                    state.framing = PeerFraming::Serial;
-                    Ok(None)
-                }
-                _ => Err(WireError::Malformed("unexpected untagged response")),
-            };
-        }
-        Err(WireError::Malformed("untagged frame from tagged peer"))
-    }
-
-    /// One single-response exchange through whatever framing the peer
-    /// speaks (probing it on first contact when pipelining is enabled).
-    fn exchange(&self, state: &mut RemoteState, req: &Request) -> Result<Response, WireError> {
-        if self.pipeline && state.framing != PeerFraming::Serial {
-            match self.tagged_exchange(state, req)? {
-                TaggedOutcome::Answered(resp) => return Ok(resp),
-                TaggedOutcome::Refused => {}
-            }
-        }
-        self.serial_exchange(state, req)
     }
 
     /// One request/response round trip under the breaker.
     fn round_trip(&self, req: &Request) -> Result<Response, WireError> {
-        self.with_breaker(|state| self.exchange(state, req))
+        self.guarded(|conn| conn.exchange(req))
     }
 
-    /// Reads a [`Response::BatchPart`] stream (bare or tagged-with `tag`)
-    /// under one cumulative [`FrameBudget`], filling `out`. Parts already
-    /// received survive a mid-stream failure — the unanswered tail simply
-    /// stays "miss" (partial-batch degradation). Returns `Ok(false)` when
-    /// the server answered `Failed` — it does not speak this opcode; a
-    /// healthy answer that does not bump the failure counter.
-    fn read_batch_stream(
-        &self,
-        state: &mut RemoteState,
-        tag: Option<u64>,
-        wrap_raw: bool,
-        out: &mut [TierLookup],
-    ) -> Result<bool, WireError> {
-        let mut budget = FrameBudget::new(MAX_CONN_INFLIGHT);
-        loop {
-            let frame = self.read_frame(state, &mut budget)?;
-            let inner = match tag {
-                Some(want) => match self.demux(state, frame, want)? {
-                    Some(inner) => inner,
-                    None => {
-                        if state.framing == PeerFraming::Serial {
-                            return Ok(false); // envelope refused
-                        }
-                        continue; // absorbed a put ack
-                    }
-                },
-                None => frame,
-            };
-            match Response::from_frame(&inner)? {
-                Response::BatchPart { items: part, last } => {
-                    for (idx, payload) in part {
-                        if let (Some(slot), Some(p)) = (out.get_mut(idx as usize), payload) {
-                            *slot = if wrap_raw {
-                                TierLookup::Hit(compress::raw_frame(&p))
-                            } else {
-                                TierLookup::Hit(p)
-                            };
-                        }
-                    }
-                    if last {
-                        return Ok(true);
-                    }
-                }
-                Response::Failed(_) => return Ok(false), // opcode unknown to peer
-                _ => return Err(WireError::Malformed("unexpected batch response")),
-            }
-        }
-    }
-
-    /// One batched exchange: writes `req` (a GETM or GETM2), then reads
-    /// the part stream. Tagged framing is used when negotiated (or still
-    /// being probed), so the batch can overlap in-flight puts.
-    fn batch_round_trip(
-        &self,
-        req: &Request,
-        wrap_raw: bool,
-        out: &mut [TierLookup],
-    ) -> Result<bool, WireError> {
-        self.with_breaker(|state| {
-            if self.pipeline && state.framing != PeerFraming::Serial {
-                let tag = state.next_tag;
-                state.next_tag += 1;
-                self.send_frame(state, &tag_request(tag, &req.to_frame()))?;
-                match self.read_batch_stream(state, Some(tag), wrap_raw, out)? {
-                    true => return Ok(true),
-                    // Either the envelope was refused (framing now pinned
-                    // serial — re-send bare below) or the inner opcode was
-                    // refused by a tagged peer (fall through identically;
-                    // the caller's v1 fallback handles it).
-                    false => {
-                        if state.framing == PeerFraming::Tagged {
-                            return Ok(false);
-                        }
-                    }
-                }
-            }
-            self.send_frame(state, &req.to_frame())?;
-            self.read_batch_stream(state, None, wrap_raw, out)
-        })
-    }
-
-    /// Size snapshot of the *server's* tiers, if reachable.
-    pub fn stat_remote(&self) -> Option<Vec<TierStats>> {
-        match self.round_trip(&Request::Stat) {
-            Ok(Response::Stats(tiers)) => Some(tiers),
-            _ => None,
-        }
-    }
-
-    /// Live load snapshot of the server (tier sizes plus connection and
-    /// in-flight gauges). `None` when the server is unreachable or older
-    /// than generation 3 (it answers `Failed`, which is healthy).
+    /// Size snapshot of the server's tiers plus its live load, if
+    /// reachable.
     pub fn server_load(&self) -> Option<ServerLoad> {
         match self.round_trip(&Request::Stat2) {
             Ok(Response::ServerStats(load)) => Some(load),
@@ -543,29 +165,12 @@ impl StoreTier for RemoteTier {
     }
 
     fn get_bytes(&self, ns: &str, key: ContentHash) -> TierLookup {
-        if !self.peer_legacy() {
-            match self.round_trip(&Request::Get2 {
-                ns: ns.to_owned(),
-                key,
-                encoding: PAYLOAD_ENCODING_FRAME,
-            }) {
-                Ok(Response::Hit(frame)) => return TierLookup::Hit(frame),
-                Ok(Response::Miss) => return TierLookup::Miss,
-                // A legacy server answers Failed ("request opcode"): fall
-                // back to the v1 GET below, on this same healthy connection.
-                Ok(Response::Failed(_)) => self.mark_peer_legacy(),
-                // Everything else — protocol error, dead server — degrades
-                // to a miss.
-                _ => return TierLookup::Miss,
-            }
-        }
-        match self.round_trip(&Request::Get {
+        match self.round_trip(&Request::Get2 {
             ns: ns.to_owned(),
             key,
         }) {
-            // A v1 hit carries bare payload bytes; lift them into the
-            // frame space the tiers above expect.
-            Ok(Response::Hit(payload)) => TierLookup::Hit(compress::raw_frame(&payload)),
+            Ok(Response::Hit(frame)) => TierLookup::Hit(frame),
+            // Miss, refusal, protocol error, dead server: all misses.
             _ => TierLookup::Miss,
         }
     }
@@ -575,81 +180,49 @@ impl StoreTier for RemoteTier {
         if items.is_empty() {
             return out;
         }
-        if !self.peer_legacy() {
-            // Partial results survive a mid-stream failure; the rest stay
-            // misses, which the store recomputes byte-identically.
-            match self.batch_round_trip(
-                &Request::GetBatch2 {
-                    items: items.to_vec(),
-                    encoding: PAYLOAD_ENCODING_FRAME,
-                },
-                false,
-                &mut out,
-            ) {
-                Ok(true) | Err(_) => return out,
-                Ok(false) => self.mark_peer_legacy(),
+        let req = Request::GetBatch2 {
+            items: items.to_vec(),
+        };
+        // Parts already received survive a mid-stream failure; the rest
+        // stay misses, which the store recomputes byte-identically.
+        let _ = self.guarded(|conn| {
+            let tag = conn.send(std::slice::from_ref(&req))?;
+            let mut budget = FrameBudget::new(MAX_CONN_INFLIGHT);
+            loop {
+                match conn.recv(&mut budget)? {
+                    (t, Response::BatchPart { items: part, last }) if t == tag => {
+                        for (idx, payload) in part {
+                            if let (Some(slot), Some(p)) = (out.get_mut(idx as usize), payload) {
+                                *slot = TierLookup::Hit(p);
+                            }
+                        }
+                        if last {
+                            return Ok(());
+                        }
+                    }
+                    // A refusal is a healthy all-miss answer.
+                    (t, Response::Failed(_)) if t == tag => return Ok(()),
+                    _ => return Err(WireError::Malformed("unexpected batch response")),
+                }
             }
-        }
-        // v1 GETM against a legacy server: hits arrive bare and are lifted
-        // into raw frames. A server too old even for GETM answers Failed,
-        // which reads as an all-miss batch; per-key GETs still work.
-        let _ = self.batch_round_trip(
-            &Request::GetBatch {
-                items: items.to_vec(),
-            },
-            true,
-            &mut out,
-        );
+        });
         out
     }
 
+    /// Fire-and-forget within the [`PIPELINE_WINDOW`]: the ack is absorbed
+    /// lazily. A lost write is never an error upstream.
     fn put_bytes(&self, ns: &str, key: ContentHash, payload: &[u8]) {
-        if !self.peer_legacy() {
-            let req = Request::Put2 {
-                ns: ns.to_owned(),
-                key,
-                encoding: PAYLOAD_ENCODING_FRAME,
-                payload: payload.to_vec(),
-            };
-            if self.pipeline {
-                // Fire-and-forget within the window against a tagged peer;
-                // the ack is absorbed lazily. Unknown peers resolve their
-                // framing through the synchronous probe in `exchange`.
-                let piped = self.with_breaker(|state| {
-                    if state.framing != PeerFraming::Tagged {
-                        return Ok(false);
-                    }
-                    while state.pending_puts.len() >= PIPELINE_WINDOW {
-                        self.drain_one_put(state)?;
-                    }
-                    let tag = state.next_tag;
-                    state.next_tag += 1;
-                    self.send_frame(state, &tag_request(tag, &req.to_frame()))?;
-                    state.pending_puts.push_back(tag);
-                    Ok(true)
-                });
-                match piped {
-                    Ok(true) => return,
-                    Ok(false) => {}
-                    // Best-effort write lost; never an error upstream.
-                    Err(_) => return,
-                }
+        let req = Request::Put2 {
+            ns: ns.to_owned(),
+            key,
+            payload: payload.to_vec(),
+        };
+        let _ = self.guarded(|conn| {
+            while conn.posted() >= PIPELINE_WINDOW {
+                conn.absorb_posted()?;
             }
-            match self.round_trip(&req) {
-                Ok(Response::Failed(_)) => self.mark_peer_legacy(),
-                _ => return,
-            }
-        }
-        // Legacy server: ship the decoded payload through the v1 PUT. A
-        // frame that does not decompress is dropped, never shipped as
-        // garbage (the write was best-effort anyway).
-        if let Some(decoded) = compress::decompress(payload) {
-            let _ = self.round_trip(&Request::Put {
-                ns: ns.to_owned(),
-                key,
-                payload: decoded,
-            });
-        }
+            conn.post(&req)
+        });
     }
 
     /// Blocks until every fire-and-forgotten PUT has been acknowledged (or
@@ -657,40 +230,29 @@ impl StoreTier for RemoteTier {
     /// care about writes being durable-on-the-server before they exit or
     /// measure call this; nobody else pays for it.
     fn flush(&self) {
-        {
-            let state = self.state.lock().expect("remote state lock");
-            if state.pending_puts.is_empty() {
-                return;
-            }
+        if self.lock().posted() == 0 {
+            return;
         }
-        let _ = self.with_breaker(|state| {
-            while !state.pending_puts.is_empty() {
-                self.drain_one_put(state)?;
+        let _ = self.guarded(|conn| {
+            while conn.posted() > 0 {
+                conn.absorb_posted()?;
             }
             Ok(())
         });
     }
 
     fn round_trips(&self) -> u64 {
-        self.wire_round_trips()
+        self.turns.load(Ordering::Relaxed)
     }
 
     fn stats(&self) -> TierStats {
-        match self.stat_remote() {
-            Some(tiers) => TierStats {
-                kind: TierKind::Remote,
-                detail: self.addr.clone(),
-                entries: tiers.iter().map(|t| t.entries).sum(),
-                bytes: tiers.iter().map(|t| t.bytes).sum(),
-                reachable: true,
-            },
-            None => TierStats {
-                kind: TierKind::Remote,
-                detail: self.addr.clone(),
-                entries: 0,
-                bytes: 0,
-                reachable: false,
-            },
+        let tiers = self.server_load().map(|load| load.tiers);
+        TierStats {
+            kind: TierKind::Remote,
+            detail: self.addr.clone(),
+            entries: tiers.iter().flatten().map(|t| t.entries).sum(),
+            bytes: tiers.iter().flatten().map(|t| t.bytes).sum(),
+            reachable: tiers.is_some(),
         }
     }
 

@@ -4,52 +4,38 @@
 //! protocol — a byte-LRU [`MemTier`] fronting a checksummed [`DiskTier`],
 //! the exact impls the local `Store` composes. GETs walk the stack (disk
 //! hits promote into memory), PUTs land in every tier, STAT snapshots tier
-//! sizes, GC evicts down to a budget.
+//! sizes and server load, GC evicts down to a budget.
 //!
-//! Transport is a std-only, hand-rolled **nonblocking event loop**
-//! ([`serve`]): one thread owns the listener and every connection, all in
-//! nonblocking mode, and each scheduler tick accepts pending peers, then
-//! drives every connection's write buffer, read buffer and incremental
-//! [`FrameReassembler`] until the socket reports `WouldBlock`. A
-//! connection whose response backlog exceeds [`MAX_CONN_INFLIGHT`] stops
-//! being read until the peer drains it (backpressure), and a connection
-//! silent past [`IDLE_TIMEOUT`] is reaped. Because requests are consumed
-//! as fast as they arrive — not one lockstep exchange at a time — a
-//! generation-3 client can keep a window of [`op::TAGGED`] envelopes in
-//! flight on one connection; responses carry the request's tag, batch
-//! streams included. Untagged (v1/v2) peers see exactly the old
-//! serialized request→response behavior, byte-identically.
+//! Transport is the shared nonblocking [`event_loop`]: [`ArtifactServer`]
+//! is its [`Handler`] and answers every request inline, so a client can
+//! keep a window of tagged requests in flight on one connection and match
+//! the answers by tag, batch streams included.
 //!
-//! Payload *content* is never inspected: the server moves opaque bytes
-//! whose integrity the entry checksums and content keys already pin down,
-//! so it needs no knowledge of the pipeline's artifact types. Since format
-//! v3 the tiers hold [`crate::compress`] frames; the v2 data ops
-//! (`GET2`/`PUT2`/`GETM2`) move those frames verbatim, while the v1 ops
-//! translate at the boundary — legacy PUTs are lifted into raw frames and
-//! legacy GETs are decompressed on the way out — so mixed-version fleets
-//! share one cache byte-identically. Unknown payload encodings degrade to
-//! miss (GET) or a discarded write (PUT), never to garbage.
+//! Payload *content* is never inspected: the server moves opaque
+//! [`crate::compress`] frames whose integrity the entry checksums and
+//! content keys already pin down, so it needs no knowledge of the
+//! pipeline's artifact types.
 //!
 //! Beyond bytes, the server holds the fleet's [`Planner`]: LEASE/REPORT/
 //! PLAN requests let workers draw design names from one shared
 //! work-stealing queue (see [`crate::plan`]), and GETM answers a whole
 //! key batch as a stream of bounded [`Response::BatchPart`] chunks.
+//!
+//! [`wire`]: crate::wire
+//! [`event_loop`]: crate::event_loop
 
-use crate::compress;
+use crate::event_loop::{self, Gauges, Handler, Outbox};
 use crate::plan::{LeaseGrant, Planner};
 use crate::tier::{DiskTier, MemTier, StoreTier, TierLookup};
 use crate::wire::{
-    op, tag_response, untag, Frame, FrameReassembler, Request, Response, ServerLoad,
-    MAX_BATCH_CHUNK, MAX_BATCH_KEYS, MAX_CONN_INFLIGHT, PAYLOAD_ENCODING_FRAME, WIRE_VERSION,
+    Request, Response, ServerLoad, MAX_BATCH_CHUNK, MAX_BATCH_KEYS, MAX_CONN_INFLIGHT, WIRE_VERSION,
 };
 use crate::ContentHash;
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default listen address.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
@@ -74,36 +60,14 @@ pub struct ServerConfig {
 ///
 /// Transport-independent — [`ArtifactServer::handle`] maps one
 /// single-response request to its response and
-/// [`ArtifactServer::handle_batch`] maps a GETM to its chunk stream, so
-/// tests can drive both without sockets and [`serve`] wires them to a
-/// [`TcpListener`].
+/// [`ArtifactServer::stream_batch`] maps a GETM to its chunk stream, so
+/// tests can drive both without sockets and [`serve`] runs them on the
+/// event loop.
 #[derive(Debug)]
 pub struct ArtifactServer {
     tiers: Vec<Arc<dyn StoreTier>>,
     planner: Planner,
-    metrics: ServerMetrics,
-}
-
-/// Live gauges of the event loop, surfaced through [`Request::Stat2`]:
-/// open connections and exchanges accepted but not yet fully flushed back
-/// to their peers. Zero outside [`serve`] (e.g. when tests drive
-/// [`ArtifactServer::handle`] directly).
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    connections: AtomicU64,
-    inflight: AtomicU64,
-}
-
-impl ServerMetrics {
-    /// Connections currently open on the event loop.
-    pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Exchanges accepted but not yet fully flushed.
-    pub fn inflight(&self) -> u64 {
-        self.inflight.load(Ordering::Relaxed)
-    }
+    gauges: Gauges,
 }
 
 impl ArtifactServer {
@@ -117,7 +81,7 @@ impl ArtifactServer {
         ArtifactServer {
             tiers,
             planner: Planner::new(cfg.lease_timeout),
-            metrics: ServerMetrics::default(),
+            gauges: Gauges::default(),
         }
     }
 
@@ -127,18 +91,8 @@ impl ArtifactServer {
         ArtifactServer {
             tiers,
             planner: Planner::default(),
-            metrics: ServerMetrics::default(),
+            gauges: Gauges::default(),
         }
-    }
-
-    /// The fleet work queue.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    /// The event loop's live gauges.
-    pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
     }
 
     /// One tier-stack lookup with promotion into earlier (faster) tiers,
@@ -156,33 +110,16 @@ impl ArtifactServer {
         None
     }
 
-    /// Answers one single-response request ([`Request::GetBatch`] streams
-    /// instead — see [`ArtifactServer::handle_batch`]).
+    /// Answers one single-response request ([`Request::GetBatch2`] streams
+    /// instead — see [`ArtifactServer::stream_batch`]).
     pub fn handle(&self, req: Request) -> Response {
         match req {
-            // v1 GET: the tier holds a frame; the legacy client expects
-            // bare payload bytes, so decompress at the boundary. A frame
-            // that will not decompress reads as a miss.
-            Request::Get { ns, key } => match self
-                .lookup(&ns, key)
-                .and_then(|frame| compress::decompress(&frame))
-            {
-                Some(payload) => Response::Hit(payload),
+            Request::Get2 { ns, key } => match self.lookup(&ns, key) {
+                Some(frame) => Response::Hit(frame),
                 None => Response::Miss,
             },
-            Request::Get2 { ns, key, encoding } => {
-                if encoding != PAYLOAD_ENCODING_FRAME {
-                    // Unknown encoding: degrade to a miss — the client
-                    // recomputes, byte-identically.
-                    return Response::Miss;
-                }
-                match self.lookup(&ns, key) {
-                    Some(frame) => Response::Hit(frame),
-                    None => Response::Miss,
-                }
-            }
-            Request::GetBatch { .. } | Request::GetBatch2 { .. } => {
-                Response::Failed("GETM is a streaming request; use handle_batch".to_owned())
+            Request::GetBatch2 { .. } => {
+                Response::Failed("GETM is a streaming request; use stream_batch".to_owned())
             }
             Request::Lease { worker } => match self.planner.lease(&worker) {
                 LeaseGrant::Granted { design } => Response::Leased { design },
@@ -202,35 +139,16 @@ impl ArtifactServer {
                 Response::Done(Default::default())
             }
             Request::PlanStat => Response::PlanStats(self.planner.stats()),
-            // v1 PUT carries bare payload bytes; lift them into the frame
-            // space the tiers hold.
-            Request::Put { ns, key, payload } => {
-                let frame = compress::raw_frame(&payload);
+            Request::Put2 { ns, key, payload } => {
                 for tier in &self.tiers {
-                    tier.put_bytes(&ns, key, &frame);
+                    tier.put_bytes(&ns, key, &payload);
                 }
                 Response::Done(Default::default())
             }
-            Request::Put2 {
-                ns,
-                key,
-                encoding,
-                payload,
-            } => {
-                // An unknown encoding is acknowledged without storing — a
-                // lost write, never a corrupt entry.
-                if encoding == PAYLOAD_ENCODING_FRAME {
-                    for tier in &self.tiers {
-                        tier.put_bytes(&ns, key, &payload);
-                    }
-                }
-                Response::Done(Default::default())
-            }
-            Request::Stat => Response::Stats(self.tiers.iter().map(|t| t.stats()).collect()),
             Request::Stat2 => Response::ServerStats(ServerLoad {
                 tiers: self.tiers.iter().map(|t| t.stats()).collect(),
-                connections: self.metrics.connections(),
-                inflight: self.metrics.inflight(),
+                connections: self.gauges.connections(),
+                inflight: self.gauges.inflight(),
                 wire_version: WIRE_VERSION,
             }),
             Request::Gc { budget_bytes } => {
@@ -241,10 +159,8 @@ impl ArtifactServer {
                 Response::Done(report)
             }
             // Session verbs belong to the live annotation service. The
-            // artifact store refuses them on a live connection — the same
-            // `Failed` a pre-session server would produce for the unknown
-            // opcode — and the session client degrades to local
-            // annotation, byte-identically.
+            // artifact store refuses them on the live connection, and the
+            // session client degrades to local annotation, byte-identically.
             Request::Open { .. }
             | Request::Edit { .. }
             | Request::Annotate { .. }
@@ -254,33 +170,24 @@ impl ArtifactServer {
         }
     }
 
-    /// Answers a [`Request::GetBatch`] as a stream of
+    /// Answers a [`Request::GetBatch2`] as a stream of
     /// [`Response::BatchPart`] chunks, handing each chunk to `emit` as
     /// soon as it is full — the server never materializes more than one
     /// chunk (plus the payload being looked up), so a near-budget batch
-    /// costs ~[`MAX_BATCH_CHUNK`] of server memory, not the whole answer.
+    /// costs ~`chunk_bytes` of server memory, not the whole answer.
     ///
-    /// Two byte bounds apply: each part flushes around `chunk_bytes`, and
-    /// the *cumulative* frame-body bytes of the whole answer are capped at
-    /// [`MAX_CONN_INFLIGHT`] — hits past the cap degrade to misses (the
-    /// client recomputes them), so a batch of maximum-size payloads can
-    /// never balloon either side of the connection.
-    ///
-    /// With `frames` the hit payloads are emitted as the compress frames
-    /// the tiers hold (GETM2); without it each frame is decompressed at
-    /// the boundary for a legacy GETM client (an undecompressible frame
-    /// reads as a miss). The budget charges whatever actually travels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first `emit` failure (a dead peer stops the stream).
-    pub fn stream_batch<E>(
+    /// Two byte bounds apply: each part flushes around `chunk_bytes`
+    /// ([`MAX_BATCH_CHUNK`] in production), and the *cumulative* frame-body
+    /// bytes of the whole answer are capped at [`MAX_CONN_INFLIGHT`] — hits
+    /// past the cap degrade to misses (the client recomputes them), so a
+    /// batch of maximum-size payloads can never balloon either side of the
+    /// connection.
+    pub fn stream_batch(
         &self,
         items: &[(String, ContentHash)],
         chunk_bytes: u64,
-        frames: bool,
-        mut emit: impl FnMut(Response) -> Result<(), E>,
-    ) -> Result<(), E> {
+        mut emit: impl FnMut(Response),
+    ) {
         if items.len() > MAX_BATCH_KEYS {
             return emit(Response::Failed(format!(
                 "batch of {} keys exceeds the {MAX_BATCH_KEYS} cap",
@@ -303,12 +210,7 @@ impl ArtifactServer {
             // MAX_BATCH_KEYS items this charge alone can never exhaust
             // the budget.
             budget = budget.saturating_sub(ITEM_OVERHEAD);
-            let hit = match self.lookup(ns, *key) {
-                Some(frame) if frames => Some(frame),
-                Some(frame) => compress::decompress(&frame),
-                None => None,
-            };
-            let payload = match hit {
+            let payload = match self.lookup(ns, *key) {
                 Some(p) if (p.len() as u64) <= budget => {
                     budget -= p.len() as u64;
                     Some(p)
@@ -322,7 +224,7 @@ impl ArtifactServer {
                 emit(Response::BatchPart {
                     items: std::mem::take(&mut cur),
                     last: false,
-                })?;
+                });
                 cur_bytes = 0;
             }
             cur_bytes += len;
@@ -335,317 +237,55 @@ impl ArtifactServer {
     }
 
     /// Collecting form of [`ArtifactServer::stream_batch`] with the
-    /// production [`MAX_BATCH_CHUNK`] threshold and legacy (decompressed)
-    /// payloads — for tests and transports that want the parts as a `Vec`.
+    /// production [`MAX_BATCH_CHUNK`] threshold — for scripted servers and
+    /// tests that want the parts as a `Vec`.
     pub fn handle_batch(&self, items: &[(String, ContentHash)]) -> Vec<Response> {
-        self.handle_batch_chunked(items, MAX_BATCH_CHUNK)
-    }
-
-    /// [`ArtifactServer::handle_batch`] with an explicit chunk threshold.
-    pub fn handle_batch_chunked(
-        &self,
-        items: &[(String, ContentHash)],
-        chunk_bytes: u64,
-    ) -> Vec<Response> {
         let mut parts = Vec::new();
-        let _ = self.stream_batch(items, chunk_bytes, false, |part| {
-            parts.push(part);
-            Ok::<(), std::convert::Infallible>(())
-        });
+        self.stream_batch(items, MAX_BATCH_CHUNK, |part| parts.push(part));
         parts
     }
 }
 
-/// Per-connection idle timeout: a client that disappears without closing
-/// (sleep, network drop) releases its connection state and socket after
-/// this long instead of leaking them for the service's lifetime.
-pub const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+impl Handler for ArtifactServer {
+    type Conn = ();
+    const NAME: &'static str = "rtlt-stored";
 
-/// How long the event loop sleeps when a full tick made no progress —
-/// nothing accepted, read, written or parsed. Short enough that a lone
-/// serialized client pays sub-millisecond turnaround; long enough that an
-/// idle server burns no meaningful CPU.
-const POLL_INTERVAL: Duration = Duration::from_micros(200);
-
-/// Read scratch size per tick; bigger reads just take more ticks.
-const READ_CHUNK: usize = 64 << 10;
-
-/// One nonblocking connection on the event loop: an incremental frame
-/// reassembler on the read side, a flush-as-writable byte queue on the
-/// write side, and the bookkeeping that maps queued response bytes back
-/// to in-flight exchange counts.
-#[derive(Debug)]
-struct Conn {
-    stream: TcpStream,
-    peer: SocketAddr,
-    rx: FrameReassembler,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Total bytes flushed to the socket over the connection's lifetime.
-    flushed: u64,
-    /// Per accepted exchange: the absolute `flushed` offset at which its
-    /// response bytes end. Popped (and the in-flight gauge decremented)
-    /// as the write side advances past it.
-    pending: VecDeque<u64>,
-    last_activity: Instant,
-    /// The peer half-closed its read side; finish flushing, then drop.
-    read_closed: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, peer: SocketAddr) -> Conn {
-        Conn {
-            stream,
-            peer,
-            rx: FrameReassembler::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            flushed: 0,
-            pending: VecDeque::new(),
-            last_activity: Instant::now(),
-            read_closed: false,
-        }
+    fn gauges(&self) -> &Gauges {
+        &self.gauges
     }
 
-    /// Response bytes queued but not yet flushed.
-    fn backlog(&self) -> u64 {
-        (self.wbuf.len() - self.wpos) as u64
-    }
-
-    /// Queues one response frame, wrapping it in a tagged envelope when
-    /// the request arrived in one.
-    fn queue(&mut self, tag: Option<u64>, frame: &Frame) {
-        let bytes = match tag {
-            Some(t) => tag_response(t, frame).to_bytes(),
-            None => frame.to_bytes(),
-        };
-        self.wbuf.extend_from_slice(&bytes);
-    }
-
-    /// Parses and answers one request frame (tagged or bare), queuing the
-    /// response bytes. Never fails: malformed-but-framed requests are
-    /// answered as [`Response::Failed`] on the still-alive connection,
-    /// exactly as the blocking loop did.
-    fn respond(&mut self, server: &ArtifactServer, frame: Frame) {
-        server.metrics.inflight.fetch_add(1, Ordering::Relaxed);
-        let (tag, inner) = if frame.op == op::TAGGED {
-            match untag(&frame) {
-                Ok((t, f)) => (Some(t), f),
-                Err(e) => {
-                    // The envelope itself is malformed: no tag to echo, so
-                    // answer bare — the peer's demux treats an untagged
-                    // Failed as a protocol-level refusal.
-                    self.queue(None, &Response::Failed(e.to_string()).to_frame());
-                    self.settle();
-                    return;
-                }
+    /// Answers inline. A batch streams its parts under the request's tag,
+    /// so it can interleave with other in-flight exchanges.
+    fn request(&mut self, _: &mut (), tag: u64, req: Request, out: &mut Outbox) {
+        match req {
+            Request::GetBatch2 { items } => {
+                self.stream_batch(&items, MAX_BATCH_CHUNK, |part| out.send(tag, &part))
             }
-        } else {
-            (None, frame)
-        };
-        match Request::from_frame(&inner) {
-            // Batch answers stream in bounded chunks; under a tagged
-            // envelope every chunk carries the request's tag, so the
-            // stream can interleave with other in-flight exchanges.
-            Ok(Request::GetBatch { items }) => {
-                let _ = server.stream_batch(&items, MAX_BATCH_CHUNK, false, |part| {
-                    self.queue(tag, &part.to_frame());
-                    Ok::<(), std::convert::Infallible>(())
-                });
-            }
-            Ok(Request::GetBatch2 { items, encoding }) => {
-                if encoding == PAYLOAD_ENCODING_FRAME {
-                    let _ = server.stream_batch(&items, MAX_BATCH_CHUNK, true, |part| {
-                        self.queue(tag, &part.to_frame());
-                        Ok::<(), std::convert::Infallible>(())
-                    });
-                } else {
-                    // Unknown encoding: a well-formed all-miss stream —
-                    // the client recomputes everything.
-                    self.queue(
-                        tag,
-                        &Response::BatchPart {
-                            items: Vec::new(),
-                            last: true,
-                        }
-                        .to_frame(),
-                    );
-                }
-            }
-            Ok(req) => {
-                let resp = server.handle(req).to_frame();
-                self.queue(tag, &resp);
-            }
-            Err(e) => self.queue(tag, &Response::Failed(e.to_string()).to_frame()),
+            req => out.send(tag, &self.handle(req)),
         }
-        self.settle();
-    }
-
-    /// Records where the just-queued exchange's response bytes end.
-    fn settle(&mut self) {
-        self.pending.push_back(self.flushed + self.backlog());
-    }
-
-    /// Flushes queued bytes until the socket would block. Returns
-    /// `(alive, progressed)`.
-    fn flush(&mut self, server: &ArtifactServer) -> (bool, bool) {
-        let mut progressed = false;
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return (false, progressed),
-                Ok(n) => {
-                    self.wpos += n;
-                    self.flushed += n as u64;
-                    progressed = true;
-                    self.last_activity = Instant::now();
-                    while self.pending.front().is_some_and(|end| *end <= self.flushed) {
-                        self.pending.pop_front();
-                        server.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return (false, progressed),
-            }
-        }
-        if self.wpos == self.wbuf.len() && self.wpos > 0 {
-            self.wbuf.clear();
-            self.wpos = 0;
-        }
-        (true, progressed)
-    }
-
-    /// One scheduler tick: flush, read, parse, dispatch. Returns
-    /// `(alive, progressed)`.
-    fn tick(&mut self, server: &ArtifactServer, scratch: &mut [u8]) -> (bool, bool) {
-        let (alive, mut progressed) = self.flush(server);
-        if !alive {
-            return (false, progressed);
-        }
-        if self.read_closed {
-            // Half-closed peer: once the response backlog drains, the
-            // conversation is over.
-            return (self.backlog() > 0, progressed);
-        }
-        // Backpressure: a peer that stops reading while pumping requests
-        // cannot balloon the response backlog past the same cumulative
-        // bound the wire's FrameBudget enforces per exchange — the loop
-        // simply stops reading it until the backlog drains.
-        if self.backlog() <= MAX_CONN_INFLIGHT {
-            loop {
-                match self.stream.read(scratch) {
-                    Ok(0) => {
-                        self.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.rx.ingest(&scratch[..n]);
-                        self.last_activity = Instant::now();
-                        progressed = true;
-                        if self.backlog() + self.rx.buffered() as u64 > MAX_CONN_INFLIGHT {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return (false, progressed),
-                }
-            }
-        }
-        loop {
-            match self.rx.next_frame() {
-                Ok(Some(frame)) => {
-                    progressed = true;
-                    self.respond(server, frame);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // The stream can no longer be framed: drop the
-                    // connection, as the blocking loop did. The client
-                    // treats it as misses.
-                    eprintln!("[rtlt-stored] connection {}: {e}", self.peer);
-                    return (false, progressed);
-                }
-            }
-        }
-        if self.read_closed && self.backlog() == 0 {
-            return (false, progressed);
-        }
-        if self.last_activity.elapsed() > IDLE_TIMEOUT {
-            return (false, progressed);
-        }
-        (true, progressed)
     }
 }
 
-/// The event loop: serves `listener` forever on the calling thread —
-/// nonblocking accept plus per-connection readiness polling driven by
-/// `WouldBlock`. See the module docs for the architecture.
+/// Serves `listener` forever on the calling thread (see
+/// [`crate::event_loop`]).
 ///
 /// # Panics
 ///
-/// If the listener cannot be switched to nonblocking mode (a broken
-/// socket at startup — nothing can be served).
-pub fn serve(listener: TcpListener, server: Arc<ArtifactServer>) -> ! {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
-    loop {
-        let mut progressed = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    // Nagle would add a delay to every small planner RPC
-                    // (LEASE/REPORT) and every tagged ack; the protocol
-                    // writes whole frames, so there is nothing to coalesce.
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    server.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    conns.push(Conn::new(stream, peer));
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    eprintln!("[rtlt-stored] accept failed: {e}");
-                    break;
-                }
-            }
-        }
-        conns.retain_mut(|conn| {
-            let (alive, p) = conn.tick(&server, &mut scratch);
-            progressed |= p;
-            if !alive {
-                server.metrics.connections.fetch_sub(1, Ordering::Relaxed);
-                server
-                    .metrics
-                    .inflight
-                    .fetch_sub(conn.pending.len() as u64, Ordering::Relaxed);
-            }
-            alive
-        });
-        if !progressed {
-            std::thread::sleep(POLL_INTERVAL);
-        }
-    }
+/// If the listener cannot be switched to nonblocking mode.
+pub fn serve(listener: TcpListener, mut server: ArtifactServer) -> ! {
+    event_loop::run(listener, &mut server, &AtomicBool::new(false));
+    unreachable!("the loop only returns once its stop flag is set")
 }
 
 /// Binds `addr` and serves an [`ArtifactServer`] on a background thread —
-/// the in-process form the integration tests (and the bin) use. Returns
-/// the bound address (useful with port 0).
+/// the in-process form the integration tests use. Returns the bound
+/// address (useful with port 0).
 ///
 /// # Errors
 ///
 /// Propagates the bind failure.
 pub fn spawn(addr: &str, cfg: &ServerConfig) -> std::io::Result<std::net::SocketAddr> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let server = Arc::new(ArtifactServer::new(cfg));
-    std::thread::spawn(move || serve(listener, server));
-    Ok(bound)
+    event_loop::spawn(addr, ArtifactServer::new(cfg)).map(|handle| handle.addr)
 }
 
 #[cfg(test)]
@@ -661,30 +301,25 @@ mod tests {
     #[test]
     fn handle_round_trips_get_put_stat_gc() {
         let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(1)
-            }),
-            Response::Miss
-        );
-        let put = Request::Put {
+        let get = || Request::Get2 {
+            ns: "ns".into(),
+            key: key(1),
+        };
+        assert_eq!(server.handle(get()), Response::Miss);
+        let put = Request::Put2 {
             ns: "ns".into(),
             key: key(1),
             payload: vec![1, 2, 3],
         };
         assert!(matches!(server.handle(put), Response::Done(_)));
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(1)
-            }),
-            Response::Hit(vec![1, 2, 3])
-        );
-        match server.handle(Request::Stat) {
-            Response::Stats(tiers) => {
-                assert_eq!(tiers.len(), 1);
-                assert_eq!(tiers[0].entries, 1);
+        assert_eq!(server.handle(get()), Response::Hit(vec![1, 2, 3]));
+        match server.handle(Request::Stat2) {
+            Response::ServerStats(load) => {
+                assert_eq!(load.tiers.len(), 1);
+                assert_eq!(load.tiers[0].entries, 1);
+                assert_eq!(load.wire_version, WIRE_VERSION);
+                // Off the event loop there are no connections to count.
+                assert_eq!((load.connections, load.inflight), (0, 0));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -692,20 +327,14 @@ mod tests {
             Response::Done(r) => assert_eq!(r.evicted_files, 1),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(1)
-            }),
-            Response::Miss
-        );
+        assert_eq!(server.handle(get()), Response::Miss);
     }
 
     #[test]
     fn batched_get_streams_in_bounded_chunks() {
         let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
         for i in 0..4u64 {
-            server.handle(Request::Put {
+            server.handle(Request::Put2 {
                 ns: "ns".into(),
                 key: key(i),
                 payload: vec![i as u8; 100],
@@ -714,7 +343,8 @@ mod tests {
         let items: Vec<(String, ContentHash)> = (0..6u64).map(|i| ("ns".into(), key(i))).collect();
         // Chunk threshold of 150 bytes: 100-byte payloads flush after
         // every hit-pair boundary, so the stream has several parts.
-        let parts = server.handle_batch_chunked(&items, 150);
+        let mut parts = Vec::new();
+        server.stream_batch(&items, 150, |part| parts.push(part));
         assert!(parts.len() > 1, "chunked into {} part(s)", parts.len());
         let mut got: Vec<(u64, Option<Vec<u8>>)> = Vec::new();
         for (i, part) in parts.iter().enumerate() {
@@ -745,11 +375,10 @@ mod tests {
         ));
         // And GETM through the single-response path is a typed failure.
         assert!(matches!(
-            server.handle(Request::GetBatch { items }),
+            server.handle(Request::GetBatch2 { items }),
             Response::Failed(_)
         ));
     }
-
     #[test]
     fn planner_verbs_round_trip_through_handle() {
         let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
@@ -795,82 +424,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_ops_share_one_cache() {
-        let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
-        // A v2 PUT stores the frame; a legacy GET sees the decoded bytes.
-        let payload: Vec<u8> = (0..200u16).map(|i| (i / 8) as u8).collect();
-        server.handle(Request::Put2 {
-            ns: "ns".into(),
-            key: key(1),
-            encoding: PAYLOAD_ENCODING_FRAME,
-            payload: compress::compress(&payload),
-        });
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(1)
-            }),
-            Response::Hit(payload.clone())
-        );
-        // A legacy PUT is lifted into a raw frame; a v2 GET sees a frame
-        // that decodes to the same bytes.
-        server.handle(Request::Put {
-            ns: "ns".into(),
-            key: key(2),
-            payload: payload.clone(),
-        });
-        match server.handle(Request::Get2 {
-            ns: "ns".into(),
-            key: key(2),
-            encoding: PAYLOAD_ENCODING_FRAME,
-        }) {
-            Response::Hit(frame) => {
-                assert_eq!(compress::decompress(&frame).as_deref(), Some(&payload[..]));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Unknown encodings degrade: GET2 to a miss, PUT2 to a lost write.
-        assert_eq!(
-            server.handle(Request::Get2 {
-                ns: "ns".into(),
-                key: key(1),
-                encoding: 42,
-            }),
-            Response::Miss
-        );
-        assert!(matches!(
-            server.handle(Request::Put2 {
-                ns: "ns".into(),
-                key: key(3),
-                encoding: 42,
-                payload: compress::raw_frame(&payload),
-            }),
-            Response::Done(_)
-        ));
-        assert_eq!(
-            server.handle(Request::Get {
-                ns: "ns".into(),
-                key: key(3)
-            }),
-            Response::Miss,
-            "unknown-encoding writes are discarded, not stored as garbage"
-        );
-    }
-
-    #[test]
     fn disk_hits_promote_into_the_mem_tier() {
         let scratch = std::env::temp_dir().join(format!("rtlt-stored-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&scratch);
         let mem = Arc::new(MemTier::new(1 << 20));
         let disk = Arc::new(DiskTier::new(&scratch));
-        disk.put_bytes("ns", key(2), &compress::raw_frame(&[7; 10]));
+        let frame = crate::compress::raw_frame(&[7; 10]);
+        disk.put_bytes("ns", key(2), &frame);
         let server = ArtifactServer::with_tiers(vec![mem.clone(), disk]);
         assert_eq!(
-            server.handle(Request::Get {
+            server.handle(Request::Get2 {
                 ns: "ns".into(),
                 key: key(2)
             }),
-            Response::Hit(vec![7; 10])
+            Response::Hit(frame)
         );
         assert_eq!(mem.stats().entries, 1, "promoted");
         let _ = std::fs::remove_dir_all(&scratch);

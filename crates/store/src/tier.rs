@@ -17,9 +17,8 @@
 //! Tier failures are never errors: a tier that cannot serve a key reports a
 //! miss ([`TierLookup::Miss`]) and the computation simply runs.
 
-use crate::codec::FORMAT_VERSION;
 use crate::compress;
-use crate::entry::{decode_entry_versioned, encode_entry};
+use crate::entry::{decode_entry, encode_entry};
 use crate::hash::ContentHash;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
@@ -593,16 +592,12 @@ impl DiskTier {
                     let Ok(bytes) = std::fs::read(f.path()) else {
                         continue;
                     };
-                    let Some((version, payload)) = decode_entry_versioned(&bytes) else {
+                    let Some(payload) = decode_entry(&bytes) else {
                         continue;
                     };
                     files += 1;
                     stored += bytes.len() as u64;
-                    decoded += if version == FORMAT_VERSION {
-                        compress::decoded_len(payload).unwrap_or(payload.len() as u64)
-                    } else {
-                        payload.len() as u64
-                    };
+                    decoded += compress::decoded_len(payload).unwrap_or(payload.len() as u64);
                 }
             }
             out.push((name, files, stored, decoded));
@@ -646,7 +641,7 @@ impl DiskTier {
                     report.invalid_entries += 1;
                     continue;
                 };
-                if decode_entry_versioned(&bytes).is_none() {
+                if decode_entry(&bytes).is_none() {
                     report.invalid_entries += 1;
                     continue;
                 }
@@ -670,8 +665,8 @@ impl StoreTier for DiskTier {
         let Ok(bytes) = std::fs::read(&path) else {
             return TierLookup::Miss;
         };
-        match decode_entry_versioned(&bytes) {
-            Some((version, payload)) => {
+        match decode_entry(&bytes) {
+            Some(payload) => {
                 // Touch the entry so gc's LRU-by-mtime order reflects
                 // access recency, not just write time.
                 let _ = std::fs::File::options()
@@ -682,15 +677,7 @@ impl StoreTier for DiskTier {
                             std::fs::FileTimes::new().set_modified(std::time::SystemTime::now()),
                         )
                     });
-                if version == FORMAT_VERSION {
-                    TierLookup::Hit(payload.to_vec())
-                } else {
-                    // A pre-compression (v2) entry carries bare codec bytes;
-                    // lift them into the frame space so every tier read
-                    // yields a compress frame. The file itself stays v2 on
-                    // disk until something rewrites the slot.
-                    TierLookup::Hit(compress::raw_frame(payload))
-                }
+                TierLookup::Hit(payload.to_vec())
             }
             None => {
                 // Corrupted/truncated/stale entry: drop it so the slot is
@@ -861,39 +848,21 @@ mod tests {
     }
 
     #[test]
-    fn disk_tier_reads_v2_entries_as_raw_frames() {
-        let dir = std::env::temp_dir().join(format!("rtlt-tier-v2-{}", std::process::id()));
+    fn disk_usage_tells_stored_from_decoded_bytes() {
+        let dir = std::env::temp_dir().join(format!("rtlt-tier-usage-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tier = DiskTier::new(&dir);
 
-        // Hand-write a v2 entry, as a pre-compression build would have.
-        let payload = b"bare v2 codec bytes".to_vec();
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&crate::entry::ENTRY_MAGIC);
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v2.extend_from_slice(&payload);
-        v2.extend_from_slice(&crate::entry::fnv1a(&payload).to_le_bytes());
-        std::fs::create_dir_all(dir.join("ns")).expect("ns dir");
-        std::fs::write(dir.join("ns").join(format!("{}.bin", key(1).to_hex())), &v2)
-            .expect("write v2 entry");
-
-        // The read lifts the bare payload into a raw compress frame.
-        assert_eq!(
-            tier.get_bytes("ns", key(1)),
-            TierLookup::Hit(compress::raw_frame(&payload))
-        );
-
-        // A current-version frame round-trips verbatim, and the decoded
-        // usage report tells stored from decoded bytes for both versions.
+        // A frame round-trips verbatim, and the decoded usage report tells
+        // stored from decoded bytes.
         let frame = compress::compress(&vec![7u8; 4096]);
         tier.put_bytes("ns", key(2), &frame);
         assert_eq!(tier.get_bytes("ns", key(2)), TierLookup::Hit(frame));
         let usage = tier.usage_decoded();
         assert_eq!(usage.len(), 1);
         let (ns, files, stored, decoded) = &usage[0];
-        assert_eq!((ns.as_str(), *files), ("ns", 2));
-        assert_eq!(*decoded, payload.len() as u64 + 4096);
+        assert_eq!((ns.as_str(), *files), ("ns", 1));
+        assert_eq!(*decoded, 4096);
         assert!(
             *stored < *decoded,
             "compressible entry should shrink: stored {stored} decoded {decoded}"

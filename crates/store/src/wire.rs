@@ -1,28 +1,14 @@
-//! Wire protocol of the `rtlt-stored` artifact service.
+//! Wire protocol of the `rtlt-stored` artifact service and the
+//! `rtlt-annotated` session service.
 //!
 //! Length-prefixed binary frames over TCP, reusing the [`Enc`]/[`Dec`]
-//! codec for frame bodies and stamping every frame with the
-//! [`FRAME_VERSION`] — a client and server of different *frame* layouts
-//! refuse each other's frames, which the client maps to "miss, recompute"
-//! (never an error). The frame version is deliberately decoupled both from
-//! the on-disk [`FORMAT_VERSION`] and from the protocol generation
-//! [`WIRE_VERSION`]: neither the disk format moving to compressed payloads
-//! (generation 2) nor tagged multiplexed framing (generation 3) changed
-//! the byte layout of a frame, so old and new nodes keep exchanging
-//! frames and negotiate *capabilities* per opcode instead. A peer that
-//! does not know an opcode answers [`Response::Failed`] on the still-alive
-//! connection, which the client takes as "older peer — fall back":
-//!
-//! * generation 2 — [`Request::Get2`]/[`Request::Put2`]/
-//!   [`Request::GetBatch2`] carry an encoding tag
-//!   ([`PAYLOAD_ENCODING_FRAME`] = compress frames); refused, the client
-//!   falls back to the v1 ops with bare payloads.
-//! * generation 3 — [`op::TAGGED`] envelopes prefix a request id to any
-//!   inner op (see [`tag_request`]/[`untag`]), so one connection carries
-//!   many in-flight exchanges and responses are matched by tag, not by
-//!   order; refused, the client falls back to serialized one-at-a-time
-//!   exchanges. [`Request::Stat2`] additionally reports live server load
-//!   ([`Response::ServerStats`]).
+//! codec for frame bodies and stamping every frame with the pinned
+//! [`FRAME_VERSION`]. Every exchange travels in a tagged envelope: a
+//! request is an [`op::TAGGED`] frame wrapping the inner request, and each
+//! response frame is an [`op::TAGGED_RESP`] frame carrying the same tag
+//! (see [`tag_request`]/[`untag`]). One connection therefore carries many
+//! in-flight exchanges, and responses are matched by tag, not by order.
+//! Payloads are always [`crate::compress`] frames, moved opaquely.
 //!
 //! ```text
 //! frame := magic "RTLW" (4) | version u32 | op u8 | body_len u64
@@ -30,21 +16,24 @@
 //! tagged body := tag u64 | inner op u8 | inner body
 //! ```
 //!
-//! Requests: [`Request::Get`], [`Request::Put`], [`Request::GetBatch`],
-//! [`Request::Stat`], [`Request::Gc`], plus the shard-planner verbs
-//! [`Request::Lease`], [`Request::Report`], [`Request::Plan`] and
-//! [`Request::PlanStat`]. Responses: [`Response::Hit`], [`Response::Miss`],
-//! [`Response::BatchPart`], [`Response::Done`], [`Response::Stats`],
-//! [`Response::ServerStats`], [`Response::Leased`], [`Response::Drained`],
-//! [`Response::PlanStats`], [`Response::Failed`].
+//! Refusal rule for future verbs: a peer answers a bare (untagged) frame,
+//! a retired inner opcode or an unknown one with [`Response::Failed`] on
+//! the still-alive connection — bare for a bare frame, under the request's
+//! tag otherwise. A client reads that as "this peer does not serve the
+//! verb" and degrades (recompute, or annotate locally); nothing else is
+//! negotiated, and the frame header never moves.
 //!
-//! One request maps to one response *frame* — except [`Request::GetBatch`],
+//! Requests: [`Request::Get2`], [`Request::Put2`], [`Request::GetBatch2`],
+//! [`Request::Stat2`], [`Request::Gc`], the shard-planner verbs
+//! [`Request::Lease`], [`Request::Report`], [`Request::Plan`] and
+//! [`Request::PlanStat`], and the session verbs [`Request::Open`],
+//! [`Request::Edit`], [`Request::Annotate`] and [`Request::Close`].
+//!
+//! One request maps to one response frame — except [`Request::GetBatch2`],
 //! which the server answers with a short stream of [`Response::BatchPart`]
-//! frames (bounded chunks, the final one flagged `last`), so a whole
-//! prepare-key set pipelines through one round trip without ever
-//! materializing an unbounded response body. Under a tagged envelope every
-//! part of the stream carries the request's tag, so a batch can interleave
-//! with other in-flight exchanges.
+//! frames (bounded chunks, the final one flagged `last`, every one under
+//! the request's tag), so a whole prepare-key set pipelines through one
+//! round trip without ever materializing an unbounded response body.
 //!
 //! Every defense the on-disk entry format has, the wire has too: bad
 //! magic, version mismatch, oversized length headers (bounded by
@@ -66,43 +55,32 @@ use std::io::{Read, Write};
 /// magic so a file can never be replayed as a frame by accident).
 pub const WIRE_MAGIC: [u8; 4] = *b"RTLW";
 
-/// Frame-header version stamped into every frame. Historically this was
-/// the on-disk `FORMAT_VERSION`; it is pinned at 2 (the value both sides
-/// stamped before the two diverged) so that protocol growth does not
-/// sever the wire — capability negotiation happens per opcode, not per
-/// frame header. Bumping this severs every older peer at the frame level
-/// (they error without answering), so it only moves when the frame *byte
-/// layout* changes.
+/// Frame-header version stamped into every frame. Pinned at 2: the
+/// header layout has not changed since, and bumping it would sever every
+/// peer at the frame level (they error without answering) instead of
+/// letting them refuse unknown verbs with `Failed`. It only moves when
+/// the frame *byte layout* changes.
 pub const FRAME_VERSION: u32 = 2;
 
-/// Protocol generation of this build: 1 = bare-payload ops, 2 =
-/// encoding-tagged data ops (`GET2`/`PUT2`/`GETM2`), 3 = tagged
-/// multiplexed framing ([`op::TAGGED`]) and server-load stats
-/// ([`Request::Stat2`]). Purely informational — generations are
-/// negotiated per opcode (see the module docs), never stamped into frame
-/// headers (that stays [`FRAME_VERSION`]).
-pub const WIRE_VERSION: u32 = 3;
-
-/// Payload-encoding tag of the v2 data opcodes: the payload bytes are a
-/// [`crate::compress`] frame (mode-tagged, possibly compressed). A server
-/// receiving an unknown tag answers [`Response::Miss`] (GET) or discards
-/// the write (PUT) — unknown encodings degrade to miss→recompute, never
-/// to garbage.
-pub const PAYLOAD_ENCODING_FRAME: u8 = 1;
+/// Protocol generation of this build, reported in [`ServerLoad`]. Purely
+/// informational — never stamped into frame headers. Generation 4 is the
+/// single always-tagged protocol; the bare and encoding-tagged opcodes of
+/// generations 1–3 are retired and refused.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Upper bound on one frame's body, enforced before allocating: a corrupt
 /// or hostile length header degrades to a protocol error, not an OOM.
 pub const MAX_FRAME_BODY: u64 = 1 << 30;
 
-/// Cumulative in-flight byte budget of one connection. The protocol is
-/// strictly request → response, so at most one exchange is in flight per
-/// connection at a time; this bounds the *sum* of frame bodies across a
-/// multi-frame exchange (a [`Request::GetBatch`] response stream), where
-/// the per-frame [`MAX_FRAME_BODY`] cap alone would still let a batch of
-/// maximum-size frames balloon unboundedly.
+/// Cumulative in-flight byte budget of one connection: bounds the *sum*
+/// of frame bodies a reader accepts for one exchange (a
+/// [`Request::GetBatch2`] response stream), where the per-frame
+/// [`MAX_FRAME_BODY`] cap alone would still let a batch of maximum-size
+/// frames balloon unboundedly. The event loop also stops reading a
+/// connection whose unflushed replies exceed it.
 pub const MAX_CONN_INFLIGHT: u64 = 1 << 30;
 
-/// Upper bound on the number of keys in one [`Request::GetBatch`].
+/// Upper bound on the number of keys in one [`Request::GetBatch2`].
 pub const MAX_BATCH_KEYS: usize = 4096;
 
 /// Soft flush threshold of one [`Response::BatchPart`]: the server packs
@@ -120,18 +98,12 @@ pub const MAX_EDIT_SPLICES: usize = 4096;
 /// Fixed frame header size: magic + version + op + body length.
 pub const FRAME_HEADER: usize = 4 + 4 + 1 + 8;
 
-/// Request opcodes.
+/// Opcodes. Request opcodes 1, 2, 3 and 5 and response opcode 0x84
+/// belonged to retired generations; they stay unassigned and are refused
+/// like any unknown opcode.
 pub mod op {
-    /// Fetch a payload.
-    pub const GET: u8 = 1;
-    /// Store a payload.
-    pub const PUT: u8 = 2;
-    /// Size snapshot of the server's tiers.
-    pub const STAT: u8 = 3;
     /// Evict the server's tiers down to a budget.
     pub const GC: u8 = 4;
-    /// Fetch a batch of payloads in one round trip.
-    pub const GETM: u8 = 5;
     /// Lease one design name from the server-held work queue.
     pub const LEASE: u8 = 6;
     /// Report a leased design prepared (or refused).
@@ -140,29 +112,23 @@ pub mod op {
     pub const PLAN: u8 = 8;
     /// Snapshot of the shard planner's counters.
     pub const PLANSTAT: u8 = 9;
-    /// Fetch a payload in a tagged encoding (compress frames). Legacy
-    /// servers answer `FAILED` ("request opcode"), which the client takes
-    /// as its cue to fall back to [`GET`].
+    /// Fetch a payload (a compress frame).
     pub const GET2: u8 = 10;
-    /// Store a payload in a tagged encoding.
+    /// Store a payload (a compress frame).
     pub const PUT2: u8 = 11;
-    /// Batched fetch in a tagged encoding.
+    /// Fetch a batch of payloads in one round trip.
     pub const GETM2: u8 = 12;
-    /// Multiplexing envelope: `tag u64 | inner op u8 | inner body`. The
-    /// response(s) to the inner request come back wrapped in
+    /// Envelope of every request: `tag u64 | inner op u8 | inner body`.
+    /// The response(s) to the inner request come back wrapped in
     /// [`TAGGED_RESP`] envelopes carrying the same tag, so one connection
-    /// holds many exchanges in flight at once. Servers older than
-    /// generation 3 answer `FAILED` ("request opcode"), which the client
-    /// takes as its cue to serialize exchanges instead.
+    /// holds many exchanges in flight at once.
     pub const TAGGED: u8 = 13;
-    /// Live server-load snapshot: tier stats plus connection and
-    /// in-flight exchange gauges ([`super::Response::ServerStats`]).
+    /// Server-load snapshot: tier stats plus connection and in-flight
+    /// exchange gauges ([`super::Response::ServerStats`]).
     pub const STAT2: u8 = 14;
-    /// Open a live annotation session on a design the service knows.
-    /// Artifact-store servers (and any pre-session peer) answer `FAILED`
-    /// ("request opcode"), which the session client takes as its cue to
-    /// annotate locally — per-opcode capability negotiation, no header
-    /// bump, exactly like [`GET2`]/[`STAT2`].
+    /// Open a live annotation session on a design the service knows. An
+    /// artifact store answers `FAILED`, which the session client takes as
+    /// its cue to annotate locally.
     pub const OPEN: u8 = 15;
     /// Apply a line-splice diff to an open session's source mirror.
     pub const EDIT: u8 = 16;
@@ -177,8 +143,6 @@ pub mod op {
     pub const MISS: u8 = 0x82;
     /// Response: write/gc acknowledged.
     pub const DONE: u8 = 0x83;
-    /// Response: tier stats attached.
-    pub const STATS: u8 = 0x84;
     /// Response: one chunk of a batched fetch.
     pub const BATCH: u8 = 0x85;
     /// Response: a design lease was granted.
@@ -335,9 +299,7 @@ impl Frame {
     /// Any [`WireError`]; truncation surfaces as
     /// [`WireError::Io`]`(UnexpectedEof)`.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-        let mut header = [0u8; FRAME_HEADER];
-        r.read_exact(&mut header)?;
-        Self::parse_after_header(&header, r, None)
+        Self::read_budgeted(r, &mut FrameBudget::new(u64::MAX))
     }
 
     /// Like [`Frame::read_from`], but charges the body length against the
@@ -349,73 +311,10 @@ impl Frame {
     pub fn read_budgeted<R: Read>(r: &mut R, budget: &mut FrameBudget) -> Result<Frame, WireError> {
         let mut header = [0u8; FRAME_HEADER];
         r.read_exact(&mut header)?;
-        Self::parse_after_header(&header, r, Some(budget))
-    }
-
-    /// Like [`Frame::read_from`], but a connection closed *before any
-    /// header byte* reads as `Ok(None)` — the server's idle-connection
-    /// exit, distinct from a truncated frame.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Frame::read_from`].
-    pub fn read_opt<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
-        Self::read_opt_budgeted_impl(r, None)
-    }
-
-    /// [`Frame::read_opt`] charging the connection's cumulative
-    /// [`FrameBudget`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Frame::read_opt`], plus [`WireError::BudgetExceeded`].
-    pub fn read_opt_budgeted<R: Read>(
-        r: &mut R,
-        budget: &mut FrameBudget,
-    ) -> Result<Option<Frame>, WireError> {
-        Self::read_opt_budgeted_impl(r, Some(budget))
-    }
-
-    fn read_opt_budgeted_impl<R: Read>(
-        r: &mut R,
-        budget: Option<&mut FrameBudget>,
-    ) -> Result<Option<Frame>, WireError> {
-        let mut first = [0u8; 1];
-        match r.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {}
-            Err(e) => return Err(e.into()),
-        }
-        let mut rest = [0u8; FRAME_HEADER - 1];
-        r.read_exact(&mut rest)?;
-        let mut header = [0u8; FRAME_HEADER];
-        header[0] = first[0];
-        header[1..].copy_from_slice(&rest);
-        Self::parse_after_header(&header, r, budget).map(Some)
-    }
-
-    fn parse_after_header<R: Read>(
-        header: &[u8; FRAME_HEADER],
-        r: &mut R,
-        budget: Option<&mut FrameBudget>,
-    ) -> Result<Frame, WireError> {
-        if header[..4] != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != FRAME_VERSION {
-            return Err(WireError::Version(version));
-        }
-        let op = header[8];
-        let len = u64::from_le_bytes(header[9..17].try_into().expect("8 bytes"));
-        if len > MAX_FRAME_BODY {
-            return Err(WireError::Oversized(len));
-        }
-        if let Some(budget) = budget {
-            // Charged before the allocation below, for the same reason the
-            // per-frame cap is: the budget defends the reader's memory.
-            budget.charge(len)?;
-        }
+        let (op, len) = parse_header(&header)?;
+        // Charged before the allocation below, for the same reason the
+        // per-frame cap is: the budget defends the reader's memory.
+        budget.charge(len)?;
         let mut body = vec![0u8; len as usize];
         r.read_exact(&mut body)?;
         let mut trailer = [0u8; 8];
@@ -427,7 +326,25 @@ impl Frame {
     }
 }
 
-/// Wraps a request frame in a generation-3 multiplexing envelope: the
+/// Validates a frame header — magic, version, and the length bound, before
+/// any body is allocated or buffered — and returns its opcode and body
+/// length.
+fn parse_header(header: &[u8]) -> Result<(u8, u64), WireError> {
+    if header[..4] != WIRE_MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    if version != FRAME_VERSION {
+        return Err(WireError::Version(version));
+    }
+    let len = u64::from_le_bytes(header[9..17].try_into().expect("8 bytes"));
+    if len > MAX_FRAME_BODY {
+        return Err(WireError::Oversized(len));
+    }
+    Ok((header[8], len))
+}
+
+/// Wraps a request frame in the multiplexing envelope: the
 /// returned [`op::TAGGED`] frame carries `tag`, the inner opcode and the
 /// inner body. The server answers with one or more [`op::TAGGED_RESP`]
 /// frames carrying the same tag.
@@ -528,18 +445,7 @@ impl FrameReassembler {
         // Validate the header before waiting for (or buffering) a body:
         // a corrupt length field must fail now, not after a gigabyte of
         // "body" accumulates.
-        if avail[..4] != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes"));
-        if version != FRAME_VERSION {
-            return Err(WireError::Version(version));
-        }
-        let op = avail[8];
-        let len = u64::from_le_bytes(avail[9..17].try_into().expect("8 bytes"));
-        if len > MAX_FRAME_BODY {
-            return Err(WireError::Oversized(len));
-        }
+        let (op, len) = parse_header(&avail[..FRAME_HEADER])?;
         let total = FRAME_HEADER + len as usize + 8;
         if avail.len() < total {
             return Ok(None);
@@ -573,9 +479,9 @@ fn dec_payload(d: &mut Dec<'_>) -> Result<Vec<u8>, WireError> {
         .to_vec())
 }
 
-/// Live load snapshot of an `rtlt-stored` server, answered to
-/// [`Request::Stat2`]: the tier sizes the plain STAT reports, plus the
-/// event loop's connection and in-flight gauges.
+/// Load snapshot of an `rtlt-stored` server, answered to
+/// [`Request::Stat2`]: its tier sizes plus the event loop's connection and
+/// in-flight gauges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerLoad {
     /// Size snapshots of the server's tiers, in fallback order.
@@ -625,33 +531,8 @@ pub struct AnnotationReply {
 /// A client→server request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Fetch the payload under `(ns, key)`.
-    Get {
-        /// Stage namespace.
-        ns: String,
-        /// Content key.
-        key: ContentHash,
-    },
-    /// Store `payload` under `(ns, key)`.
-    Put {
-        /// Stage namespace.
-        ns: String,
-        /// Content key.
-        key: ContentHash,
-        /// Artifact payload bytes.
-        payload: Vec<u8>,
-    },
-    /// Fetch the payloads under a whole `(ns, key)` set in one round trip.
-    /// Answered by a stream of [`Response::BatchPart`] frames.
-    GetBatch {
-        /// `(namespace, key)` pairs, at most [`MAX_BATCH_KEYS`].
-        items: Vec<(String, ContentHash)>,
-    },
-    /// Size snapshot of the server's tiers.
-    Stat,
-    /// Live load snapshot ([`ServerLoad`]): tier sizes plus connection and
-    /// in-flight gauges. Servers older than generation 3 answer `Failed`;
-    /// the client reads that as "no load data", never as an error.
+    /// Server-load snapshot ([`ServerLoad`]): tier sizes plus connection
+    /// and in-flight gauges.
     Stat2,
     /// Evict the server's tiers down to `budget_bytes`.
     Gc {
@@ -691,39 +572,27 @@ pub enum Request {
     },
     /// Snapshot of the shard planner's counters.
     PlanStat,
-    /// Fetch the payload under `(ns, key)` in the tagged encoding. The
-    /// response's `Hit` payload is encoded per `encoding` (only
-    /// [`PAYLOAD_ENCODING_FRAME`] exists today); a server that does not
-    /// recognize `encoding` answers `Miss`.
+    /// Fetch the compress frame under `(ns, key)`.
     Get2 {
         /// Stage namespace.
         ns: String,
         /// Content key.
         key: ContentHash,
-        /// Payload encoding tag ([`PAYLOAD_ENCODING_FRAME`]).
-        encoding: u8,
     },
-    /// Store `payload` (encoded per `encoding`) under `(ns, key)`. A
-    /// server that does not recognize `encoding` acknowledges without
-    /// storing — a lost write, never a corrupt one.
+    /// Store the compress frame `payload` under `(ns, key)`.
     Put2 {
         /// Stage namespace.
         ns: String,
         /// Content key.
         key: ContentHash,
-        /// Payload encoding tag ([`PAYLOAD_ENCODING_FRAME`]).
-        encoding: u8,
-        /// Payload bytes in the tagged encoding.
+        /// Payload bytes (a compress frame).
         payload: Vec<u8>,
     },
-    /// Batched fetch with every hit payload in the tagged encoding.
-    /// Answered by a stream of [`Response::BatchPart`] frames, like
-    /// [`Request::GetBatch`].
+    /// Fetch the compress frames under a whole `(ns, key)` set in one
+    /// round trip. Answered by a stream of [`Response::BatchPart`] frames.
     GetBatch2 {
         /// `(namespace, key)` pairs, at most [`MAX_BATCH_KEYS`].
         items: Vec<(String, ContentHash)>,
-        /// Payload encoding tag ([`PAYLOAD_ENCODING_FRAME`]).
-        encoding: u8,
     },
     /// Open a live annotation session on `design`. The service must
     /// already hold a prepared base for the design; `source` seeds the
@@ -768,26 +637,6 @@ impl Request {
     pub fn to_frame(&self) -> Frame {
         let mut e = Enc::new();
         let op = match self {
-            Request::Get { ns, key } => {
-                e.str(ns);
-                key.encode(&mut e);
-                op::GET
-            }
-            Request::Put { ns, key, payload } => {
-                e.str(ns);
-                key.encode(&mut e);
-                enc_payload(&mut e, payload);
-                op::PUT
-            }
-            Request::GetBatch { items } => {
-                e.seq_len(items.len());
-                for (ns, key) in items {
-                    e.str(ns);
-                    key.encode(&mut e);
-                }
-                op::GETM
-            }
-            Request::Stat => op::STAT,
             Request::Stat2 => op::STAT2,
             Request::Gc { budget_bytes } => {
                 e.u64(*budget_bytes);
@@ -819,26 +668,18 @@ impl Request {
                 op::PLAN
             }
             Request::PlanStat => op::PLANSTAT,
-            Request::Get2 { ns, key, encoding } => {
+            Request::Get2 { ns, key } => {
                 e.str(ns);
                 key.encode(&mut e);
-                e.u8(*encoding);
                 op::GET2
             }
-            Request::Put2 {
-                ns,
-                key,
-                encoding,
-                payload,
-            } => {
+            Request::Put2 { ns, key, payload } => {
                 e.str(ns);
                 key.encode(&mut e);
-                e.u8(*encoding);
                 enc_payload(&mut e, payload);
                 op::PUT2
             }
-            Request::GetBatch2 { items, encoding } => {
-                e.u8(*encoding);
+            Request::GetBatch2 { items } => {
                 e.seq_len(items.len());
                 for (ns, key) in items {
                     e.str(ns);
@@ -890,32 +731,6 @@ impl Request {
     pub fn from_frame(frame: &Frame) -> Result<Request, WireError> {
         let mut d = Dec::new(&frame.body);
         let req = match frame.op {
-            op::GET => Request::Get {
-                ns: d.str().map_err(|_| WireError::Malformed("get ns"))?,
-                key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("get key"))?,
-            },
-            op::PUT => Request::Put {
-                ns: d.str().map_err(|_| WireError::Malformed("put ns"))?,
-                key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("put key"))?,
-                payload: dec_payload(&mut d)?,
-            },
-            op::GETM => {
-                let n = d
-                    .seq_len(1 + 32)
-                    .map_err(|_| WireError::Malformed("batch len"))?;
-                if n > MAX_BATCH_KEYS {
-                    return Err(WireError::Malformed("batch key count"));
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let ns = d.str().map_err(|_| WireError::Malformed("batch ns"))?;
-                    let key = ContentHash::decode(&mut d)
-                        .map_err(|_| WireError::Malformed("batch key"))?;
-                    items.push((ns, key));
-                }
-                Request::GetBatch { items }
-            }
-            op::STAT => Request::Stat,
             op::STAT2 => Request::Stat2,
             op::GC => Request::Gc {
                 budget_bytes: d.u64().map_err(|_| WireError::Malformed("gc budget"))?,
@@ -946,34 +761,29 @@ impl Request {
             }
             op::PLANSTAT => Request::PlanStat,
             op::GET2 => Request::Get2 {
-                ns: d.str().map_err(|_| WireError::Malformed("get2 ns"))?,
-                key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("get2 key"))?,
-                encoding: d.u8().map_err(|_| WireError::Malformed("get2 encoding"))?,
+                ns: d.str().map_err(|_| WireError::Malformed("get ns"))?,
+                key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("get key"))?,
             },
             op::PUT2 => Request::Put2 {
-                ns: d.str().map_err(|_| WireError::Malformed("put2 ns"))?,
-                key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("put2 key"))?,
-                encoding: d.u8().map_err(|_| WireError::Malformed("put2 encoding"))?,
+                ns: d.str().map_err(|_| WireError::Malformed("put ns"))?,
+                key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("put key"))?,
                 payload: dec_payload(&mut d)?,
             },
             op::GETM2 => {
-                let encoding = d
-                    .u8()
-                    .map_err(|_| WireError::Malformed("batch2 encoding"))?;
                 let n = d
                     .seq_len(1 + 32)
-                    .map_err(|_| WireError::Malformed("batch2 len"))?;
+                    .map_err(|_| WireError::Malformed("batch len"))?;
                 if n > MAX_BATCH_KEYS {
                     return Err(WireError::Malformed("batch key count"));
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let ns = d.str().map_err(|_| WireError::Malformed("batch2 ns"))?;
+                    let ns = d.str().map_err(|_| WireError::Malformed("batch ns"))?;
                     let key = ContentHash::decode(&mut d)
-                        .map_err(|_| WireError::Malformed("batch2 key"))?;
+                        .map_err(|_| WireError::Malformed("batch key"))?;
                     items.push((ns, key));
                 }
-                Request::GetBatch2 { items, encoding }
+                Request::GetBatch2 { items }
             }
             op::OPEN => Request::Open {
                 design: d.str().map_err(|_| WireError::Malformed("open design"))?,
@@ -1025,7 +835,7 @@ pub enum Response {
     Hit(Vec<u8>),
     /// The key was not held.
     Miss,
-    /// One chunk of a [`Request::GetBatch`] answer: `(index, payload)`
+    /// One chunk of a [`Request::GetBatch2`] answer: `(index, payload)`
     /// pairs by request position (`None` = that key missed). The final
     /// chunk of the stream is flagged `last`.
     BatchPart {
@@ -1036,9 +846,7 @@ pub enum Response {
     },
     /// Write/gc acknowledged; gc responses carry the eviction report.
     Done(GcReport),
-    /// Tier size snapshot.
-    Stats(Vec<TierStats>),
-    /// Live server-load snapshot ([`Request::Stat2`]).
+    /// Server-load snapshot ([`Request::Stat2`]).
     ServerStats(ServerLoad),
     /// A design lease was granted.
     Leased {
@@ -1068,7 +876,8 @@ pub enum Response {
     },
     /// The annotated source for a completed ANNOTATE.
     Annotation(AnnotationReply),
-    /// The request failed server-side (the client treats this as a miss).
+    /// The request failed or was refused server-side (the client treats
+    /// this as a miss, or annotates locally).
     Failed(String),
 }
 
@@ -1154,10 +963,6 @@ impl Response {
                 e.u64(r.evicted_bytes);
                 e.u64(r.remaining_bytes);
                 op::DONE
-            }
-            Response::Stats(tiers) => {
-                enc_tier_stats(&mut e, tiers);
-                op::STATS
             }
             Response::ServerStats(load) => {
                 enc_tier_stats(&mut e, &load.tiers);
@@ -1256,7 +1061,6 @@ impl Response {
                     remaining_bytes: next()?,
                 })
             }
-            op::STATS => Response::Stats(dec_tier_stats(&mut d)?),
             op::SERVERSTATS => Response::ServerStats(ServerLoad {
                 tiers: dec_tier_stats(&mut d)?,
                 connections: d.u64().map_err(|_| WireError::Malformed("connections"))?,
@@ -1342,25 +1146,6 @@ mod tests {
     fn request_frames_round_trip() {
         let key = KeyBuilder::new("wire").u64(1).finish();
         for req in [
-            Request::Get {
-                ns: "featurize".into(),
-                key,
-            },
-            Request::Put {
-                ns: "blast".into(),
-                key,
-                payload: vec![0, 1, 2, 255],
-            },
-            Request::Put {
-                ns: "empty".into(),
-                key,
-                payload: Vec::new(),
-            },
-            Request::GetBatch {
-                items: vec![("featurize".into(), key), ("blast".into(), key)],
-            },
-            Request::GetBatch { items: Vec::new() },
-            Request::Stat,
             Request::Stat2,
             Request::Gc { budget_bytes: 42 },
             Request::Lease {
@@ -1380,22 +1165,21 @@ mod tests {
             Request::Get2 {
                 ns: "featurize".into(),
                 key,
-                encoding: PAYLOAD_ENCODING_FRAME,
             },
             Request::Put2 {
-                ns: "featurize".into(),
+                ns: "blast".into(),
                 key,
-                encoding: PAYLOAD_ENCODING_FRAME,
-                payload: vec![0, 99, 1],
+                payload: vec![0, 99, 1, 255],
+            },
+            Request::Put2 {
+                ns: "empty".into(),
+                key,
+                payload: Vec::new(),
             },
             Request::GetBatch2 {
                 items: vec![("featurize".into(), key), ("blast".into(), key)],
-                encoding: PAYLOAD_ENCODING_FRAME,
             },
-            Request::GetBatch2 {
-                items: Vec::new(),
-                encoding: 200,
-            },
+            Request::GetBatch2 { items: Vec::new() },
             Request::Open {
                 design: "hier_soc".into(),
                 source: "module top; endmodule\n".into(),
@@ -1435,23 +1219,30 @@ mod tests {
     }
 
     #[test]
-    fn legacy_peers_reject_v2_opcodes_as_malformed() {
-        // What a pre-compression server does with a GET2 frame: the frame
-        // itself reads fine (same WIRE_VERSION), but the opcode is unknown,
-        // which `serve_connection` turns into `Response::Failed` — the
-        // client's signal to fall back to the v1 ops.
-        let key = KeyBuilder::new("wire").u64(3).finish();
-        let frame = Request::Get2 {
-            ns: "featurize".into(),
-            key,
-            encoding: PAYLOAD_ENCODING_FRAME,
+    fn retired_and_unknown_opcodes_are_malformed() {
+        // The retired bare-payload opcodes (GET, PUT, STAT, GETM), a
+        // nested envelope and a future verb all fail to decode as a
+        // request; the event loop answers each with `Failed` under its tag.
+        for opcode in [1u8, 2, 3, 5, op::TAGGED, 19, 0x7F] {
+            let frame = Frame {
+                op: opcode,
+                body: Vec::new(),
+            };
+            assert_eq!(
+                Request::from_frame(&frame),
+                Err(WireError::Malformed("request opcode")),
+                "op {opcode}"
+            );
         }
-        .to_frame();
-        let read = frame_round_trip(&frame);
-        assert_eq!(read.op, op::GET2);
-        // A legacy `Request::from_frame` has no arm for op 10..=12; the
-        // current one decodes it, so emulate the legacy dispatch here.
-        assert!(read.op > op::PLANSTAT, "v2 opcodes sit above the v1 range");
+        // The retired STATS response opcode is no longer a response.
+        let stats = Frame {
+            op: 0x84,
+            body: Vec::new(),
+        };
+        assert_eq!(
+            Response::from_frame(&stats),
+            Err(WireError::Malformed("response opcode"))
+        );
     }
 
     #[test]
@@ -1466,13 +1257,6 @@ mod tests {
                 evicted_bytes: 4,
                 remaining_bytes: 5,
             }),
-            Response::Stats(vec![TierStats {
-                kind: TierKind::Disk,
-                detail: "/tmp/x".into(),
-                entries: 7,
-                bytes: 8,
-                reachable: true,
-            }]),
             Response::ServerStats(ServerLoad {
                 tiers: vec![TierStats {
                     kind: TierKind::Memory,
@@ -1585,10 +1369,9 @@ mod tests {
 
     #[test]
     fn session_opcodes_sit_in_the_negotiable_range() {
-        // Pre-session peers (the artifact store's `serve_connection`)
-        // answer unknown opcodes with `Failed` on a live connection; the
-        // session verbs rely on that, exactly like GET2/STAT2 before
-        // them. A header version bump would instead kill the connection.
+        // Peers without session support answer unknown opcodes with
+        // `Failed` on a live connection; the session verbs rely on that.
+        // A header version bump would instead kill the connection.
         for req in [
             Request::Open {
                 design: "d".into(),
@@ -1608,7 +1391,7 @@ mod tests {
         // A well-formed GETM with one key too many is rejected at decode,
         // before any per-key work.
         let key = KeyBuilder::new("wire").u64(9).finish();
-        let frame = Request::GetBatch {
+        let frame = Request::GetBatch2 {
             items: (0..=MAX_BATCH_KEYS).map(|_| (String::new(), key)).collect(),
         }
         .to_frame();
@@ -1621,7 +1404,7 @@ mod tests {
         let mut e = Enc::new();
         e.seq_len(MAX_BATCH_KEYS + 1);
         let lying = Frame {
-            op: op::GETM,
+            op: op::GETM2,
             body: e.into_bytes(),
         };
         assert!(matches!(
@@ -1664,7 +1447,7 @@ mod tests {
     #[test]
     fn oversized_length_header_is_rejected_before_allocating() {
         let mut bytes = Frame {
-            op: op::GET,
+            op: op::GET2,
             body: Vec::new(),
         }
         .to_bytes();
@@ -1698,7 +1481,7 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupt_frames_are_rejected() {
-        let bytes = Request::Put {
+        let bytes = Request::Put2 {
             ns: "ns".into(),
             key: KeyBuilder::new("wire").u64(2).finish(),
             payload: vec![1; 64],
@@ -1721,19 +1504,11 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_reads_as_no_frame() {
-        assert_eq!(Frame::read_opt(&mut [].as_ref()).unwrap(), None);
-        // One stray byte is a truncated frame, not a clean close.
-        assert!(Frame::read_opt(&mut [b'R'].as_ref()).is_err());
-    }
-
-    #[test]
     fn tagged_envelopes_round_trip_and_validate() {
         let key = KeyBuilder::new("wire").u64(5).finish();
         let inner = Request::Get2 {
             ns: "featurize".into(),
             key,
-            encoding: PAYLOAD_ENCODING_FRAME,
         }
         .to_frame();
         let tagged = tag_request(0xABCD_EF01_2345_6789, &inner);
@@ -1766,10 +1541,10 @@ mod tests {
     fn reassembler_yields_frames_across_arbitrary_chunk_splits() {
         let key = KeyBuilder::new("wire").u64(6).finish();
         let frames = [
-            Request::Stat.to_frame(),
+            Request::Stat2.to_frame(),
             tag_request(
                 3,
-                &Request::Put {
+                &Request::Put2 {
                     ns: "blast".into(),
                     key,
                     payload: vec![9; 300],
@@ -1801,7 +1576,7 @@ mod tests {
         // A lying length header fails at the header, before any body bytes
         // accumulate.
         let mut bytes = Frame {
-            op: op::GET,
+            op: op::GET2,
             body: Vec::new(),
         }
         .to_bytes();

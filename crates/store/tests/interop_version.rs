@@ -1,145 +1,34 @@
-//! Mixed-version interop: a fleet upgrades one node at a time, so a new
-//! client must complete against an old server (and an old client against a
-//! new server) **byte-identically** — falling back to the v1 data ops
-//! without tripping the failure breaker — before anyone relies on the
-//! compressed v2 ops.
+//! Peers of other protocol generations. A client against a peer that
+//! refuses the tagged envelope must reproduce cold behavior exactly and
+//! trip its breaker, never error; a client speaking the retired bare
+//! frames must be refused on a connection that stays usable.
 
-use rtlt_store::server::{spawn, ArtifactServer, ServerConfig};
-use rtlt_store::wire::{op, Frame, Request, Response, MAX_BATCH_CHUNK, PAYLOAD_ENCODING_FRAME};
-use rtlt_store::{
-    compress, Codec, ContentHash, KeyBuilder, RemoteTier, Store, StoreTier, TierLookup,
-};
-use std::collections::HashMap;
+use rtlt_store::client::MAX_CONSECUTIVE_FAILURES;
+use rtlt_store::server::{spawn, ServerConfig};
+use rtlt_store::wire::{op, tag_request, untag, Frame, Request, Response};
+use rtlt_store::TierLookup;
+use rtlt_store::{compress, Codec, ContentHash, KeyBuilder, RemoteTier, Store, StoreTier};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn key(label: &str) -> ContentHash {
     KeyBuilder::new("interop").str(label).finish()
 }
 
-type LegacyState = Arc<Mutex<HashMap<(String, ContentHash), Vec<u8>>>>;
-
-/// A faithful pre-v2 `rtlt-stored`: it knows only opcodes 1..=9 and
-/// answers anything else as `Failed` (exactly what the old
-/// `serve_connection` did with an unparseable request), and its tiers hold
-/// **bare logical payloads** — no compress frames existed yet.
-fn spawn_legacy_server() -> (String, LegacyState) {
+/// A peer that predates the envelope: it answers every frame — the
+/// `TAGGED` envelope included — with a bare `Failed` on the still-alive
+/// connection, as any server does with an opcode it does not know.
+fn spawn_envelope_refusing_peer() -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
-    let state: LegacyState = Default::default();
-    let shared = Arc::clone(&state);
     std::thread::spawn(move || {
         for stream in listener.incoming().flatten() {
-            let state = Arc::clone(&shared);
             std::thread::spawn(move || {
                 let mut stream = stream;
-                loop {
-                    let frame = match Frame::read_opt(&mut stream) {
-                        Ok(Some(f)) => f,
-                        _ => return,
-                    };
-                    // An old build has no v2 ops in its parser: any opcode
-                    // past PLANSTAT is "malformed request", answered as a
-                    // typed failure on the still-alive connection.
-                    let resp = if frame.op > op::PLANSTAT {
-                        Response::Failed(format!("request opcode {}", frame.op))
-                    } else {
-                        match Request::from_frame(&frame) {
-                            Ok(Request::Get { ns, key }) => {
-                                match state.lock().expect("state").get(&(ns, key)) {
-                                    Some(p) => Response::Hit(p.clone()),
-                                    None => Response::Miss,
-                                }
-                            }
-                            Ok(Request::Put { ns, key, payload }) => {
-                                state.lock().expect("state").insert((ns, key), payload);
-                                Response::Done(Default::default())
-                            }
-                            Ok(Request::GetBatch { items }) => {
-                                let map = state.lock().expect("state");
-                                Response::BatchPart {
-                                    items: items
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(i, (ns, key))| {
-                                            (i as u64, map.get(&(ns.clone(), *key)).cloned())
-                                        })
-                                        .collect(),
-                                    last: true,
-                                }
-                            }
-                            _ => Response::Failed("unsupported in this test double".into()),
-                        }
-                    };
-                    if resp.to_frame().write_to(&mut stream).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    (addr, state)
-}
-
-/// A faithful generation-2 `rtlt-stored`: it speaks every untagged opcode
-/// including the compressed data ops (`GET2`/`PUT2`/`GETM2`) over a real
-/// [`ArtifactServer`], but predates tagged envelopes — anything past
-/// `GETM2` is answered `Failed`, exactly what the blocking v2 loop did
-/// with an unknown opcode.
-fn spawn_v2_server(dir: std::path::PathBuf) -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let server = Arc::new(ArtifactServer::new(&ServerConfig {
-        dir,
-        mem_budget: 1 << 20,
-        lease_timeout: rtlt_store::plan::DEFAULT_LEASE_TIMEOUT,
-    }));
-    std::thread::spawn(move || {
-        for stream in listener.incoming().flatten() {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || {
-                let mut stream = stream;
-                loop {
-                    let frame = match Frame::read_opt(&mut stream) {
-                        Ok(Some(f)) => f,
-                        _ => return,
-                    };
-                    if frame.op > op::GETM2 {
-                        let failed = Response::Failed(format!("request opcode {}", frame.op));
-                        if failed.to_frame().write_to(&mut stream).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                    let ok = match Request::from_frame(&frame) {
-                        Ok(Request::GetBatch { items }) => server
-                            .stream_batch(&items, MAX_BATCH_CHUNK, false, |part| {
-                                part.to_frame().write_to(&mut stream)
-                            })
-                            .is_ok(),
-                        Ok(Request::GetBatch2 { items, encoding })
-                            if encoding == PAYLOAD_ENCODING_FRAME =>
-                        {
-                            server
-                                .stream_batch(&items, MAX_BATCH_CHUNK, true, |part| {
-                                    part.to_frame().write_to(&mut stream)
-                                })
-                                .is_ok()
-                        }
-                        Ok(Request::GetBatch2 { .. }) => Response::BatchPart {
-                            items: Vec::new(),
-                            last: true,
-                        }
-                        .to_frame()
-                        .write_to(&mut stream)
-                        .is_ok(),
-                        Ok(req) => server.handle(req).to_frame().write_to(&mut stream).is_ok(),
-                        Err(e) => Response::Failed(e.to_string())
-                            .to_frame()
-                            .write_to(&mut stream)
-                            .is_ok(),
-                    };
-                    if !ok {
+                while let Ok(frame) = Frame::read_from(&mut stream) {
+                    let refusal = Response::Failed(format!("request opcode {}", frame.op));
+                    if refusal.to_frame().write_to(&mut stream).is_err() {
                         return;
                     }
                 }
@@ -151,108 +40,39 @@ fn spawn_v2_server(dir: std::path::PathBuf) -> String {
 
 #[test]
 fn new_client_falls_back_against_an_old_server() {
-    let (addr, state) = spawn_legacy_server();
+    let addr = spawn_envelope_refusing_peer();
+    let remote = Arc::new(RemoteTier::with_timeout(&addr, Duration::from_secs(2)));
+    let mut store = Store::in_memory();
+    store.push_tier(remote.clone());
+
+    // The store computes, keeps and returns exactly the cold bytes: the
+    // refused lookup is a miss, the write-back a lost best-effort put.
     let artifact: Vec<f64> = (0..200).map(|i| i as f64 * 0.5).collect();
+    let mut calls = 0;
+    let got = store.get_or_compute("featurize", key("x"), || {
+        calls += 1;
+        artifact.clone()
+    });
+    assert_eq!(calls, 1);
+    assert_eq!(got.to_bytes(), artifact.to_bytes());
+    let s = store.stats().namespace("featurize");
+    assert_eq!((s.remote_hits, s.misses), (0, 1));
 
-    // A new-build store writes through to the legacy server…
-    let mut writer = Store::in_memory();
-    let remote = Arc::new(RemoteTier::new(&addr));
-    writer.push_tier(remote.clone());
-    writer.put("featurize", key("x"), artifact.clone());
-
-    // …as *logical* bytes: the PUT2 frame was refused, the client pinned
-    // the peer legacy and re-sent a v1 PUT with the decoded payload.
-    assert!(remote.peer_legacy(), "one refused v2 op pins the fallback");
-    assert!(!remote.is_down(), "a legacy peer is not a dead peer");
-    assert_eq!(
-        state
-            .lock()
-            .expect("state")
-            .get(&("featurize".into(), key("x"))),
-        Some(&artifact.to_bytes()),
-        "the old server stores exactly what an old client would have sent"
-    );
-
-    // A second new-build client reads it back byte-identically, per-key…
-    let mut reader = Store::in_memory();
-    let remote_r = Arc::new(RemoteTier::new(&addr));
-    reader.push_tier(remote_r.clone());
-    assert_eq!(
-        *reader
-            .get::<Vec<f64>>("featurize", key("x"))
-            .expect("served via v1 GET"),
-        artifact
-    );
-    // …and batched (GETM2 refused → legacy GETM, hits lifted into raw
-    // frames so the tier contract stays uniform).
-    let batch = remote_r.get_bytes_batch(&[
-        ("featurize".to_owned(), key("x")),
-        ("featurize".to_owned(), key("missing")),
-    ]);
-    assert_eq!(
-        batch[0],
-        TierLookup::Hit(compress::raw_frame(&artifact.to_bytes()))
-    );
-    assert_eq!(batch[1], TierLookup::Miss);
-    assert!(!remote_r.is_down(), "breaker never tripped by version skew");
-
-    let s = reader.stats().namespace("featurize");
-    assert_eq!((s.remote_hits, s.misses), (1, 0));
-}
-
-#[test]
-fn mixed_v2_v3_fleet_interoperates_byte_identically() {
-    let scratch = std::env::temp_dir().join(format!("rtlt-interop-mixed-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let v3_cfg = ServerConfig {
-        dir: scratch.join("v3"),
-        mem_budget: 1 << 20,
-        lease_timeout: rtlt_store::plan::DEFAULT_LEASE_TIMEOUT,
-    };
-    let v3_addr = spawn("127.0.0.1:0", &v3_cfg).expect("bind").to_string();
-    let v2_addr = spawn_v2_server(scratch.join("v2"));
-
-    // One new-build client per server writes the same artifact. The v3
-    // peer negotiates tagged multiplexing (first contact probes); the v2
-    // peer refuses the envelope and pins serialized framing — but keeps
-    // speaking the compressed data ops, so it is *not* legacy.
-    let artifact: Vec<f64> = (0..300).map(|i| i as f64 * 0.125 - 3.0).collect();
-    let frame = compress::compress(&artifact.to_bytes());
-    let v3 = RemoteTier::new(&v3_addr);
-    let v2 = RemoteTier::new(&v2_addr);
-    for remote in [&v3, &v2] {
-        remote.put_bytes("featurize", key("mixed"), &frame);
-        remote.flush();
+    // Every refused exchange counts toward the breaker, which trips open
+    // after MAX_CONSECUTIVE_FAILURES and then stays a cheap no-op.
+    for i in 0..MAX_CONSECUTIVE_FAILURES {
+        assert!(!remote.is_down(), "tripped early, after {i} failures");
+        assert_eq!(remote.get_bytes("featurize", key("x")), TierLookup::Miss);
     }
-    assert_eq!(v3.peer_tagged(), Some(true), "gen-3 peer multiplexes");
-    assert_eq!(v2.peer_tagged(), Some(false), "gen-2 peer serializes");
-    assert!(!v2.peer_legacy(), "a v2 peer still speaks the data ops");
-    assert!(
-        !v2.is_down(),
-        "the envelope refusal is healthy, not a failure"
+    assert!(remote.is_down());
+    let frame = compress::raw_frame(&artifact.to_bytes());
+    remote.put_bytes("featurize", key("y"), &frame);
+    remote.flush();
+    assert_eq!(
+        remote.get_bytes_batch(&[("featurize".to_owned(), key("y"))]),
+        vec![TierLookup::Miss]
     );
-
-    // Fresh readers pull the artifact back from both generations,
-    // per-key and batched, byte-identically.
-    for addr in [&v3_addr, &v2_addr] {
-        let mut store = Store::in_memory();
-        store.push_tier(Arc::new(RemoteTier::new(addr)));
-        assert_eq!(
-            *store
-                .get::<Vec<f64>>("featurize", key("mixed"))
-                .expect("served"),
-            artifact
-        );
-        let reader = RemoteTier::new(addr);
-        let batch = reader.get_bytes_batch(&[
-            ("featurize".to_owned(), key("mixed")),
-            ("featurize".to_owned(), key("absent")),
-        ]);
-        assert_eq!(batch[0], TierLookup::Hit(frame.clone()));
-        assert_eq!(batch[1], TierLookup::Miss);
-        assert!(!reader.is_down());
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
+    assert!(remote.server_load().is_none());
 }
 
 #[test]
@@ -265,49 +85,53 @@ fn old_client_speaks_v1_against_a_new_server() {
         lease_timeout: rtlt_store::plan::DEFAULT_LEASE_TIMEOUT,
     };
     let addr = spawn("127.0.0.1:0", &cfg).expect("bind");
-    let artifact: Vec<f64> = (0..200).map(|i| -1.0 + i as f64 * 0.25).collect();
-    let logical = artifact.to_bytes();
-
-    // An old client: hand-written v1 frames on a raw socket (the v1 wire
-    // format is unchanged — only new opcodes were added).
     let mut stream = TcpStream::connect(addr).expect("connect");
-    let exchange = |stream: &mut TcpStream, req: &Request| -> Response {
-        req.to_frame().write_to(stream).expect("write");
-        Response::from_frame(&Frame::read_from(stream).expect("read")).expect("parse")
-    };
-    assert!(matches!(
-        exchange(
-            &mut stream,
-            &Request::Put {
-                ns: "featurize".into(),
-                key: key("y"),
-                payload: logical.clone(),
-            }
-        ),
-        Response::Done(_)
-    ));
-    // The new server decompresses at the v1 boundary: the old client gets
-    // back exactly the bytes it stored, whatever the tiers hold inside.
-    assert_eq!(
-        exchange(
-            &mut stream,
-            &Request::Get {
-                ns: "featurize".into(),
-                key: key("y"),
-            }
-        ),
-        Response::Hit(logical.clone())
-    );
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let read = |stream: &mut TcpStream| Frame::read_from(stream).expect("answer");
 
-    // And a new client sees the same artifact through the v2 ops — one
-    // cache, two protocol generations, identical bytes.
-    let mut store = Store::in_memory();
-    store.push_tier(Arc::new(RemoteTier::new(addr.to_string())));
-    assert_eq!(
-        *store
-            .get::<Vec<f64>>("featurize", key("y"))
-            .expect("v2 path"),
-        artifact
-    );
+    // An old client's bare v1 GET (op 1, the same `ns, key` body GET2
+    // carries) and a bare current GET2 are both refused with a bare
+    // `Failed`: there is no tag to echo.
+    let get = Request::Get2 {
+        ns: "featurize".into(),
+        key: key("y"),
+    }
+    .to_frame();
+    let v1_get = Frame {
+        op: 1,
+        body: get.body.clone(),
+    };
+    for bare in [&v1_get, &get] {
+        bare.write_to(&mut stream).expect("write");
+        let answer = read(&mut stream);
+        assert_eq!(answer.op, op::FAILED, "bare op {} refused bare", bare.op);
+        assert!(matches!(
+            Response::from_frame(&answer),
+            Ok(Response::Failed(_))
+        ));
+    }
+
+    // The same connection then serves tagged requests.
+    let frame = compress::raw_frame(b"v1 clients are refused, not dropped");
+    let put = Request::Put2 {
+        ns: "featurize".into(),
+        key: key("y"),
+        payload: frame.clone(),
+    };
+    tag_request(7, &put.to_frame())
+        .write_to(&mut stream)
+        .expect("write");
+    tag_request(8, &get).write_to(&mut stream).expect("write");
+    for (want_tag, want) in [(7, None), (8, Some(Response::Hit(frame)))] {
+        let (tag, inner) = untag(&read(&mut stream)).expect("tagged answer");
+        assert_eq!(tag, want_tag);
+        let resp = Response::from_frame(&inner).expect("response");
+        match want {
+            None => assert!(matches!(resp, Response::Done(_))),
+            Some(want) => assert_eq!(resp, want),
+        }
+    }
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -1,15 +1,14 @@
 //! The multiplexed wire path end to end: tagged exchanges against a real
 //! event-loop server are matched by tag whatever the interleaving or the
 //! byte-stream chunking looks like; a frame truncated mid-write is
-//! reassembled, not dropped; and the pipelined client demultiplexes
-//! out-of-order completions (put acks arriving around an awaited get).
+//! reassembled, not dropped; retired and unknown verbs are refused under
+//! their own tags; and the pipelined client demultiplexes out-of-order
+//! completions (put acks arriving around an awaited get).
 
 use proptest::prelude::*;
 use rtlt_store::plan::DEFAULT_LEASE_TIMEOUT;
 use rtlt_store::server::{spawn, ServerConfig};
-use rtlt_store::wire::{
-    op, tag_request, tag_response, untag, Frame, Request, Response, PAYLOAD_ENCODING_FRAME,
-};
+use rtlt_store::wire::{op, tag_request, tag_response, untag, Frame, Request, Response};
 use rtlt_store::{compress, ContentHash, KeyBuilder, RemoteTier, StoreTier, TierLookup};
 use std::collections::HashMap;
 use std::io::Write;
@@ -87,7 +86,6 @@ proptest! {
                 Request::Put2 {
                     ns: ns.clone(),
                     key,
-                    encoding: PAYLOAD_ENCODING_FRAME,
                     payload: frame,
                 }
             } else {
@@ -98,7 +96,6 @@ proptest! {
                 Request::Get2 {
                     ns: ns.clone(),
                     key,
-                    encoding: PAYLOAD_ENCODING_FRAME,
                 }
             };
             stream_bytes.extend(tag_request(tag, &req.to_frame()).to_bytes());
@@ -141,7 +138,6 @@ fn truncated_mid_frame_writes_reassemble_across_ticks() {
         &Request::Put2 {
             ns: ns.to_owned(),
             key: key_of(1),
-            encoding: PAYLOAD_ENCODING_FRAME,
             payload: payload.clone(),
         }
         .to_frame(),
@@ -169,7 +165,6 @@ fn truncated_mid_frame_writes_reassemble_across_ticks() {
         &Request::Get2 {
             ns: ns.to_owned(),
             key: key_of(1),
-            encoding: PAYLOAD_ENCODING_FRAME,
         }
         .to_frame(),
     )
@@ -189,11 +184,45 @@ fn truncated_mid_frame_writes_reassemble_across_ticks() {
     );
 }
 
+/// Retired opcodes (the bare-payload GET, PUT, STAT and GETM) and an
+/// unknown future verb, each inside an envelope, are answered `Failed`
+/// under their own tags; the connection keeps serving.
+#[test]
+fn retired_and_unknown_opcodes_fail_under_their_own_tags() {
+    let mut sock = connect();
+    let ops = [1u8, 2, 3, 5, 0x7E];
+    let mut bytes = Vec::new();
+    for (tag, &opcode) in ops.iter().enumerate() {
+        let inner = Frame {
+            op: opcode,
+            body: Vec::new(),
+        };
+        bytes.extend(tag_request(tag as u64 + 100, &inner).to_bytes());
+    }
+    bytes.extend(tag_request(99, &Request::Stat2.to_frame()).to_bytes());
+    sock.write_all(&bytes).expect("write");
+    let mut refused = Vec::new();
+    for _ in 0..=ops.len() {
+        let frame = Frame::read_from(&mut sock).expect("answer");
+        let (tag, inner) = untag(&frame).expect("every answer is tagged");
+        match Response::from_frame(&inner).expect("response") {
+            Response::Failed(_) => refused.push(tag),
+            Response::ServerStats(load) => {
+                assert_eq!(tag, 99);
+                assert!(load.connections >= 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    refused.sort_unstable();
+    assert_eq!(refused, vec![100, 101, 102, 103, 104]);
+}
+
 /// The pipelined client against a scripted peer that completes exchanges
 /// **out of order**: fire-and-forget put acks arrive interleaved around
 /// the awaited get answer, in scrambled order. The demux absorbs acks by
 /// tag, hands the get its own answer, and `flush` drains the stragglers —
-/// five requests, two wire turnarounds.
+/// five requests, one wire turnaround.
 #[test]
 fn out_of_order_completions_demux_by_tag() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -203,24 +232,14 @@ fn out_of_order_completions_demux_by_tag() {
 
     let script = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("one connection");
-        let read_tagged = |stream: &mut TcpStream| -> (u64, Frame) {
-            let frame = Frame::read_from(stream).expect("request");
-            assert_eq!(frame.op, op::TAGGED, "pipelined client always tags");
-            untag(&frame).expect("envelope")
-        };
-        // The client's first contact is a synchronous probe: answer it in
-        // kind so the peer is pinned tagged and puts start pipelining.
-        let (probe_tag, probe) = read_tagged(&mut stream);
-        assert_eq!(probe.op, op::PUT2);
-        tag_response(probe_tag, &Response::Done(Default::default()).to_frame())
-            .write_to(&mut stream)
-            .expect("probe ack");
-        // Then three fire-and-forget puts and one awaited get arrive
-        // without any intervening read on the client side.
+        // Four fire-and-forget puts and one awaited get arrive without any
+        // intervening read on the client side.
         let mut puts = Vec::new();
         let mut get_tag = None;
-        for _ in 0..4 {
-            let (tag, inner) = read_tagged(&mut stream);
+        for _ in 0..5 {
+            let frame = Frame::read_from(&mut stream).expect("request");
+            assert_eq!(frame.op, op::TAGGED, "the client always tags");
+            let (tag, inner) = untag(&frame).expect("envelope");
             match inner.op {
                 op::PUT2 => puts.push(tag),
                 op::GET2 => get_tag = Some(tag),
@@ -228,14 +247,15 @@ fn out_of_order_completions_demux_by_tag() {
             }
         }
         let get_tag = get_tag.expect("one get");
-        assert_eq!(puts.len(), 3);
+        assert_eq!(puts.len(), 4);
         // Scrambled completion: last put first, then the get's answer,
-        // then the remaining acks in reverse.
+        // then the remaining acks out of order.
         for (tag, resp) in [
-            (puts[2], Response::Done(Default::default())),
+            (puts[3], Response::Done(Default::default())),
             (get_tag, Response::Hit(served_for_script)),
             (puts[1], Response::Done(Default::default())),
             (puts[0], Response::Done(Default::default())),
+            (puts[2], Response::Done(Default::default())),
         ] {
             tag_response(tag, &resp.to_frame())
                 .write_to(&mut stream)
@@ -243,7 +263,7 @@ fn out_of_order_completions_demux_by_tag() {
         }
     });
 
-    let remote = RemoteTier::with_options(&addr, Duration::from_secs(10), true);
+    let remote = RemoteTier::with_timeout(&addr, Duration::from_secs(10));
     let frame = compress::raw_frame(b"x");
     for i in 0..4 {
         remote.put_bytes("mux-ooo", key_of(i), &frame);
@@ -256,12 +276,11 @@ fn out_of_order_completions_demux_by_tag() {
     remote.flush();
     script.join().expect("script thread");
 
-    assert_eq!(remote.peer_tagged(), Some(true));
     assert!(!remote.is_down());
     assert_eq!(
-        remote.wire_round_trips(),
-        2,
-        "probe + one shared turnaround for 3 puts, 1 get and the drain"
+        remote.round_trips(),
+        1,
+        "one shared turnaround for 4 puts, 1 get and the drain"
     );
     // The drain left nothing pending: a second flush has nothing to read
     // and must not block or fail.

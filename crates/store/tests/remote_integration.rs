@@ -216,7 +216,7 @@ fn remote_stat_and_gc_round_trip() {
     assert_eq!(stats.kind, TierKind::Remote);
     assert!(stats.reachable);
     // mem tier + disk tier both hold the two entries.
-    let tiers = remote.stat_remote().expect("reachable");
+    let tiers = remote.server_load().expect("reachable").tiers;
     assert_eq!(tiers.len(), 2);
     assert!(tiers.iter().all(|t| t.entries == 2));
 
@@ -266,7 +266,7 @@ fn unreachable_server_degrades_to_cold_behavior() {
     }
     assert!(remote.is_down());
     assert!(!remote.stats().reachable);
-    assert_eq!(remote.stat_remote(), None);
+    assert_eq!(remote.server_load(), None);
     assert_eq!(remote.gc_remote(0), None);
 }
 

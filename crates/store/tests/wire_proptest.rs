@@ -30,17 +30,17 @@ proptest! {
         prop_assert_eq!(back.body, body);
     }
 
-    /// GET/PUT requests round-trip through the typed layer.
+    /// GET2/PUT2 requests round-trip through the typed layer.
     #[test]
     fn requests_round_trip(
         tag in 0u64..1000,
         ns in "compile|blast|label|featurize|shard|model",
         payload in proptest::collection::vec(0u8..=255, 0..256),
     ) {
-        let get = Request::Get { ns: ns.clone(), key: key_of(tag) };
+        let get = Request::Get2 { ns: ns.clone(), key: key_of(tag) };
         let back = Request::from_frame(&get.to_frame()).expect("get");
         prop_assert_eq!(&back, &get);
-        let put = Request::Put { ns, key: key_of(tag), payload };
+        let put = Request::Put2 { ns, key: key_of(tag), payload };
         let frame_bytes = put.to_frame().to_bytes();
         let frame = Frame::read_from(&mut frame_bytes.as_slice()).expect("frame");
         let back = Request::from_frame(&frame).expect("put");
@@ -108,7 +108,7 @@ proptest! {
         last_seed in 0u8..2,
     ) {
         let last = last_seed == 1;
-        let req = Request::GetBatch {
+        let req = Request::GetBatch2 {
             items: tags.iter().map(|t| ("featurize".to_owned(), key_of(*t))).collect(),
         };
         let bytes = req.to_frame().to_bytes();
