@@ -7,7 +7,7 @@
 //! wall time, cache counters and micro-bench medians (the perf trajectory's
 //! machine-readable record; CI asserts a warm second run hits ≥ 90 %).
 
-use rtl_timer::dataset::{build_all_variant_data_scratch, build_variant_data, FeaturizeScratch};
+use rtl_timer::dataset::{build_all_variant_data_scratch, FeaturizeScratch};
 use rtl_timer::optimize::{path_groups_from_scores, retime_set_from_scores};
 use rtl_timer::pipeline::RtlTimer;
 use rtlt_bench::{
@@ -138,7 +138,6 @@ fn main() {
     let mut proc_ms = Vec::new();
     let mut inf_ms = Vec::new();
     let mut lev_ms = Vec::new();
-    let mut dedup_ms = Vec::new();
     let mut batch_ms = Vec::new();
     let mut tree_ms = Vec::new();
     let mut lev_scratch = LevelScratch::new();
@@ -169,10 +168,21 @@ fn main() {
         let t_bog = t0.elapsed().as_secs_f64() * 1e3;
 
         // Register-oriented processing (pseudo-STA + path sampling +
-        // features) for one representation.
+        // features) as the pipeline runs it: the sharded featurize of all
+        // four representations, cold — a fresh in-memory store, so nothing
+        // is served from the suite's warmed artifact cache.
+        let cold = Store::in_memory();
         let t0 = Instant::now();
-        let data = build_variant_data(&sog, &pseudo, synth.clock_period, d.synth_seed);
+        let variants = build_all_variant_data_scratch(
+            &cold,
+            &sog,
+            &pseudo,
+            synth.clock_period,
+            d.synth_seed,
+            &mut feat_scratch,
+        );
         let t_proc = t0.elapsed().as_secs_f64() * 1e3;
+        let data = &variants[0];
 
         // Model-stack micro-kernels over this design's path rows (the
         // per-design counterparts of the gbdt_predict_batch_b17 /
@@ -231,21 +241,6 @@ fn main() {
             &mut lev_scratch,
         );
         lev_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-
-        // Cold shared-cone featurize (dedup on, fresh in-memory store so
-        // nothing is served from the suite's warmed artifact cache).
-        let cold = Store::in_memory();
-        let t0 = Instant::now();
-        let _ = build_all_variant_data_scratch(
-            &cold,
-            &sog,
-            &pseudo,
-            synth.clock_period,
-            d.synth_seed,
-            true,
-            &mut feat_scratch,
-        );
-        dedup_ms.push(t0.elapsed().as_secs_f64() * 1e3);
 
         // Model inference.
         let t0 = Instant::now();
@@ -323,7 +318,6 @@ fn main() {
                     ("reg_proc_median", Json::Num(median(&proc_ms))),
                     ("inference_median", Json::Num(median(&inf_ms))),
                     ("levelized_sta_median", Json::Num(median(&lev_ms))),
-                    ("cone_shard_dedup_median", Json::Num(median(&dedup_ms))),
                     ("gbdt_predict_batch_median", Json::Num(median(&batch_ms))),
                     ("tree_fit_hist_median", Json::Num(median(&tree_ms))),
                     ("bog_pct_of_synth_avg", Json::Num(avg(&bog_pcts))),

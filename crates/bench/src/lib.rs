@@ -1,4 +1,7 @@
-//! Shared harness for the table/figure regeneration binaries.
+//! Shared harness for the table/figure regeneration binaries — and the only
+//! code in the workspace that reads `RTLT_*` environment variables (the
+//! library crates take every setting as an argument; `tests/docs.rs`
+//! enforces this).
 //!
 //! Every binary honors:
 //!
@@ -11,10 +14,6 @@
 //!   stack a [`RemoteTier`] speaking to a shared `rtlt-stored` server
 //!   behind the local tiers (`none`/`off` disables; an unreachable server
 //!   degrades to recompute, never an error),
-//! * `RTLT_TIER_POLICY=<SPEC>` — per-namespace payload coding and decoded
-//!   front-cache quotas (e.g. `featurize=packed:mem=64m,modast=raw`; see
-//!   [`TierPolicy::parse`]). The default packs `featurize` (the warm-path
-//!   bulk) and stores the small `modast`/`compile` artifacts raw,
 //! * `--shard <I>/<N>` / `RTLT_SHARD=<I>/<N>` — fleet-sharded suite
 //!   preparation: this invocation prepares only shard `I` of `N` (see
 //!   [`Bench::prepare_shard`]; binaries that train models run them only
@@ -35,6 +34,12 @@
 //! * `--cache-stats` — print the tier stack (including the remote
 //!   server's size, if reachable) and per-namespace disk usage, then exit.
 //!
+//! A numeric variable (`RTLT_SEED`, `RTLT_THREADS`,
+//! `RTLT_CACHE_BUDGET_BYTES`, `RTLT_STEAL_STALL_MS`) or shard spec that is
+//! set but malformed exits with status 2 and names the variable: a run
+//! that silently fell back to a default would measure something other than
+//! what was asked.
+//!
 //! All suite preparation goes through [`Bench::prepare_suite`], which
 //! threads the shared [`Store`] through the prepare pipeline: a warm second
 //! run of any binary answers suite preparation from the `featurize`
@@ -47,9 +52,11 @@ pub mod json;
 use json::Json;
 use rtl_timer::cache::stage;
 use rtl_timer::pipeline::{DesignSet, StealConfig, StolenPrepare, TimerConfig};
-use rtlt_store::{NamespaceStats, RemoteTier, StatsSnapshot, Store, TierKind, TierPolicy};
+use rtlt_store::{NamespaceStats, RemoteTier, StatsSnapshot, Store, TierKind};
 use std::cell::{Cell, RefCell};
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,12 +64,36 @@ use std::time::{Duration, Instant};
 /// `RTLT_CACHE_BUDGET_BYTES` specifies one: 4 GiB.
 pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 30;
 
+/// Parses `value`, the setting of numeric variable `name` (`None` or empty
+/// = unset), as a `T` of at least `min`. Anything else is an error naming
+/// the variable and the value.
+fn parse_num<T: FromStr + PartialOrd + Display>(
+    name: &str,
+    value: Option<&str>,
+    min: T,
+) -> Result<Option<T>, String> {
+    match value {
+        None | Some("") => Ok(None),
+        Some(v) => match v.parse::<T>() {
+            Ok(n) if n >= min => Ok(Some(n)),
+            _ => Err(format!("{name} must be a number >= {min}, got {v:?}")),
+        },
+    }
+}
+
+/// Numeric variable `name`, or `None` when unset; a set but malformed
+/// value exits with a usage error (status 2) naming the variable.
+fn env_num<T: FromStr + PartialOrd + Display>(name: &str, min: T) -> Option<T> {
+    let value = std::env::var(name).ok();
+    parse_num(name, value.as_deref(), min).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// The disk-tier GC budget: `RTLT_CACHE_BUDGET_BYTES`, else the default.
 pub fn cache_budget() -> u64 {
-    std::env::var("RTLT_CACHE_BUDGET_BYTES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_CACHE_BUDGET)
+    env_num("RTLT_CACHE_BUDGET_BYTES", 0).unwrap_or(DEFAULT_CACHE_BUDGET)
 }
 
 /// Handles the cache-maintenance invocations shared by every bench binary:
@@ -111,7 +142,6 @@ pub fn run_maintenance(store: &Store) -> bool {
     }
     if std::env::args().any(|a| a == "--cache-stats") {
         print_tier_stack(store);
-        println!("tier policy: {}", store.tier_policy().describe());
         if let Some(addr) = remote_addr() {
             // Live server-side load: how many peers share the cache right
             // now, and how many exchanges are in flight across them. An old
@@ -217,19 +247,11 @@ pub fn folds() -> usize {
 /// Harness configuration (seed overridable via `RTLT_SEED`, worker
 /// threads via `RTLT_THREADS` — the fleet-smoke throttle hook).
 pub fn config() -> TimerConfig {
-    let seed = std::env::var("RTLT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2024);
     let mut cfg = TimerConfig {
-        seed,
+        seed: env_num("RTLT_SEED", 0).unwrap_or(2024),
         ..TimerConfig::default()
     };
-    if let Some(threads) = std::env::var("RTLT_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&t: &usize| t >= 1)
-    {
+    if let Some(threads) = env_num("RTLT_THREADS", 1) {
         cfg.threads = threads;
     }
     cfg
@@ -258,12 +280,7 @@ pub fn worker_id() -> String {
 /// and the other worker steals the design. Zero (the default) in any real
 /// deployment.
 pub fn steal_stall() -> Duration {
-    Duration::from_millis(
-        std::env::var("RTLT_STEAL_STALL_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-    )
+    Duration::from_millis(env_num("RTLT_STEAL_STALL_MS", 0).unwrap_or(0))
 }
 
 /// Extracts per-design prepare-cost priors from a previous run's
@@ -462,18 +479,6 @@ impl Bench {
             Some(dir) => Store::on_disk(dir),
             None => Store::in_memory(),
         };
-        // Payload policy before any tier traffic: a malformed spec is a
-        // hard usage error — silently falling back to the default would
-        // make an A/B compression run measure the wrong thing.
-        if let Ok(spec) = std::env::var("RTLT_TIER_POLICY") {
-            match TierPolicy::parse(&spec) {
-                Ok(policy) => store.set_tier_policy(policy),
-                Err(e) => {
-                    eprintln!("error: RTLT_TIER_POLICY: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
         // The remote tier stacks *behind* the local tiers: local disk
         // answers first, the shared server fills the gaps, and remote hits
         // populate the local disk on the way back (read-through).
@@ -742,9 +747,7 @@ impl Bench {
                 Json::UInt(agg.batched_hits),
             ),
             // Frame bytes the warm path actually pulled off disk/wire for
-            // the prepare stages — the CI perf gate's bytes-read column,
-            // and the compression smoke's ≥40 %-fewer-featurize-bytes
-            // assertion reads the per-namespace variant.
+            // the prepare stages — the CI perf gate's bytes-read column.
             (
                 "prepare_stored_read_bytes".to_owned(),
                 Json::UInt(agg.stored_bytes_read),
@@ -761,9 +764,15 @@ impl Bench {
                 "remote_round_trips".to_owned(),
                 Json::UInt(snap.remote_round_trips),
             ),
+            // Featurize frame bytes read vs the bytes they decoded to: the
+            // compressed-store smoke asserts the frames are ≤ 60 % of it.
             (
                 "featurize_stored_read_bytes".to_owned(),
                 Json::UInt(snap.namespace("featurize").stored_bytes_read),
+            ),
+            (
+                "featurize_read_bytes".to_owned(),
+                Json::UInt(snap.namespace("featurize").bytes_read),
             ),
             // Shared-cone featurization: how much per-signal evaluation the
             // structural dedup collapsed, and the wall time spent inside
@@ -1017,6 +1026,23 @@ mod tests {
         std::fs::write(&path, "{\n  \"bin\": \"runtime\"\n}\n").expect("write");
         assert!(load_cost_priors(&path).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn numeric_env_values_parse_or_name_the_variable() {
+        assert_eq!(parse_num::<u64>("RTLT_SEED", None, 0), Ok(None));
+        assert_eq!(parse_num::<u64>("RTLT_SEED", Some(""), 0), Ok(None));
+        assert_eq!(parse_num::<u64>("RTLT_SEED", Some("7"), 0), Ok(Some(7)));
+        let err = parse_num::<u64>("RTLT_SEED", Some("12x"), 0).unwrap_err();
+        assert!(err.contains("RTLT_SEED") && err.contains("12x"), "{err}");
+        assert_eq!(
+            parse_num::<usize>("RTLT_THREADS", Some("2"), 1),
+            Ok(Some(2))
+        );
+        let err = parse_num::<usize>("RTLT_THREADS", Some("0"), 1).unwrap_err();
+        assert!(err.contains("RTLT_THREADS"), "{err}");
+        assert!(parse_num::<u64>("RTLT_CACHE_BUDGET_BYTES", Some("-1"), 0).is_err());
+        assert!(parse_num::<u64>("RTLT_STEAL_STALL_MS", Some("1.5"), 0).is_err());
     }
 
     #[test]

@@ -2,29 +2,25 @@
 //! paper §3.2): for every register endpoint, the slowest path plus `K`
 //! random paths from its input cone, featurized for the bit-wise models.
 //!
-//! Two construction paths exist:
+//! [`build_all_variant_data`] is the one construction path: one
+//! [`ConeShard`] per RTL signal, computed on the signal's canonically
+//! extracted input cone ([`rtlt_bog::extract_signal_cone`]) and memoized
+//! in the store under a module-set × cone-content key. Shards carry only
+//! cone-local quantities; the cheap merge step splices in the
+//! design-global features (rank percentile, cell counts). Editing one
+//! module recomputes only the shards whose cones it feeds.
 //!
-//! * [`build_variant_data`] — the monolithic original: one global pseudo-STA
-//!   over the full graph (kept for micro-benchmarks and unit tests);
-//! * [`build_all_variant_data`] — the **sharded** pipeline path: one
-//!   [`ConeShard`] per RTL signal, computed on the signal's canonically
-//!   extracted input cone ([`rtlt_bog::extract_signal_cone`]) and memoized
-//!   in the store under a module-set × cone-content key. Shards carry only
-//!   cone-local quantities; the cheap merge step splices in the
-//!   design-global features (rank percentile, cell counts). Editing one
-//!   module recomputes only the shards whose cones it feeds.
-//!
-//! The sharded path further splits each shard into a **seed-independent
-//! kernel** and a **seed-dependent replay**. Everything `build_cone_shard`
-//! derives before the RNG is ever consulted — levelized pseudo-STA tables,
+//! Each shard splits into a **seed-independent kernel** and a
+//! **seed-dependent replay**. Everything a per-signal evaluation derives
+//! before the RNG is ever consulted — levelized pseudo-STA tables,
 //! per-endpoint cone summaries, the critical path and its featurized row —
 //! is a pure function of the cone's canonical content, so it is computed
 //! once per *unique* cone ([`ConeEval`], memoized in the `conesta` store
 //! namespace plus an in-process once-map) and shared by every signal whose
 //! extracted cone is byte-identical (bit lanes of one word, replicated
 //! blocks). The per-signal seeded path sampling then *replays* over the
-//! shared evaluation; output bytes are identical to the legacy per-signal
-//! path (`RTLT_NO_CONE_DEDUP=1` forces the latter for verification).
+//! shared evaluation. The tests keep a one-pass per-signal evaluation as the
+//! oracle the replay must match bit for bit.
 
 use crate::cache::{conesta_key, shard_key, stage};
 use crate::features::{design_features, op_class, path_features, token_features};
@@ -37,7 +33,7 @@ use rtlt_store::{ContentHash, Store};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One featurized timing path.
@@ -74,82 +70,6 @@ pub struct VariantData {
 /// Maximum random paths sampled per endpoint (on top of the slowest path).
 pub const MAX_RANDOM_PATHS: usize = 5;
 
-/// Builds the path dataset for one representation of a design.
-pub fn build_variant_data(bog: &Bog, lib: &Library, clock: f64, seed: u64) -> VariantData {
-    let cfg = StaConfig {
-        clock_period: clock,
-        ..StaConfig::default()
-    };
-    let sta = Sta::run(bog, lib, cfg);
-    let fanout = bog.fanout_counts();
-    let design_feats = crate::features::design_features(bog);
-    let mut cone_scratch = ConeScratch::new();
-    cone_scratch.begin(bog);
-    let n_eps = bog.regs().len();
-
-    // Endpoint rank percentile by pseudo-STA arrival.
-    let ats: Vec<f64> = (0..n_eps).map(|i| sta.result().endpoint_at[i]).collect();
-    let mut order: Vec<usize> = (0..n_eps).collect();
-    order.sort_by(|&a, &b| ats[a].partial_cmp(&ats[b]).expect("finite"));
-    let mut rank_pct = vec![0.0f64; n_eps];
-    for (rank, &i) in order.iter().enumerate() {
-        rank_pct[i] = if n_eps > 1 {
-            rank as f64 / (n_eps - 1) as f64
-        } else {
-            0.5
-        };
-    }
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = Vec::new();
-    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(n_eps);
-    let mut driving_regs = Vec::with_capacity(n_eps);
-
-    for e in 0..n_eps {
-        let ep = Endpoint::Reg(e as u32);
-        let cone = input_cone_scratch(bog, bog.endpoint_node(ep), &mut cone_scratch);
-        driving_regs.push(cone.driving_regs as f64);
-        let mut group = Vec::new();
-
-        // Slowest path (the pseudo-STA critical path S*→i).
-        let crit = sta.critical_path(ep);
-        // K random paths, proportional to the driving-register count
-        // (paper: "the sample number K_i is proportional to the number of
-        // driving registers").
-        let k = (cone.driving_regs / 3).clamp(0, MAX_RANDOM_PATHS);
-        let crit_nodes = crit.nodes.clone();
-        let mut paths = vec![crit];
-        for p in sta.sample_paths(ep, k, &mut rng) {
-            if p.nodes != crit_nodes {
-                paths.push(p);
-            }
-        }
-
-        for p in paths {
-            let features = path_features(&sta, bog, &p, &cone, rank_pct[e], &fanout, &design_feats);
-            let ops = p.nodes.iter().map(|&n| op_class(bog.node(n).op)).collect();
-            let tok_feats = token_features(&sta, &p, &fanout);
-            group.push(rows.len());
-            rows.push(PathRow {
-                features,
-                ops,
-                tok_feats,
-                endpoint: e,
-            });
-        }
-        groups.push(group);
-    }
-
-    VariantData {
-        variant: bog.variant,
-        rows,
-        groups,
-        endpoint_sta_at: ats,
-        driving_regs,
-        design_feats,
-    }
-}
-
 /// One signal's slice of a variant dataset: everything the per-endpoint
 /// processing derives from the signal's input cone alone. Global context
 /// (rank percentile, design cell counts) is deliberately absent — the merge
@@ -181,71 +101,9 @@ pub fn shard_seed(design_seed: u64, variant_idx: usize, signal: &str) -> u64 {
     h
 }
 
-/// Builds one signal's shard on its extracted cone: cone-local pseudo-STA,
-/// then the slowest + `K` random paths per bit endpoint. The extracted
-/// graph's first `n_eps` registers are the signal's bits; boundary
-/// registers beyond them are launch points only.
-pub fn build_cone_shard(
-    sub: &Bog,
-    n_eps: usize,
-    lib: &Library,
-    clock: f64,
-    seed: u64,
-) -> ConeShard {
-    let cfg = StaConfig {
-        clock_period: clock,
-        ..StaConfig::default()
-    };
-    let sta = Sta::run(sub, lib, cfg);
-    let fanout = sub.fanout_counts();
-    let design = design_features(sub);
-    let mut cone_scratch = ConeScratch::new();
-    cone_scratch.begin(sub);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut shard = ConeShard {
-        sta_at: Vec::with_capacity(n_eps),
-        driving_regs: Vec::with_capacity(n_eps),
-        rows: Vec::new(),
-        groups: Vec::with_capacity(n_eps),
-    };
-    for e in 0..n_eps {
-        let ep = Endpoint::Reg(e as u32);
-        let cone = input_cone_scratch(sub, sub.endpoint_node(ep), &mut cone_scratch);
-        shard.driving_regs.push(cone.driving_regs as f64);
-        shard.sta_at.push(sta.result().endpoint_at[e]);
-        let crit = sta.critical_path(ep);
-        let k = (cone.driving_regs / 3).clamp(0, MAX_RANDOM_PATHS);
-        let crit_nodes = crit.nodes.clone();
-        let mut paths = vec![crit];
-        for p in sta.sample_paths(ep, k, &mut rng) {
-            if p.nodes != crit_nodes {
-                paths.push(p);
-            }
-        }
-        let mut group = Vec::with_capacity(paths.len());
-        for p in paths {
-            // Slots 0..4 (rank percentile + design-level features) are
-            // filled at merge; the placeholder values computed here from
-            // the sub-graph are overwritten.
-            let features = path_features(&sta, sub, &p, &cone, 0.0, &fanout, &design);
-            let ops = p.nodes.iter().map(|&n| op_class(sub.node(n).op)).collect();
-            let tok_feats = token_features(&sta, &p, &fanout);
-            group.push(shard.rows.len());
-            shard.rows.push(PathRow {
-                features,
-                ops,
-                tok_feats,
-                endpoint: e,
-            });
-        }
-        shard.groups.push(group);
-    }
-    shard
-}
-
 /// The seed-independent evaluation of one canonical cone under one
-/// representation: everything [`build_cone_shard`] derives before the RNG
-/// is ever consulted. One evaluation is shared by all signals whose
+/// representation: everything a per-signal evaluation derives before the
+/// RNG is ever consulted. One evaluation is shared by all signals whose
 /// extracted cones are byte-identical — within a design through the
 /// in-process once-map, across designs and runs through the `conesta`
 /// store namespace ([`crate::cache::conesta_key`]).
@@ -273,8 +131,8 @@ pub struct ConeEval {
 /// levelized pseudo-STA over `levels`-backed SoA tables, then per
 /// endpoint the input-cone summary (via the reused `cones` scratch, whose
 /// depth memo is shared across the cone's endpoints), critical path, and
-/// its featurized row. Bit-identical to what [`build_cone_shard`] derives
-/// for the same inputs.
+/// its featurized row. Bit-identical to what the per-signal evaluation
+/// derives for the same inputs.
 pub fn compute_cone_eval(
     vbog: &Bog,
     n_eps: usize,
@@ -324,11 +182,11 @@ pub fn compute_cone_eval(
     }
 }
 
-/// Replays the seed-dependent part of [`build_cone_shard`] over a shared
+/// Replays the seed-dependent part of a per-signal evaluation over a shared
 /// evaluation: re-seeds the sampler and draws the `K` random paths per
 /// endpoint against the already-computed STA tables. The RNG consumption
-/// sequence matches `build_cone_shard` exactly (all draws happen inside
-/// `sample_paths`), so the resulting shard is bit-identical.
+/// sequence matches the per-signal evaluation exactly (all draws happen
+/// inside `sample_paths`), so the resulting shard is bit-identical.
 pub fn replay_cone_shard(
     vbog: &Bog,
     eval: &ConeEval,
@@ -438,18 +296,6 @@ pub fn cone_dedup_stats() -> ConeDedupStats {
         saved_evals: SAVED_EVALS.load(Ordering::Relaxed),
         featurize_seconds: FEATURIZE_NANOS.load(Ordering::Relaxed) as f64 * 1e-9,
     }
-}
-
-/// Whether shared-cone evaluation is active (default). `RTLT_NO_CONE_DEDUP=1`
-/// forces the legacy per-signal evaluation path — the escape hatch for
-/// byte-identity verification and for bisecting featurize regressions.
-pub(crate) fn cone_dedup_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !std::env::var("RTLT_NO_CONE_DEDUP")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
 }
 
 /// Worker-local scratch for the featurize hot loop: the levelized kernel's
@@ -655,30 +501,24 @@ pub fn build_all_variant_data(
         lib,
         clock,
         design_seed,
-        cone_dedup_enabled(),
         &mut FeaturizeScratch::new(),
     )
 }
 
-/// [`build_all_variant_data`] with an explicit scratch and dedup switch: a
-/// [`FeaturizeJob`] stepped to completion in one call. With `dedup` set
-/// (the default path), each *unique* canonical cone gets one
+/// [`build_all_variant_data`] with an explicit scratch: a [`FeaturizeJob`]
+/// stepped to completion in one call. Each *unique* canonical cone gets one
 /// seed-independent [`ConeEval`] — computed via the levelized kernel,
 /// memoized in-process and in the `conesta` namespace — and every signal
-/// sharing it replays only the seeded sampling. With `dedup` unset (the
-/// `RTLT_NO_CONE_DEDUP=1` escape hatch), every signal runs the legacy
-/// monolithic [`build_cone_shard`]. Output bytes are identical either way.
+/// sharing it replays only the seeded sampling.
 pub fn build_all_variant_data_scratch(
     store: &Store,
     sog: &Bog,
     lib: &Library,
     clock: f64,
     design_seed: u64,
-    dedup: bool,
     scratch: &mut FeaturizeScratch,
 ) -> Vec<VariantData> {
     let mut job = FeaturizeJob::new(sog, clock, design_seed);
-    job.dedup = dedup;
     std::mem::swap(&mut job.scratch, scratch);
     while !job.step(store, sog, lib, usize::MAX) {}
     std::mem::swap(&mut job.scratch, scratch);
@@ -734,7 +574,6 @@ pub(crate) struct FeaturizeOutput {
 pub struct FeaturizeJob {
     clock: f64,
     design_seed: u64,
-    dedup: bool,
     extractions: Vec<ConeExtraction>,
     multiplicity: HashMap<ContentHash, u32>,
     prior: Option<PriorRows>,
@@ -787,7 +626,6 @@ impl FeaturizeJob {
         FeaturizeJob {
             clock,
             design_seed,
-            dedup: cone_dedup_enabled(),
             extractions,
             multiplicity,
             prior,
@@ -891,7 +729,7 @@ impl FeaturizeJob {
     /// Looks the current signal's shard of the current variant up in the
     /// `shard` namespace, computing it on a miss, and counts which it was.
     fn shard(&mut self, store: &Store, sog: &Bog, lib: &Library) -> Arc<ConeShard> {
-        let (vi, clock, dedup) = (self.vi, self.clock, self.dedup);
+        let (vi, clock) = (self.vi, self.clock);
         let variant = BogVariant::ALL[vi];
         let s = &sog.signals()[self.sig];
         let ext = &self.extractions[self.sig];
@@ -904,9 +742,6 @@ impl FeaturizeJob {
         let shard = store.get_or_compute(stage::SHARD, key, || {
             computed.set(true);
             let sub = &ext.cone;
-            if !dedup {
-                return build_cone_shard(&sub.to_variant(variant), n_eps, lib, clock, seed);
-            }
             if multiplicity.get(&ext.fingerprint).copied().unwrap_or(1) > 1 {
                 let (vbog, eval) = shared_cone_eval(
                     store,
@@ -995,8 +830,136 @@ fn shared_cone_eval(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rtlt_bog::blast;
     use rtlt_verilog::compile;
+
+    /// Builds one signal's shard on its extracted cone in one pass: cone-local
+    /// pseudo-STA, then the slowest + `K` random paths per bit endpoint. The
+    /// extracted graph's first `n_eps` registers are the signal's bits;
+    /// boundary registers beyond them are launch points only. The test oracle
+    /// for the shared evaluation + replay split.
+    fn build_cone_shard(
+        sub: &Bog,
+        n_eps: usize,
+        lib: &Library,
+        clock: f64,
+        seed: u64,
+    ) -> ConeShard {
+        let cfg = StaConfig {
+            clock_period: clock,
+            ..StaConfig::default()
+        };
+        let sta = Sta::run(sub, lib, cfg);
+        let fanout = sub.fanout_counts();
+        let design = design_features(sub);
+        let mut cone_scratch = ConeScratch::new();
+        cone_scratch.begin(sub);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shard = ConeShard {
+            sta_at: Vec::with_capacity(n_eps),
+            driving_regs: Vec::with_capacity(n_eps),
+            rows: Vec::new(),
+            groups: Vec::with_capacity(n_eps),
+        };
+        for e in 0..n_eps {
+            let ep = Endpoint::Reg(e as u32);
+            let cone = input_cone_scratch(sub, sub.endpoint_node(ep), &mut cone_scratch);
+            shard.driving_regs.push(cone.driving_regs as f64);
+            shard.sta_at.push(sta.result().endpoint_at[e]);
+            let crit = sta.critical_path(ep);
+            let k = (cone.driving_regs / 3).clamp(0, MAX_RANDOM_PATHS);
+            let crit_nodes = crit.nodes.clone();
+            let mut paths = vec![crit];
+            for p in sta.sample_paths(ep, k, &mut rng) {
+                if p.nodes != crit_nodes {
+                    paths.push(p);
+                }
+            }
+            let mut group = Vec::with_capacity(paths.len());
+            for p in paths {
+                // Slots 0..4 (rank percentile + design-level features) are
+                // filled at merge; the placeholder values computed here from
+                // the sub-graph are overwritten.
+                let features = path_features(&sta, sub, &p, &cone, 0.0, &fanout, &design);
+                let ops = p.nodes.iter().map(|&n| op_class(sub.node(n).op)).collect();
+                let tok_feats = token_features(&sta, &p, &fanout);
+                group.push(shard.rows.len());
+                shard.rows.push(PathRow {
+                    features,
+                    ops,
+                    tok_feats,
+                    endpoint: e,
+                });
+            }
+            shard.groups.push(group);
+        }
+        shard
+    }
+
+    /// The per-signal path every featurize path must match bit for bit:
+    /// each signal of each variant evaluates its own cone through
+    /// [`build_cone_shard`], and the shards merge through the same
+    /// [`merge_pieces`] production uses.
+    fn build_all_variant_data_naive(
+        sog: &Bog,
+        lib: &Library,
+        clock: f64,
+        design_seed: u64,
+    ) -> Vec<VariantData> {
+        let (mut order, mut rank_pct) = (Vec::new(), Vec::new());
+        let mut all = Vec::new();
+        for (vi, &variant) in BogVariant::ALL.iter().enumerate() {
+            let pieces: Vec<Piece> = sog
+                .signals()
+                .iter()
+                .enumerate()
+                .map(|(sig, s)| {
+                    let sub = rtlt_bog::extract_signal_cone(sog, sig).to_variant(variant);
+                    let seed = shard_seed(design_seed, vi, &s.name);
+                    let n_eps = s.width as usize;
+                    Piece::Shard(Arc::new(build_cone_shard(&sub, n_eps, lib, clock, seed)))
+                })
+                .collect();
+            let design_feats = design_features(&sog.to_variant(variant));
+            all.push(merge_pieces(
+                variant,
+                design_feats,
+                &pieces,
+                None,
+                &mut order,
+                &mut rank_pct,
+            ));
+        }
+        all
+    }
+
+    /// f64 slices compared as raw bits: `==` on floats would conflate
+    /// `-0.0`/`0.0` and hide NaN divergence, and "bit-exact" is the contract.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_bit_identical(a: &[VariantData], b: &[VariantData]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.variant, y.variant);
+            assert_eq!(x.groups, y.groups);
+            assert_eq!(bits(&x.endpoint_sta_at), bits(&y.endpoint_sta_at));
+            assert_eq!(bits(&x.driving_regs), bits(&y.driving_regs));
+            assert_eq!(bits(&x.design_feats), bits(&y.design_feats));
+            assert_eq!(x.rows.len(), y.rows.len());
+            for (r, s) in x.rows.iter().zip(&y.rows) {
+                assert_eq!(bits(&r.features), bits(&s.features));
+                assert_eq!(r.ops, s.ops);
+                assert_eq!(r.endpoint, s.endpoint);
+                assert_eq!(r.tok_feats.len(), s.tok_feats.len());
+                for (tf, sf) in r.tok_feats.iter().zip(&s.tok_feats) {
+                    assert_eq!(bits(tf), bits(sf));
+                }
+            }
+        }
+    }
 
     fn bog() -> Bog {
         blast(
@@ -1016,11 +979,17 @@ mod tests {
         )
     }
 
+    /// The SOG variant of the sharded build over a fresh store.
+    fn sog_data(bog: &Bog, seed: u64) -> VariantData {
+        let lib = Library::pseudo_bog();
+        let mut all = build_all_variant_data(&Store::in_memory(), bog, &lib, 1.0, seed);
+        all.swap_remove(0)
+    }
+
     #[test]
     fn dataset_covers_every_endpoint() {
         let bog = bog();
-        let lib = Library::pseudo_bog();
-        let data = build_variant_data(&bog, &lib, 1.0, 1);
+        let data = sog_data(&bog, 1);
         assert_eq!(data.groups.len(), bog.regs().len());
         assert!(
             data.groups.iter().all(|g| !g.is_empty()),
@@ -1040,9 +1009,7 @@ mod tests {
 
     #[test]
     fn bigger_cones_get_more_paths() {
-        let bog = bog();
-        let lib = Library::pseudo_bog();
-        let data = build_variant_data(&bog, &lib, 1.0, 1);
+        let data = sog_data(&bog(), 1);
         // `s` endpoints depend on r+a (wide cones) → sampled extra paths;
         // at least one endpoint should have multiple paths.
         assert!(data.groups.iter().any(|g| g.len() > 1));
@@ -1051,9 +1018,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let bog = bog();
-        let lib = Library::pseudo_bog();
-        let a = build_variant_data(&bog, &lib, 1.0, 9);
-        let b = build_variant_data(&bog, &lib, 1.0, 9);
+        let a = sog_data(&bog, 9);
+        let b = sog_data(&bog, 9);
         assert_eq!(a.rows.len(), b.rows.len());
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!(x.features, y.features);
@@ -1116,51 +1082,21 @@ mod tests {
         )
     }
 
-    fn assert_variant_data_eq(a: &[VariantData], b: &[VariantData]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.variant, y.variant);
-            assert_eq!(x.rows, y.rows);
-            assert_eq!(x.groups, y.groups);
-            assert_eq!(x.endpoint_sta_at, y.endpoint_sta_at);
-            assert_eq!(x.driving_regs, y.driving_regs);
-            assert_eq!(x.design_feats, y.design_feats);
-        }
-    }
-
     #[test]
     fn dedup_and_legacy_paths_are_bit_identical() {
         let lib = Library::pseudo_bog();
         for bog in [bog(), twin_bog()] {
             for clock in [1.0, 0.37] {
-                let dedup_store = Store::in_memory();
-                let legacy_store = Store::in_memory();
-                let mut scratch = FeaturizeScratch::new();
-                let deduped = build_all_variant_data_scratch(
-                    &dedup_store,
-                    &bog,
-                    &lib,
-                    clock,
-                    7,
-                    true,
-                    &mut scratch,
-                );
-                let legacy = build_all_variant_data_scratch(
-                    &legacy_store,
-                    &bog,
-                    &lib,
-                    clock,
-                    7,
-                    false,
-                    &mut scratch,
-                );
-                assert_variant_data_eq(&deduped, &legacy);
-                // The per-seed shard cache is shaped identically either way.
+                let store = Store::in_memory();
+                let deduped = build_all_variant_data(&store, &bog, &lib, clock, 7);
+                let legacy = build_all_variant_data_naive(&bog, &lib, clock, 7);
+                assert_bit_identical(&deduped, &legacy);
+                // One shard per signal × variant, as the per-signal path
+                // computes them.
                 assert_eq!(
-                    dedup_store.stats().namespace(stage::SHARD).misses,
-                    legacy_store.stats().namespace(stage::SHARD).misses,
+                    store.stats().namespace(stage::SHARD).misses as usize,
+                    bog.signals().len() * 4
                 );
-                assert_eq!(legacy_store.stats().namespace(stage::CONESTA).misses, 0);
             }
         }
     }
@@ -1170,8 +1106,7 @@ mod tests {
         let bog = twin_bog();
         let lib = Library::pseudo_bog();
         let store = Store::in_memory();
-        let mut scratch = FeaturizeScratch::new();
-        build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 7, true, &mut scratch);
+        build_all_variant_data(&store, &bog, &lib, 1.0, 7);
         // r1/r2 cones are isomorphic: one conesta entry per variant serves
         // both signals' shards.
         let conesta = store.stats().namespace(stage::CONESTA).misses;
@@ -1188,22 +1123,85 @@ mod tests {
         let bog = twin_bog();
         let lib = Library::pseudo_bog();
         let store = Store::in_memory();
-        let mut scratch = FeaturizeScratch::new();
-        let first = build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 7, true, &mut scratch);
+        build_all_variant_data(&store, &bog, &lib, 1.0, 7);
         let conesta_misses = store.stats().namespace(stage::CONESTA).misses;
         // Different seed → different shard keys → shards recompute, but the
         // seed-independent evaluations are all served from the store.
-        let second = build_all_variant_data_scratch(&store, &bog, &lib, 1.0, 8, true, &mut scratch);
+        let second = build_all_variant_data(&store, &bog, &lib, 1.0, 8);
         assert_eq!(
             store.stats().namespace(stage::CONESTA).misses,
             conesta_misses
         );
-        // Same-seed legacy rebuild for the byte-identity check.
-        let legacy_store = Store::in_memory();
-        let legacy =
-            build_all_variant_data_scratch(&legacy_store, &bog, &lib, 1.0, 8, false, &mut scratch);
-        assert_variant_data_eq(&second, &legacy);
-        drop(first);
+        assert_bit_identical(&second, &build_all_variant_data_naive(&bog, &lib, 1.0, 8));
+    }
+
+    /// A design with `twins` isomorphic register cones (same structure over
+    /// disjoint input lanes, distinct names) plus one deliberately different
+    /// cone — the adversarial case for structural fingerprinting.
+    fn twin_source(width: u32, twins: usize, op: &str) -> String {
+        let x = width - 1;
+        let mut ports = String::new();
+        let mut body = String::new();
+        for i in 0..twins {
+            ports.push_str(&format!(
+                "input [{x}:0] a{i}, input [{x}:0] b{i}, output [{x}:0] q{i}, "
+            ));
+            body.push_str(&format!(
+                "reg [{x}:0] r{i};\nalways @(posedge clk) r{i} <= (a{i} {op} b{i}) ^ (r{i} >> 1);\nassign q{i} = r{i};\n"
+            ));
+        }
+        format!(
+            "module t(input clk, {ports}input [{x}:0] c, output [{x}:0] qz);\n\
+             reg [{x}:0] rz;\n\
+             always @(posedge clk) rz <= c + {w}'d3;\n\
+             assign qz = rz;\n\
+             {body}endmodule",
+            w = width
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// For arbitrary small designs with shared bit-lane structure and
+        /// extreme clocks, the deduplicated path (shared seed-independent
+        /// evaluation + seeded replay) matches the naive per-signal path
+        /// bit for bit, and the shared evaluation really is shared.
+        #[test]
+        fn dedup_matches_naive_bit_for_bit(
+            width in 2u32..7,
+            twins in 2usize..4,
+            pick in 0usize..4,
+            seed in 0u64..1000,
+            clock_pick in 0usize..4,
+        ) {
+            let ops = ["+", "&", "^", "|"];
+            // Includes a denormal-adjacent and a huge clock: arithmetic near
+            // the extremes is where a reordered kernel would drift first.
+            let clocks = [1.0f64, 0.037, 4.9e-300, 8.1e12];
+            let clock = clocks[clock_pick];
+            let sog = blast(&compile(&twin_source(width, twins, ops[pick]), "t").expect("compiles"));
+            let lib = Library::pseudo_bog();
+
+            let store = Store::in_memory();
+            let dedup = build_all_variant_data(&store, &sog, &lib, clock, seed);
+            assert_bit_identical(&dedup, &build_all_variant_data_naive(&sog, &lib, clock, seed));
+
+            // One shard per signal × variant, as the naive path computes
+            // them, and the twins collapse onto shared evaluations (fewer
+            // conesta entries than shard entries).
+            let stats = store.stats();
+            let shard = stats.namespace(stage::SHARD).misses;
+            prop_assert_eq!(shard as usize, sog.signals().len() * 4);
+            let conesta = stats.namespace(stage::CONESTA).misses;
+            prop_assert!(conesta > 0);
+            prop_assert!(
+                conesta < shard,
+                "isomorphic cones should share evaluations ({} conesta vs {} shard)",
+                conesta,
+                shard
+            );
+        }
     }
 
     #[test]

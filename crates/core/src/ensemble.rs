@@ -127,10 +127,11 @@ impl rtlt_store::Codec for EnsembleModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::build_variant_data;
+    use crate::dataset::build_all_variant_data;
     use crate::metrics::pearson;
-    use rtlt_bog::{blast, BogVariant};
+    use rtlt_bog::blast;
     use rtlt_liberty::Library;
+    use rtlt_store::Store;
     use rtlt_verilog::compile;
 
     #[test]
@@ -147,7 +148,7 @@ mod tests {
             .unwrap(),
         );
         let lib = Library::pseudo_bog();
-        let sog = build_variant_data(&bog, &lib, 1.0, 1);
+        let sog = build_all_variant_data(&Store::in_memory(), &bog, &lib, 1.0, 1).swap_remove(0);
         let n = sog.endpoint_sta_at.len();
         // Fake variant predictions.
         let preds: Vec<Vec<f64>> = (0..4)
@@ -176,10 +177,7 @@ mod tests {
             .unwrap(),
         );
         let lib = Library::pseudo_bog();
-        let variants: Vec<_> = BogVariant::ALL
-            .iter()
-            .map(|&v| build_variant_data(&bog.to_variant(v), &lib, 1.0, 2))
-            .collect();
+        let variants = build_all_variant_data(&Store::in_memory(), &bog, &lib, 1.0, 2);
         let n = variants[0].endpoint_sta_at.len();
         let labels: Vec<f64> = variants[0]
             .endpoint_sta_at

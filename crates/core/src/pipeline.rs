@@ -446,7 +446,6 @@ impl<'a> PrepareStages<'a> {
             &pseudo,
             label.clock,
             label.synth_seed,
-            crate::dataset::cone_dedup_enabled(),
             scratch,
         );
 
@@ -697,32 +696,6 @@ impl DesignSet {
             .filter(|(name, _)| shard_of(name, shard_count) == shard_index)
             .cloned()
             .collect()
-    }
-
-    /// Fleet-sharded suite preparation: prepares only the benchmark-suite
-    /// designs assigned to shard `shard_index` of `shard_count`. N workers
-    /// running disjoint shards against disjoint cache dirs prepare the full
-    /// suite cooperatively; [`Store::merge_disk_tier`] then assembles the
-    /// single warm cache, byte-identical to an unsharded cold prepare.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_index >= shard_count` (a misconfigured fleet spec
-    /// is a driver bug, not a recoverable state) or if a generated design
-    /// fails to compile.
-    pub fn prepare_suite_sharded(
-        cfg: &TimerConfig,
-        store: &Store,
-        shard_index: usize,
-        shard_count: usize,
-    ) -> DesignSet {
-        assert!(
-            shard_index < shard_count.max(1),
-            "shard index {shard_index} out of range for {shard_count} shards"
-        );
-        let sources =
-            Self::shard_sources(&rtlt_designgen::generate_all(), shard_index, shard_count);
-        Self::prepare_named_with(&sources, cfg, store).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Work-stealing suite preparation over the full benchmark suite: the
@@ -993,28 +966,6 @@ pub struct StolenPrepare {
     pub fell_back: bool,
 }
 
-/// Work-stealing fleet preparation: instead of a static `I/N` split, this
-/// worker leases design names one at a time from the `fleet` server's
-/// [`rtlt_store::Planner`], prepares each through the `store`, and reports
-/// the observed cost back. The server hands out pending designs
-/// longest-expected-first and re-queues any lease whose worker goes silent
-/// past the lease deadline — so a slow worker's design is *stolen* by a
-/// faster one instead of gating the merge.
-///
-/// Degradation mirrors the rest of the store: if the server is
-/// unreachable before any lease is granted the function returns `None`
-/// and the caller runs the static-shard path; if it vanishes mid-run the
-/// worker keeps what it prepared and falls back to the unprepared
-/// remainder of [`StealConfig::fallback_shard`] (or of the full list) —
-/// either way every artifact is byte-identical to a cold prepare, because
-/// the planner only ever decides *who* computes, never *what*.
-///
-/// # Panics
-///
-/// Panics if a leased design fails to compile (matching
-/// [`DesignSet::prepare_suite_sharded`]: the suite generator and frontend
-/// are tested together). The unfinished lease then expires on the server
-/// and re-queues — a crashing worker is just a silent one.
 /// Content epoch of one fleet run: a stable hash over every design's
 /// featurize key (so it moves with any source, seed, or effort change).
 /// Workers of one run derive identical epochs from identical inputs; a
@@ -1034,6 +985,27 @@ pub fn steal_plan_epoch(sources: &[(String, String)], cfg: &TimerConfig) -> u64 
     u64::from_le_bytes(h.0[..8].try_into().expect("8 bytes"))
 }
 
+/// Work-stealing fleet preparation: instead of a static `I/N` split, this
+/// worker leases design names one at a time from the `fleet` server's
+/// [`rtlt_store::Planner`], prepares each through the `store`, and reports
+/// the observed cost back. The server hands out pending designs
+/// longest-expected-first and re-queues any lease whose worker goes silent
+/// past the lease deadline — so a slow worker's design is *stolen* by a
+/// faster one instead of gating the merge.
+///
+/// Degradation mirrors the rest of the store: if the server is
+/// unreachable before any lease is granted the function returns `None`
+/// and the caller runs the static-shard path; if it vanishes mid-run the
+/// worker keeps what it prepared and falls back to the unprepared
+/// remainder of [`StealConfig::fallback_shard`] (or of the full list) —
+/// either way every artifact is byte-identical to a cold prepare, because
+/// the planner only ever decides *who* computes, never *what*.
+///
+/// # Panics
+///
+/// Panics if a leased design fails to compile (the suite generator and
+/// frontend are tested together). The unfinished lease then expires on
+/// the server and re-queues — a crashing worker is just a silent one.
 pub fn prepare_stolen(
     sources: &[(String, String)],
     cfg: &TimerConfig,
@@ -1312,8 +1284,6 @@ impl RtlTimer {
     /// reuse one set of feature-matrix buffers instead of reallocating
     /// them per call.
     pub fn predict_with(&self, d: &DesignData, scratch: &mut PredictScratch) -> Prediction {
-        let trace = predict_trace_enabled();
-        let t0 = std::time::Instant::now();
         let variant_bit_preds: Vec<Vec<f64>> = (0..4)
             .map(|v| {
                 self.bitwise[v].predict_endpoints_with(
@@ -1323,13 +1293,9 @@ impl RtlTimer {
                 )
             })
             .collect();
-        let t_bit = t0.elapsed();
-        let t0 = std::time::Instant::now();
         meta_rows_into(&variant_bit_preds, &d.variant_data[0], &mut scratch.meta);
         let bit_pred = self.ensemble.predict(&scratch.meta);
-        let t_ens = t0.elapsed();
 
-        let t0 = std::time::Instant::now();
         signal_rows_into(
             &bit_pred,
             &d.variant_data[0].endpoint_sta_at,
@@ -1338,17 +1304,6 @@ impl RtlTimer {
             &mut scratch.signals,
         );
         let (signal_pred, signal_rank_score) = self.signal.predict(&scratch.signals);
-        let t_sig = t0.elapsed();
-        if trace {
-            eprintln!(
-                "[predict-trace] {}: bitwise {:.2}ms ensemble {:.2}ms signal {:.2}ms (rows {})",
-                d.name,
-                t_bit.as_secs_f64() * 1e3,
-                t_ens.as_secs_f64() * 1e3,
-                t_sig.as_secs_f64() * 1e3,
-                scratch.paths.n_rows(),
-            );
-        }
 
         let drow = design_row(&bit_pred, d.clock, d.setup, &d.variant_data[0].design_feats);
         let n_eps = d.labels_at.iter().filter(|l| l.is_finite()).count() as f64;
@@ -1374,19 +1329,6 @@ impl RtlTimer {
             setup: d.setup,
         }
     }
-}
-
-/// Whether [`RtlTimer::predict_with`] prints a per-stage wall-time
-/// breakdown to stderr (`RTLT_PREDICT_TRACE=1`) — the profiling hook for
-/// bisecting inference regressions between the bitwise, ensemble and
-/// signal stages.
-fn predict_trace_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("RTLT_PREDICT_TRACE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
 }
 
 /// Reusable buffers for [`RtlTimer::predict_with`]: one path-row matrix,
@@ -1513,14 +1455,10 @@ impl Prediction {
 }
 
 /// Runs k-fold cross-validation (train/test splits are disjoint by design,
-/// as in the paper) and returns one [`Prediction`] per design.
-pub fn cross_validate(set: &DesignSet, k: usize, cfg: &TimerConfig) -> Vec<Prediction> {
-    cross_validate_with(set, k, cfg, &Store::disabled())
-}
-
-/// [`cross_validate`] through a shared artifact store: every fold's fitted
-/// model is memoized (see [`RtlTimer::fit_with`]), so a warm second run of
-/// any cross-validating bench binary skips model fitting entirely.
+/// as in the paper) through a shared artifact store and returns one
+/// [`Prediction`] per design. Every fold's fitted model is memoized (see
+/// [`RtlTimer::fit_with`]), so a warm second run of any cross-validating
+/// bench binary skips model fitting entirely.
 pub fn cross_validate_with(
     set: &DesignSet,
     k: usize,

@@ -17,32 +17,16 @@
 //! Comparison order (`value <= threshold`, NaN falls right — a self-loop
 //! leaf re-selects itself on either outcome) and per-row accumulation
 //! order (base, then trees in boosting order) are exactly the scalar
-//! path's, so predictions are bit-identical.
-//!
-//! `RTLT_NO_FLAT_PREDICT=1` forces consumers back onto the scalar path —
-//! the A/B escape hatch, in the same style as `RTLT_NO_CONE_DEDUP`.
+//! path's, so predictions are bit-identical. The scalar walk
+//! ([`Tree::predict`]) is the oracle the tests hold this kernel to.
 
 use crate::matrix::FeatureMatrix;
 use crate::tree::{Node, Tree};
-use std::sync::OnceLock;
 
 /// Rows traversed per tree before moving to the next tree: large enough
 /// to amortize reloading the node array and to expose independent
 /// descent chains, small enough that the block's cursors stay in L1.
 pub const ROW_BLOCK: usize = 64;
-
-/// Whether the flat prediction kernel is active (default).
-/// `RTLT_NO_FLAT_PREDICT=1` forces the scalar `Node`-walk path — the
-/// escape hatch for A/B verification and for bisecting inference
-/// regressions.
-pub fn flat_predict_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !std::env::var("RTLT_NO_FLAT_PREDICT")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
-}
 
 /// One linearized tree node: the descent-hot fields, packed so a step
 /// reads one cache line. Leaves self-loop (`left == right == self`) with

@@ -1,6 +1,6 @@
 //! Gradient-boosted decision trees with pluggable objectives.
 
-use crate::flat::{flat_predict_enabled, FlatForest};
+use crate::flat::FlatForest;
 use crate::matrix::FeatureMatrix;
 use crate::tree::{Binner, Tree, TreeParams, TreeScratch};
 use rand::rngs::StdRng;
@@ -190,25 +190,13 @@ impl Gbdt {
     /// Panics if the row width differs from training.
     pub fn predict(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.n_features, "feature width mismatch");
-        if flat_predict_enabled() {
-            return self.flat.predict_row(row);
-        }
-        let mut acc = self.base;
-        for t in &self.trees {
-            acc += self.learning_rate * t.predict(row);
-        }
-        acc
+        self.flat.predict_row(row)
     }
 
     /// Batch prediction into a caller-owned buffer (cleared first) via the
-    /// flat SoA kernel, or the scalar walk under `RTLT_NO_FLAT_PREDICT=1`.
+    /// flat SoA kernel.
     pub fn predict_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
-        if flat_predict_enabled() {
-            self.flat.predict_into(rows, out);
-        } else {
-            out.clear();
-            out.extend(rows.rows().map(|r| self.predict(r)));
-        }
+        self.flat.predict_into(rows, out);
     }
 
     /// Batch prediction.
@@ -264,6 +252,8 @@ impl rtlt_store::Codec for Gbdt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::Union;
     use rand::Rng;
 
     fn pearson(a: &[f64], b: &[f64]) -> f64 {
@@ -419,5 +409,89 @@ mod tests {
         );
         let imp = model.feature_importance();
         assert!(imp[1] > imp[0], "{imp:?}");
+    }
+
+    /// Training values on a coarse grid, so bin edges (= split thresholds)
+    /// coincide with values the prediction rows reuse.
+    fn grid() -> Union<f64> {
+        prop_oneof![
+            (-16i64..16).prop_map(|i| i as f64 * 0.25),
+            Just(-0.0f64),
+            -100.0f64..100.0,
+        ]
+    }
+
+    /// Prediction-side values: the grid plus NaN, ±∞, ±0 and subnormals.
+    fn adversarial() -> Union<f64> {
+        prop_oneof![
+            (-16i64..16).prop_map(|i| i as f64 * 0.25),
+            Just(0.0f64),
+            Just(-0.0f64),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            (1u64..(1 << 52)).prop_map(f64::from_bits),
+            (1u64..(1 << 52)).prop_map(|m| -f64::from_bits(m)),
+        ]
+    }
+
+    fn matrix_of(vals: &[f64], n_cols: usize) -> FeatureMatrix {
+        let mut m = FeatureMatrix::new(n_cols);
+        for row in vals.chunks_exact(n_cols) {
+            m.push_row(row);
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `predict` and `predict_all` run the flat kernel; fitted through
+        /// `Gbdt::fit` under either objective, both equal the scalar oracle
+        /// base + Σ lr·`Tree::predict` bit for bit, on adversarial rows and
+        /// on training rows reused verbatim (threshold-equal comparisons).
+        #[test]
+        fn fitted_model_predicts_like_the_scalar_walk(
+            train_vals in proptest::collection::vec(grid(), 24..160),
+            pred_vals in proptest::collection::vec(adversarial(), 0..256),
+            n_cols in 1usize..4,
+            grouped in 0usize..2,
+            seed in 0u64..1024,
+        ) {
+            let train = matrix_of(&train_vals, n_cols);
+            let y: Vec<f64> = train.rows().map(|r| r.iter().sum()).collect();
+            let params = GbdtParams {
+                n_trees: 8,
+                max_bins: 16,
+                seed,
+                ..GbdtParams::default()
+            };
+            let model = if grouped == 1 {
+                let groups: Vec<Vec<usize>> =
+                    (0..y.len()).collect::<Vec<_>>().chunks(3).map(<[usize]>::to_vec).collect();
+                let targets = groups
+                    .iter()
+                    .map(|g| g.iter().map(|&r| y[r]).fold(f64::MIN, f64::max))
+                    .collect();
+                Gbdt::fit(&train, &GroupedMaxObjective { groups, targets }, &params)
+            } else {
+                Gbdt::fit(&train, &SquaredObjective { targets: y }, &params)
+            };
+
+            let mut rows = matrix_of(&pred_vals, n_cols);
+            for r in train.rows() {
+                rows.push_row(r);
+            }
+            let batch = model.predict_all(&rows);
+            prop_assert_eq!(batch.len(), rows.n_rows());
+            for (row, got) in rows.rows().zip(&batch) {
+                let want = model
+                    .trees
+                    .iter()
+                    .fold(model.base, |acc, t| acc + model.learning_rate * t.predict(row));
+                prop_assert_eq!(model.predict(row).to_bits(), want.to_bits());
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
     }
 }

@@ -31,11 +31,11 @@ mod scaler;
 mod tree;
 
 pub use attention::{PathSample, PathTransformer, TransformerParams};
-pub use flat::{flat_predict_enabled, FlatForest, ROW_BLOCK};
+pub use flat::{FlatForest, ROW_BLOCK};
 pub use gbdt::{Gbdt, GbdtParams, GroupedMaxObjective, Objective, SquaredObjective};
 pub use gnn::{Gnn, GnnGraph, GnnParams};
 pub use ltr::{LambdaMart, LtrParams};
 pub use matrix::{FeatureMatrix, Matrix};
 pub use mlp::{Mlp, MlpParams};
 pub use scaler::Scaler;
-pub use tree::{hist_subtract_enabled, Binner, Tree, TreeParams, TreeScratch};
+pub use tree::{Binner, Tree, TreeParams, TreeScratch};

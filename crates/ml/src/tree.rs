@@ -2,7 +2,6 @@
 //! LambdaMART).
 
 use crate::matrix::FeatureMatrix;
-use std::sync::OnceLock;
 
 /// Quantile binner mapping raw feature values to ≤256 bins per feature.
 #[derive(Debug, Clone)]
@@ -111,20 +110,6 @@ pub(crate) enum Node {
         left: usize,
         right: usize,
     },
-}
-
-/// Whether the sibling-subtraction histogram trick is active. Opt-in via
-/// `RTLT_HIST_SUBTRACT=1`: deriving the larger child's histogram as
-/// `parent − smaller` reorders floating-point summation, and the ulp-level
-/// gain differences can flip near-tie splits — so the default stays on the
-/// direct path to keep fitted models byte-stable across releases.
-pub fn hist_subtract_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("RTLT_HIST_SUBTRACT")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
 }
 
 /// Row count below which the per-node feature scan stays sequential even
@@ -253,9 +238,6 @@ struct GrowEntry {
     slot: usize,
     rows: Vec<usize>,
     depth: usize,
-    /// Histogram handed down by sibling subtraction (flattened, same
-    /// layout as [`TreeScratch::hist`]); `None` means fill directly.
-    hist: Option<Vec<f64>>,
 }
 
 impl Tree {
@@ -300,7 +282,6 @@ impl Tree {
     ) -> Tree {
         let nf = binner.n_features();
         scratch.ensure(binner);
-        let subtract = hist_subtract_enabled();
         let mut nodes = Vec::new();
         let mut stack: Vec<GrowEntry> = Vec::new();
         nodes.push(Node::Leaf { value: 0.0 });
@@ -308,16 +289,9 @@ impl Tree {
             slot: 0,
             rows: row_indices.to_vec(),
             depth: 0,
-            hist: None,
         });
 
-        while let Some(entry) = stack.pop() {
-            let GrowEntry {
-                slot,
-                rows,
-                depth,
-                hist,
-            } = entry;
+        while let Some(GrowEntry { slot, rows, depth }) = stack.pop() {
             let gsum: f64 = rows.iter().map(|&r| grad[r]).sum();
             let hsum: f64 = rows.iter().map(|&r| hess[r]).sum();
             let leaf_value = -gsum / (hsum + params.lambda);
@@ -327,11 +301,7 @@ impl Tree {
             }
 
             let parent_score = gsum * gsum / (hsum + params.lambda);
-            let par_path = hist.is_none() && threads > 1 && rows.len() >= PAR_SCAN_MIN_ROWS;
-            let best = if let Some(h) = &hist {
-                // Histogram handed down by sibling subtraction.
-                Self::scan_all(binner, h, 0, gsum, hsum, parent_score, params)
-            } else if par_path {
+            let best = if threads > 1 && rows.len() >= PAR_SCAN_MIN_ROWS {
                 // Fan the fill + scan out over contiguous feature chunks;
                 // each worker owns its chunk's histogram slice.
                 let chunk = nf.div_ceil(threads.max(1));
@@ -399,7 +369,7 @@ impl Tree {
                         scratch.hist[o + 1] += h;
                     }
                 }
-                Self::scan_all(binner, &scratch.hist, 0, gsum, hsum, parent_score, params)
+                Self::scan_all(binner, &scratch.hist, gsum, hsum, parent_score, params)
             };
 
             match best {
@@ -418,51 +388,15 @@ impl Tree {
                         left,
                         right,
                     };
-                    // Sibling subtraction: both children will scan, so
-                    // build the smaller child's histogram directly and
-                    // derive the larger's as parent − smaller. Needs the
-                    // parent's histogram, which the parallel path never
-                    // materializes in one place.
-                    let mut lhist = None;
-                    let mut rhist = None;
-                    let scannable = |rs: &[usize]| depth + 1 < params.max_depth && rs.len() >= 2;
-                    if subtract && !par_path && scannable(&lrows) && scannable(&rrows) {
-                        let parent: &[f64] = hist.as_deref().unwrap_or(&scratch.hist);
-                        let small_is_left = lrows.len() <= rrows.len();
-                        let small = if small_is_left { &lrows } else { &rrows };
-                        let mut sh = vec![0.0f64; parent.len()];
-                        fill_hist_features(
-                            &mut sh,
-                            &scratch.feat_off,
-                            0,
-                            0..nf,
-                            codes,
-                            grad,
-                            hess,
-                            small,
-                            nf,
-                        );
-                        let derived: Vec<f64> =
-                            parent.iter().zip(&sh).map(|(p, s)| p - s).collect();
-                        if small_is_left {
-                            lhist = Some(sh);
-                            rhist = Some(derived);
-                        } else {
-                            rhist = Some(sh);
-                            lhist = Some(derived);
-                        }
-                    }
                     stack.push(GrowEntry {
                         slot: left,
                         rows: lrows,
                         depth: depth + 1,
-                        hist: lhist,
                     });
                     stack.push(GrowEntry {
                         slot: right,
                         rows: rrows,
                         depth: depth + 1,
-                        hist: rhist,
                     });
                 }
             }
@@ -475,14 +409,13 @@ impl Tree {
     fn scan_all(
         binner: &Binner,
         hist: &[f64],
-        base_off: usize,
         gsum: f64,
         hsum: f64,
         parent_score: f64,
         params: &TreeParams,
     ) -> Option<(f64, usize, u16)> {
         let mut best: Option<(f64, usize, u16)> = None;
-        let mut off = base_off;
+        let mut off = 0;
         for f in 0..binner.n_features() {
             let nb = binner.n_bins(f);
             if nb >= 2 {

@@ -17,9 +17,7 @@
 //!   or a raw escape) and [`Store`] compresses on put / decompresses once
 //!   on get, so disk files and wire payloads shrink together,
 //! * [`tier`] — the [`StoreTier`] trait and the local tier impls: the
-//!   byte-LRU [`MemTier`] and the checksummed [`DiskTier`], plus the
-//!   per-namespace [`TierPolicy`] (`RTLT_TIER_POLICY`) choosing packed vs
-//!   raw payloads and an optional decoded-front-cache quota per namespace,
+//!   byte-LRU [`MemTier`] and the checksummed [`DiskTier`],
 //! * [`wire`]/[`remote`]/[`server`] — the `rtlt-stored` artifact service:
 //!   a length-prefixed, always-tagged binary protocol, the [`RemoteTier`]
 //!   client and the server, so CI fleets and developer machines share one
@@ -28,7 +26,9 @@
 //!   one client connection every network service here is built on,
 //! * [`Store`] — the handle every call site goes through: a byte-budgeted
 //!   LRU cache of **decoded** `Arc<T>` artifacts fronting a composable
-//!   stack of byte tiers (disk, then optionally remote),
+//!   stack of byte tiers (disk, then optionally remote); a fixed
+//!   per-namespace table picks packed or raw payloads and an optional
+//!   decoded-cache quota,
 //! * [`StatsSnapshot`] — per-namespace, per-tier hit/miss/byte counters.
 //!
 //! Lookups are namespaced by stage name so identical keys from different
@@ -76,8 +76,7 @@ pub use plan::{LeaseGrant, PlanStats, Planner};
 pub use remote::RemoteTier;
 pub use stats::{NamespaceStats, StatsSnapshot, TierHits};
 pub use tier::{
-    DiskTier, GcReport, MemTier, MergeReport, PayloadCoding, StoreTier, TierKind, TierLookup,
-    TierPolicy, TierStats,
+    DiskTier, GcReport, MemTier, MergeReport, StoreTier, TierKind, TierLookup, TierStats,
 };
 
 use stats::StoreStats;
@@ -89,6 +88,34 @@ use std::sync::{Arc, Mutex};
 /// Default in-memory front-cache budget: 2 GiB of encoded artifact bytes.
 pub const DEFAULT_MEM_BUDGET: usize = 2 << 30;
 
+/// Decoded-front-cache quota for the bulk `featurize` namespace: big
+/// enough to keep the active design's tables decoded, small enough that
+/// 21 designs of shards do not crowd out the hot tiny namespaces.
+pub const FEATURIZE_MEM_QUOTA: usize = 64 << 20;
+
+/// Decoded-front-cache quota for the `conesta` namespace (seed-independent
+/// shared cone evaluations). The entries are read many times during one
+/// design's featurize (once per signal sharing the cone) but rarely after,
+/// so they get a bounded share rather than crowding out the hot tiny
+/// namespaces.
+pub const CONESTA_MEM_QUOTA: usize = 32 << 20;
+
+/// The tier policy of namespace `ns`: whether the byte tiers hold its
+/// payloads packed ([`compress::compress`]) rather than as raw frames, and
+/// its decoded-front-cache quota, if capped. Bulk `featurize` tables and
+/// shared `conesta` evaluations are packed and capped (cheap to re-read
+/// from compressed disk); the tiny, hot `modast`/`compile` artifacts stay
+/// raw, where a decode would cost more than the bytes save; every other
+/// namespace is packed with no quota.
+fn namespace_policy(ns: &str) -> (bool, Option<usize>) {
+    match ns {
+        "featurize" => (true, Some(FEATURIZE_MEM_QUOTA)),
+        "conesta" => (true, Some(CONESTA_MEM_QUOTA)),
+        "modast" | "compile" => (false, None),
+        _ => (true, None),
+    }
+}
+
 #[derive(Debug)]
 struct DecodedEntry {
     value: Arc<dyn Any + Send + Sync>,
@@ -97,7 +124,7 @@ struct DecodedEntry {
 }
 
 /// The decoded-artifact front cache (LRU by encoded size, with optional
-/// per-namespace byte quotas from the [`TierPolicy`]).
+/// per-namespace byte quotas from [`namespace_policy`]).
 #[derive(Debug, Default)]
 struct DecodedCache {
     entries: HashMap<(String, ContentHash), DecodedEntry>,
@@ -128,7 +155,6 @@ pub struct Store {
     enabled: bool,
     decoded: Mutex<DecodedCache>,
     mem_budget: usize,
-    policy: TierPolicy,
     tiers: Vec<Arc<dyn StoreTier>>,
     stats: StoreStats,
     /// Payload bytes fetched ahead of need by [`Store::prefetch`] (one
@@ -151,7 +177,6 @@ impl Store {
             enabled: true,
             decoded: Mutex::new(DecodedCache::default()),
             mem_budget,
-            policy: TierPolicy::default(),
             tiers: Vec::new(),
             stats: StoreStats::default(),
             staged: Mutex::new(HashMap::new()),
@@ -193,19 +218,6 @@ impl Store {
     /// Whether this store retains anything at all.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Replaces the per-namespace payload/quota policy (see
-    /// [`TierPolicy::parse`] for the `RTLT_TIER_POLICY` syntax). Affects
-    /// future puts and front-cache admissions; frames already in the tiers
-    /// stay readable either way, since every frame is self-describing.
-    pub fn set_tier_policy(&mut self, policy: TierPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active per-namespace payload/quota policy.
-    pub fn tier_policy(&self) -> &TierPolicy {
-        &self.policy
     }
 
     /// The byte tiers, in fallback order.
@@ -470,7 +482,7 @@ impl Store {
         // raw per the namespace policy.
         let payload = value.to_bytes();
         if !self.tiers.is_empty() {
-            let frame = if self.policy.packed(ns) {
+            let frame = if namespace_policy(ns).0 {
                 compress::compress(&payload)
             } else {
                 compress::raw_frame(&payload)
@@ -555,12 +567,11 @@ impl Store {
         if bytes > self.mem_budget {
             return;
         }
-        // The namespace's decoded-cache quota (RTLT_TIER_POLICY `mem=`):
-        // oversized artifacts skip admission, and admission evicts the
-        // namespace's own LRU entries first so one bulky namespace (e.g.
-        // featurize on the compressed-disk-first policy) cannot crowd the
+        // The namespace's decoded-cache quota: oversized artifacts skip
+        // admission, and admission evicts the namespace's own LRU entries
+        // first so one bulky namespace (e.g. featurize) cannot crowd the
         // others out of the front cache.
-        let quota = self.policy.mem_quota(ns);
+        let quota = namespace_policy(ns).1;
         if quota.is_some_and(|q| bytes > q) {
             return;
         }
@@ -947,31 +958,51 @@ mod tests {
     }
 
     #[test]
+    fn namespace_policy_packs_all_but_the_tiny_hot_namespaces() {
+        // Zeros compress to a sliver: a packed namespace's frame is far
+        // smaller than its payload, a raw one's is the payload plus the
+        // 1-byte mode tag.
+        let store = Store::with_tiers(0, vec![Arc::new(MemTier::new(1 << 20))]);
+        for ns in ["featurize", "conesta", "modast", "compile", "shard"] {
+            store.put(ns, key(1), vec![0u64; 512]);
+            let s = store.stats().namespace(ns);
+            let raw = matches!(ns, "modast" | "compile");
+            assert_eq!(s.stored_bytes_written == s.bytes_written + 1, raw, "{ns}");
+            assert_eq!(s.stored_bytes_written < s.bytes_written / 4, !raw, "{ns}");
+        }
+        assert_eq!(namespace_policy("featurize").1, Some(FEATURIZE_MEM_QUOTA));
+        assert_eq!(namespace_policy("conesta").1, Some(CONESTA_MEM_QUOTA));
+        assert_eq!(namespace_policy("compile").1, None);
+        assert_eq!(namespace_policy("shard").1, None);
+    }
+
+    #[test]
     fn namespace_mem_quota_bounds_the_decoded_cache() {
-        // Global budget is roomy; "feat" carries a 150-byte quota so its
-        // third entry evicts its own LRU while "other" is untouched.
-        let mut store = Store::with_mem_budget(1 << 20);
-        store.set_tier_policy(TierPolicy::parse("feat=raw:mem=150").expect("policy"));
-        let v = |x: u64| vec![x; 8]; // encodes to 4 + 64 bytes
+        // The global budget is roomy; `conesta` is capped at
+        // CONESTA_MEM_QUOTA, so a third entry sized at a third of it
+        // evicts the namespace's own LRU entry while "other" is untouched.
+        let store = Store::in_memory();
+        let third = CONESTA_MEM_QUOTA / 8 / 3 + 1; // u64s; 3 entries overflow
+        let v = |x: u64| vec![x; third];
         store.put("other", key(9), v(9));
-        store.put("feat", key(1), v(1));
-        store.put("feat", key(2), v(2));
-        assert!(store.get::<Vec<u64>>("feat", key(1)).is_some());
-        store.put("feat", key(3), v(3));
+        store.put("conesta", key(1), v(1));
+        store.put("conesta", key(2), v(2));
+        assert!(store.get::<Vec<u64>>("conesta", key(1)).is_some());
+        store.put("conesta", key(3), v(3));
         assert!(
-            store.get::<Vec<u64>>("feat", key(2)).is_none(),
+            store.get::<Vec<u64>>("conesta", key(2)).is_none(),
             "namespace LRU victim"
         );
-        assert!(store.get::<Vec<u64>>("feat", key(1)).is_some());
-        assert!(store.get::<Vec<u64>>("feat", key(3)).is_some());
+        assert!(store.get::<Vec<u64>>("conesta", key(1)).is_some());
+        assert!(store.get::<Vec<u64>>("conesta", key(3)).is_some());
         assert!(
             store.get::<Vec<u64>>("other", key(9)).is_some(),
             "other namespaces keep their entries"
         );
         assert_eq!(store.stats().evictions, 1);
         // An artifact over the namespace quota skips admission entirely.
-        store.put("feat", key(4), vec![0u64; 100]);
-        assert!(store.get::<Vec<u64>>("feat", key(4)).is_none());
+        store.put("conesta", key(4), vec![0u64; CONESTA_MEM_QUOTA / 8]);
+        assert!(store.get::<Vec<u64>>("conesta", key(4)).is_none());
     }
 
     #[test]

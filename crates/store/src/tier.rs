@@ -20,7 +20,7 @@
 use crate::compress;
 use crate::entry::{decode_entry, encode_entry};
 use crate::hash::ContentHash;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,170 +117,6 @@ pub struct MergeReport {
     pub skipped_existing: u64,
     /// Source files that failed entry validation and were not copied.
     pub invalid_entries: u64,
-}
-
-/// How one namespace's payloads are coded in the byte tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PayloadCoding {
-    /// Compressed frames ([`crate::compress::compress`]): fewer bytes on
-    /// disk and over the wire, at the cost of one encode per write and one
-    /// decode per cold read.
-    Packed,
-    /// Raw frames: the payload verbatim behind the 1-byte mode tag. Right
-    /// for tiny, hot namespaces where the decode would cost more than the
-    /// bytes save.
-    Raw,
-}
-
-impl PayloadCoding {
-    /// Short lowercase label (`packed`/`raw`), matching the
-    /// `RTLT_TIER_POLICY` syntax.
-    pub fn label(self) -> &'static str {
-        match self {
-            PayloadCoding::Packed => "packed",
-            PayloadCoding::Raw => "raw",
-        }
-    }
-}
-
-/// Default decoded-front-cache quota for the bulk `featurize` namespace:
-/// big enough to keep the active design's tables decoded, small enough
-/// that 21 designs of shards do not crowd out the hot tiny namespaces.
-pub const FEATURIZE_MEM_QUOTA: usize = 64 << 20;
-
-/// Default decoded-front-cache quota for the `conesta` namespace
-/// (seed-independent shared cone evaluations). The entries are read many
-/// times during one design's featurize (once per signal sharing the cone)
-/// but rarely after, so they get a bounded decoded-cache share rather than
-/// crowding out the hot tiny namespaces.
-pub const CONESTA_MEM_QUOTA: usize = 32 << 20;
-
-/// Per-namespace tier policy: which namespaces get compressed payloads and
-/// which get a bounded share of the decoded front cache.
-///
-/// The default is the production shape of the prepare pipeline: bulk
-/// `featurize` tables are packed and capped to [`FEATURIZE_MEM_QUOTA`] of
-/// decoded cache (cheap to re-read from compressed disk), tiny hot
-/// `modast`/`compile` artifacts stay raw and uncapped, and every other
-/// namespace is packed with no quota. Overridable via the
-/// `RTLT_TIER_POLICY` environment knob, parsed by [`TierPolicy::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TierPolicy {
-    default_coding: PayloadCoding,
-    default_quota: Option<usize>,
-    per_ns: BTreeMap<String, (PayloadCoding, Option<usize>)>,
-}
-
-impl Default for TierPolicy {
-    fn default() -> TierPolicy {
-        let mut per_ns = BTreeMap::new();
-        per_ns.insert(
-            "featurize".to_owned(),
-            (PayloadCoding::Packed, Some(FEATURIZE_MEM_QUOTA)),
-        );
-        per_ns.insert("modast".to_owned(), (PayloadCoding::Raw, None));
-        per_ns.insert("compile".to_owned(), (PayloadCoding::Raw, None));
-        per_ns.insert(
-            "conesta".to_owned(),
-            (PayloadCoding::Packed, Some(CONESTA_MEM_QUOTA)),
-        );
-        TierPolicy {
-            default_coding: PayloadCoding::Packed,
-            default_quota: None,
-            per_ns,
-        }
-    }
-}
-
-impl TierPolicy {
-    /// Parses an `RTLT_TIER_POLICY` spec: comma-separated
-    /// `ns=packed|raw[:mem=BYTES]` entries applied on top of the default
-    /// policy, in order. `BYTES` takes an optional `k`/`m`/`g` suffix. The
-    /// namespace `*` sets the default coding/quota and clears every
-    /// per-namespace override accumulated so far — so `*=raw` alone means
-    /// "everything raw, everywhere".
-    pub fn parse(spec: &str) -> Result<TierPolicy, String> {
-        let mut policy = TierPolicy::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (ns, rest) = part
-                .split_once('=')
-                .ok_or_else(|| format!("'{part}': expected ns=packed|raw[:mem=BYTES]"))?;
-            let (coding_str, quota_str) = match rest.split_once(':') {
-                Some((c, q)) => (c, Some(q)),
-                None => (rest, None),
-            };
-            let coding = match coding_str {
-                "packed" => PayloadCoding::Packed,
-                "raw" => PayloadCoding::Raw,
-                other => return Err(format!("'{part}': unknown coding '{other}' (packed|raw)")),
-            };
-            let quota = match quota_str {
-                None => None,
-                Some(q) => {
-                    let v = q
-                        .strip_prefix("mem=")
-                        .ok_or_else(|| format!("'{part}': expected mem=BYTES after ':'"))?;
-                    Some(
-                        parse_byte_size(v)
-                            .ok_or_else(|| format!("'{part}': bad byte size '{v}'"))?,
-                    )
-                }
-            };
-            if ns == "*" {
-                policy.default_coding = coding;
-                policy.default_quota = quota;
-                policy.per_ns.clear();
-            } else {
-                policy.per_ns.insert(ns.to_owned(), (coding, quota));
-            }
-        }
-        Ok(policy)
-    }
-
-    /// Whether `ns` payloads should be compressed in the byte tiers.
-    pub fn packed(&self, ns: &str) -> bool {
-        self.per_ns
-            .get(ns)
-            .map(|(c, _)| *c)
-            .unwrap_or(self.default_coding)
-            == PayloadCoding::Packed
-    }
-
-    /// The decoded-front-cache byte quota for `ns`, if it is capped.
-    pub fn mem_quota(&self, ns: &str) -> Option<usize> {
-        self.per_ns
-            .get(ns)
-            .map(|(_, q)| *q)
-            .unwrap_or(self.default_quota)
-    }
-
-    /// One-line summary for reports, in `RTLT_TIER_POLICY` syntax (the
-    /// `*` default leads, so the string re-parses to the same policy).
-    pub fn describe(&self) -> String {
-        let entry = |ns: &str, c: PayloadCoding, q: Option<usize>| match q {
-            Some(q) => format!("{ns}={}:mem={}k", c.label(), q / 1024),
-            None => format!("{ns}={}", c.label()),
-        };
-        let mut parts = vec![entry("*", self.default_coding, self.default_quota)];
-        parts.extend(self.per_ns.iter().map(|(ns, (c, q))| entry(ns, *c, *q)));
-        parts.join(",")
-    }
-}
-
-/// Parses `N`, `Nk`, `Nm`, or `Ng` (case-insensitive suffix) into bytes.
-fn parse_byte_size(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (num, mult) = match s.chars().last()? {
-        'k' | 'K' => (&s[..s.len() - 1], 1usize << 10),
-        'm' | 'M' => (&s[..s.len() - 1], 1 << 20),
-        'g' | 'G' => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    num.parse::<usize>().ok()?.checked_mul(mult)
 }
 
 /// One byte-oriented cache level of a [`crate::Store`] stack.
@@ -805,46 +641,6 @@ mod tests {
         assert_eq!(TierKind::Memory.label(), "mem");
         assert_eq!(TierKind::Disk.label(), "disk");
         assert_eq!(TierKind::Remote.label(), "remote");
-    }
-
-    #[test]
-    fn tier_policy_defaults_and_parse() {
-        let p = TierPolicy::default();
-        assert!(p.packed("featurize"));
-        assert_eq!(p.mem_quota("featurize"), Some(FEATURIZE_MEM_QUOTA));
-        assert!(!p.packed("modast"));
-        assert!(!p.packed("compile"));
-        assert_eq!(p.mem_quota("compile"), None);
-        assert!(p.packed("conesta"));
-        assert_eq!(p.mem_quota("conesta"), Some(CONESTA_MEM_QUOTA));
-        assert!(p.packed("blast"), "unlisted namespaces take the default");
-
-        // Overrides stack on the default policy, in order.
-        let p = TierPolicy::parse("featurize=raw,blast=packed:mem=1m").expect("parse");
-        assert!(!p.packed("featurize"));
-        assert_eq!(p.mem_quota("featurize"), None);
-        assert_eq!(p.mem_quota("blast"), Some(1 << 20));
-        assert!(!p.packed("modast"), "default overrides survive");
-
-        // `*` resets the default and clears every per-ns override.
-        let p = TierPolicy::parse("*=raw").expect("parse");
-        assert!(!p.packed("featurize"));
-        assert!(!p.packed("anything"));
-        assert_eq!(p.mem_quota("featurize"), None);
-
-        // Byte-size suffixes.
-        let p = TierPolicy::parse("shard=packed:mem=512k").expect("parse");
-        assert_eq!(p.mem_quota("shard"), Some(512 << 10));
-
-        // Malformed specs are errors, not silent defaults.
-        assert!(TierPolicy::parse("featurize").is_err());
-        assert!(TierPolicy::parse("featurize=zip").is_err());
-        assert!(TierPolicy::parse("featurize=packed:mem=ten").is_err());
-        assert!(TierPolicy::parse("featurize=packed:budget=1m").is_err());
-
-        // The description round-trips through the parser.
-        let p = TierPolicy::parse("featurize=packed:mem=2m").expect("parse");
-        assert_eq!(TierPolicy::parse(&p.describe()), Ok(p));
     }
 
     #[test]

@@ -154,16 +154,15 @@ fn find_entry(root: &std::path::Path) -> PathBuf {
 #[test]
 fn gc_evicts_oldest_entries_until_under_budget() {
     let scratch = ScratchDir::new("gc");
-    let mut store = Store::on_disk(&scratch.0);
-    // Raw payloads: this test reasons about equal-sized files to pin down
-    // the LRU order, which compression would perturb.
-    store.set_tier_policy(rtlt_store::TierPolicy::parse("*=raw").expect("policy"));
+    let store = Store::on_disk(&scratch.0);
+    // `compile` holds raw payloads: this test reasons about equal-sized
+    // files to pin down the LRU order, which compression would perturb.
     // Three entries with strictly increasing mtimes (set explicitly so the
     // test does not depend on filesystem timestamp resolution).
     for (i, label) in ["old", "mid", "new"].iter().enumerate() {
-        store.put("ns", key(label), vec![i as u64; 64]);
+        store.put("compile", key(label), vec![i as u64; 64]);
     }
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(scratch.0.join("ns"))
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(scratch.0.join("compile"))
         .unwrap()
         .map(|e| e.unwrap().path())
         .collect();
@@ -172,7 +171,7 @@ fn gc_evicts_oldest_entries_until_under_budget() {
     for (i, label) in ["old", "mid", "new"].iter().enumerate() {
         let p = scratch
             .0
-            .join("ns")
+            .join("compile")
             .join(format!("{}.bin", key(label).to_hex()));
         let t = std::fs::FileTimes::new()
             .set_modified(base + std::time::Duration::from_secs(60 * i as u64));
@@ -187,7 +186,7 @@ fn gc_evicts_oldest_entries_until_under_budget() {
     let usage = store.disk_usage();
     assert_eq!(usage.len(), 1);
     let (ns, files, bytes) = &usage[0];
-    assert_eq!((ns.as_str(), *files), ("ns", 3));
+    assert_eq!((ns.as_str(), *files), ("compile", 3));
     let per_entry = bytes / 3;
 
     // Budget for two entries: the oldest one goes.
@@ -196,9 +195,12 @@ fn gc_evicts_oldest_entries_until_under_budget() {
     assert_eq!(report.evicted_files, 1);
     assert!(report.remaining_bytes <= per_entry * 2);
     let fresh = Store::on_disk(&scratch.0);
-    assert!(fresh.get::<Vec<u64>>("ns", key("old")).is_none(), "evicted");
-    assert!(fresh.get::<Vec<u64>>("ns", key("mid")).is_some());
-    assert!(fresh.get::<Vec<u64>>("ns", key("new")).is_some());
+    assert!(
+        fresh.get::<Vec<u64>>("compile", key("old")).is_none(),
+        "evicted"
+    );
+    assert!(fresh.get::<Vec<u64>>("compile", key("mid")).is_some());
+    assert!(fresh.get::<Vec<u64>>("compile", key("new")).is_some());
 
     // Budget 0 clears everything; a memory-only store's gc is a no-op.
     let report = store.gc(0);

@@ -1,12 +1,11 @@
-//! Shared-cone evaluation invariants: deduplicated featurization must be
-//! byte-for-byte indistinguishable from the naive per-signal path, for
-//! adversarial cone structures and under `conesta` artifact corruption.
+//! Shared-cone evaluation under `conesta` artifact corruption: a damaged
+//! on-disk evaluation must degrade to a recompute with identical bytes and
+//! heal in place. (The bit-for-bit oracle against the per-signal path
+//! lives with the kernel, in `rtl_timer::dataset`'s tests.)
 
 use proptest::prelude::*;
 use rtl_timer_repro::rtl_timer::cache::stage;
-use rtl_timer_repro::rtl_timer::dataset::{
-    build_all_variant_data_scratch, FeaturizeScratch, VariantData,
-};
+use rtl_timer_repro::rtl_timer::dataset::{build_all_variant_data, VariantData};
 use rtl_timer_repro::store::Store;
 
 fn liberty() -> rtl_timer_repro::liberty::Library {
@@ -44,80 +43,20 @@ fn assert_bit_identical(a: &[VariantData], b: &[VariantData]) {
     }
 }
 
-/// A design with `twins` isomorphic register cones (same structure over
-/// disjoint input lanes, distinct names) plus one deliberately different
-/// cone — the adversarial case for structural fingerprinting.
-fn twin_source(width: u32, twins: usize, op: &str) -> String {
-    let x = width - 1;
-    let mut ports = String::new();
-    let mut body = String::new();
-    for i in 0..twins {
-        ports.push_str(&format!(
-            "input [{x}:0] a{i}, input [{x}:0] b{i}, output [{x}:0] q{i}, "
-        ));
-        body.push_str(&format!(
-            "reg [{x}:0] r{i};\nalways @(posedge clk) r{i} <= (a{i} {op} b{i}) ^ (r{i} >> 1);\nassign q{i} = r{i};\n"
-        ));
-    }
-    format!(
-        "module t(input clk, {ports}input [{x}:0] c, output [{x}:0] qz);\n\
-         reg [{x}:0] rz;\n\
-         always @(posedge clk) rz <= c + {w}'d3;\n\
-         assign qz = rz;\n\
-         {body}endmodule",
-        w = width
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// For arbitrary small designs with shared bit-lane structure and
-    /// extreme clocks, the deduplicated path (shared seed-independent
-    /// evaluation + seeded replay) matches the naive per-signal path
-    /// bit for bit, and the shared evaluation really is shared.
-    #[test]
-    fn dedup_matches_naive_bit_for_bit(
-        width in 2u32..7,
-        twins in 2usize..4,
-        pick in 0usize..4,
-        seed in 0u64..1000,
-        clock_pick in 0usize..4,
-    ) {
-        let ops = ["+", "&", "^", "|"];
-        // Includes a denormal-adjacent and a huge clock: arithmetic near
-        // the extremes is where a reordered kernel would drift first.
-        let clocks = [1.0f64, 0.037, 4.9e-300, 8.1e12];
-        let clock = clocks[clock_pick];
-        let sog = blasted(&twin_source(width, twins, ops[pick]), "t");
-        let lib = liberty();
-
-        let dedup_store = Store::in_memory();
-        let naive_store = Store::in_memory();
-        let mut scratch = FeaturizeScratch::new();
-        let dedup =
-            build_all_variant_data_scratch(&dedup_store, &sog, &lib, clock, seed, true, &mut scratch);
-        let naive =
-            build_all_variant_data_scratch(&naive_store, &sog, &lib, clock, seed, false, &mut scratch);
-        assert_bit_identical(&dedup, &naive);
-
-        // Both paths key shards identically (same misses), the naive path
-        // never touches conesta, and the twins collapse onto shared
-        // evaluations (fewer conesta entries than shard entries).
-        let d = dedup_store.stats();
-        let n = naive_store.stats();
-        prop_assert_eq!(d.namespace(stage::SHARD).misses, n.namespace(stage::SHARD).misses);
-        prop_assert_eq!(n.namespace(stage::CONESTA).misses, 0);
-        let conesta = d.namespace(stage::CONESTA).misses;
-        prop_assert!(conesta > 0);
-        prop_assert!(
-            conesta < d.namespace(stage::SHARD).misses,
-            "isomorphic cones should share evaluations ({} conesta vs {} shard)",
-            conesta,
-            d.namespace(stage::SHARD).misses
-        );
-    }
-}
+/// Two isomorphic 4-bit register cones over disjoint input lanes plus one
+/// different cone, so the `conesta` namespace holds shared evaluations.
+const TWINS: &str = "module t(input clk, input [3:0] a0, input [3:0] b0, output [3:0] q0, \
+input [3:0] a1, input [3:0] b1, output [3:0] q1, input [3:0] c, output [3:0] qz);
+reg [3:0] rz;
+always @(posedge clk) rz <= c + 4'd3;
+assign qz = rz;
+reg [3:0] r0;
+always @(posedge clk) r0 <= (a0 ^ b0) ^ (r0 >> 1);
+assign q0 = r0;
+reg [3:0] r1;
+always @(posedge clk) r1 <= (a1 ^ b1) ^ (r1 >> 1);
+assign q1 = r1;
+endmodule";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -136,15 +75,13 @@ proptest! {
             flip
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let sog = blasted(&twin_source(4, 2, "^"), "t");
+        let sog = blasted(TWINS, "t");
         let lib = liberty();
         let clock = 0.73;
 
         let reference = {
             let store = Store::on_disk(&dir);
-            let mut scratch = FeaturizeScratch::new();
-            let out =
-                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, true, &mut scratch);
+            let out = build_all_variant_data(&store, &sog, &lib, clock, seed);
             store.flush();
             out
         };
@@ -166,9 +103,7 @@ proptest! {
 
         let rebuilt = {
             let store = Store::on_disk(&dir);
-            let mut scratch = FeaturizeScratch::new();
-            let out =
-                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, true, &mut scratch);
+            let out = build_all_variant_data(&store, &sog, &lib, clock, seed);
             store.flush();
             // The corrupt payloads fail their checksum, so every conesta
             // read degrades to a recompute rather than decoding garbage.
@@ -181,9 +116,7 @@ proptest! {
         {
             let _ = std::fs::remove_dir_all(dir.join(stage::SHARD));
             let store = Store::on_disk(&dir);
-            let mut scratch = FeaturizeScratch::new();
-            let again =
-                build_all_variant_data_scratch(&store, &sog, &lib, clock, seed, true, &mut scratch);
+            let again = build_all_variant_data(&store, &sog, &lib, clock, seed);
             prop_assert_eq!(store.stats().namespace(stage::CONESTA).misses, 0);
             assert_bit_identical(&reference, &again);
         }

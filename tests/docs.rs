@@ -1,7 +1,8 @@
 //! Keeps `docs/` honest: the configuration table must list exactly the
-//! `RTLT_*` environment variables the code mentions, and every relative
-//! markdown link in `README.md` and `docs/*.md` must resolve to a real
-//! file. Both checks are pure directory walks — no network, no build.
+//! `RTLT_*` environment variables the code mentions, only the bench
+//! harness may read the environment at all, and every relative markdown
+//! link in `README.md` and `docs/*.md` must resolve to a real file. All
+//! checks are pure directory walks — no network, no build.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -89,6 +90,35 @@ fn configuration_table_matches_the_env_vars_the_code_mentions() {
     assert!(
         stale.is_empty(),
         "env vars documented in docs/configuration.md but absent from code: {stale:?}"
+    );
+}
+
+/// Settings reach the library crates as arguments; only the bench harness
+/// (`crates/bench/src`) turns environment variables into them. A runtime
+/// switch read deep inside a library layer fails here instead of landing
+/// as a new knob.
+#[test]
+fn only_the_bench_harness_reads_the_environment() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates"))
+        .expect("crates/ exists")
+        .flatten()
+    {
+        if krate.file_name() != "bench" {
+            walk_rs_files(&krate.path().join("src"), &mut files);
+        }
+    }
+    assert!(!files.is_empty(), "source walk found nothing — wrong root?");
+    let readers: Vec<String> = files
+        .iter()
+        .filter(|f| fs::read_to_string(f).is_ok_and(|text| text.contains("env::var")))
+        .map(|f| f.strip_prefix(&root).unwrap_or(f).display().to_string())
+        .collect();
+    assert!(
+        readers.is_empty(),
+        "library code reads the environment (take the setting as an argument \
+         and read it in crates/bench/src): {readers:?}"
     );
 }
 
