@@ -7,7 +7,7 @@ use rtl_timer::bitwise::{BitModelKind, BitwiseCorpus, BitwiseModel};
 use rtl_timer::dataset::{
     build_all_variant_data, build_all_variant_data_scratch, FeaturizeScratch,
 };
-use rtlt_bog::{blast, BogVariant};
+use rtlt_bog::{blast, BogVariant, ConeExtractor};
 use rtlt_liberty::Library;
 use rtlt_ml::{
     Binner, FeatureMatrix, Gbdt, GbdtParams, SquaredObjective, Tree, TreeParams, TreeScratch,
@@ -35,6 +35,26 @@ fn bench_bog(c: &mut Criterion) {
     c.bench_function("blast_b17", |b| b.iter(|| blast(&netlist)));
     let sog = blast(&netlist);
     c.bench_function("to_aig_b17", |b| b.iter(|| sog.to_variant(BogVariant::Aig)));
+
+    // The graph-construction kernels an edit runs across the whole design,
+    // on the 48-lane hierarchical SoC (~141k SOG nodes, 145 signals).
+    let soc = rtlt_designgen::hier::soc("hier_soc", 48, 32, 3);
+    let sog = blast(&rtlt_verilog::compile(&soc, "hier_soc").expect("compiles"));
+    let mut group = c.benchmark_group("hier48");
+    group.sample_size(10);
+    group.bench_function("to_variant_aig_aimg_xag", |b| {
+        b.iter(|| [BogVariant::Aig, BogVariant::Aimg, BogVariant::Xag].map(|v| sog.to_variant(v)))
+    });
+    group.bench_function("extract_every_cone", |b| {
+        b.iter(|| {
+            let mut extractor = ConeExtractor::new(&sog);
+            (0..sog.signals().len())
+                .map(|sig| extractor.extract(sig))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function("topo_order", |b| b.iter(|| sog.topo_order()));
+    group.finish();
 }
 
 fn bench_sta(c: &mut Criterion) {

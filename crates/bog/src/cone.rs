@@ -11,9 +11,8 @@
 //! whose cone-feeding modules are unchanged extract byte-identical
 //! sub-graphs, regardless of how node ids shifted in the full design.
 
-use crate::graph::{Bog, BogBuilder, BogOp, NodeId};
+use crate::graph::{Bog, BogBuilder, BogOp, NodeId, PortIndex, NO_NODE};
 use rtlt_store::{Codec, ContentHash, Enc};
-use std::collections::HashMap;
 
 /// Summary of an endpoint's combinational input cone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -189,45 +188,105 @@ fn cone_depth(bog: &Bog, id: NodeId, memo: &mut [Option<u32>]) -> u32 {
 /// per-endpoint computation over the sub-graph covers exactly the signal's
 /// endpoints by iterating `0..width`.
 ///
+/// Binds whole-graph tables for one cone; extracting many signals of one
+/// graph goes through one [`ConeExtractor`] instead.
+///
 /// # Panics
 ///
 /// Panics if `sig` is out of range.
 pub fn extract_signal_cone(bog: &Bog, sig: usize) -> Bog {
-    let s = &bog.signals()[sig];
-    let mut b = BogBuilder::new(bog.name.clone(), bog.variant);
-    let qs = b.signal(s.name.clone(), s.width, s.decl_line, s.top_level);
+    ConeExtractor::new(bog).extract(sig)
+}
 
-    let input_names: HashMap<NodeId, &str> = bog
-        .inputs()
-        .iter()
-        .map(|(n, id)| (*id, n.as_str()))
-        .collect();
-    let reg_of_q: HashMap<NodeId, u32> = bog
-        .regs()
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.q, i as u32))
-        .collect();
+/// [`extract_signal_cone`] for many signals of one graph: the graph's port
+/// index is built once, and the source → cone node map is a dense array
+/// whose entries an epoch stamp invalidates between cones, so each
+/// extraction costs time in its cone, not in the design.
+#[derive(Debug)]
+pub struct ConeExtractor<'a> {
+    bog: &'a Bog,
+    ports: PortIndex,
+    /// Cone node of each source node, valid where `stamp == epoch`.
+    map: Vec<NodeId>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    stack: Vec<(NodeId, bool)>,
+}
 
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-    for (bit, &ri) in s.regs.iter().enumerate() {
-        map.insert(bog.regs()[ri as usize].q, qs[bit]);
+impl<'a> ConeExtractor<'a> {
+    /// Tables bound to `bog`.
+    pub fn new(bog: &'a Bog) -> ConeExtractor<'a> {
+        ConeExtractor {
+            bog,
+            ports: PortIndex::of(bog),
+            map: vec![NO_NODE; bog.len()],
+            stamp: vec![0; bog.len()],
+            epoch: 0,
+            stack: Vec::new(),
+        }
     }
-    // Builder register slots: the target signal occupies 0..width, boundary
-    // registers follow in discovery order.
-    let mut n_regs = s.width as usize;
-    let mut boundary: Vec<(usize, NodeId)> = Vec::new(); // (builder reg, its q)
 
-    let mut translate = |b: &mut BogBuilder, root: NodeId, map: &mut HashMap<NodeId, NodeId>| {
-        let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
-        while let Some((n, expanded)) = stack.pop() {
-            if map.contains_key(&n) {
+    /// `extract_signal_cone(bog, sig)`, byte for byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sig` is out of range.
+    pub fn extract(&mut self, sig: usize) -> Bog {
+        let bog = self.bog;
+        let s = &bog.signals()[sig];
+        let mut b = BogBuilder::new(bog.name.clone(), bog.variant);
+        let qs = b.signal(s.name.clone(), s.width, s.decl_line, s.top_level);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        for (bit, &ri) in s.regs.iter().enumerate() {
+            self.set(bog.regs()[ri as usize].q, qs[bit]);
+        }
+        // Builder register slots: the target signal occupies 0..width,
+        // boundary registers (their Q nodes here) follow in discovery order.
+        let mut boundary: Vec<NodeId> = Vec::new();
+        for &ri in &s.regs {
+            self.translate(&mut b, bog.regs()[ri as usize].d, &mut boundary);
+        }
+        for (bit, &ri) in s.regs.iter().enumerate() {
+            b.set_reg_d(bit, self.get(bog.regs()[ri as usize].d));
+        }
+        for (k, q) in boundary.into_iter().enumerate() {
+            b.set_reg_d(s.width as usize + k, q);
+        }
+        b.finish()
+    }
+
+    fn mapped(&self, n: NodeId) -> bool {
+        self.stamp[n as usize] == self.epoch
+    }
+
+    fn get(&self, n: NodeId) -> NodeId {
+        assert!(self.mapped(n), "node {n} read before it was translated");
+        self.map[n as usize]
+    }
+
+    fn set(&mut self, n: NodeId, to: NodeId) {
+        self.map[n as usize] = to;
+        self.stamp[n as usize] = self.epoch;
+    }
+
+    /// Rebuilds the not yet translated part of `root`'s cone in `b`,
+    /// fanins in slot order.
+    fn translate(&mut self, b: &mut BogBuilder, root: NodeId, boundary: &mut Vec<NodeId>) {
+        let bog = self.bog;
+        self.stack.clear();
+        self.stack.push((root, false));
+        while let Some((n, expanded)) = self.stack.pop() {
+            if self.mapped(n) {
                 continue;
             }
             let node = bog.node(n);
             if expanded {
                 let f = node.fanins;
-                let m = |x: NodeId| map[&x];
+                let m = |x: NodeId| self.get(x);
                 let new_id = match node.op {
                     BogOp::Not => b.not(m(f[0])),
                     BogOp::And2 => b.and2(m(f[0]), m(f[1])),
@@ -236,58 +295,37 @@ pub fn extract_signal_cone(bog: &Bog, sig: usize) -> Bog {
                     BogOp::Mux2 => b.mux2(m(f[0]), m(f[1]), m(f[2])),
                     _ => unreachable!("sources handled on first visit"),
                 };
-                map.insert(n, new_id);
+                self.set(n, new_id);
                 continue;
             }
-            match node.op {
-                BogOp::Input => {
-                    let name = input_names.get(&n).copied().unwrap_or("in");
-                    let id = b.input(name.to_owned());
-                    map.insert(n, id);
-                }
-                BogOp::Const0 => {
-                    let id = b.const0();
-                    map.insert(n, id);
-                }
-                BogOp::Const1 => {
-                    let id = b.const1();
-                    map.insert(n, id);
-                }
+            let id = match node.op {
+                BogOp::Input => b.input(self.ports.input_name(bog, n).unwrap_or("in")),
+                BogOp::Const0 => b.const0(),
+                BogOp::Const1 => b.const1(),
                 BogOp::Dff => {
                     // Boundary register: a 1-bit self-holding launch point
                     // named after the original signal bit.
-                    let r = &bog.regs()[reg_of_q[&n] as usize];
+                    let r = self.ports.reg(bog, n).expect("Dff node is a register Q");
                     let src = &bog.signals()[r.signal as usize];
                     let q =
                         b.signal(format!("{}[{}]", src.name, r.bit), 1, src.decl_line, false)[0];
-                    boundary.push((n_regs, q));
-                    n_regs += 1;
-                    map.insert(n, q);
+                    boundary.push(q);
+                    q
                 }
                 _ => {
-                    stack.push((n, true));
+                    self.stack.push((n, true));
                     // Reverse so fanin slot 0 is translated first.
                     for &f in node.fanins[..node.op.arity()].iter().rev() {
-                        if !map.contains_key(&f) {
-                            stack.push((f, false));
+                        if !self.mapped(f) {
+                            self.stack.push((f, false));
                         }
                     }
+                    continue;
                 }
-            }
+            };
+            self.set(n, id);
         }
-    };
-
-    for &ri in &s.regs {
-        let d = bog.regs()[ri as usize].d;
-        translate(&mut b, d, &mut map);
     }
-    for (bit, &ri) in s.regs.iter().enumerate() {
-        b.set_reg_d(bit, map[&bog.regs()[ri as usize].d]);
-    }
-    for (reg_idx, q) in boundary {
-        b.set_reg_d(reg_idx, q);
-    }
-    b.finish()
 }
 
 /// Decides whether a signal's [`extract_signal_cone`] comes out identical in
@@ -313,10 +351,7 @@ pub struct ConeMatch {
 /// Per-graph tables of a [`ConeMatch`].
 #[derive(Debug, Default)]
 struct MatchSide {
-    /// Register index of each `Dff` node (`u32::MAX` elsewhere).
-    reg_of: Vec<u32>,
-    /// Input-list index of each `Input` node (`u32::MAX` elsewhere).
-    input_of: Vec<u32>,
+    ports: PortIndex,
     /// The paired node of the other graph, valid where `stamp == epoch`.
     peer: Vec<NodeId>,
     stamp: Vec<u32>,
@@ -324,34 +359,21 @@ struct MatchSide {
 
 impl MatchSide {
     fn bind(&mut self, bog: &Bog) {
-        let n = bog.len();
-        self.reg_of.clear();
-        self.reg_of.resize(n, u32::MAX);
-        for (i, r) in bog.regs().iter().enumerate() {
-            self.reg_of[r.q as usize] = i as u32;
-        }
-        self.input_of.clear();
-        self.input_of.resize(n, u32::MAX);
-        for (i, (_, id)) in bog.inputs().iter().enumerate() {
-            self.input_of[*id as usize] = i as u32;
-        }
+        self.ports = PortIndex::of(bog);
         self.peer.clear();
-        self.peer.resize(n, NodeId::MAX);
+        self.peer.resize(bog.len(), NodeId::MAX);
         self.stamp.clear();
-        self.stamp.resize(n, 0);
+        self.stamp.resize(bog.len(), 0);
     }
 
     /// The name [`extract_signal_cone`] gives input node `id`.
     fn input_name<'a>(&self, bog: &'a Bog, id: NodeId) -> &'a str {
-        match self.input_of[id as usize] {
-            u32::MAX => "in",
-            i => &bog.inputs()[i as usize].0,
-        }
+        self.ports.input_name(bog, id).unwrap_or("in")
     }
 
     /// `(signal name, bit, line)` of the register whose Q is `id`.
     fn reg_label<'a>(&self, bog: &'a Bog, id: NodeId) -> Option<(&'a str, u32, u32)> {
-        let r = bog.regs().get(self.reg_of[id as usize] as usize)?;
+        let r = self.ports.reg(bog, id)?;
         let s = &bog.signals()[r.signal as usize];
         Some((&s.name, r.bit, s.decl_line))
     }
@@ -595,6 +617,35 @@ mod tests {
         let mut m = ConeMatch::new(&base, &base);
         assert!(m.same_signal_cone(&base, 0, &base, 0));
         assert!(!m.same_signal_cone(&base, 0, &base, 1));
+    }
+
+    #[test]
+    fn extractor_clears_its_stamps_when_the_epoch_wraps() {
+        use rtlt_store::Codec;
+        let bog = blast(
+            &compile(
+                "module m(input clk, input [3:0] a, output [3:0] q);
+                   reg [3:0] r1;
+                   reg [3:0] r2;
+                   always @(posedge clk) begin
+                     r1 <= r1 + a;
+                     r2 <= r2 ^ (r1 + a);
+                   end
+                   assign q = r2;
+                 endmodule",
+                "m",
+            )
+            .unwrap(),
+        );
+        let fresh = |sig| extract_signal_cone(&bog, sig).to_bytes();
+        let mut x = ConeExtractor::new(&bog);
+        // Epoch 1 stamps r2's cone, epoch u32::MAX only the part r1 shares,
+        // and the wrap comes back to epoch 1 for r2 again.
+        assert_eq!(x.extract(1).to_bytes(), fresh(1));
+        x.epoch = u32::MAX - 1;
+        assert_eq!(x.extract(0).to_bytes(), fresh(0));
+        assert_eq!(x.extract(1).to_bytes(), fresh(1));
+        assert_eq!(x.epoch, 1);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! BOG node/graph types and the strashing builder.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Node identifier inside a [`Bog`].
 pub type NodeId = u32;
@@ -253,29 +255,51 @@ impl Bog {
 
     /// Topological order of all nodes (fanins before fanouts); `Dff`,
     /// `Input` and constants are sources.
+    ///
+    /// Kahn's walk: the sources in id order, then each node once its last
+    /// fanin is placed, readers of a node visited in id order (a reader
+    /// that lists one fanin twice counts it twice). The fanout lists are
+    /// one flat array indexed by per-node offsets, and the order doubles as
+    /// the walk's queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a combinational cycle.
     pub fn topo_order(&self) -> Vec<NodeId> {
         let n = self.nodes.len();
+        // `at[f]` first counts f's readers; after the running sum and the
+        // back-to-front fill below, f's readers are `fanouts[at[f]..at[f + 1]]`.
         let mut indeg = vec![0u32; n];
-        let mut fanouts: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut at = vec![0u32; n + 1];
         for id in 0..n as NodeId {
-            for &f in self.fanins(id) {
-                indeg[id as usize] += 1;
-                fanouts[f as usize].push(id);
+            let fanins = self.fanins(id);
+            indeg[id as usize] = fanins.len() as u32;
+            for &f in fanins {
+                at[f as usize] += 1;
             }
         }
-        let mut queue: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&i| indeg[i as usize] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(n);
+        let mut total = 0u32;
+        for a in &mut at {
+            total += *a;
+            *a = total;
+        }
+        let mut fanouts = vec![0 as NodeId; total as usize];
+        for id in (0..n as NodeId).rev() {
+            for &f in self.fanins(id) {
+                at[f as usize] -= 1;
+                fanouts[at[f as usize] as usize] = id;
+            }
+        }
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        order.extend((0..n as NodeId).filter(|&i| indeg[i as usize] == 0));
         let mut head = 0;
-        while head < queue.len() {
-            let id = queue[head];
+        while head < order.len() {
+            let id = order[head] as usize;
             head += 1;
-            order.push(id);
-            for &o in &fanouts[id as usize] {
+            for &o in &fanouts[at[id] as usize..at[id + 1] as usize] {
                 indeg[o as usize] -= 1;
                 if indeg[o as usize] == 0 {
-                    queue.push(o);
+                    order.push(o);
                 }
             }
         }
@@ -359,6 +383,118 @@ impl Bog {
     }
 }
 
+/// Per-graph lookups of the port lists: which register a `Dff` node is
+/// the Q pin of and which input-list entry an `Input` node is (the later
+/// entry where a graph lists a node twice). Shared by cone extraction,
+/// [`crate::ConeMatch`] and variant conversion.
+#[derive(Debug, Default)]
+pub(crate) struct PortIndex {
+    /// Register index of each `Dff` node (`u32::MAX` elsewhere).
+    reg_of: Vec<u32>,
+    /// Input-list index of each `Input` node (`u32::MAX` elsewhere).
+    input_of: Vec<u32>,
+}
+
+impl PortIndex {
+    /// The index of `bog`.
+    pub(crate) fn of(bog: &Bog) -> PortIndex {
+        let mut reg_of = vec![u32::MAX; bog.len()];
+        for (i, r) in bog.regs.iter().enumerate() {
+            reg_of[r.q as usize] = i as u32;
+        }
+        let mut input_of = vec![u32::MAX; bog.len()];
+        for (i, (_, id)) in bog.inputs.iter().enumerate() {
+            input_of[*id as usize] = i as u32;
+        }
+        PortIndex { reg_of, input_of }
+    }
+
+    /// The register whose Q pin is `id`, if any.
+    pub(crate) fn reg<'a>(&self, bog: &'a Bog, id: NodeId) -> Option<&'a BogReg> {
+        bog.regs.get(self.reg_of[id as usize] as usize)
+    }
+
+    /// The input-list name of `id`, if it is listed.
+    pub(crate) fn input_name<'a>(&self, bog: &'a Bog, id: NodeId) -> Option<&'a str> {
+        bog.inputs
+            .get(self.input_of[id as usize] as usize)
+            .map(|(name, _)| name.as_str())
+    }
+}
+
+/// The strash table's key: an operator application. It hashes as one
+/// packed `u128`.
+#[derive(Debug, PartialEq, Eq)]
+struct StrashKey {
+    op: BogOp,
+    fanins: [NodeId; 3],
+}
+
+impl Hash for StrashKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let f = self.fanins.map(u128::from);
+        state.write_u128((self.op as u128) << 96 | f[0] << 64 | f[1] << 32 | f[2]);
+    }
+}
+
+/// 64 × 64 → 128-bit multiply, high half folded onto the low half.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// The strash table's hasher state: two secret words drawn per builder
+/// from [`RandomState`], since the keys follow circuit structure a network
+/// client controls. The table is only ever probed, never iterated, so the
+/// built graph does not depend on the draw.
+struct StrashKeys([u64; 2]);
+
+impl StrashKeys {
+    fn new() -> StrashKeys {
+        let s = RandomState::new();
+        StrashKeys([s.hash_one(0u8), s.hash_one(1u8)])
+    }
+}
+
+impl BuildHasher for StrashKeys {
+    type Hasher = StrashHasher;
+    fn build_hasher(&self) -> StrashHasher {
+        StrashHasher {
+            keys: self.0,
+            state: 0,
+        }
+    }
+}
+
+/// Keyed folded-multiply hash of one packed strash key.
+struct StrashHasher {
+    keys: [u64; 2],
+    state: u64,
+}
+
+impl Hasher for StrashHasher {
+    fn write_u128(&mut self, x: u128) {
+        let lo = x as u64 ^ self.keys[0];
+        let hi = (x >> 64) as u64 ^ self.keys[1];
+        self.state = folded_multiply(lo, hi);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a strash key hashes as one u128");
+    }
+
+    /// The murmur3 finalizer: every input bit reaches both the low bits
+    /// (the bucket) and the top seven (the control byte).
+    fn finish(&self) -> u64 {
+        let mut h = self.state;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
 /// Strashing graph builder with local constant folding.
 ///
 /// Structural hashing deduplicates identical operator applications and
@@ -370,7 +506,10 @@ pub struct BogBuilder {
     name: String,
     variant: BogVariant,
     nodes: Vec<BogNode>,
-    strash: HashMap<(BogOp, NodeId, NodeId, NodeId), NodeId>,
+    /// Strashed 2- and 3-input operators.
+    strash: HashMap<StrashKey, NodeId, StrashKeys>,
+    /// The strashed inverter of each node (`NO_NODE` if none yet).
+    not_of: Vec<NodeId>,
     inputs: Vec<(String, NodeId)>,
     outputs: Vec<(String, NodeId)>,
     regs: Vec<BogReg>,
@@ -386,7 +525,8 @@ impl BogBuilder {
             name: name.into(),
             variant,
             nodes: Vec::new(),
-            strash: HashMap::new(),
+            strash: HashMap::with_hasher(StrashKeys::new()),
+            not_of: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
             regs: Vec::new(),
@@ -396,20 +536,34 @@ impl BogBuilder {
         }
     }
 
+    /// An empty builder with room for a graph the size of `like`.
+    pub(crate) fn sized_like(name: impl Into<String>, variant: BogVariant, like: &Bog) -> Self {
+        let mut b = BogBuilder::new(name, variant);
+        b.nodes.reserve(like.nodes.len());
+        b.not_of.reserve(like.nodes.len());
+        b.strash.reserve(like.nodes.len());
+        b.inputs.reserve(like.inputs.len());
+        b.outputs.reserve(like.outputs.len());
+        b.regs.reserve(like.regs.len());
+        b.signals.reserve(like.signals.len());
+        b
+    }
+
     fn raw(&mut self, op: BogOp, fanins: [NodeId; 3]) -> NodeId {
         let id = self.nodes.len() as NodeId;
         self.nodes.push(BogNode { op, fanins });
+        self.not_of.push(NO_NODE);
         id
     }
 
     fn hashed(&mut self, op: BogOp, fanins: [NodeId; 3]) -> NodeId {
-        let key = (op, fanins[0], fanins[1], fanins[2]);
-        if let Some(&id) = self.strash.get(&key) {
-            return id;
+        match self.strash.entry(StrashKey { op, fanins }) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                e.insert(self.nodes.len() as NodeId);
+                self.raw(op, fanins)
+            }
         }
-        let id = self.raw(op, fanins);
-        self.strash.insert(key, id);
-        id
     }
 
     fn op_of(&self, id: NodeId) -> BogOp {
@@ -467,7 +621,14 @@ impl BogBuilder {
             BogOp::Const0 => self.const1(),
             BogOp::Const1 => self.const0(),
             BogOp::Not => self.nodes[a as usize].fanins[0],
-            _ => self.hashed(BogOp::Not, [a, NO_NODE, NO_NODE]),
+            _ => match self.not_of[a as usize] {
+                NO_NODE => {
+                    let id = self.raw(BogOp::Not, [a, NO_NODE, NO_NODE]);
+                    self.not_of[a as usize] = id;
+                    id
+                }
+                id => id,
+            },
         }
     }
 

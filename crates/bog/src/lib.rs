@@ -42,6 +42,8 @@ mod blast;
 mod codec;
 mod cone;
 mod graph;
+#[cfg(test)]
+mod oracles;
 mod provenance;
 mod sim;
 mod stats;
@@ -49,8 +51,8 @@ mod variants;
 
 pub use blast::blast;
 pub use cone::{
-    cone_fingerprint, extract_signal_cone, input_cone, input_cone_scratch, ConeInfo, ConeMatch,
-    ConeScratch,
+    cone_fingerprint, extract_signal_cone, input_cone, input_cone_scratch, ConeExtractor, ConeInfo,
+    ConeMatch, ConeScratch,
 };
 pub use graph::{
     Bog, BogBuilder, BogOp, BogReg, BogVariant, Endpoint, NodeId, SignalInfo, NO_NODE,

@@ -6,7 +6,7 @@
 //! shared). All four variants are functionally equivalent by construction —
 //! an invariant the test-suite checks by 64-pattern random co-simulation.
 
-use crate::graph::{Bog, BogBuilder, BogOp, BogVariant, NodeId};
+use crate::graph::{Bog, BogBuilder, BogOp, BogVariant, NodeId, PortIndex, NO_NODE};
 
 /// Converts `bog` into `variant`, preserving endpoint/signal/output
 /// identity and order.
@@ -14,7 +14,8 @@ pub fn convert(bog: &Bog, variant: BogVariant) -> Bog {
     if variant == bog.variant {
         return bog.clone();
     }
-    let mut b = BogBuilder::new(bog.name.clone(), variant);
+    let mut b = BogBuilder::sized_like(bog.name.clone(), variant, bog);
+    let ports = PortIndex::of(bog);
 
     // Recreate signals first so register indices line up.
     let mut qs_by_signal: Vec<Vec<NodeId>> = Vec::with_capacity(bog.signals().len());
@@ -22,29 +23,24 @@ pub fn convert(bog: &Bog, variant: BogVariant) -> Bog {
         qs_by_signal.push(b.signal(s.name.clone(), s.width, s.decl_line, s.top_level));
     }
 
-    let mut map: Vec<NodeId> = vec![crate::graph::NO_NODE; bog.len()];
+    let mut map: Vec<NodeId> = vec![NO_NODE; bog.len()];
     // Pre-map DFF Q nodes.
     for r in bog.regs() {
         map[r.q as usize] = qs_by_signal[r.signal as usize][r.bit as usize];
     }
 
     for id in bog.topo_order() {
-        if map[id as usize] != crate::graph::NO_NODE {
+        if map[id as usize] != NO_NODE {
             continue;
         }
         let node = bog.node(id);
         let f = node.fanins;
         let m = |x: NodeId| map[x as usize];
         let new_id = match node.op {
-            BogOp::Input => {
-                let name = bog
-                    .inputs()
-                    .iter()
-                    .find(|(_, n)| *n == id)
-                    .map(|(s, _)| s.clone())
-                    .unwrap_or_else(|| format!("in{id}"));
-                b.input(name)
-            }
+            BogOp::Input => match ports.input_name(bog, id) {
+                Some(name) => b.input(name),
+                None => b.input(format!("in{id}")),
+            },
             BogOp::Const0 => b.const0(),
             BogOp::Const1 => b.const1(),
             BogOp::Not => b.not(m(f[0])),

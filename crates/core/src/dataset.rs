@@ -26,7 +26,9 @@ use crate::cache::{conesta_key, shard_key, stage};
 use crate::features::{design_features, op_class, path_features, token_features};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rtlt_bog::{input_cone_scratch, Bog, BogVariant, ConeInfo, ConeScratch, Endpoint, NodeId};
+use rtlt_bog::{
+    input_cone_scratch, Bog, BogVariant, ConeExtractor, ConeInfo, ConeScratch, Endpoint, NodeId,
+};
 use rtlt_liberty::Library;
 use rtlt_sta::{LevelScratch, Sta, StaConfig, StaResult};
 use rtlt_store::{ContentHash, Store};
@@ -459,9 +461,9 @@ pub(crate) struct ConeExtraction {
 }
 
 impl ConeExtraction {
-    /// Extracts and hashes signal `sig` of `sog`.
-    pub(crate) fn of(sog: &Bog, sig: usize) -> ConeExtraction {
-        let cone = rtlt_bog::extract_signal_cone(sog, sig);
+    /// Extracts and hashes signal `sig` of the extractor's graph.
+    pub(crate) fn of(extractor: &mut ConeExtractor<'_>, sig: usize) -> ConeExtraction {
+        let cone = extractor.extract(sig);
         let content = ContentHash::of_bytes(&rtlt_store::Codec::to_bytes(&cone));
         let fingerprint = rtlt_bog::cone_fingerprint(&cone);
         ConeExtraction {
@@ -471,10 +473,11 @@ impl ConeExtraction {
         }
     }
 
-    /// Every signal of `sog`, in signal order.
+    /// Every signal of `sog`, in signal order, through one extractor.
     pub(crate) fn all(sog: &Bog) -> Vec<ConeExtraction> {
+        let mut extractor = ConeExtractor::new(sog);
         (0..sog.signals().len())
-            .map(|sig| ConeExtraction::of(sog, sig))
+            .map(|sig| ConeExtraction::of(&mut extractor, sig))
             .collect()
     }
 }
@@ -705,7 +708,12 @@ impl FeaturizeJob {
                 self.scratch.pieces.push(piece);
                 self.sig += 1;
             }
-            let design_feats = design_features(&sog.to_variant(variant));
+            // The SOG is its own SOG variant: only the other three convert.
+            let design_feats = if variant == sog.variant {
+                design_features(sog)
+            } else {
+                design_features(&sog.to_variant(variant))
+            };
             let prior = self.prior.as_mut().map(|p| &mut p.variant_data[self.vi]);
             self.done.push(merge_pieces(
                 variant,

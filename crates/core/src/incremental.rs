@@ -38,7 +38,7 @@ use crate::annotate::annotate_source;
 use crate::cache::PrepareKeys;
 use crate::dataset::{ConeExtraction, FeaturizeJob, FeaturizeOutput, PriorRows, VariantData};
 use crate::pipeline::{design_seed, DesignData, Prediction, PrepareStages, RtlTimer, TimerConfig};
-use rtlt_bog::{Bog, ConeMatch};
+use rtlt_bog::{Bog, ConeExtractor, ConeMatch};
 use rtlt_liberty::Library;
 use rtlt_store::{ContentHash, Store};
 use rtlt_verilog::VerilogError;
@@ -176,8 +176,9 @@ fn same_signals(old: &Bog, new: &Bog) -> bool {
 /// lockstep [`ConeMatch`] against the resident SOG shows a fresh extraction
 /// would be identical (an edit can still shift declaration lines, or
 /// rewire a pass-through module no provenance names). Every other signal
-/// is extracted afresh. Either way, a signal whose content key is
-/// unchanged moves its rows over instead of being looked up.
+/// is extracted afresh, all through one [`ConeExtractor`]. Either way, a
+/// signal whose content key is unchanged moves its rows over instead of
+/// being looked up.
 fn carry_over(
     prev: Resident,
     sog: &Bog,
@@ -186,6 +187,7 @@ fn carry_over(
 ) -> (Vec<ConeExtraction>, PriorRows) {
     let changed = changed_modules(&prev.module_keys, keys);
     let mut matcher = ConeMatch::new(&prev.sog, sog);
+    let mut extractor = ConeExtractor::new(sog);
     let mut reuse = Vec::with_capacity(prev.extractions.len());
     let extractions = prev
         .extractions
@@ -196,7 +198,7 @@ fn carry_over(
             if !bound && matcher.same_signal_cone(&prev.sog, sig, sog, sig) {
                 #[cfg(test)]
                 assert_eq!(
-                    ConeExtraction::of(sog, sig).content,
+                    ConeExtraction::of(&mut extractor, sig).content,
                     old.content,
                     "reused extraction of {} differs from a fresh one",
                     sog.signals()[sig].name
@@ -204,7 +206,7 @@ fn carry_over(
                 reuse.push(true);
                 old
             } else {
-                let fresh = ConeExtraction::of(sog, sig);
+                let fresh = ConeExtraction::of(&mut extractor, sig);
                 reuse.push(fresh.content == old.content);
                 fresh
             }

@@ -100,17 +100,26 @@ pub const FEATURIZE_MEM_QUOTA: usize = 64 << 20;
 /// namespaces.
 pub const CONESTA_MEM_QUOTA: usize = 32 << 20;
 
+/// Decoded-front-cache quota for the `blast` namespace (whole-design
+/// SOGs). A prepare passes its SOG down the stage chain by value and never
+/// reads it back; an edit session blasts every revision and reads one
+/// again only when the designer reverts to it. Uncapped, every edit's SOG
+/// stayed decoded for the life of an in-memory store.
+pub const BLAST_MEM_QUOTA: usize = 16 << 20;
+
 /// The tier policy of namespace `ns`: whether the byte tiers hold its
 /// payloads packed ([`compress::compress`]) rather than as raw frames, and
-/// its decoded-front-cache quota, if capped. Bulk `featurize` tables and
-/// shared `conesta` evaluations are packed and capped (cheap to re-read
-/// from compressed disk); the tiny, hot `modast`/`compile` artifacts stay
-/// raw, where a decode would cost more than the bytes save; every other
-/// namespace is packed with no quota.
+/// its decoded-front-cache quota, if capped. Bulk `featurize` tables,
+/// shared `conesta` evaluations and whole-design `blast` graphs are packed
+/// and capped (cheap to re-read from compressed disk, or to recompute);
+/// the tiny, hot `modast`/`compile` artifacts stay raw, where a decode
+/// would cost more than the bytes save; every other namespace is packed
+/// with no quota.
 fn namespace_policy(ns: &str) -> (bool, Option<usize>) {
     match ns {
         "featurize" => (true, Some(FEATURIZE_MEM_QUOTA)),
         "conesta" => (true, Some(CONESTA_MEM_QUOTA)),
+        "blast" => (true, Some(BLAST_MEM_QUOTA)),
         "modast" | "compile" => (false, None),
         _ => (true, None),
     }
@@ -963,7 +972,14 @@ mod tests {
         // smaller than its payload, a raw one's is the payload plus the
         // 1-byte mode tag.
         let store = Store::with_tiers(0, vec![Arc::new(MemTier::new(1 << 20))]);
-        for ns in ["featurize", "conesta", "modast", "compile", "shard"] {
+        for ns in [
+            "featurize",
+            "conesta",
+            "blast",
+            "modast",
+            "compile",
+            "shard",
+        ] {
             store.put(ns, key(1), vec![0u64; 512]);
             let s = store.stats().namespace(ns);
             let raw = matches!(ns, "modast" | "compile");
@@ -972,6 +988,7 @@ mod tests {
         }
         assert_eq!(namespace_policy("featurize").1, Some(FEATURIZE_MEM_QUOTA));
         assert_eq!(namespace_policy("conesta").1, Some(CONESTA_MEM_QUOTA));
+        assert_eq!(namespace_policy("blast").1, Some(BLAST_MEM_QUOTA));
         assert_eq!(namespace_policy("compile").1, None);
         assert_eq!(namespace_policy("shard").1, None);
     }
