@@ -10,101 +10,29 @@
 use rtl_timer::dataset::{build_all_variant_data_scratch, FeaturizeScratch};
 use rtl_timer::optimize::{path_groups_from_scores, retime_set_from_scores};
 use rtl_timer::pipeline::RtlTimer;
-use rtlt_bench::{
-    json::Json, median, pct, remote_addr, shard_spec, steal, worker_id, Bench, Table,
-};
+use rtlt_bench::{json::Json, median, pct, positional_args, Bench, Table};
 use rtlt_bog::BogVariant;
 use rtlt_liberty::Library;
 use rtlt_ml::{
     Binner, FeatureMatrix, Gbdt, GbdtParams, SquaredObjective, Tree, TreeParams, TreeScratch,
 };
 use rtlt_sta::{LevelScratch, Sta, StaConfig};
-use rtlt_store::{RemoteTier, Store};
+use rtlt_store::Store;
 use rtlt_synth::{synthesize, SynthOptions};
 use std::time::Instant;
 
 fn main() {
     let bench = Bench::from_env();
 
-    // Work-stealing fleet mode: lease designs from the rtlt-stored shard
-    // planner until the shared plan drains, then stop (like a static
-    // shard, the evaluation below needs the merged full suite). An
-    // unreachable or too-old server degrades to the static --shard spec
-    // (or the full suite) below.
-    if steal() {
-        match remote_addr() {
-            None => eprintln!("[steal] --steal needs --remote/RTLT_STORE_REMOTE; running static"),
-            Some(addr) => {
-                let fleet = RemoteTier::new(&addr);
-                if let Some(out) = bench.prepare_suite_stolen(&fleet) {
-                    println!("\nartifact store (stolen preparation went through it):\n");
-                    bench.print_store_stats();
-                    let plan = fleet.plan_stats_remote();
-                    if let Some(p) = &plan {
-                        println!(
-                            "fleet plan: {}/{} designs done, {} leases granted, {} stolen (re-queued), {} worker(s)",
-                            p.completed, p.planned, p.leases_granted, p.requeued, p.workers
-                        );
-                    }
-                    bench.write_report(
-                        "runtime",
-                        vec![
-                            (
-                                "steal",
-                                Json::obj([
-                                    ("worker", Json::Str(worker_id())),
-                                    ("leases", Json::UInt(out.leases)),
-                                    ("designs", Json::UInt(out.set.designs().len() as u64)),
-                                    ("fell_back", Json::Bool(out.fell_back)),
-                                    (
-                                        "plan",
-                                        match plan {
-                                            Some(p) => Json::obj([
-                                                ("planned", Json::UInt(p.planned)),
-                                                ("completed", Json::UInt(p.completed)),
-                                                ("abandoned", Json::UInt(p.abandoned)),
-                                                ("leases_granted", Json::UInt(p.leases_granted)),
-                                                ("requeued", Json::UInt(p.requeued)),
-                                                ("refused", Json::UInt(p.refused)),
-                                                ("workers", Json::UInt(p.workers)),
-                                            ]),
-                                            None => Json::Null,
-                                        },
-                                    ),
-                                ]),
-                            ),
-                            ("suite_digest", Json::Str(out.set.content_digest().to_hex())),
-                        ],
-                    );
-                    return;
-                }
-                eprintln!("[steal] planner unreachable at {addr}; degrading to the static path");
-            }
-        }
-    }
-
-    // Fleet-shard mode: prepare this worker's design subset and stop —
-    // the evaluation below needs the full suite, which only exists once
-    // the shards' disk tiers are merged.
-    if let Some((index, count)) = shard_spec() {
-        let set = bench.prepare_shard(index, count);
-        println!("\nartifact store (shard preparation went through it):\n");
-        bench.print_store_stats();
-        bench.write_report(
-            "runtime",
-            vec![
-                (
-                    "shard",
-                    Json::obj([
-                        ("index", Json::UInt(index as u64)),
-                        ("count", Json::UInt(count as u64)),
-                        ("designs", Json::UInt(set.designs().len() as u64)),
-                    ]),
-                ),
-                ("suite_digest", Json::Str(set.content_digest().to_hex())),
-            ],
+    // Every positional argument `Bench::from_env` understands (`gc`) has
+    // already run and exited; anything left over would otherwise be
+    // ignored while the whole suite is prepared and evaluated.
+    if let Some(arg) = positional_args().first() {
+        eprintln!("error: unexpected argument {arg:?}");
+        eprintln!(
+            "usage: runtime [--cache-dir DIR] [--remote ADDR] [--cache-stats | gc [BUDGET_BYTES]]"
         );
-        return;
+        std::process::exit(2);
     }
 
     let set = bench.prepare_suite();
@@ -306,9 +234,9 @@ fn main() {
     bench.write_report(
         "runtime",
         vec![
-            // Content digest of the prepared suite: cold, warm, remote-fed
-            // and shard-merged preparations must all agree (the fleet CI
-            // jobs compare this field across runs).
+            // Content digest of the prepared suite: cold, warm and
+            // remote-fed preparations must all agree (the CI smoke lanes
+            // compare this field across runs).
             ("suite_digest", Json::Str(set.content_digest().to_hex())),
             (
                 "micro_ms",

@@ -14,31 +14,18 @@
 //!   stack a [`RemoteTier`] speaking to a shared `rtlt-stored` server
 //!   behind the local tiers (`none`/`off` disables; an unreachable server
 //!   degrades to recompute, never an error),
-//! * `--shard <I>/<N>` / `RTLT_SHARD=<I>/<N>` — fleet-sharded suite
-//!   preparation: this invocation prepares only shard `I` of `N` (see
-//!   [`Bench::prepare_shard`]; binaries that train models run them only
-//!   unsharded),
-//! * `--steal` / `RTLT_STEAL=1` — dynamic work-stealing preparation: the
-//!   worker leases design names from the `rtlt-stored` server's shard
-//!   planner instead of a static split (needs `--remote`; see
-//!   [`Bench::prepare_suite_stolen`]). `RTLT_WORKER` names the worker
-//!   (default `worker-<pid>`), `RTLT_STEAL_STALL_MS` injects a
-//!   post-lease stall (the CI handicap hook), and `RTLT_THREADS`
-//!   overrides the worker's thread count (the CI throttle hook),
+//! * `RTLT_THREADS=<N>` — worker thread count (default: the available
+//!   parallelism),
 //! * `gc [BUDGET_BYTES]` subcommand — size-bounded LRU-by-mtime eviction of
 //!   the **local** disk tier (budget also via `RTLT_CACHE_BUDGET_BYTES`,
 //!   default 4 GiB), then exit,
-//! * `merge <SRC_DIR>...` subcommand — merge other cache dirs' disk tiers
-//!   into this one's (the fleet-assembly step after sharded prepares),
-//!   then exit,
 //! * `--cache-stats` — print the tier stack (including the remote
 //!   server's size, if reachable) and per-namespace disk usage, then exit.
 //!
 //! A numeric variable (`RTLT_SEED`, `RTLT_THREADS`,
-//! `RTLT_CACHE_BUDGET_BYTES`, `RTLT_STEAL_STALL_MS`) or shard spec that is
-//! set but malformed exits with status 2 and names the variable: a run
-//! that silently fell back to a default would measure something other than
-//! what was asked.
+//! `RTLT_CACHE_BUDGET_BYTES`) or `gc` budget that is set but malformed
+//! exits with status 2 and names the setting: a run that silently fell
+//! back to a default would measure something other than what was asked.
 //!
 //! All suite preparation goes through [`Bench::prepare_suite`], which
 //! threads the shared [`Store`] through the prepare pipeline: a warm second
@@ -51,14 +38,14 @@ pub mod json;
 
 use json::Json;
 use rtl_timer::cache::stage;
-use rtl_timer::pipeline::{DesignSet, StealConfig, StolenPrepare, TimerConfig};
+use rtl_timer::pipeline::{DesignSet, TimerConfig};
 use rtlt_store::{NamespaceStats, RemoteTier, StatsSnapshot, Store, TierKind};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt::Display;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default disk-tier GC budget when neither the `gc` argument nor
 /// `RTLT_CACHE_BUDGET_BYTES` specifies one: 4 GiB.
@@ -81,14 +68,19 @@ fn parse_num<T: FromStr + PartialOrd + Display>(
     }
 }
 
+/// The value of a setting, or a usage error (status 2) naming it.
+fn or_usage_error<T>(setting: Result<T, String>) -> T {
+    setting.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// Numeric variable `name`, or `None` when unset; a set but malformed
 /// value exits with a usage error (status 2) naming the variable.
 fn env_num<T: FromStr + PartialOrd + Display>(name: &str, min: T) -> Option<T> {
     let value = std::env::var(name).ok();
-    parse_num(name, value.as_deref(), min).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+    or_usage_error(parse_num(name, value.as_deref(), min))
 }
 
 /// The disk-tier GC budget: `RTLT_CACHE_BUDGET_BYTES`, else the default.
@@ -96,17 +88,19 @@ pub fn cache_budget() -> u64 {
     env_num("RTLT_CACHE_BUDGET_BYTES", 0).unwrap_or(DEFAULT_CACHE_BUDGET)
 }
 
+/// The `gc` subcommand's budget: its `BUDGET_BYTES` argument, else
+/// [`cache_budget`]. A malformed argument is an error naming it.
+fn gc_budget(arg: Option<&str>) -> Result<u64, String> {
+    Ok(parse_num("gc BUDGET_BYTES", arg, 0)?.unwrap_or_else(cache_budget))
+}
+
 /// Handles the cache-maintenance invocations shared by every bench binary:
-/// the `gc [BUDGET_BYTES]` and `merge <SRC_DIR>...` subcommands and the
-/// `--cache-stats` flag. Returns `true` when a maintenance action ran (the
-/// binary should exit).
+/// the `gc [BUDGET_BYTES]` subcommand and the `--cache-stats` flag.
+/// Returns `true` when a maintenance action ran (the binary should exit).
 pub fn run_maintenance(store: &Store) -> bool {
     let args = positional_args();
     if args.first().map(String::as_str) == Some("gc") {
-        let budget = args
-            .get(1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(cache_budget);
+        let budget = or_usage_error(gc_budget(args.get(1).map(String::as_str)));
         let r = store.gc(budget);
         println!(
             "[gc] scanned {} files ({} KiB), evicted {} files ({} KiB), {} KiB remain (budget {} KiB)",
@@ -117,27 +111,6 @@ pub fn run_maintenance(store: &Store) -> bool {
             r.remaining_bytes / 1024,
             budget / 1024
         );
-        return true;
-    }
-    if args.first().map(String::as_str) == Some("merge") {
-        if args.len() < 2 {
-            eprintln!("error: merge needs at least one source cache dir");
-            std::process::exit(2);
-        }
-        if store.disk_dir().is_none() {
-            eprintln!("error: merge needs a disk tier (--cache-dir is `none`)");
-            std::process::exit(2);
-        }
-        for src in &args[1..] {
-            let r = store.merge_disk_tier(std::path::Path::new(src));
-            println!(
-                "[merge] {src}: merged {} entries ({} KiB), {} already present, {} invalid skipped",
-                r.merged_files,
-                r.merged_bytes / 1024,
-                r.skipped_existing,
-                r.invalid_entries
-            );
-        }
         return true;
     }
     if std::env::args().any(|a| a == "--cache-stats") {
@@ -245,7 +218,7 @@ pub fn folds() -> usize {
 }
 
 /// Harness configuration (seed overridable via `RTLT_SEED`, worker
-/// threads via `RTLT_THREADS` — the fleet-smoke throttle hook).
+/// threads via `RTLT_THREADS`).
 pub fn config() -> TimerConfig {
     let mut cfg = TimerConfig {
         seed: env_num("RTLT_SEED", 0).unwrap_or(2024),
@@ -255,74 +228,6 @@ pub fn config() -> TimerConfig {
         cfg.threads = threads;
     }
     cfg
-}
-
-/// Whether dynamic work-stealing preparation is requested (`--steal` flag
-/// or `RTLT_STEAL=1`).
-pub fn steal() -> bool {
-    std::env::args().skip(1).any(|a| a == "--steal")
-        || std::env::var("RTLT_STEAL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-}
-
-/// Stable worker identity for lease bookkeeping: `RTLT_WORKER`, else
-/// `worker-<pid>`.
-pub fn worker_id() -> String {
-    std::env::var("RTLT_WORKER")
-        .ok()
-        .filter(|w| !w.is_empty())
-        .unwrap_or_else(|| format!("worker-{}", std::process::id()))
-}
-
-/// Post-lease stall (`RTLT_STEAL_STALL_MS`): the CI fleet-steal smoke
-/// handicaps one worker with this so its lease deterministically expires
-/// and the other worker steals the design. Zero (the default) in any real
-/// deployment.
-pub fn steal_stall() -> Duration {
-    Duration::from_millis(env_num("RTLT_STEAL_STALL_MS", 0).unwrap_or(0))
-}
-
-/// Extracts per-design prepare-cost priors from a previous run's
-/// `BENCH_runtime.json` (`design_seconds` object), to seed the fleet
-/// planner's longest-expected-first ordering. Returns an empty list when
-/// the file is absent or does not carry the section — priors are an
-/// optimization, never a requirement.
-///
-/// Hand-rolled scan (the workspace renders JSON but deliberately carries
-/// no parser): tolerant of field order and whitespace, keyed on the exact
-/// `"design_seconds"` object shape [`Bench::write_report`] emits.
-pub fn load_cost_priors(path: &Path) -> Vec<(String, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Some(at) = text.find("\"design_seconds\"") else {
-        return Vec::new();
-    };
-    let rest = &text[at..];
-    let Some(open) = rest.find('{') else {
-        return Vec::new();
-    };
-    let Some(close) = rest[open..].find('}') else {
-        return Vec::new();
-    };
-    let body = &rest[open + 1..open + close];
-    let mut out = Vec::new();
-    for pair in body.split(',') {
-        let Some((k, v)) = pair.split_once(':') else {
-            continue;
-        };
-        let name = k.trim().trim_matches('"');
-        if name.is_empty() {
-            continue;
-        }
-        if let Ok(seconds) = v.trim().parse::<f64>() {
-            if seconds.is_finite() && seconds >= 0.0 {
-                out.push((name.to_owned(), seconds));
-            }
-        }
-    }
-    out
 }
 
 /// Resolves the shared cache directory: `--cache-dir` argument first, then
@@ -382,61 +287,18 @@ pub fn remote_addr() -> Option<String> {
     std::env::var("RTLT_STORE_REMOTE").ok().and_then(parse)
 }
 
-/// Parses a `<I>/<N>` shard spec (0-based index, total count). Any
-/// malformed or out-of-range spec is a hard usage error: a fleet worker
-/// silently falling back to an unsharded full-suite run would do N× the
-/// work into its shard's cache dir with no diagnostic.
-fn parse_shard(v: &str) -> (usize, usize) {
-    let parsed = v
-        .split_once('/')
-        .and_then(|(i, n)| Some((i.trim().parse().ok()?, n.trim().parse().ok()?)));
-    match parsed {
-        Some((i, n)) if n > 0 && i < n => (i, n),
-        _ => {
-            eprintln!("error: shard spec must be I/N with I < N and N > 0, got {v:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Resolves the fleet shard spec: `--shard I/N` argument first, then
-/// `RTLT_SHARD` (`none`/`off`/empty disable it). `None` means an
-/// unsharded (full-suite) run; a present-but-malformed spec exits with a
-/// usage error instead of silently running unsharded.
-pub fn shard_spec() -> Option<(usize, usize)> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--shard" {
-            let Some(v) = args.next() else {
-                eprintln!("error: --shard needs a value (I/N, e.g. 0/4)");
-                std::process::exit(2);
-            };
-            return Some(parse_shard(&v));
-        }
-        if let Some(v) = a.strip_prefix("--shard=") {
-            return Some(parse_shard(v));
-        }
-    }
-    match std::env::var("RTLT_SHARD").ok().as_deref() {
-        None | Some("" | "none" | "off") => None,
-        Some(v) => Some(parse_shard(v)),
-    }
-}
-
 /// Positional process arguments with harness flags (`--cache-dir [DIR]`,
-/// `--remote [ADDR]`, `--shard [I/N]`, `--steal`, `--cache-stats`)
-/// stripped — for binaries that take a design name argument.
+/// `--remote [ADDR]`, `--cache-stats`) stripped — for binaries that take a
+/// design name argument.
 pub fn positional_args() -> Vec<String> {
     let mut out = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--cache-dir" || a == "--remote" || a == "--shard" {
+        if a == "--cache-dir" || a == "--remote" {
             let _ = args.next();
         } else if !a.starts_with("--cache-dir=")
             && !a.starts_with("--remote=")
-            && !a.starts_with("--shard=")
             && a != "--cache-stats"
-            && a != "--steal"
         {
             out.push(a);
         }
@@ -457,10 +319,6 @@ pub struct Bench {
     /// finished, so later featurize calls (e.g. the runtime analysis
     /// loop's uncached measurements) don't leak into the report.
     dedup_stats: Cell<Option<rtl_timer::dataset::ConeDedupStats>>,
-    /// Observed per-design prepare wall times of the last preparation —
-    /// written into `BENCH_<bin>.json` as `design_seconds`, where the
-    /// next fleet run's planner reads them as cost priors.
-    design_seconds: RefCell<Vec<(String, f64)>>,
 }
 
 impl Default for Bench {
@@ -493,7 +351,6 @@ impl Bench {
             store,
             prep_seconds: Cell::new(f64::NAN),
             dedup_stats: Cell::new(None),
-            design_seconds: RefCell::new(Vec::new()),
         }
     }
 
@@ -512,10 +369,7 @@ impl Bench {
             ),
         }
         let t = Instant::now();
-        let sources = rtlt_designgen::generate_all();
-        let (set, timed) = DesignSet::prepare_named_timed_with(&sources, &self.cfg, &self.store)
-            .unwrap_or_else(|e| panic!("{e}"));
-        *self.design_seconds.borrow_mut() = timed;
+        let set = DesignSet::prepare_suite_with(&self.cfg, &self.store);
         let secs = t.elapsed().as_secs_f64();
         self.prep_seconds.set(secs);
         self.dedup_stats
@@ -528,87 +382,6 @@ impl Bench {
             agg.hit_rate_pct()
         );
         set
-    }
-
-    /// Fleet-sharded preparation: prepares only shard `index` of `count`
-    /// of the benchmark suite through the store, printing the same timing
-    /// and cache-outcome summary as [`Bench::prepare_suite`]. The disk
-    /// tiers of N such runs merge (`merge` subcommand) into one cache that
-    /// is byte-identical to an unsharded cold prepare.
-    pub fn prepare_shard(&self, index: usize, count: usize) -> DesignSet {
-        eprintln!(
-            "[harness] preparing suite shard {index}/{count} (threads={}, cache-dir={}) ...",
-            self.cfg.threads,
-            match self.store.disk_dir() {
-                Some(dir) => dir.display().to_string(),
-                None => "none".to_owned(),
-            }
-        );
-        let t = Instant::now();
-        let sources = DesignSet::shard_sources(&rtlt_designgen::generate_all(), index, count);
-        let (set, timed) = DesignSet::prepare_named_timed_with(&sources, &self.cfg, &self.store)
-            .unwrap_or_else(|e| panic!("{e}"));
-        *self.design_seconds.borrow_mut() = timed;
-        let secs = t.elapsed().as_secs_f64();
-        self.prep_seconds.set(secs);
-        self.dedup_stats
-            .set(Some(rtl_timer::dataset::cone_dedup_stats()));
-        let agg = self.prepare_stats();
-        eprintln!(
-            "[harness] shard {index}/{count} ready: {} designs in {secs:.1}s ({} hits / {} lookups = {:.1}% hit rate)",
-            set.designs().len(),
-            agg.hits(),
-            agg.lookups(),
-            agg.hit_rate_pct()
-        );
-        set
-    }
-
-    /// Work-stealing fleet preparation: leases suite designs from the
-    /// `rtlt-stored` server behind `fleet` instead of taking a static
-    /// shard, seeding the planner's cost model from the previous
-    /// `BENCH_runtime.json` when one is present. Returns `None` when the
-    /// server is unreachable or too old to plan — the caller degrades to
-    /// the static-shard/full path.
-    pub fn prepare_suite_stolen(&self, fleet: &RemoteTier) -> Option<StolenPrepare> {
-        let steal = StealConfig {
-            stall_after_lease: steal_stall(),
-            fallback_shard: shard_spec(),
-            cost_priors: load_cost_priors(Path::new("BENCH_runtime.json")),
-            ..StealConfig::new(worker_id())
-        };
-        eprintln!(
-            "[harness] work-stealing preparation as {:?} (threads={}, cache-dir={}, {} cost priors)",
-            steal.worker,
-            self.cfg.threads,
-            match self.store.disk_dir() {
-                Some(dir) => dir.display().to_string(),
-                None => "none".to_owned(),
-            },
-            steal.cost_priors.len()
-        );
-        let t = Instant::now();
-        let out = DesignSet::prepare_suite_stolen(&self.cfg, &self.store, fleet, &steal)?;
-        let secs = t.elapsed().as_secs_f64();
-        self.prep_seconds.set(secs);
-        self.dedup_stats
-            .set(Some(rtl_timer::dataset::cone_dedup_stats()));
-        *self.design_seconds.borrow_mut() = out.design_seconds.clone();
-        let agg = self.prepare_stats();
-        eprintln!(
-            "[harness] stolen share ready: {} designs over {} leases in {secs:.1}s{} ({} hits / {} lookups = {:.1}% hit rate)",
-            out.set.designs().len(),
-            out.leases,
-            if out.fell_back {
-                " [static fallback after server loss]"
-            } else {
-                ""
-            },
-            agg.hits(),
-            agg.lookups(),
-            agg.hit_rate_pct()
-        );
-        Some(out)
     }
 
     /// Shared-cone dedup counters as of the end of the last preparation
@@ -788,18 +561,6 @@ impl Bench {
                 "cold_featurize_seconds".to_owned(),
                 Json::Num(dedup.featurize_seconds),
             ),
-            // Per-design prepare wall times (sorted by name): the cost
-            // priors the next fleet run's shard planner seeds from.
-            ("design_seconds".to_owned(), {
-                let mut timed = self.design_seconds.borrow().clone();
-                timed.sort_by(|a, b| a.0.cmp(&b.0));
-                Json::Obj(
-                    timed
-                        .into_iter()
-                        .map(|(name, secs)| (name, Json::Num(secs)))
-                        .collect(),
-                )
-            }),
             (
                 "cache_dir".to_owned(),
                 match self.store.disk_dir() {
@@ -990,45 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_priors_scan_round_trips_the_report_shape() {
-        let dir = std::env::temp_dir().join(format!("rtlt-priors-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("BENCH_runtime.json");
-        // Exactly the shape write_report emits.
-        let report = Json::obj([
-            ("bin", Json::Str("runtime".into())),
-            (
-                "design_seconds",
-                Json::Obj(vec![
-                    ("b17".to_owned(), Json::Num(3.25)),
-                    ("b18".to_owned(), Json::Num(0.5)),
-                    ("nanvalue".to_owned(), Json::Num(f64::NAN)), // renders null
-                ]),
-            ),
-            ("suite_prep_seconds", Json::Num(10.0)),
-        ]);
-        std::fs::write(&path, report.render()).expect("write report");
-        let priors = load_cost_priors(&path);
-        assert_eq!(
-            priors,
-            vec![("b17".to_owned(), 3.25), ("b18".to_owned(), 0.5)],
-            "finite entries load; the null renders are skipped"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cost_priors_missing_file_or_section_is_empty() {
-        assert!(load_cost_priors(Path::new("/nonexistent/BENCH_runtime.json")).is_empty());
-        let dir = std::env::temp_dir().join(format!("rtlt-priors-empty-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("BENCH_runtime.json");
-        std::fs::write(&path, "{\n  \"bin\": \"runtime\"\n}\n").expect("write");
-        assert!(load_cost_priors(&path).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn numeric_env_values_parse_or_name_the_variable() {
         assert_eq!(parse_num::<u64>("RTLT_SEED", None, 0), Ok(None));
         assert_eq!(parse_num::<u64>("RTLT_SEED", Some(""), 0), Ok(None));
@@ -1042,16 +764,14 @@ mod tests {
         let err = parse_num::<usize>("RTLT_THREADS", Some("0"), 1).unwrap_err();
         assert!(err.contains("RTLT_THREADS"), "{err}");
         assert!(parse_num::<u64>("RTLT_CACHE_BUDGET_BYTES", Some("-1"), 0).is_err());
-        assert!(parse_num::<u64>("RTLT_STEAL_STALL_MS", Some("1.5"), 0).is_err());
-    }
-
-    #[test]
-    fn steal_stall_defaults_to_zero() {
-        // Environment-free default (CI sets RTLT_STEAL_STALL_MS only in
-        // the fleet-steal smoke).
-        if std::env::var("RTLT_STEAL_STALL_MS").is_err() {
-            assert!(steal_stall().is_zero());
-        }
+        // The `gc` budget argument: `runtime gc 10MB` must not evict down
+        // to the default budget instead.
+        let err = gc_budget(Some("10MB")).unwrap_err();
+        assert!(
+            err.contains("BUDGET_BYTES") && err.contains("10MB"),
+            "{err}"
+        );
+        assert_eq!(gc_budget(Some("1048576")), Ok(1 << 20));
     }
 
     #[test]

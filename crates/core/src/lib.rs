@@ -54,7 +54,4 @@ pub use cache::PrepareKeys;
 pub use incremental::{IncrementalAnnotator, ReannotateJob, ReannotateOutcome};
 pub use live::{LiveAnnotator, LiveOutcome, LiveService, SessionClient};
 pub use metrics::{covr, mape, pearson, r_squared, rank_groups};
-pub use pipeline::{
-    DesignData, DesignSet, PrepareError, PrepareStages, RtlTimer, StealConfig, StolenPrepare,
-    TimerConfig,
-};
+pub use pipeline::{DesignData, DesignSet, PrepareError, PrepareStages, RtlTimer, TimerConfig};

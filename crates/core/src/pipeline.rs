@@ -20,13 +20,12 @@ use crate::signal::{signal_labels, signal_rows, signal_rows_into, SignalModels};
 use rtlt_bog::{blast, Bog, SignalInfo};
 use rtlt_liberty::{CellFunc, Drive, Library};
 use rtlt_ml::FeatureMatrix;
-use rtlt_store::{ContentHash, KeyBuilder, LeaseGrant, RemoteTier, Store};
+use rtlt_store::{ContentHash, KeyBuilder, Store};
 use rtlt_synth::{synthesize, SynthOptions, SynthResult};
 use rtlt_verilog::ast::{Module, SourceFile};
 use rtlt_verilog::{modsrc, VerilogError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Global pipeline configuration.
 #[derive(Debug, Clone)]
@@ -626,20 +625,6 @@ impl DesignData {
     }
 }
 
-/// Deterministic shard assignment of one design name.
-///
-/// Stable across processes and platforms (content-hash based, never the
-/// randomly-keyed `DefaultHasher`), so N fleet workers given `i/N` specs
-/// partition any design list identically without coordinating: every name
-/// lands in exactly one shard for any `shard_count`. A `shard_count` of 0
-/// is treated as 1.
-pub fn shard_of(name: &str, shard_count: usize) -> usize {
-    let count = shard_count.max(1) as u64;
-    let h = KeyBuilder::new("rtlt.shard.v1").str(name).finish();
-    let x = u64::from_le_bytes(h.0[..8].try_into().expect("8 bytes"));
-    (x % count) as usize
-}
-
 /// An owned collection of prepared designs.
 ///
 /// Designs are held behind `Arc` so the set, the store's in-memory tier and
@@ -682,38 +667,6 @@ impl DesignSet {
         Self::prepare_named_with(&sources, cfg, store).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The subset of `sources` assigned to shard `shard_index` of
-    /// `shard_count` by [`shard_of`] (input order preserved). The shards
-    /// of any fixed `shard_count` partition the input: disjoint, and their
-    /// union (over all indices) is the whole list.
-    pub fn shard_sources(
-        sources: &[(String, String)],
-        shard_index: usize,
-        shard_count: usize,
-    ) -> Vec<(String, String)> {
-        sources
-            .iter()
-            .filter(|(name, _)| shard_of(name, shard_count) == shard_index)
-            .cloned()
-            .collect()
-    }
-
-    /// Work-stealing suite preparation over the full benchmark suite: the
-    /// sources come from `rtlt_designgen::generate_all()` and the shards
-    /// from the `fleet` server's planner. See [`prepare_stolen`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a generated design fails to compile.
-    pub fn prepare_suite_stolen(
-        cfg: &TimerConfig,
-        store: &Store,
-        fleet: &RemoteTier,
-        steal: &StealConfig,
-    ) -> Option<StolenPrepare> {
-        prepare_stolen(&rtlt_designgen::generate_all(), cfg, store, fleet, steal)
-    }
-
     /// Prepares an arbitrary list of `(name, source)` designs in parallel
     /// (work-queue scheduled on [`TimerConfig::threads`] workers).
     ///
@@ -741,7 +694,31 @@ impl DesignSet {
         cfg: &TimerConfig,
         store: &Store,
     ) -> Result<DesignSet, PrepareError> {
-        Self::prepare_named_timed_with(sources, cfg, store).map(|(set, _)| set)
+        Self::prefetch_prepare_keys(store, sources, cfg);
+        let stages = PrepareStages::new(cfg);
+        let prepared = rtlt_runtime::try_par_map_with(
+            cfg.threads,
+            sources,
+            FeaturizeScratch::new,
+            |scratch, _, (name, src)| {
+                stages
+                    .run_with_scratch(store, name, src, scratch)
+                    .map_err(|e| PrepareError {
+                        design: name.clone(),
+                        source: e,
+                    })
+            },
+        );
+        // Prefetched payloads the run never consumed (e.g. a compile
+        // artifact short-circuited by a blast hit) must not outlive the
+        // preparation they were staged for.
+        store.drop_staged();
+        // Drain fire-and-forget remote writes: the suite's artifacts are
+        // in the server's custody before the prepare reports done, so a
+        // subsequent warm run on another machine (or the round-trip
+        // counters a bench samples here) see a settled store.
+        store.flush();
+        Ok(DesignSet { designs: prepared? })
     }
 
     /// Batched read-ahead of the whole set's prepare keys through the
@@ -776,56 +753,6 @@ impl DesignSet {
         if !rest.is_empty() {
             store.prefetch(&rest);
         }
-    }
-
-    /// [`DesignSet::prepare_named_with`], additionally returning each
-    /// design's observed prepare wall time `(name, seconds)` in input
-    /// order — the cost observations that seed the fleet planner's
-    /// longest-expected-first ordering on later runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`PrepareError`] of the first failing design (first by
-    /// input order, deterministically — not by wall-clock completion).
-    pub fn prepare_named_timed_with(
-        sources: &[(String, String)],
-        cfg: &TimerConfig,
-        store: &Store,
-    ) -> Result<(DesignSet, Vec<(String, f64)>), PrepareError> {
-        Self::prefetch_prepare_keys(store, sources, cfg);
-        let stages = PrepareStages::new(cfg);
-        let prepared = rtlt_runtime::try_par_map_with(
-            cfg.threads,
-            sources,
-            FeaturizeScratch::new,
-            |scratch, _, (name, src)| {
-                let t = Instant::now();
-                stages
-                    .run_with_scratch(store, name, src, scratch)
-                    .map(|d| (d, t.elapsed().as_secs_f64()))
-                    .map_err(|e| PrepareError {
-                        design: name.clone(),
-                        source: e,
-                    })
-            },
-        );
-        // Prefetched payloads the run never consumed (e.g. a compile
-        // artifact short-circuited by a blast hit) must not outlive the
-        // preparation they were staged for.
-        store.drop_staged();
-        // Drain fire-and-forget remote writes: the suite's artifacts are
-        // in the server's custody before the prepare reports done, so a
-        // subsequent fleet warm run (or the round-trip counters a bench
-        // samples here) see a settled store.
-        store.flush();
-        let prepared = prepared?;
-        let mut designs = Vec::with_capacity(prepared.len());
-        let mut seconds = Vec::with_capacity(prepared.len());
-        for (d, s) in prepared {
-            seconds.push((d.name.to_string(), s));
-            designs.push(d);
-        }
-        Ok((DesignSet { designs }, seconds))
     }
 
     /// [`DesignSet::prepare_named`], panicking on failure — for bench
@@ -872,9 +799,9 @@ impl DesignSet {
     /// differ outside the top module's dependency cone.
     ///
     /// Two preparations that took different routes to the same artifacts —
-    /// cold vs. warm, unsharded vs. shard-and-merge, local vs. remote tier
-    /// — digest identically iff they produced identical results; the CI
-    /// fleet jobs assert exactly that, so a tier bug serving a
+    /// cold vs. warm, one batch vs. several, local vs. remote tier — digest
+    /// identically iff they produced identical results; the store tests
+    /// and CI smoke lanes assert exactly that, so a tier bug serving a
     /// wrong-but-well-formed payload shows up here.
     pub fn content_digest(&self) -> ContentHash {
         let mut sorted: Vec<&Arc<DesignData>> = self.designs.iter().collect();
@@ -911,233 +838,6 @@ impl DesignSet {
         }
         folds
     }
-}
-
-/// Configuration of one work-stealing fleet worker (see
-/// [`prepare_stolen`]).
-#[derive(Debug, Clone)]
-pub struct StealConfig {
-    /// Stable worker identity (the server's lease bookkeeping keys on it).
-    pub worker: String,
-    /// Wait between lease retries while other workers still hold leases —
-    /// the cadence at which an expired lease gets stolen.
-    pub poll: Duration,
-    /// Artificial delay after every granted lease, before preparing.
-    /// [`Duration::ZERO`] in production; CI's fleet-steal smoke sets it on
-    /// one worker to force a deterministic lease expiry (the "handicapped
-    /// worker" whose design the fast worker must steal).
-    pub stall_after_lease: Duration,
-    /// Static `(index, count)` shard this worker degrades to when the
-    /// server vanishes mid-run; `None` degrades to the full design list.
-    pub fallback_shard: Option<(usize, usize)>,
-    /// Expected prepare cost per design, seconds (e.g. the
-    /// `design_seconds` of a prior `BENCH_runtime.json`). Designs without
-    /// a prior are ordered by source length — a crude but deterministic
-    /// size proxy.
-    pub cost_priors: Vec<(String, f64)>,
-}
-
-impl StealConfig {
-    /// A worker with sane production defaults: 100 ms lease polling, no
-    /// stall, full-list fallback, no priors.
-    pub fn new(worker: impl Into<String>) -> StealConfig {
-        StealConfig {
-            worker: worker.into(),
-            poll: Duration::from_millis(100),
-            stall_after_lease: Duration::ZERO,
-            fallback_shard: None,
-            cost_priors: Vec::new(),
-        }
-    }
-}
-
-/// Outcome of one worker's [`prepare_stolen`] run.
-#[derive(Debug)]
-pub struct StolenPrepare {
-    /// The designs this worker prepared (lease order).
-    pub set: DesignSet,
-    /// Observed prepare wall time per design this worker prepared.
-    pub design_seconds: Vec<(String, f64)>,
-    /// Leases this worker was granted (= designs it prepared, unless the
-    /// server died mid-run).
-    pub leases: u64,
-    /// Whether the server vanished mid-run and the worker degraded to its
-    /// static-shard fallback for the remainder.
-    pub fell_back: bool,
-}
-
-/// Content epoch of one fleet run: a stable hash over every design's
-/// featurize key (so it moves with any source, seed, or effort change).
-/// Workers of one run derive identical epochs from identical inputs; a
-/// long-lived `rtlt-stored` uses the epoch to tell a *new* run (reset the
-/// plan) from another worker of the *current* one (idempotent union).
-pub fn steal_plan_epoch(sources: &[(String, String)], cfg: &TimerConfig) -> u64 {
-    let mut keyed: Vec<(String, ContentHash)> = sources
-        .iter()
-        .map(|(name, src)| (name.clone(), PrepareKeys::derive(name, src, cfg).featurize))
-        .collect();
-    keyed.sort();
-    let mut kb = KeyBuilder::new("rtlt.steal.epoch.v1").u64(keyed.len() as u64);
-    for (name, key) in &keyed {
-        kb = kb.str(name).key(key);
-    }
-    let h = kb.finish();
-    u64::from_le_bytes(h.0[..8].try_into().expect("8 bytes"))
-}
-
-/// Work-stealing fleet preparation: instead of a static `I/N` split, this
-/// worker leases design names one at a time from the `fleet` server's
-/// [`rtlt_store::Planner`], prepares each through the `store`, and reports
-/// the observed cost back. The server hands out pending designs
-/// longest-expected-first and re-queues any lease whose worker goes silent
-/// past the lease deadline — so a slow worker's design is *stolen* by a
-/// faster one instead of gating the merge.
-///
-/// Degradation mirrors the rest of the store: if the server is
-/// unreachable before any lease is granted the function returns `None`
-/// and the caller runs the static-shard path; if it vanishes mid-run the
-/// worker keeps what it prepared and falls back to the unprepared
-/// remainder of [`StealConfig::fallback_shard`] (or of the full list) —
-/// either way every artifact is byte-identical to a cold prepare, because
-/// the planner only ever decides *who* computes, never *what*.
-///
-/// # Panics
-///
-/// Panics if a leased design fails to compile (the suite generator and
-/// frontend are tested together). The unfinished lease then expires on
-/// the server and re-queues — a crashing worker is just a silent one.
-pub fn prepare_stolen(
-    sources: &[(String, String)],
-    cfg: &TimerConfig,
-    store: &Store,
-    fleet: &RemoteTier,
-    steal: &StealConfig,
-) -> Option<StolenPrepare> {
-    let by_name: HashMap<&str, &str> = sources
-        .iter()
-        .map(|(n, s)| (n.as_str(), s.as_str()))
-        .collect();
-    let priors: HashMap<&str, f64> = steal
-        .cost_priors
-        .iter()
-        .map(|(n, c)| (n.as_str(), *c))
-        .collect();
-    let plan: Vec<(String, f64)> = sources
-        .iter()
-        .map(|(name, src)| {
-            let cost = priors
-                .get(name.as_str())
-                .copied()
-                // No prior: order by source size, scaled well below any
-                // real observation so measured costs dominate mixed plans.
-                .unwrap_or(src.len() as f64 * 1e-9);
-            (name.clone(), cost)
-        })
-        .collect();
-    if !fleet.plan_remote(steal_plan_epoch(sources, cfg), &plan) {
-        return None; // server unreachable/too old: static path
-    }
-
-    let mut prepared: Vec<Arc<DesignData>> = Vec::new();
-    let mut done_names: BTreeSet<String> = BTreeSet::new();
-    let mut design_seconds: Vec<(String, f64)> = Vec::new();
-    let mut leases = 0u64;
-    let mut fell_back = false;
-    let mut server_lost = false;
-    loop {
-        // Collect up to `cfg.threads` grants per round, so one worker's
-        // in-design preparation parallelism matches the static shard path
-        // instead of serializing one design per lease exchange.
-        let mut batch: Vec<(String, String)> = Vec::new();
-        let mut drained_done = false;
-        while batch.len() < cfg.threads.max(1) {
-            match fleet.lease_remote(&steal.worker) {
-                Some(LeaseGrant::Granted { design }) => {
-                    leases += 1;
-                    if !steal.stall_after_lease.is_zero() {
-                        std::thread::sleep(steal.stall_after_lease);
-                    }
-                    if done_names.contains(&design) {
-                        // Re-granted a design we already prepared — its
-                        // earlier DONE report was lost in transit and the
-                        // lease expired. Re-report instead of preparing a
-                        // duplicate into the set.
-                        fleet.report_remote(&steal.worker, &design, 0.0, true);
-                        continue;
-                    }
-                    if batch.iter().any(|(name, _)| name == &design) {
-                        // Already collected this round: our own lease
-                        // expired mid-collection (e.g. a stall straddling
-                        // the deadline) and the planner handed it back to
-                        // us. One copy in the batch is enough.
-                        continue;
-                    }
-                    match by_name.get(design.as_str()) {
-                        Some(src) => batch.push((design, (*src).to_owned())),
-                        None => {
-                            // The server knows a design we do not
-                            // (version skew): hand it back for a worker
-                            // that does.
-                            fleet.report_remote(&steal.worker, &design, 0.0, false);
-                        }
-                    }
-                }
-                Some(LeaseGrant::Drained { outstanding: 0 }) => {
-                    drained_done = true;
-                    break;
-                }
-                Some(LeaseGrant::Drained { .. }) => break,
-                None => {
-                    server_lost = true;
-                    break;
-                }
-            }
-        }
-        if !batch.is_empty() {
-            let (set, timed) = DesignSet::prepare_named_timed_with(&batch, cfg, store)
-                .unwrap_or_else(|e| panic!("{e}"));
-            for (design, seconds) in &timed {
-                if !server_lost {
-                    fleet.report_remote(&steal.worker, design, *seconds, true);
-                }
-                done_names.insert(design.clone());
-            }
-            prepared.extend(set.designs.iter().cloned());
-            design_seconds.extend(timed);
-        }
-        if server_lost {
-            // Mid-run server loss: keep what we have, prepare the
-            // unprepared remainder of our static fallback share, and
-            // stop pretending to coordinate.
-            fell_back = true;
-            let remainder: Vec<(String, String)> = match steal.fallback_shard {
-                Some((index, count)) => DesignSet::shard_sources(sources, index, count),
-                None => sources.to_vec(),
-            }
-            .into_iter()
-            .filter(|(name, _)| !done_names.contains(name))
-            .collect();
-            let (set, timed) = DesignSet::prepare_named_timed_with(&remainder, cfg, store)
-                .unwrap_or_else(|e| panic!("{e}"));
-            prepared.extend(set.designs.iter().cloned());
-            design_seconds.extend(timed);
-            break;
-        }
-        if drained_done {
-            break;
-        }
-        if batch.is_empty() {
-            // Others still hold leases: wait one poll interval for a
-            // deadline expiry to make something stealable.
-            std::thread::sleep(steal.poll);
-        }
-    }
-    Some(StolenPrepare {
-        set: DesignSet { designs: prepared },
-        design_seconds,
-        leases,
-        fell_back,
-    })
 }
 
 /// The fitted RTL-Timer model stack.
@@ -1729,36 +1429,6 @@ endmodule";
             crate::cache::model_key(&train, &cfg),
             crate::cache::model_key(&train, &other_seed)
         );
-    }
-
-    #[test]
-    fn shard_sources_partition_for_any_count() {
-        let sources = tiny_sources();
-        for count in 1..=6 {
-            let shards: Vec<_> = (0..count)
-                .map(|i| DesignSet::shard_sources(&sources, i, count))
-                .collect();
-            // Every design lands in exactly one shard.
-            let total: usize = shards.iter().map(|s| s.len()).sum();
-            assert_eq!(total, sources.len(), "count {count}");
-            let mut seen: Vec<&str> = shards
-                .iter()
-                .flatten()
-                .map(|(name, _)| name.as_str())
-                .collect();
-            seen.sort_unstable();
-            let mut expect: Vec<&str> = sources.iter().map(|(n, _)| n.as_str()).collect();
-            expect.sort_unstable();
-            assert_eq!(seen, expect, "count {count}");
-            // And the assignment is the pure function it claims to be.
-            for (i, shard) in shards.iter().enumerate() {
-                for (name, _) in shard {
-                    assert_eq!(shard_of(name, count), i);
-                }
-            }
-        }
-        // Degenerate count behaves like 1.
-        assert_eq!(shard_of("d0", 0), 0);
     }
 
     #[test]

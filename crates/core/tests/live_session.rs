@@ -478,7 +478,6 @@ fn version_skewed_store_peer_refuses_sessions_and_client_degrades() {
         &rtlt_store::server::ServerConfig {
             dir: scratch.clone(),
             mem_budget: 16 << 20,
-            lease_timeout: std::time::Duration::from_secs(30),
         },
     )
     .expect("spawn store");

@@ -132,10 +132,6 @@ mod tests {
         std::fs::create_dir_all(file.parent().expect("ns dir")).expect("ns dir");
         std::fs::write(&file, &v2).expect("write v2 entry");
 
-        // A fleet merge counts it as invalid and does not copy it.
-        let merged = DiskTier::new(dir.join("merged")).merge_from(&dir.join("src"));
-        assert_eq!((merged.invalid_entries, merged.merged_files), (1, 0));
-
         // A store over it reads a corrupt entry: it is removed, recomputed
         // and rewritten, so a fresh store then hits the healed bytes.
         let store = Store::on_disk(dir.join("src"));

@@ -20,7 +20,7 @@
 //!   byte-LRU [`MemTier`] and the checksummed [`DiskTier`],
 //! * [`wire`]/[`remote`]/[`server`] — the `rtlt-stored` artifact service:
 //!   a length-prefixed, always-tagged binary protocol, the [`RemoteTier`]
-//!   client and the server, so CI fleets and developer machines share one
+//!   client and the server, so CI runners and developer machines share one
 //!   warm cache,
 //! * [`event_loop`]/[`client`] — the one nonblocking server loop and the
 //!   one client connection every network service here is built on,
@@ -54,8 +54,8 @@
 //! threads racing to compute the same key both run the computation and the
 //! second insert wins; artifacts are deterministic, so this wastes time but
 //! never changes results. The architectural point of routing every call
-//! site through this one handle is that new tiers — sharded fleets, a
-//! remote backend — land behind [`Store`] without touching call sites.
+//! site through this one handle is that new tiers — a remote backend, for
+//! one — land behind [`Store`] without touching call sites.
 
 pub mod client;
 pub mod codec;
@@ -63,7 +63,6 @@ pub mod compress;
 pub mod entry;
 pub mod event_loop;
 pub mod hash;
-pub mod plan;
 pub mod remote;
 pub mod server;
 pub mod stats;
@@ -72,12 +71,9 @@ pub mod wire;
 
 pub use codec::{Codec, CodecError, Dec, Enc, FORMAT_VERSION};
 pub use hash::{ContentHash, KeyBuilder};
-pub use plan::{LeaseGrant, PlanStats, Planner};
 pub use remote::RemoteTier;
 pub use stats::{NamespaceStats, StatsSnapshot, TierHits};
-pub use tier::{
-    DiskTier, GcReport, MemTier, MergeReport, StoreTier, TierKind, TierLookup, TierStats,
-};
+pub use tier::{DiskTier, GcReport, MemTier, StoreTier, TierKind, TierLookup, TierStats};
 
 use stats::StoreStats;
 use std::any::Any;
@@ -678,20 +674,6 @@ impl Store {
             }
         }
         report
-    }
-
-    /// Merges every valid entry under `src_dir` (another store's disk-tier
-    /// root) into this store's disk tier — the assembly step of sharded
-    /// fleet preparation: N workers prepare disjoint design subsets into
-    /// disjoint cache dirs, then one merge builds the single warm cache.
-    /// Returns a zero report when this store has no disk tier.
-    pub fn merge_disk_tier(&self, src_dir: &Path) -> MergeReport {
-        for tier in &self.tiers {
-            if let Some(root) = tier.disk_root() {
-                return DiskTier::new(root).merge_from(src_dir);
-            }
-        }
-        MergeReport::default()
     }
 }
 

@@ -23,7 +23,6 @@
 
 use crate::client::{ClientConn, Timeouts};
 use crate::hash::ContentHash;
-use crate::plan::{LeaseGrant, PlanStats};
 use crate::tier::{GcReport, StoreTier, TierKind, TierLookup, TierStats};
 use crate::wire::{FrameBudget, Request, Response, ServerLoad, WireError, MAX_CONN_INFLIGHT};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,54 +95,6 @@ impl RemoteTier {
     pub fn server_load(&self) -> Option<ServerLoad> {
         match self.round_trip(&Request::Stat2) {
             Ok(Response::ServerStats(load)) => Some(load),
-            _ => None,
-        }
-    }
-
-    /// Seeds/extends the server's work queue (idempotent union within one
-    /// content `epoch`; a new epoch starts a fresh run). Returns whether
-    /// the server acknowledged.
-    pub fn plan_remote(&self, epoch: u64, designs: &[(String, f64)]) -> bool {
-        matches!(
-            self.round_trip(&Request::Plan {
-                epoch,
-                designs: designs.to_vec(),
-            }),
-            Ok(Response::Done(_))
-        )
-    }
-
-    /// Asks the server for one design lease. `None` means the server is
-    /// unreachable or too old to plan — the caller falls back to the
-    /// static shard path.
-    pub fn lease_remote(&self, worker: &str) -> Option<LeaseGrant> {
-        match self.round_trip(&Request::Lease {
-            worker: worker.to_owned(),
-        }) {
-            Ok(Response::Leased { design }) => Some(LeaseGrant::Granted { design }),
-            Ok(Response::Drained { outstanding }) => Some(LeaseGrant::Drained { outstanding }),
-            _ => None,
-        }
-    }
-
-    /// Reports a leased design prepared (`ok = true`, with its observed
-    /// wall time) or refused. Returns whether the server acknowledged.
-    pub fn report_remote(&self, worker: &str, design: &str, seconds: f64, ok: bool) -> bool {
-        matches!(
-            self.round_trip(&Request::Report {
-                worker: worker.to_owned(),
-                design: design.to_owned(),
-                seconds,
-                ok,
-            }),
-            Ok(Response::Done(_))
-        )
-    }
-
-    /// Snapshot of the server's shard-planner counters, if reachable.
-    pub fn plan_stats_remote(&self) -> Option<PlanStats> {
-        match self.round_trip(&Request::PlanStat) {
-            Ok(Response::PlanStats(stats)) => Some(stats),
             _ => None,
         }
     }

@@ -1,4 +1,4 @@
-//! The `rtlt-stored` artifact service: a shared warm cache for fleets.
+//! The `rtlt-stored` artifact service: a warm cache shared by machines.
 //!
 //! The server is nothing but a [`StoreTier`] stack behind the [`wire`]
 //! protocol — a byte-LRU [`MemTier`] fronting a checksummed [`DiskTier`],
@@ -16,16 +16,13 @@
 //! content keys already pin down, so it needs no knowledge of the
 //! pipeline's artifact types.
 //!
-//! Beyond bytes, the server holds the fleet's [`Planner`]: LEASE/REPORT/
-//! PLAN requests let workers draw design names from one shared
-//! work-stealing queue (see [`crate::plan`]), and GETM answers a whole
-//! key batch as a stream of bounded [`Response::BatchPart`] chunks.
+//! GETM answers a whole key batch as a stream of bounded
+//! [`Response::BatchPart`] chunks.
 //!
 //! [`wire`]: crate::wire
 //! [`event_loop`]: crate::event_loop
 
 use crate::event_loop::{self, Gauges, Handler, Outbox};
-use crate::plan::{LeaseGrant, Planner};
 use crate::tier::{DiskTier, MemTier, StoreTier, TierLookup};
 use crate::wire::{
     Request, Response, ServerLoad, MAX_BATCH_CHUNK, MAX_BATCH_KEYS, MAX_CONN_INFLIGHT, WIRE_VERSION,
@@ -35,7 +32,6 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Default listen address.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
@@ -50,13 +46,9 @@ pub struct ServerConfig {
     pub dir: PathBuf,
     /// Byte budget of the in-memory tier (0 disables it).
     pub mem_budget: usize,
-    /// Deadline after which a silent worker's design lease is re-queued
-    /// (work stealing).
-    pub lease_timeout: Duration,
 }
 
-/// The shared artifact service: a tier stack, the fleet planner, and the
-/// request handler.
+/// The shared artifact service: a tier stack and the request handler.
 ///
 /// Transport-independent — [`ArtifactServer::handle`] maps one
 /// single-response request to its response and
@@ -66,7 +58,6 @@ pub struct ServerConfig {
 #[derive(Debug)]
 pub struct ArtifactServer {
     tiers: Vec<Arc<dyn StoreTier>>,
-    planner: Planner,
     gauges: Gauges,
 }
 
@@ -78,19 +69,13 @@ impl ArtifactServer {
             tiers.push(Arc::new(MemTier::new(cfg.mem_budget)));
         }
         tiers.push(Arc::new(DiskTier::new(cfg.dir.clone())));
-        ArtifactServer {
-            tiers,
-            planner: Planner::new(cfg.lease_timeout),
-            gauges: Gauges::default(),
-        }
+        ArtifactServer::with_tiers(tiers)
     }
 
-    /// Server over an explicit tier stack (fallback order) with the
-    /// default lease timeout.
+    /// Server over an explicit tier stack (fallback order).
     pub fn with_tiers(tiers: Vec<Arc<dyn StoreTier>>) -> ArtifactServer {
         ArtifactServer {
             tiers,
-            planner: Planner::default(),
             gauges: Gauges::default(),
         }
     }
@@ -121,24 +106,6 @@ impl ArtifactServer {
             Request::GetBatch2 { .. } => {
                 Response::Failed("GETM is a streaming request; use stream_batch".to_owned())
             }
-            Request::Lease { worker } => match self.planner.lease(&worker) {
-                LeaseGrant::Granted { design } => Response::Leased { design },
-                LeaseGrant::Drained { outstanding } => Response::Drained { outstanding },
-            },
-            Request::Report {
-                worker,
-                design,
-                seconds,
-                ok,
-            } => {
-                self.planner.complete(&worker, &design, seconds, ok);
-                Response::Done(Default::default())
-            }
-            Request::Plan { epoch, designs } => {
-                self.planner.plan(epoch, &designs);
-                Response::Done(Default::default())
-            }
-            Request::PlanStat => Response::PlanStats(self.planner.stats()),
             Request::Put2 { ns, key, payload } => {
                 for tier in &self.tiers {
                     tier.put_bytes(&ns, key, &payload);
@@ -379,50 +346,6 @@ mod tests {
             Response::Failed(_)
         ));
     }
-    #[test]
-    fn planner_verbs_round_trip_through_handle() {
-        let server = ArtifactServer::with_tiers(vec![Arc::new(MemTier::new(1 << 20))]);
-        assert!(matches!(
-            server.handle(Request::Plan {
-                epoch: 1,
-                designs: vec![("small".into(), 1.0), ("big".into(), 7.0)],
-            }),
-            Response::Done(_)
-        ));
-        assert_eq!(
-            server.handle(Request::Lease {
-                worker: "w1".into()
-            }),
-            Response::Leased {
-                design: "big".into()
-            }
-        );
-        assert!(matches!(
-            server.handle(Request::Report {
-                worker: "w1".into(),
-                design: "big".into(),
-                seconds: 2.0,
-                ok: true,
-            }),
-            Response::Done(_)
-        ));
-        assert_eq!(
-            server.handle(Request::Lease {
-                worker: "w2".into()
-            }),
-            Response::Leased {
-                design: "small".into()
-            }
-        );
-        match server.handle(Request::PlanStat) {
-            Response::PlanStats(s) => {
-                assert_eq!((s.planned, s.completed, s.active_leases), (2, 1, 1));
-                assert_eq!(s.workers, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
     #[test]
     fn disk_hits_promote_into_the_mem_tier() {
         let scratch = std::env::temp_dir().join(format!("rtlt-stored-test-{}", std::process::id()));

@@ -129,8 +129,8 @@ pub struct StatsSnapshot {
     pub mem_bytes: u64,
     /// Total remote wire round trips across every namespace, including
     /// turnarounds not attributable to a single namespace (flush drains,
-    /// planner RPCs issued through the same connection). Authoritative for
-    /// "how often did this run wait on the wire".
+    /// STAT and GC requests issued through the same connection).
+    /// Authoritative for "how often did this run wait on the wire".
     pub remote_round_trips: u64,
 }
 

@@ -104,21 +104,6 @@ impl GcReport {
     }
 }
 
-/// Outcome of merging one disk tier directory into another
-/// ([`crate::Store::merge_disk_tier`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeReport {
-    /// Valid entries copied into the destination.
-    pub merged_files: u64,
-    /// Bytes copied.
-    pub merged_bytes: u64,
-    /// Entries skipped because the destination already holds the key
-    /// (content-addressed: same key ⇒ same bytes).
-    pub skipped_existing: u64,
-    /// Source files that failed entry validation and were not copied.
-    pub invalid_entries: u64,
-}
-
 /// One byte-oriented cache level of a [`crate::Store`] stack.
 pub trait StoreTier: Send + Sync + std::fmt::Debug {
     /// The tier's level in the storage hierarchy.
@@ -332,7 +317,8 @@ pub struct DiskTier {
 }
 
 /// Process-global temp-name counter: several `DiskTier` instances may
-/// share one root (store + merge), so uniqueness must not be per-instance.
+/// share one root (two stores over one directory), so uniqueness must not
+/// be per-instance.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl DiskTier {
@@ -348,35 +334,6 @@ impl DiskTier {
 
     fn entry_path(&self, ns: &str, key: ContentHash) -> PathBuf {
         self.dir.join(ns).join(format!("{}.bin", key.to_hex()))
-    }
-
-    /// Atomically writes pre-framed entry bytes to `<ns>/<file_name>`:
-    /// temp file + fsync + rename. Returns whether the entry landed.
-    fn write_entry_file(&self, ns: &str, file_name: &str, bytes: &[u8]) -> bool {
-        let ns_dir = self.dir.join(ns);
-        if std::fs::create_dir_all(&ns_dir).is_err() {
-            return false;
-        }
-        let tmp = ns_dir.join(format!(
-            "{}.tmp.{}.{}",
-            file_name,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        // fsync before the rename: without it a crash can publish the new
-        // name pointing at un-flushed (possibly zero-length) data, which
-        // only the checksum path would catch later.
-        let written = std::fs::File::create(&tmp)
-            .and_then(|mut f| {
-                f.write_all(bytes)?;
-                f.sync_all()
-            })
-            .is_ok();
-        if !written || std::fs::rename(&tmp, ns_dir.join(file_name)).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return false;
-        }
-        true
     }
 
     /// Sizes by namespace: `(namespace, files, bytes)`, sorted.
@@ -441,54 +398,6 @@ impl DiskTier {
         out.sort();
         out
     }
-
-    /// Merges every valid entry under `src` (another disk tier's root) into
-    /// this tier. Entries failing envelope validation are skipped and
-    /// counted; keys already present here are skipped (content-addressed:
-    /// same key ⇒ same bytes). This is how N fleet shards assemble one warm
-    /// cache.
-    pub fn merge_from(&self, src: &Path) -> MergeReport {
-        let mut report = MergeReport::default();
-        let Ok(namespaces) = std::fs::read_dir(src) else {
-            return report;
-        };
-        for ns in namespaces.flatten() {
-            if !ns.path().is_dir() {
-                continue;
-            }
-            let ns_name = ns.file_name().to_string_lossy().into_owned();
-            let Ok(items) = std::fs::read_dir(ns.path()) else {
-                continue;
-            };
-            for f in items.flatten() {
-                let path = f.path();
-                if !path.is_file() || path.extension().is_none_or(|x| x != "bin") {
-                    continue;
-                }
-                let Some(file_name) = path.file_name().map(|n| n.to_string_lossy().into_owned())
-                else {
-                    continue;
-                };
-                if self.dir.join(&ns_name).join(&file_name).exists() {
-                    report.skipped_existing += 1;
-                    continue;
-                }
-                let Ok(bytes) = std::fs::read(&path) else {
-                    report.invalid_entries += 1;
-                    continue;
-                };
-                if decode_entry(&bytes).is_none() {
-                    report.invalid_entries += 1;
-                    continue;
-                }
-                if self.write_entry_file(&ns_name, &file_name, &bytes) {
-                    report.merged_files += 1;
-                    report.merged_bytes += bytes.len() as u64;
-                }
-            }
-        }
-        report
-    }
 }
 
 impl StoreTier for DiskTier {
@@ -524,9 +433,30 @@ impl StoreTier for DiskTier {
         }
     }
 
+    /// Atomic write: temp file + fsync + rename.
     fn put_bytes(&self, ns: &str, key: ContentHash, payload: &[u8]) {
-        let bytes = encode_entry(payload);
-        self.write_entry_file(ns, &format!("{}.bin", key.to_hex()), &bytes);
+        if std::fs::create_dir_all(self.dir.join(ns)).is_err() {
+            return;
+        }
+        let path = self.entry_path(ns, key);
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(format!(
+            ".tmp.{}.{}",
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        // fsync before the rename: without it a crash can publish the new
+        // name pointing at un-flushed (possibly zero-length) data, which
+        // only the checksum path would catch later.
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(&encode_entry(payload))?;
+                f.sync_all()
+            })
+            .is_ok();
+        if !written || std::fs::rename(&tmp, &path).is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
     }
 
     fn contains(&self, ns: &str, key: ContentHash) -> bool {

@@ -24,10 +24,9 @@
 //! negotiated, and the frame header never moves.
 //!
 //! Requests: [`Request::Get2`], [`Request::Put2`], [`Request::GetBatch2`],
-//! [`Request::Stat2`], [`Request::Gc`], the shard-planner verbs
-//! [`Request::Lease`], [`Request::Report`], [`Request::Plan`] and
-//! [`Request::PlanStat`], and the session verbs [`Request::Open`],
-//! [`Request::Edit`], [`Request::Annotate`] and [`Request::Close`].
+//! [`Request::Stat2`], [`Request::Gc`], and the session verbs
+//! [`Request::Open`], [`Request::Edit`], [`Request::Annotate`] and
+//! [`Request::Close`].
 //!
 //! One request maps to one response frame — except [`Request::GetBatch2`],
 //! which the server answers with a short stream of [`Response::BatchPart`]
@@ -46,7 +45,6 @@
 use crate::codec::{Dec, Enc};
 use crate::entry::fnv1a;
 use crate::hash::ContentHash;
-use crate::plan::PlanStats;
 use crate::tier::{GcReport, TierKind, TierStats};
 use crate::Codec;
 use std::io::{Read, Write};
@@ -99,19 +97,12 @@ pub const MAX_EDIT_SPLICES: usize = 4096;
 pub const FRAME_HEADER: usize = 4 + 4 + 1 + 8;
 
 /// Opcodes. Request opcodes 1, 2, 3 and 5 and response opcode 0x84
-/// belonged to retired generations; they stay unassigned and are refused
-/// like any unknown opcode.
+/// belonged to retired generations, and request opcodes 6–9 and response
+/// opcodes 0x86–0x88 to the retired fleet planner; they stay unassigned
+/// and are refused like any unknown opcode.
 pub mod op {
     /// Evict the server's tiers down to a budget.
     pub const GC: u8 = 4;
-    /// Lease one design name from the server-held work queue.
-    pub const LEASE: u8 = 6;
-    /// Report a leased design prepared (or refused).
-    pub const REPORT: u8 = 7;
-    /// Seed/extend the server-held work queue.
-    pub const PLAN: u8 = 8;
-    /// Snapshot of the shard planner's counters.
-    pub const PLANSTAT: u8 = 9;
     /// Fetch a payload (a compress frame).
     pub const GET2: u8 = 10;
     /// Store a payload (a compress frame).
@@ -145,12 +136,6 @@ pub mod op {
     pub const DONE: u8 = 0x83;
     /// Response: one chunk of a batched fetch.
     pub const BATCH: u8 = 0x85;
-    /// Response: a design lease was granted.
-    pub const LEASED: u8 = 0x86;
-    /// Response: the work queue has nothing to lease right now.
-    pub const DRAINED: u8 = 0x87;
-    /// Response: planner counters attached.
-    pub const PLANSTATS: u8 = 0x88;
     /// Response envelope matching a [`TAGGED`] request: `tag u64 | inner
     /// op u8 | inner body`.
     pub const TAGGED_RESP: u8 = 0x89;
@@ -539,39 +524,6 @@ pub enum Request {
         /// Target size in bytes.
         budget_bytes: u64,
     },
-    /// Lease one design name from the server's work queue.
-    Lease {
-        /// Stable worker identity (lease bookkeeping + refusal memory).
-        worker: String,
-    },
-    /// Report the outcome of a leased design.
-    Report {
-        /// The reporting worker.
-        worker: String,
-        /// The leased design name.
-        design: String,
-        /// Observed prepare wall time (feeds the planner's cost model).
-        seconds: f64,
-        /// `true` = prepared; `false` = this worker cannot serve the
-        /// design (e.g. version skew) — the server re-queues it for
-        /// someone else.
-        ok: bool,
-    },
-    /// Seed/extend the server's work queue with design names and expected
-    /// prepare costs (idempotent union — every fleet worker submits the
-    /// same plan on startup). The `epoch` identifies the *content* of the
-    /// run (a hash over the designs' prepare keys): a plan with a new
-    /// epoch resets the planner's completion memory, so a long-lived
-    /// server serves run after run instead of answering every post-edit
-    /// fleet with "already done".
-    Plan {
-        /// Content epoch of this fleet run.
-        epoch: u64,
-        /// `(design name, expected cost in seconds)` pairs.
-        designs: Vec<(String, f64)>,
-    },
-    /// Snapshot of the shard planner's counters.
-    PlanStat,
     /// Fetch the compress frame under `(ns, key)`.
     Get2 {
         /// Stage namespace.
@@ -642,32 +594,6 @@ impl Request {
                 e.u64(*budget_bytes);
                 op::GC
             }
-            Request::Lease { worker } => {
-                e.str(worker);
-                op::LEASE
-            }
-            Request::Report {
-                worker,
-                design,
-                seconds,
-                ok,
-            } => {
-                e.str(worker);
-                e.str(design);
-                e.f64(*seconds);
-                e.bool(*ok);
-                op::REPORT
-            }
-            Request::Plan { epoch, designs } => {
-                e.u64(*epoch);
-                e.seq_len(designs.len());
-                for (name, cost) in designs {
-                    e.str(name);
-                    e.f64(*cost);
-                }
-                op::PLAN
-            }
-            Request::PlanStat => op::PLANSTAT,
             Request::Get2 { ns, key } => {
                 e.str(ns);
                 key.encode(&mut e);
@@ -735,31 +661,6 @@ impl Request {
             op::GC => Request::Gc {
                 budget_bytes: d.u64().map_err(|_| WireError::Malformed("gc budget"))?,
             },
-            op::LEASE => Request::Lease {
-                worker: d.str().map_err(|_| WireError::Malformed("lease worker"))?,
-            },
-            op::REPORT => Request::Report {
-                worker: d.str().map_err(|_| WireError::Malformed("report worker"))?,
-                design: d.str().map_err(|_| WireError::Malformed("report design"))?,
-                seconds: d
-                    .f64()
-                    .map_err(|_| WireError::Malformed("report seconds"))?,
-                ok: d.bool().map_err(|_| WireError::Malformed("report ok"))?,
-            },
-            op::PLAN => {
-                let epoch = d.u64().map_err(|_| WireError::Malformed("plan epoch"))?;
-                let n = d
-                    .seq_len(1 + 8)
-                    .map_err(|_| WireError::Malformed("plan len"))?;
-                let mut designs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = d.str().map_err(|_| WireError::Malformed("plan name"))?;
-                    let cost = d.f64().map_err(|_| WireError::Malformed("plan cost"))?;
-                    designs.push((name, cost));
-                }
-                Request::Plan { epoch, designs }
-            }
-            op::PLANSTAT => Request::PlanStat,
             op::GET2 => Request::Get2 {
                 ns: d.str().map_err(|_| WireError::Malformed("get ns"))?,
                 key: ContentHash::decode(&mut d).map_err(|_| WireError::Malformed("get key"))?,
@@ -848,21 +749,6 @@ pub enum Response {
     Done(GcReport),
     /// Server-load snapshot ([`Request::Stat2`]).
     ServerStats(ServerLoad),
-    /// A design lease was granted.
-    Leased {
-        /// The leased design name.
-        design: String,
-    },
-    /// Nothing leasable right now. `outstanding` counts designs neither
-    /// completed nor abandoned — `0` means the whole plan is done and the
-    /// worker can exit; `> 0` means other workers still hold leases (poll
-    /// again: an expired lease re-queues).
-    Drained {
-        /// Designs not yet completed or abandoned.
-        outstanding: u64,
-    },
-    /// Shard-planner counters.
-    PlanStats(PlanStats),
     /// A session verb was acknowledged (OPEN / EDIT / CLOSE).
     Session {
         /// Session id (allocated by OPEN, echoed afterwards).
@@ -971,25 +857,6 @@ impl Response {
                 e.u32(load.wire_version);
                 op::SERVERSTATS
             }
-            Response::Leased { design } => {
-                e.str(design);
-                op::LEASED
-            }
-            Response::Drained { outstanding } => {
-                e.u64(*outstanding);
-                op::DRAINED
-            }
-            Response::PlanStats(p) => {
-                e.u64(p.planned);
-                e.u64(p.completed);
-                e.u64(p.abandoned);
-                e.u64(p.active_leases);
-                e.u64(p.leases_granted);
-                e.u64(p.requeued);
-                e.u64(p.refused);
-                e.u64(p.workers);
-                op::PLANSTATS
-            }
             Response::Session {
                 session,
                 revision,
@@ -1067,25 +934,6 @@ impl Response {
                 inflight: d.u64().map_err(|_| WireError::Malformed("inflight"))?,
                 wire_version: d.u32().map_err(|_| WireError::Malformed("wire version"))?,
             }),
-            op::LEASED => Response::Leased {
-                design: d.str().map_err(|_| WireError::Malformed("leased design"))?,
-            },
-            op::DRAINED => Response::Drained {
-                outstanding: d.u64().map_err(|_| WireError::Malformed("outstanding"))?,
-            },
-            op::PLANSTATS => {
-                let mut next = || d.u64().map_err(|_| WireError::Malformed("plan stats"));
-                Response::PlanStats(PlanStats {
-                    planned: next()?,
-                    completed: next()?,
-                    abandoned: next()?,
-                    active_leases: next()?,
-                    leases_granted: next()?,
-                    requeued: next()?,
-                    refused: next()?,
-                    workers: next()?,
-                })
-            }
             op::SESSION => Response::Session {
                 session: d.u64().map_err(|_| WireError::Malformed("session id"))?,
                 revision: d
@@ -1148,20 +996,6 @@ mod tests {
         for req in [
             Request::Stat2,
             Request::Gc { budget_bytes: 42 },
-            Request::Lease {
-                worker: "worker-a".into(),
-            },
-            Request::Report {
-                worker: "worker-a".into(),
-                design: "b17".into(),
-                seconds: 1.25,
-                ok: true,
-            },
-            Request::Plan {
-                epoch: 0xDEAD_BEEF,
-                designs: vec![("b17".into(), 3.5), ("b18".into(), 0.0)],
-            },
-            Request::PlanStat,
             Request::Get2 {
                 ns: "featurize".into(),
                 key,
@@ -1220,10 +1054,11 @@ mod tests {
 
     #[test]
     fn retired_and_unknown_opcodes_are_malformed() {
-        // The retired bare-payload opcodes (GET, PUT, STAT, GETM), a
-        // nested envelope and a future verb all fail to decode as a
-        // request; the event loop answers each with `Failed` under its tag.
-        for opcode in [1u8, 2, 3, 5, op::TAGGED, 19, 0x7F] {
+        // The retired bare-payload opcodes (GET, PUT, STAT, GETM), the
+        // retired planner verbs (LEASE, REPORT, PLAN, PLANSTAT), a nested
+        // envelope and a future verb all fail to decode as a request; the
+        // event loop answers each with `Failed` under its tag.
+        for opcode in [1u8, 2, 3, 5, 6, 7, 8, 9, op::TAGGED, 19, 0x7F] {
             let frame = Frame {
                 op: opcode,
                 body: Vec::new(),
@@ -1234,15 +1069,19 @@ mod tests {
                 "op {opcode}"
             );
         }
-        // The retired STATS response opcode is no longer a response.
-        let stats = Frame {
-            op: 0x84,
-            body: Vec::new(),
-        };
-        assert_eq!(
-            Response::from_frame(&stats),
-            Err(WireError::Malformed("response opcode"))
-        );
+        // Nor are the retired STATS and planner (LEASED, DRAINED,
+        // PLANSTATS) response opcodes responses.
+        for opcode in [0x84u8, 0x86, 0x87, 0x88] {
+            let frame = Frame {
+                op: opcode,
+                body: Vec::new(),
+            };
+            assert_eq!(
+                Response::from_frame(&frame),
+                Err(WireError::Malformed("response opcode")),
+                "op {opcode:#x}"
+            );
+        }
     }
 
     #[test]
@@ -1277,20 +1116,6 @@ mod tests {
                 items: Vec::new(),
                 last: true,
             },
-            Response::Leased {
-                design: "b17".into(),
-            },
-            Response::Drained { outstanding: 3 },
-            Response::PlanStats(PlanStats {
-                planned: 21,
-                completed: 20,
-                abandoned: 0,
-                active_leases: 1,
-                leases_granted: 22,
-                requeued: 1,
-                refused: 0,
-                workers: 2,
-            }),
             Response::Session {
                 session: 3,
                 revision: 12,

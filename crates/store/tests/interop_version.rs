@@ -82,7 +82,6 @@ fn old_client_speaks_v1_against_a_new_server() {
     let cfg = ServerConfig {
         dir: scratch.clone(),
         mem_budget: 1 << 20,
-        lease_timeout: rtlt_store::plan::DEFAULT_LEASE_TIMEOUT,
     };
     let addr = spawn("127.0.0.1:0", &cfg).expect("bind");
     let mut stream = TcpStream::connect(addr).expect("connect");

@@ -6,7 +6,6 @@
 //! completions (put acks arriving around an awaited get).
 
 use proptest::prelude::*;
-use rtlt_store::plan::DEFAULT_LEASE_TIMEOUT;
 use rtlt_store::server::{spawn, ServerConfig};
 use rtlt_store::wire::{op, tag_request, tag_response, untag, Frame, Request, Response};
 use rtlt_store::{compress, ContentHash, KeyBuilder, RemoteTier, StoreTier, TierLookup};
@@ -25,7 +24,6 @@ fn server_addr() -> &'static str {
         let cfg = ServerConfig {
             dir: std::env::temp_dir().join(format!("rtlt-mux-{}", std::process::id())),
             mem_budget: 1 << 20,
-            lease_timeout: DEFAULT_LEASE_TIMEOUT,
         };
         spawn("127.0.0.1:0", &cfg).expect("bind").to_string()
     })
@@ -184,13 +182,14 @@ fn truncated_mid_frame_writes_reassemble_across_ticks() {
     );
 }
 
-/// Retired opcodes (the bare-payload GET, PUT, STAT and GETM) and an
-/// unknown future verb, each inside an envelope, are answered `Failed`
-/// under their own tags; the connection keeps serving.
+/// Retired opcodes (the bare-payload GET, PUT, STAT and GETM, and the
+/// planner's LEASE, REPORT, PLAN and PLANSTAT) and an unknown future verb,
+/// each inside an envelope, are answered `Failed` under their own tags;
+/// the connection keeps serving.
 #[test]
 fn retired_and_unknown_opcodes_fail_under_their_own_tags() {
     let mut sock = connect();
-    let ops = [1u8, 2, 3, 5, 0x7E];
+    let ops = [1u8, 2, 3, 5, 6, 7, 8, 9, 0x7E];
     let mut bytes = Vec::new();
     for (tag, &opcode) in ops.iter().enumerate() {
         let inner = Frame {
@@ -215,7 +214,7 @@ fn retired_and_unknown_opcodes_fail_under_their_own_tags() {
         }
     }
     refused.sort_unstable();
-    assert_eq!(refused, vec![100, 101, 102, 103, 104]);
+    assert_eq!(refused, (100..100 + ops.len() as u64).collect::<Vec<_>>());
 }
 
 /// The pipelined client against a scripted peer that completes exchanges

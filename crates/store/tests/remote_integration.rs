@@ -3,7 +3,6 @@
 //! degradation contract — a dead, vanished, or garbage-speaking server
 //! must reproduce cold-run behavior exactly, never an error.
 
-use rtlt_store::plan::LeaseGrant;
 use rtlt_store::server::{spawn, ServerConfig};
 use rtlt_store::{
     ContentHash, KeyBuilder, MemTier, RemoteTier, Store, StoreTier, TierKind, TierLookup,
@@ -43,7 +42,6 @@ fn start_server(scratch: &ScratchDir) -> String {
     let cfg = ServerConfig {
         dir: scratch.0.clone(),
         mem_budget: 1 << 20,
-        lease_timeout: rtlt_store::plan::DEFAULT_LEASE_TIMEOUT,
     };
     let addr = spawn("127.0.0.1:0", &cfg).expect("bind ephemeral port");
     addr.to_string()
@@ -157,47 +155,6 @@ fn batched_get_against_a_dead_server_degrades_to_all_misses() {
         remote.get_bytes_batch(&items),
         vec![TierLookup::Miss, TierLookup::Miss, TierLookup::Miss]
     );
-}
-
-#[test]
-fn lease_plan_report_verbs_work_over_tcp() {
-    let server_dir = ScratchDir::new("planner");
-    let addr = start_server(&server_dir);
-    let fleet = RemoteTier::new(&addr);
-    assert!(fleet.plan_remote(7, &[("alpha".to_owned(), 2.0), ("beta".to_owned(), 5.0)]));
-    assert_eq!(
-        fleet.lease_remote("w1"),
-        Some(LeaseGrant::Granted {
-            design: "beta".to_owned()
-        })
-    );
-    assert!(fleet.report_remote("w1", "beta", 4.5, true));
-    assert_eq!(
-        fleet.lease_remote("w2"),
-        Some(LeaseGrant::Granted {
-            design: "alpha".to_owned()
-        })
-    );
-    // w1 polls while w2 holds the lease: drained but outstanding.
-    assert_eq!(
-        fleet.lease_remote("w1"),
-        Some(LeaseGrant::Drained { outstanding: 1 })
-    );
-    assert!(fleet.report_remote("w2", "alpha", 1.0, true));
-    assert_eq!(
-        fleet.lease_remote("w1"),
-        Some(LeaseGrant::Drained { outstanding: 0 })
-    );
-    let stats = fleet.plan_stats_remote().expect("reachable");
-    assert_eq!((stats.planned, stats.completed, stats.workers), (2, 2, 2));
-
-    // Planner verbs against a dead server answer None/false — the caller
-    // degrades to the static path.
-    let dead = RemoteTier::with_timeout(dead_addr(), Duration::from_millis(300));
-    assert!(!dead.plan_remote(7, &[("x".to_owned(), 1.0)]));
-    assert_eq!(dead.lease_remote("w"), None);
-    assert!(!dead.report_remote("w", "x", 1.0, true));
-    assert_eq!(dead.plan_stats_remote(), None);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 #
 # Each lane drives the *release binaries* (no toolchain needed), so the CI
 # matrix runs them as independent jobs off one shared cached build. Runs
-# locally too: `cargo build --release && scripts/ci_smoke.sh fleet-steal`.
+# locally too: `cargo build --release && scripts/ci_smoke.sh remote-store`.
 #
 # Environment:
 #   BIN_DIR  directory holding runtime/annotate/rtlt-stored
@@ -11,7 +11,7 @@
 #   SMOKE_TMP scratch root (default: a fresh mktemp -d)
 set -euo pipefail
 
-job="${1:?usage: ci_smoke.sh <warm-cache|incremental-annotation|live-annotate|cache-maintenance|remote-store|sharded-prepare|fleet-steal|compressed-store|multiplexed-store|perf-gate>}"
+job="${1:?usage: ci_smoke.sh <warm-cache|incremental-annotation|live-annotate|cache-maintenance|remote-store|compressed-store|multiplexed-store|perf-gate>}"
 BIN_DIR="${BIN_DIR:-target/release}"
 BIN_DIR="$(cd "$BIN_DIR" && pwd)"
 SMOKE_TMP="${SMOKE_TMP:-$(mktemp -d)}"
@@ -143,62 +143,6 @@ case "$job" in
     awk -v r="$remote" -v b="$batched" -v n="$lookups" \
       'BEGIN { exit !(n >= 21 && r >= 0.9 * n && b >= 1) }'
     test "$digest_a" = "$digest_b"
-    ;;
-
-  # Static fleet sharding: two workers prepare disjoint suite shards into
-  # disjoint cache dirs, the disk tiers are merged, and a full run over
-  # the merged cache must answer warm with a suite digest byte-identical
-  # to an unsharded cold prepare.
-  sharded-prepare)
-    cd "$SMOKE_TMP"
-    RTLT_FAST=1 "$BIN_DIR/runtime" --shard 0/2 --cache-dir "$SMOKE_TMP/shard0"
-    RTLT_FAST=1 "$BIN_DIR/runtime" --shard 1/2 --cache-dir "$SMOKE_TMP/shard1"
-    "$BIN_DIR/runtime" merge "$SMOKE_TMP/shard0" "$SMOKE_TMP/shard1" --cache-dir "$SMOKE_TMP/shard-merged"
-    RTLT_FAST=1 "$BIN_DIR/runtime" --cache-dir "$SMOKE_TMP/shard-merged"
-    digest_merged=$(json_digest BENCH_runtime.json)
-    rate=$(json_num prepare_hit_rate_pct BENCH_runtime.json)
-    awk -v r="$rate" 'BEGIN { exit !(r >= 90) }'
-    RTLT_FAST=1 "$BIN_DIR/runtime" --cache-dir "$SMOKE_TMP/shard-cold-ref"
-    digest_cold=$(json_digest BENCH_runtime.json)
-    echo "merged=$digest_merged cold=$digest_cold"
-    test "$digest_merged" = "$digest_cold"
-    ;;
-
-  # Dynamic work-stealing fleet: one rtlt-stored shard planner with a 2 s
-  # lease deadline, a handicapped worker (1 thread + an 8 s post-lease
-  # stall) and a fast worker. The fast worker must steal the stalled
-  # worker's design(s) (plan.requeued >= 1), and the merged caches must
-  # reproduce the unsharded cold digest byte-identically — dynamic
-  # assignment decides who computes, never what.
-  fleet-steal)
-    cd "$SMOKE_TMP"
-    mkdir -p fast-wd slow-wd merged-wd cold-wd
-    "$BIN_DIR/rtlt-stored" --addr 127.0.0.1:7997 --dir "$SMOKE_TMP/steal-store" --lease-timeout 2 &
-    STORED_PID=$!
-    trap 'kill $STORED_PID 2>/dev/null || true' EXIT
-    sleep 1
-    (cd slow-wd && RTLT_FAST=1 RTLT_THREADS=1 RTLT_STEAL_STALL_MS=8000 RTLT_WORKER=slow \
-      "$BIN_DIR/runtime" --steal --remote 127.0.0.1:7997 --cache-dir "$SMOKE_TMP/steal-slow") &
-    SLOW_PID=$!
-    sleep 1
-    (cd fast-wd && RTLT_FAST=1 RTLT_WORKER=fast \
-      "$BIN_DIR/runtime" --steal --remote 127.0.0.1:7997 --cache-dir "$SMOKE_TMP/steal-fast")
-    wait $SLOW_PID
-    requeued=$(json_num requeued fast-wd/BENCH_runtime.json)
-    fast_designs=$(json_num designs fast-wd/BENCH_runtime.json)
-    slow_designs=$(json_num designs slow-wd/BENCH_runtime.json)
-    completed=$(json_num completed fast-wd/BENCH_runtime.json)
-    echo "fast prepared ${fast_designs}, slow prepared ${slow_designs}, ${requeued} design(s) stolen, ${completed} completed"
-    awk -v q="$requeued" -v c="$completed" 'BEGIN { exit !(q >= 1 && c >= 21) }'
-    "$BIN_DIR/runtime" merge "$SMOKE_TMP/steal-fast" "$SMOKE_TMP/steal-slow" --cache-dir "$SMOKE_TMP/steal-merged"
-    (cd merged-wd && RTLT_FAST=1 "$BIN_DIR/runtime" --cache-dir "$SMOKE_TMP/steal-merged")
-    digest_merged=$(json_digest merged-wd/BENCH_runtime.json)
-    rate=$(json_num prepare_hit_rate_pct merged-wd/BENCH_runtime.json)
-    awk -v r="$rate" 'BEGIN { exit !(r >= 90) }'
-    (cd cold-wd && RTLT_FAST=1 "$BIN_DIR/runtime" --cache-dir "$SMOKE_TMP/steal-cold-ref")
-    digest_cold=$(json_digest cold-wd/BENCH_runtime.json)
-    echo "merged=$digest_merged cold=$digest_cold"
-    test "$digest_merged" = "$digest_cold"
     ;;
 
   # Compressed store: a cold then warm run in one cache. The warm run's
