@@ -17,8 +17,8 @@ fn main() {
     let bench = Bench::from_env();
     let cfg = bench.cfg.clone();
     let src = rtlt_designgen::generate(&name).expect("catalog design");
-    // Frontend artifacts come from the shared store (compile + blast
-    // namespaces), like every other bench binary.
+    // Frontend artifacts come from the shared store (the blast
+    // namespace), like every other bench binary.
     let blasted = PrepareStages::new(&cfg)
         .blasted_with(&bench.store, &name, &src)
         .expect("compiles");

@@ -397,7 +397,7 @@ impl Bench {
         self.prep_seconds.get()
     }
 
-    /// Aggregate store counters over the four prepare stages.
+    /// Aggregate store counters over the stored prepare stages.
     pub fn prepare_stats(&self) -> NamespaceStats {
         self.store.stats().aggregate(stage::PREPARE)
     }

@@ -5,9 +5,8 @@
 //! outputs are memoizable under the chained keys built here:
 //!
 //! ```text
-//! modast    = H(module text)                       // per-module parse
-//! compile   = H(module_key(top))                   // dep-closed module keys
-//! blast     = H(compile)                           // reads no config
+//! blast     = H(H(module_key(top)))                // dep-closed module keys;
+//!                                                  //   reads no config
 //! label     = H(blast, cfg.seed, cfg.synth_effort) // the label flow's inputs
 //! featurize = H(label)                             // derives everything else
 //! shard     = H(variant, clock, seed,              // per-signal featurize
@@ -42,11 +41,8 @@ use std::sync::Arc;
 /// attributable per stage and makes the on-disk layout self-describing
 /// (`<cache-dir>/<namespace>/<key>.bin`).
 pub mod stage {
-    /// Per-module parse results (module AST under `H(module text)`).
-    pub const MODAST: &str = "modast";
-    /// Frontend artifacts (parse + AST features + elaborate).
-    pub const COMPILE: &str = "compile";
-    /// Bit-blasted SOG.
+    /// Bit-blasted SOG, with the frontend artifacts it was blasted from
+    /// (parse + AST features + elaborate).
     pub const BLAST: &str = "blast";
     /// Ground-truth label flow outcome.
     pub const LABEL: &str = "label";
@@ -62,8 +58,9 @@ pub mod stage {
     /// Table-6 optimization candidate flows.
     pub const OPT_FLOW: &str = "optflow";
 
-    /// The four prepare stages, pipeline order (for aggregate reporting).
-    pub const PREPARE: [&str; 4] = [COMPILE, BLAST, LABEL, FEATURIZE];
+    /// The stored prepare stages, pipeline order (for aggregate
+    /// reporting).
+    pub const PREPARE: [&str; 3] = [BLAST, LABEL, FEATURIZE];
 }
 
 /// Pipeline algorithm epoch, folded into every stage-key domain. The
@@ -81,9 +78,8 @@ pub const PIPELINE_EPOCH: u64 = 2;
 /// The chained content keys of one design's preparation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrepareKeys {
-    /// Key of the compile-stage artifact.
-    pub compile: ContentHash,
-    /// Key of the blast-stage artifact.
+    /// Key of the blast-stage artifact (which carries the compiled
+    /// design).
     pub blast: ContentHash,
     /// Key of the label-stage artifact.
     pub label: ContentHash,
@@ -93,15 +89,17 @@ pub struct PrepareKeys {
 }
 
 impl PrepareKeys {
-    /// Derives all four stage keys from the preparation inputs. Only the
+    /// Derives the stage keys from the preparation inputs. Only the
     /// `TimerConfig` fields a stage reads participate in its key.
     ///
-    /// The compile key is **module-granular**: it hashes the dep-closed
+    /// The keys are **module-granular**: they chain from the dep-closed
     /// content key of the top module (`rtlt_verilog::modsrc::design_key`),
     /// so source edits outside the top's dependency cone — or pure
     /// re-ordering of unrelated modules in the file — do not invalidate
     /// the preparation. Sources the splitter cannot handle fall back to
-    /// whole-source hashing.
+    /// whole-source hashing. The blast key chains through an intermediate
+    /// frontend key (domain `rtlt.stage.compile`): dropping that link would
+    /// change every stage key and orphan every existing cache.
     pub fn derive(name: &str, source: &str, cfg: &TimerConfig) -> PrepareKeys {
         let design = rtlt_verilog::modsrc::design_key(source, name).unwrap_or_else(|| {
             KeyBuilder::new("rtlt.design.flat")
@@ -109,13 +107,13 @@ impl PrepareKeys {
                 .str(source)
                 .finish()
         });
-        let compile = KeyBuilder::new("rtlt.stage.compile")
+        let frontend = KeyBuilder::new("rtlt.stage.compile")
             .u64(PIPELINE_EPOCH)
             .key(&design)
             .finish();
         let blast = KeyBuilder::new("rtlt.stage.blast")
             .u64(PIPELINE_EPOCH)
-            .key(&compile)
+            .key(&frontend)
             .finish();
         let label = KeyBuilder::new("rtlt.stage.label")
             .u64(PIPELINE_EPOCH)
@@ -128,7 +126,6 @@ impl PrepareKeys {
             .key(&label)
             .finish();
         PrepareKeys {
-            compile,
             blast,
             label,
             featurize,
@@ -150,16 +147,6 @@ pub fn opt_flow_key(prepare_key: &ContentHash, scores: &[f64]) -> ContentHash {
     }
     b = b.bytes(&e.into_bytes());
     b.finish()
-}
-
-/// Key of one per-module parse result: the module's text alone (shared
-/// across designs and across file positions — lines are cached relative and
-/// rebased on use).
-pub fn modast_key(module_text: &str) -> ContentHash {
-    KeyBuilder::new("rtlt.modast")
-        .u64(PIPELINE_EPOCH)
-        .str(module_text)
-        .finish()
 }
 
 /// Key of one featurize shard: representation × clock × sampling seed ×
@@ -490,7 +477,6 @@ mod tests {
     fn source_change_invalidates_every_stage() {
         let a = PrepareKeys::derive("m", "src", &cfg(1, 0.6, 1));
         let b = PrepareKeys::derive("m", "src2", &cfg(1, 0.6, 1));
-        assert_ne!(a.compile, b.compile);
         assert_ne!(a.blast, b.blast);
         assert_ne!(a.label, b.label);
         assert_ne!(a.featurize, b.featurize);
@@ -503,7 +489,6 @@ mod tests {
             PrepareKeys::derive("m", "src", &cfg(2, 0.6, 1)),
             PrepareKeys::derive("m", "src", &cfg(1, 0.7, 1)),
         ] {
-            assert_eq!(base.compile, other.compile);
             assert_eq!(base.blast, other.blast);
             assert_ne!(base.label, other.label);
             assert_ne!(base.featurize, other.featurize);
@@ -525,12 +510,12 @@ endmodule";
         let c = cfg(1, 0.6, 1);
         let a = PrepareKeys::derive("m", base, &c);
         let b = PrepareKeys::derive("m", &with_unused, &c);
-        assert_eq!(a.compile, b.compile, "unused module does not invalidate");
+        assert_eq!(a.blast, b.blast, "unused module does not invalidate");
         assert_eq!(a.featurize, b.featurize);
         // Editing the instantiated leaf invalidates everything.
         let edited = base.replace("~a", "a");
         let e = PrepareKeys::derive("m", &edited, &c);
-        assert_ne!(a.compile, e.compile);
+        assert_ne!(a.blast, e.blast);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! make slacks incomparable across edits) — and drives each edit through
 //! the module-granular pipeline:
 //!
-//! 1. recompile through the store — unchanged modules reuse their cached
-//!    per-module parses; the dirty-module set is the key diff against the
-//!    previous pass,
+//! 1. recompile (one whole-file parse) unless the store holds the
+//!    revision's `blast` artifact; the dirty-module set is the text-key
+//!    diff against the previous pass,
 //! 2. re-blast (cheap, linear),
 //! 3. refeaturize through the `shard` namespace — only cones fed by an
 //!    edited module miss ([`crate::cache::shard_key`]); everything else is
@@ -74,23 +74,13 @@ pub struct ReannotateOutcome {
     pub prediction: Prediction,
 }
 
-/// Per-module *text* hashes of a source (`H(name, text)`, not
-/// dependency-closed — the diff should name the module the designer
+/// Per-module *text* hashes of a source ([`rtlt_verilog::modsrc::text_keys`]:
+/// not dependency-closed — the diff should name the module the designer
 /// actually touched, not everything above it). Empty when the source
 /// cannot be split (flat fallback — every edit then dirties everything).
 pub fn module_key_map(source: &str) -> BTreeMap<String, ContentHash> {
-    let Ok(sources) = rtlt_verilog::modsrc::split_modules(source) else {
-        return BTreeMap::new();
-    };
-    sources
-        .modules
-        .iter()
-        .map(|m| {
-            (
-                m.name.clone(),
-                rtlt_verilog::modsrc::text_key(&m.name, &m.text),
-            )
-        })
+    rtlt_verilog::modsrc::text_keys(source)
+        .into_iter()
         .collect()
 }
 
@@ -305,14 +295,19 @@ impl IncrementalAnnotator {
     /// base and the resident revision) is only touched once the edit
     /// compiles.
     pub fn begin(&mut self, source: &str, store: &Store) -> Result<ReannotateJob, VerilogError> {
-        let stages = PrepareStages::new(&self.cfg);
-        let blasted = stages.blasted_with(store, &self.name, source)?;
+        let prepare_keys = PrepareKeys::derive(&self.name, source, &self.cfg);
+        let blasted = PrepareStages::new(&self.cfg).blasted_with_keys(
+            store,
+            &prepare_keys,
+            &self.name,
+            source,
+        )?;
         let compiled = &blasted.compiled;
         let sog = blasted.sog.clone();
 
         // Dirty-module diff against the previous pass (text-level hashes:
         // the report names what was edited, not its dependents). The
-        // compile artifact carries the keys; a flat source the splitter
+        // compiled design carries the keys; a flat source the splitter
         // could not handle carries none.
         let keys: BTreeMap<String, ContentHash> = compiled.module_keys.iter().cloned().collect();
         let dirty_modules = changed_modules(&self.module_keys, &keys);
@@ -346,7 +341,6 @@ impl IncrementalAnnotator {
 
         // Featurize through the shard namespace against the pinned clock.
         let seed = design_seed(self.cfg.seed, &self.name);
-        let prepare_key = PrepareKeys::derive(&self.name, source, &self.cfg).featurize;
         let feat = FeaturizeJob::with_extractions(self.clock, seed, extractions, prior);
         // Pull every cold shard from the fleet cache in one batched GETM
         // round trip (a no-op without a remote tier) — the stepped walk
@@ -359,7 +353,7 @@ impl IncrementalAnnotator {
             setup: self.setup,
             seed,
             synth_effort: self.cfg.synth_effort,
-            prepare_key,
+            prepare_key: prepare_keys.featurize,
             ast_feats: compiled.ast_feats.clone(),
             sog,
             dirty_modules,
@@ -494,6 +488,7 @@ impl ReannotateJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::stage;
     use crate::pipeline::DesignSet;
 
     fn lane(name: &str, body: &str) -> String {
@@ -682,16 +677,39 @@ endmodule"
         let (mut annotator, model, store, _cfg, base) = session();
         annotator.reannotate(&base, &model, &store).unwrap();
         let keys_before = annotator.module_keys.clone();
-        let err = annotator
-            .reannotate("module hier_top(input clk; endmodule", &model, &store)
-            .unwrap_err();
-        assert!(!err.message.is_empty());
-        assert_eq!(annotator.module_keys, keys_before);
+        // A syntax error inside a module, and tokens after the last one.
+        let trailing = format!("{base}\n)))\n");
+        for (broken, line) in [
+            ("module hier_top(input clk; endmodule", 1),
+            (trailing.as_str(), base.lines().count() as u32 + 1),
+        ] {
+            let err = annotator.reannotate(broken, &model, &store).unwrap_err();
+            assert!(!err.message.is_empty());
+            assert_eq!(err.line, Some(line), "{err}");
+            assert_eq!(annotator.module_keys, keys_before);
+        }
         // The loop continues against the last good revision, still
         // resident.
         let ok = annotator.reannotate(&base, &model, &store).unwrap();
         assert!(ok.annotated.contains("Slack@"));
         assert_eq!(ok.resident_shards, ok.total_shards);
+    }
+
+    #[test]
+    fn a_prepare_and_an_edit_store_one_frontend_artifact() {
+        let (mut annotator, model, store, _cfg, _base) = session();
+        annotator
+            .reannotate(&design("x + 8'd5"), &model, &store)
+            .unwrap();
+        // Exactly these namespaces: `blast` is the only frontend artifact.
+        let names: Vec<String> = store
+            .stats()
+            .namespaces
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        let expected = [stage::BLAST, stage::FEATURIZE, stage::LABEL, stage::SHARD];
+        assert_eq!(names, expected);
     }
 
     #[test]
@@ -878,7 +896,7 @@ endmodule
         let (mut annotator, model, store, _cfg, base) = session();
         annotator.reannotate(&base, &model, &store).unwrap();
         // Two modules on one line: the splitter refuses the source, so the
-        // compile artifact carries no module keys.
+        // compiled design carries no module keys.
         let flat = |body: &str| {
             design(body).replacen("endmodule\nmodule laneB", "endmodule module laneB", 1)
         };

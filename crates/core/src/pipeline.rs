@@ -11,7 +11,7 @@
 //! diverge.
 
 use crate::bitwise::{BitModelKind, BitwiseCorpus, BitwiseModel};
-use crate::cache::{modast_key, model_key, stage, PrepareKeys};
+use crate::cache::{model_key, stage, PrepareKeys};
 use crate::dataset::{FeaturizeScratch, VariantData};
 use crate::design::{design_row, direct_wns_tns, DesignTimingModel};
 use crate::ensemble::{meta_rows, meta_rows_into, EnsembleModel};
@@ -22,7 +22,7 @@ use rtlt_liberty::{CellFunc, Drive, Library};
 use rtlt_ml::FeatureMatrix;
 use rtlt_store::{ContentHash, KeyBuilder, Store};
 use rtlt_synth::{synthesize, SynthOptions, SynthResult};
-use rtlt_verilog::ast::{Module, SourceFile};
+use rtlt_verilog::ast::SourceFile;
 use rtlt_verilog::{modsrc, VerilogError};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -140,27 +140,18 @@ pub struct CompiledDesign {
     /// Original Verilog source.
     pub source: String,
     /// AST features (ICCAD'22-style baseline input), restricted to the top
-    /// module's dependency cone — the compile artifact must be a pure
-    /// function of its module-granular key.
+    /// module's dependency cone — the `blast` artifact that carries them
+    /// must be a pure function of its module-granular key.
     pub ast_feats: Vec<f64>,
     /// Elaborated word-level netlist.
     pub netlist: rtlt_verilog::rtlir::Netlist,
-    /// Per-module text keys of the source (`H(name, text)`, sorted by
-    /// module name) — the incremental driver's dirty-module diff reads
-    /// them from here instead of re-splitting the source. Text-level on
-    /// purpose: the diff should name the module the designer actually
-    /// touched, not everything coupled to it through a closed parent key.
+    /// Per-module text keys of the source ([`modsrc::text_keys`], in
+    /// declaration order; empty when the source cannot be split) — the
+    /// incremental driver's dirty-module diff reads them from here instead
+    /// of re-splitting the source. Text-level on purpose: the diff should
+    /// name the module the designer actually touched, not everything
+    /// coupled to it through a closed parent key.
     pub module_keys: Vec<(String, ContentHash)>,
-}
-
-impl CompiledDesign {
-    /// Looks up one module's text key.
-    pub fn module_key(&self, module: &str) -> Option<ContentHash> {
-        self.module_keys
-            .iter()
-            .find(|(n, _)| n == module)
-            .map(|(_, k)| *k)
-    }
 }
 
 /// Output of [`PrepareStages::blast`]: the design plus its SOG.
@@ -229,10 +220,11 @@ impl LabelOutcome {
 ///
 /// [`DesignData::prepare`] runs all four back to back; calling the stages
 /// separately lets a driver memoize, distribute, or batch each boundary
-/// independently. [`PrepareStages::run_with`] is the memoized runner: each
-/// stage computes its content key and consults the given
-/// [`rtlt_store::Store`] before running, so anything from a single stage to
-/// the whole preparation can be skipped on a warm cache.
+/// independently. [`PrepareStages::run_with`] is the memoized runner: the
+/// `blast` (which carries the compiled design), `label` and `featurize`
+/// outputs each have a content key, and the runner consults the given
+/// [`rtlt_store::Store`] before computing one, so anything from compile +
+/// blast to the whole preparation can be skipped on a warm cache.
 #[derive(Debug, Clone, Copy)]
 pub struct PrepareStages<'a> {
     cfg: &'a TimerConfig,
@@ -244,67 +236,15 @@ impl<'a> PrepareStages<'a> {
         PrepareStages { cfg }
     }
 
-    /// **Stage 1 — compile**: parse, extract AST features, elaborate.
+    /// **Stage 1 — compile**: parse the whole source, extract AST features
+    /// from the top's dependency cone (the artifact must be a pure function
+    /// of its module-granular key), elaborate.
     ///
     /// # Errors
     ///
     /// Propagates frontend errors (parse/elaborate failures).
     pub fn compile(&self, name: &str, source: &str) -> Result<CompiledDesign, VerilogError> {
-        self.compile_modular(&Store::disabled(), name, source)
-    }
-
-    /// Parses the source module by module, memoizing each module's AST in
-    /// the `modast` namespace under `H(module text)` (with lines cached
-    /// relative and rebased on use, so identical module text shares one
-    /// entry regardless of file position). Falls back to a whole-file parse
-    /// when the source cannot be split or any module fails standalone — the
-    /// fallback reproduces canonical error positions. Returns the split
-    /// module sources alongside (`None` on the fallback path) so the
-    /// caller does not re-split.
-    fn parse_modular(
-        &self,
-        store: &Store,
-        source: &str,
-    ) -> Result<(SourceFile, Option<modsrc::ModuleSources>), VerilogError> {
-        let Ok(sources) = modsrc::split_modules(source) else {
-            return Ok((rtlt_verilog::parse(source)?, None));
-        };
-        let mut modules = Vec::with_capacity(sources.modules.len());
-        for m in &sources.modules {
-            let parsed: Result<Arc<Module>, VerilogError> =
-                store.get_or_try_compute(stage::MODAST, modast_key(&m.text), || {
-                    let file = rtlt_verilog::parse(&m.text)?;
-                    let mut mods = file.modules;
-                    if mods.len() == 1 && mods[0].name == m.name {
-                        Ok(mods.pop().expect("one module"))
-                    } else {
-                        Err(VerilogError::general(
-                            "module text did not parse standalone",
-                        ))
-                    }
-                });
-            match parsed {
-                Ok(ast) => {
-                    let mut module = (*ast).clone();
-                    modsrc::shift_lines(&mut module, m.start_line - 1);
-                    modules.push(module);
-                }
-                Err(_) => return Ok((rtlt_verilog::parse(source)?, None)),
-            }
-        }
-        Ok((SourceFile { modules }, Some(sources)))
-    }
-
-    /// Stage 1 through the store: unchanged modules reuse their cached
-    /// parse; AST features are restricted to the top's dependency cone so
-    /// the artifact matches its module-granular key.
-    fn compile_modular(
-        &self,
-        store: &Store,
-        name: &str,
-        source: &str,
-    ) -> Result<CompiledDesign, VerilogError> {
-        let (file, sources) = self.parse_modular(store, source)?;
+        let file = rtlt_verilog::parse(source)?;
         let cone: BTreeSet<String> = modsrc::dependency_cone(&file, name).into_iter().collect();
         let cone_file = SourceFile {
             modules: file
@@ -316,20 +256,12 @@ impl<'a> PrepareStages<'a> {
         };
         let ast_feats = rtlt_verilog::astfeat::extract(&cone_file).to_vec();
         let netlist = rtlt_verilog::elaborate(&file, name)?;
-        let module_keys = match &sources {
-            Some(sources) => sources
-                .modules
-                .iter()
-                .map(|m| (m.name.clone(), modsrc::text_key(&m.name, &m.text)))
-                .collect(),
-            None => Vec::new(),
-        };
         Ok(CompiledDesign {
             name: name.to_owned(),
             source: source.to_owned(),
             ast_feats,
             netlist,
-            module_keys,
+            module_keys: modsrc::text_keys(source),
         })
     }
 
@@ -479,7 +411,7 @@ impl<'a> PrepareStages<'a> {
     }
 
     /// The blast-stage artifact through the store: consults the `blast`
-    /// (and, on a miss, `compile`) namespaces before computing.
+    /// namespace before compiling and blasting.
     ///
     /// # Errors
     ///
@@ -491,8 +423,26 @@ impl<'a> PrepareStages<'a> {
         source: &str,
     ) -> Result<Arc<BlastedDesign>, VerilogError> {
         let keys = PrepareKeys::derive(name, source, self.cfg);
-        let blasted = self.blasted_with_keys(store, &keys, name, source)?;
-        Ok(Self::blasted_with_live_source(blasted, source))
+        self.blasted_with_keys(store, &keys, name, source)
+    }
+
+    /// [`Self::blasted_with`] under keys the caller already derived, with
+    /// the carried source rebound to the live one (see
+    /// [`Self::design_with_live_source`]).
+    pub(crate) fn blasted_with_keys(
+        &self,
+        store: &Store,
+        keys: &PrepareKeys,
+        name: &str,
+        source: &str,
+    ) -> Result<Arc<BlastedDesign>, VerilogError> {
+        let b = self.stored_blast(store, keys, name, source)?;
+        if b.compiled.source == source {
+            return Ok(b);
+        }
+        let mut patched = (*b).clone();
+        patched.compiled.source = source.to_owned();
+        Ok(Arc::new(patched))
     }
 
     /// Rebinds a cached artifact's carried source to the text the caller
@@ -514,18 +464,7 @@ impl<'a> PrepareStages<'a> {
         }
     }
 
-    /// [`Self::design_with_live_source`] for the blast-stage artifact.
-    fn blasted_with_live_source(b: Arc<BlastedDesign>, source: &str) -> Arc<BlastedDesign> {
-        if b.compiled.source == source {
-            b
-        } else {
-            let mut patched = (*b).clone();
-            patched.compiled.source = source.to_owned();
-            Arc::new(patched)
-        }
-    }
-
-    fn blasted_with_keys(
+    fn stored_blast(
         &self,
         store: &Store,
         keys: &PrepareKeys,
@@ -533,17 +472,16 @@ impl<'a> PrepareStages<'a> {
         source: &str,
     ) -> Result<Arc<BlastedDesign>, VerilogError> {
         store.get_or_try_compute(stage::BLAST, keys.blast, || {
-            let compiled = store.get_or_try_compute(stage::COMPILE, keys.compile, || {
-                self.compile_modular(store, name, source)
-            })?;
-            Ok(self.blast((*compiled).clone()))
+            Ok(self.blast(self.compile(name, source)?))
         })
     }
 
-    /// Runs all four stages through the store: each stage computes its key
-    /// (see [`PrepareKeys`]) and is skipped when the store already holds
-    /// its output. A fully warm cache answers from the `featurize`
-    /// namespace without even parsing the source.
+    /// Runs all four stages through the store: the `blast`, `label` and
+    /// `featurize` outputs are keyed (see [`PrepareKeys`]) and skipped when
+    /// the store already holds them. A fully warm cache answers from the
+    /// `featurize` namespace, skipping elaboration, blasting, labelling and
+    /// featurization (deriving the keys still parses the source to find
+    /// the top's dependency cone).
     ///
     /// # Errors
     ///
@@ -573,7 +511,7 @@ impl<'a> PrepareStages<'a> {
     ) -> Result<Arc<DesignData>, VerilogError> {
         let keys = PrepareKeys::derive(name, source, self.cfg);
         let d = store.get_or_try_compute(stage::FEATURIZE, keys.featurize, || {
-            let blasted = self.blasted_with_keys(store, &keys, name, source)?;
+            let blasted = self.stored_blast(store, &keys, name, source)?;
             let label =
                 store.get_or_compute(stage::LABEL, keys.label, || self.label_outcome(&blasted));
             Ok(self.featurize_parts_scratch(store, &blasted, &label, keys.featurize, scratch))
@@ -709,8 +647,7 @@ impl DesignSet {
                     })
             },
         );
-        // Prefetched payloads the run never consumed (e.g. a compile
-        // artifact short-circuited by a blast hit) must not outlive the
+        // Prefetched payloads the run never consumed must not outlive the
         // preparation they were staged for.
         store.drop_staged();
         // Drain fire-and-forget remote writes: the suite's artifacts are
@@ -745,7 +682,6 @@ impl DesignSet {
                 // A warm featurize artifact answers the whole preparation,
                 // so the earlier stages are only worth shipping for the
                 // designs the first round missed.
-                rest.push((stage::COMPILE.to_owned(), k.compile));
                 rest.push((stage::BLAST.to_owned(), k.blast));
                 rest.push((stage::LABEL.to_owned(), k.label));
             }
@@ -1304,17 +1240,21 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let mut sources = tiny_sources();
-        sources.insert(
-            1,
-            (
-                "broken".to_owned(),
-                "module broken(input clk; endmodule".to_owned(),
-            ),
-        );
-        let err = DesignSet::prepare_named(&sources, &cfg).unwrap_err();
-        assert_eq!(err.design, "broken");
-        assert!(err.to_string().contains("broken"));
+        // A syntax error inside a module, and well-formed modules with
+        // tokens between them (text no module span covers).
+        let stray = "module leaf(input a, output y);\n  assign y = ~a;\nendmodule\nstray_junk;\n\
+                     module stray(input a, output y);\n  leaf u0 (.a(a), .y(y));\nendmodule";
+        for (name, src, line) in [
+            ("broken", "module broken(input clk; endmodule", 1),
+            ("stray", stray, 4),
+        ] {
+            let mut sources = tiny_sources();
+            sources.insert(1, (name.to_owned(), src.to_owned()));
+            let err = DesignSet::prepare_named(&sources, &cfg).unwrap_err();
+            assert_eq!(err.design, name);
+            assert!(err.to_string().contains(name));
+            assert_eq!(err.source.line, Some(line), "{err}");
+        }
     }
 
     #[test]

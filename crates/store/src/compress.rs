@@ -113,8 +113,8 @@ fn unsortable_bits(m: u64) -> u64 {
 }
 
 /// Wraps `payload` in a raw passthrough frame (mode byte + verbatim bytes).
-/// This is the identity encoding: namespaces the tier policy keeps raw are
-/// stored this way.
+/// This is the identity encoding, the frame [`compress`] emits when no
+/// mode is smaller.
 pub fn raw_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 1);
     out.push(MODE_RAW);

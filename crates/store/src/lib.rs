@@ -27,8 +27,7 @@
 //! * [`Store`] — the handle every call site goes through: a byte-budgeted
 //!   LRU cache of **decoded** `Arc<T>` artifacts fronting a composable
 //!   stack of byte tiers (disk, then optionally remote); a fixed
-//!   per-namespace table picks packed or raw payloads and an optional
-//!   decoded-cache quota,
+//!   per-namespace table picks an optional decoded-cache quota,
 //! * [`StatsSnapshot`] — per-namespace, per-tier hit/miss/byte counters.
 //!
 //! Lookups are namespaced by stage name so identical keys from different
@@ -103,21 +102,16 @@ pub const CONESTA_MEM_QUOTA: usize = 32 << 20;
 /// stayed decoded for the life of an in-memory store.
 pub const BLAST_MEM_QUOTA: usize = 16 << 20;
 
-/// The tier policy of namespace `ns`: whether the byte tiers hold its
-/// payloads packed ([`compress::compress`]) rather than as raw frames, and
-/// its decoded-front-cache quota, if capped. Bulk `featurize` tables,
-/// shared `conesta` evaluations and whole-design `blast` graphs are packed
-/// and capped (cheap to re-read from compressed disk, or to recompute);
-/// the tiny, hot `modast`/`compile` artifacts stay raw, where a decode
-/// would cost more than the bytes save; every other namespace is packed
-/// with no quota.
-fn namespace_policy(ns: &str) -> (bool, Option<usize>) {
+/// The tier policy of namespace `ns`: its decoded-front-cache quota, if
+/// capped. Bulk `featurize` tables, shared `conesta` evaluations and
+/// whole-design `blast` graphs are capped (cheap to re-read from
+/// compressed disk, or to recompute); every other namespace has no quota.
+fn namespace_policy(ns: &str) -> Option<usize> {
     match ns {
-        "featurize" => (true, Some(FEATURIZE_MEM_QUOTA)),
-        "conesta" => (true, Some(CONESTA_MEM_QUOTA)),
-        "blast" => (true, Some(BLAST_MEM_QUOTA)),
-        "modast" | "compile" => (false, None),
-        _ => (true, None),
+        "featurize" => Some(FEATURIZE_MEM_QUOTA),
+        "conesta" => Some(CONESTA_MEM_QUOTA),
+        "blast" => Some(BLAST_MEM_QUOTA),
+        _ => None,
     }
 }
 
@@ -483,15 +477,10 @@ impl Store {
             return value;
         }
         // Encode once; the logical bytes size the front cache, while the
-        // byte tiers receive one compress frame (write-back) — packed or
-        // raw per the namespace policy.
+        // byte tiers receive one compress frame (write-back).
         let payload = value.to_bytes();
         if !self.tiers.is_empty() {
-            let frame = if namespace_policy(ns).0 {
-                compress::compress(&payload)
-            } else {
-                compress::raw_frame(&payload)
-            };
+            let frame = compress::compress(&payload);
             self.stats.with_ns(ns, |s| {
                 s.bytes_written += payload.len() as u64;
                 s.stored_bytes_written += frame.len() as u64;
@@ -576,7 +565,7 @@ impl Store {
         // admission, and admission evicts the namespace's own LRU entries
         // first so one bulky namespace (e.g. featurize) cannot crowd the
         // others out of the front cache.
-        let quota = namespace_policy(ns).1;
+        let quota = namespace_policy(ns);
         if quota.is_some_and(|q| bytes > q) {
             return;
         }
@@ -949,30 +938,24 @@ mod tests {
     }
 
     #[test]
-    fn namespace_policy_packs_all_but_the_tiny_hot_namespaces() {
-        // Zeros compress to a sliver: a packed namespace's frame is far
-        // smaller than its payload, a raw one's is the payload plus the
-        // 1-byte mode tag.
+    fn every_namespace_packs_and_three_are_capped() {
+        // Zeros compress to a sliver: every namespace's frame is far
+        // smaller than its payload.
         let store = Store::with_tiers(0, vec![Arc::new(MemTier::new(1 << 20))]);
-        for ns in [
-            "featurize",
-            "conesta",
-            "blast",
-            "modast",
-            "compile",
-            "shard",
-        ] {
+        for ns in ["featurize", "conesta", "blast", "label", "shard", "model"] {
             store.put(ns, key(1), vec![0u64; 512]);
             let s = store.stats().namespace(ns);
-            let raw = matches!(ns, "modast" | "compile");
-            assert_eq!(s.stored_bytes_written == s.bytes_written + 1, raw, "{ns}");
-            assert_eq!(s.stored_bytes_written < s.bytes_written / 4, !raw, "{ns}");
+            assert!(s.stored_bytes_written < s.bytes_written / 4, "{ns}");
         }
-        assert_eq!(namespace_policy("featurize").1, Some(FEATURIZE_MEM_QUOTA));
-        assert_eq!(namespace_policy("conesta").1, Some(CONESTA_MEM_QUOTA));
-        assert_eq!(namespace_policy("blast").1, Some(BLAST_MEM_QUOTA));
-        assert_eq!(namespace_policy("compile").1, None);
-        assert_eq!(namespace_policy("shard").1, None);
+        assert_eq!(namespace_policy("featurize"), Some(FEATURIZE_MEM_QUOTA));
+        assert_eq!(namespace_policy("conesta"), Some(CONESTA_MEM_QUOTA));
+        assert_eq!(namespace_policy("blast"), Some(BLAST_MEM_QUOTA));
+        assert_eq!(
+            (FEATURIZE_MEM_QUOTA, CONESTA_MEM_QUOTA, BLAST_MEM_QUOTA),
+            (64 << 20, 32 << 20, 16 << 20)
+        );
+        assert_eq!(namespace_policy("label"), None);
+        assert_eq!(namespace_policy("shard"), None);
     }
 
     #[test]

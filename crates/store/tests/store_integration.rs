@@ -4,7 +4,7 @@
 //! the `rtlt-runtime` executor the pipeline threads it through.
 
 use proptest::prelude::*;
-use rtlt_store::{Codec, ContentHash, Enc, KeyBuilder, Store};
+use rtlt_store::{compress, Codec, ContentHash, DiskTier, Enc, KeyBuilder, Store, StoreTier};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -154,24 +154,19 @@ fn find_entry(root: &std::path::Path) -> PathBuf {
 #[test]
 fn gc_evicts_oldest_entries_until_under_budget() {
     let scratch = ScratchDir::new("gc");
-    let store = Store::on_disk(&scratch.0);
-    // `compile` holds raw payloads: this test reasons about equal-sized
-    // files to pin down the LRU order, which compression would perturb.
-    // Three entries with strictly increasing mtimes (set explicitly so the
-    // test does not depend on filesystem timestamp resolution).
-    for (i, label) in ["old", "mid", "new"].iter().enumerate() {
-        store.put("compile", key(label), vec![i as u64; 64]);
-    }
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(scratch.0.join("compile"))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    paths.sort();
+    // Three equal-length raw frames written straight into the disk tier:
+    // this test reasons about equal-sized files to pin down the LRU order,
+    // which compression would perturb. Their mtimes increase strictly
+    // (set explicitly so the test does not depend on filesystem timestamp
+    // resolution).
+    let disk = DiskTier::new(&scratch.0);
     let base = std::time::SystemTime::now() - std::time::Duration::from_secs(600);
     for (i, label) in ["old", "mid", "new"].iter().enumerate() {
+        let frame = compress::raw_frame(&vec![i as u64; 64].to_bytes());
+        disk.put_bytes("ns", key(label), &frame);
         let p = scratch
             .0
-            .join("compile")
+            .join("ns")
             .join(format!("{}.bin", key(label).to_hex()));
         let t = std::fs::FileTimes::new()
             .set_modified(base + std::time::Duration::from_secs(60 * i as u64));
@@ -183,10 +178,11 @@ fn gc_evicts_oldest_entries_until_under_budget() {
             .unwrap();
     }
 
+    let store = Store::on_disk(&scratch.0);
     let usage = store.disk_usage();
     assert_eq!(usage.len(), 1);
     let (ns, files, bytes) = &usage[0];
-    assert_eq!((ns.as_str(), *files), ("compile", 3));
+    assert_eq!((ns.as_str(), *files), ("ns", 3));
     let per_entry = bytes / 3;
 
     // Budget for two entries: the oldest one goes.
@@ -195,12 +191,9 @@ fn gc_evicts_oldest_entries_until_under_budget() {
     assert_eq!(report.evicted_files, 1);
     assert!(report.remaining_bytes <= per_entry * 2);
     let fresh = Store::on_disk(&scratch.0);
-    assert!(
-        fresh.get::<Vec<u64>>("compile", key("old")).is_none(),
-        "evicted"
-    );
-    assert!(fresh.get::<Vec<u64>>("compile", key("mid")).is_some());
-    assert!(fresh.get::<Vec<u64>>("compile", key("new")).is_some());
+    assert!(fresh.get::<Vec<u64>>("ns", key("old")).is_none(), "evicted");
+    assert!(fresh.get::<Vec<u64>>("ns", key("mid")).is_some());
+    assert!(fresh.get::<Vec<u64>>("ns", key("new")).is_some());
 
     // Budget 0 clears everything; a memory-only store's gc is a no-op.
     let report = store.gc(0);

@@ -1,13 +1,9 @@
-//! [`Codec`] implementations for the word-level RTL IR and the module AST,
-//! enabling `rtlt-store` persistence of compiled designs and of per-module
-//! parse results (the module-granular compile cache). Lives here because
-//! [`Netlist`]'s node/reg tables are crate-private; decoding is the one
-//! sanctioned way to rebuild a netlist from bytes.
+//! [`Codec`] implementations for the word-level RTL IR, enabling
+//! `rtlt-store` persistence of compiled designs (inside the `blast`
+//! artifact). Lives here because [`Netlist`]'s node/reg tables are
+//! crate-private; decoding is the one sanctioned way to rebuild a netlist
+//! from bytes.
 
-use crate::ast::{
-    AlwaysBlock, BinaryOp, CaseArm, Connections, Dir, EdgeKind, Expr, Item, LValue, Module,
-    NetKind, Sensitivity, Stmt, UnaryOp,
-};
 use crate::rtlir::{Netlist, ScopeInfo, WBinaryOp, WKind, WNode, WReg, WUnaryOp};
 use rtlt_store::{Codec, CodecError, Dec, Enc};
 
@@ -222,554 +218,6 @@ impl Codec for Netlist {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Module AST codec — per-module parse results are cached under
-// `H(module text)` so recompiling an edited file reparses only the changed
-// modules.
-// ---------------------------------------------------------------------------
-
-impl Codec for NetKind {
-    fn encode(&self, e: &mut Enc) {
-        e.u8(matches!(self, NetKind::Reg) as u8);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.u8()? {
-            0 => Ok(NetKind::Wire),
-            1 => Ok(NetKind::Reg),
-            _ => Err(CodecError::new("NetKind tag")),
-        }
-    }
-}
-
-impl Codec for Dir {
-    fn encode(&self, e: &mut Enc) {
-        e.u8(matches!(self, Dir::Output) as u8);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.u8()? {
-            0 => Ok(Dir::Input),
-            1 => Ok(Dir::Output),
-            _ => Err(CodecError::new("Dir tag")),
-        }
-    }
-}
-
-impl Codec for EdgeKind {
-    fn encode(&self, e: &mut Enc) {
-        e.u8(matches!(self, EdgeKind::Neg) as u8);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.u8()? {
-            0 => Ok(EdgeKind::Pos),
-            1 => Ok(EdgeKind::Neg),
-            _ => Err(CodecError::new("EdgeKind tag")),
-        }
-    }
-}
-
-impl Codec for UnaryOp {
-    fn encode(&self, e: &mut Enc) {
-        let tag = match self {
-            UnaryOp::LogNot => 0u8,
-            UnaryOp::BitNot => 1,
-            UnaryOp::Neg => 2,
-            UnaryOp::RedAnd => 3,
-            UnaryOp::RedOr => 4,
-            UnaryOp::RedXor => 5,
-            UnaryOp::RedNand => 6,
-            UnaryOp::RedNor => 7,
-            UnaryOp::RedXnor => 8,
-        };
-        e.u8(tag);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => UnaryOp::LogNot,
-            1 => UnaryOp::BitNot,
-            2 => UnaryOp::Neg,
-            3 => UnaryOp::RedAnd,
-            4 => UnaryOp::RedOr,
-            5 => UnaryOp::RedXor,
-            6 => UnaryOp::RedNand,
-            7 => UnaryOp::RedNor,
-            8 => UnaryOp::RedXnor,
-            _ => return Err(CodecError::new("UnaryOp tag")),
-        })
-    }
-}
-
-impl Codec for BinaryOp {
-    fn encode(&self, e: &mut Enc) {
-        let tag = match self {
-            BinaryOp::Add => 0u8,
-            BinaryOp::Sub => 1,
-            BinaryOp::Mul => 2,
-            BinaryOp::And => 3,
-            BinaryOp::Or => 4,
-            BinaryOp::Xor => 5,
-            BinaryOp::Xnor => 6,
-            BinaryOp::LogAnd => 7,
-            BinaryOp::LogOr => 8,
-            BinaryOp::Eq => 9,
-            BinaryOp::Ne => 10,
-            BinaryOp::Lt => 11,
-            BinaryOp::Le => 12,
-            BinaryOp::Gt => 13,
-            BinaryOp::Ge => 14,
-            BinaryOp::Shl => 15,
-            BinaryOp::Shr => 16,
-        };
-        e.u8(tag);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => BinaryOp::Add,
-            1 => BinaryOp::Sub,
-            2 => BinaryOp::Mul,
-            3 => BinaryOp::And,
-            4 => BinaryOp::Or,
-            5 => BinaryOp::Xor,
-            6 => BinaryOp::Xnor,
-            7 => BinaryOp::LogAnd,
-            8 => BinaryOp::LogOr,
-            9 => BinaryOp::Eq,
-            10 => BinaryOp::Ne,
-            11 => BinaryOp::Lt,
-            12 => BinaryOp::Le,
-            13 => BinaryOp::Gt,
-            14 => BinaryOp::Ge,
-            15 => BinaryOp::Shl,
-            16 => BinaryOp::Shr,
-            _ => return Err(CodecError::new("BinaryOp tag")),
-        })
-    }
-}
-
-impl Codec for Expr {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            Expr::Ident(n) => {
-                e.u8(0);
-                e.str(n);
-            }
-            Expr::Number {
-                width,
-                value,
-                zmask,
-            } => {
-                e.u8(1);
-                width.encode(e);
-                e.u64(*value);
-                e.u64(*zmask);
-            }
-            Expr::Unary { op, operand } => {
-                e.u8(2);
-                op.encode(e);
-                operand.encode(e);
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                e.u8(3);
-                op.encode(e);
-                lhs.encode(e);
-                rhs.encode(e);
-            }
-            Expr::Ternary {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                e.u8(4);
-                cond.encode(e);
-                then_e.encode(e);
-                else_e.encode(e);
-            }
-            Expr::Concat(parts) => {
-                e.u8(5);
-                parts.encode(e);
-            }
-            Expr::Repeat { count, inner } => {
-                e.u8(6);
-                count.encode(e);
-                inner.encode(e);
-            }
-            Expr::Bit { base, index } => {
-                e.u8(7);
-                e.str(base);
-                index.encode(e);
-            }
-            Expr::Part { base, msb, lsb } => {
-                e.u8(8);
-                e.str(base);
-                msb.encode(e);
-                lsb.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => Expr::Ident(d.str()?),
-            1 => Expr::Number {
-                width: Option::decode(d)?,
-                value: d.u64()?,
-                zmask: d.u64()?,
-            },
-            2 => Expr::Unary {
-                op: UnaryOp::decode(d)?,
-                operand: Box::new(Expr::decode(d)?),
-            },
-            3 => Expr::Binary {
-                op: BinaryOp::decode(d)?,
-                lhs: Box::new(Expr::decode(d)?),
-                rhs: Box::new(Expr::decode(d)?),
-            },
-            4 => Expr::Ternary {
-                cond: Box::new(Expr::decode(d)?),
-                then_e: Box::new(Expr::decode(d)?),
-                else_e: Box::new(Expr::decode(d)?),
-            },
-            5 => Expr::Concat(Vec::decode(d)?),
-            6 => Expr::Repeat {
-                count: Box::new(Expr::decode(d)?),
-                inner: Box::new(Expr::decode(d)?),
-            },
-            7 => Expr::Bit {
-                base: d.str()?,
-                index: Box::new(Expr::decode(d)?),
-            },
-            8 => Expr::Part {
-                base: d.str()?,
-                msb: Box::new(Expr::decode(d)?),
-                lsb: Box::new(Expr::decode(d)?),
-            },
-            _ => return Err(CodecError::new("Expr tag")),
-        })
-    }
-}
-
-impl Codec for LValue {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            LValue::Ident(n) => {
-                e.u8(0);
-                e.str(n);
-            }
-            LValue::Bit { name, index } => {
-                e.u8(1);
-                e.str(name);
-                index.encode(e);
-            }
-            LValue::Part { name, msb, lsb } => {
-                e.u8(2);
-                e.str(name);
-                msb.encode(e);
-                lsb.encode(e);
-            }
-            LValue::Concat(parts) => {
-                e.u8(3);
-                parts.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => LValue::Ident(d.str()?),
-            1 => LValue::Bit {
-                name: d.str()?,
-                index: Expr::decode(d)?,
-            },
-            2 => LValue::Part {
-                name: d.str()?,
-                msb: Expr::decode(d)?,
-                lsb: Expr::decode(d)?,
-            },
-            3 => LValue::Concat(Vec::decode(d)?),
-            _ => return Err(CodecError::new("LValue tag")),
-        })
-    }
-}
-
-impl Codec for CaseArm {
-    fn encode(&self, e: &mut Enc) {
-        self.labels.encode(e);
-        self.body.encode(e);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(CaseArm {
-            labels: Vec::decode(d)?,
-            body: Stmt::decode(d)?,
-        })
-    }
-}
-
-impl Codec for Stmt {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            Stmt::Block(stmts) => {
-                e.u8(0);
-                stmts.encode(e);
-            }
-            Stmt::If {
-                cond,
-                then_br,
-                else_br,
-            } => {
-                e.u8(1);
-                cond.encode(e);
-                then_br.encode(e);
-                match else_br {
-                    None => e.u8(0),
-                    Some(b) => {
-                        e.u8(1);
-                        b.encode(e);
-                    }
-                }
-            }
-            Stmt::Case {
-                wildcard,
-                subject,
-                arms,
-                default,
-            } => {
-                e.u8(2);
-                e.bool(*wildcard);
-                subject.encode(e);
-                arms.encode(e);
-                match default {
-                    None => e.u8(0),
-                    Some(b) => {
-                        e.u8(1);
-                        b.encode(e);
-                    }
-                }
-            }
-            Stmt::Assign {
-                lhs,
-                rhs,
-                blocking,
-                line,
-            } => {
-                e.u8(3);
-                lhs.encode(e);
-                rhs.encode(e);
-                e.bool(*blocking);
-                e.u32(*line);
-            }
-            Stmt::Empty => e.u8(4),
-        }
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => Stmt::Block(Vec::decode(d)?),
-            1 => Stmt::If {
-                cond: Expr::decode(d)?,
-                then_br: Box::new(Stmt::decode(d)?),
-                else_br: match d.u8()? {
-                    0 => None,
-                    1 => Some(Box::new(Stmt::decode(d)?)),
-                    _ => return Err(CodecError::new("If else tag")),
-                },
-            },
-            2 => Stmt::Case {
-                wildcard: d.bool()?,
-                subject: Expr::decode(d)?,
-                arms: Vec::decode(d)?,
-                default: match d.u8()? {
-                    0 => None,
-                    1 => Some(Box::new(Stmt::decode(d)?)),
-                    _ => return Err(CodecError::new("Case default tag")),
-                },
-            },
-            3 => Stmt::Assign {
-                lhs: LValue::decode(d)?,
-                rhs: Expr::decode(d)?,
-                blocking: d.bool()?,
-                line: d.u32()?,
-            },
-            4 => Stmt::Empty,
-            _ => return Err(CodecError::new("Stmt tag")),
-        })
-    }
-}
-
-impl Codec for Sensitivity {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            Sensitivity::Comb => e.u8(0),
-            Sensitivity::Edges(edges) => {
-                e.u8(1);
-                edges.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => Sensitivity::Comb,
-            1 => Sensitivity::Edges(Vec::decode(d)?),
-            _ => return Err(CodecError::new("Sensitivity tag")),
-        })
-    }
-}
-
-impl Codec for AlwaysBlock {
-    fn encode(&self, e: &mut Enc) {
-        self.sens.encode(e);
-        self.body.encode(e);
-        e.u32(self.line);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(AlwaysBlock {
-            sens: Sensitivity::decode(d)?,
-            body: Stmt::decode(d)?,
-            line: d.u32()?,
-        })
-    }
-}
-
-impl Codec for Connections {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            Connections::Named(conns) => {
-                e.u8(0);
-                conns.encode(e);
-            }
-            Connections::Ordered(exprs) => {
-                e.u8(1);
-                exprs.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => Connections::Named(Vec::decode(d)?),
-            1 => Connections::Ordered(Vec::decode(d)?),
-            _ => return Err(CodecError::new("Connections tag")),
-        })
-    }
-}
-
-impl Codec for Item {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            Item::NetDecl {
-                kind,
-                range,
-                names,
-                line,
-            } => {
-                e.u8(0);
-                kind.encode(e);
-                range.encode(e);
-                names.encode(e);
-                e.u32(*line);
-            }
-            Item::PortDecl {
-                dir,
-                reg,
-                range,
-                names,
-                line,
-            } => {
-                e.u8(1);
-                dir.encode(e);
-                e.bool(*reg);
-                range.encode(e);
-                names.encode(e);
-                e.u32(*line);
-            }
-            Item::ParamDecl {
-                name,
-                value,
-                local,
-                line,
-            } => {
-                e.u8(2);
-                e.str(name);
-                value.encode(e);
-                e.bool(*local);
-                e.u32(*line);
-            }
-            Item::Assign { lhs, rhs, line } => {
-                e.u8(3);
-                lhs.encode(e);
-                rhs.encode(e);
-                e.u32(*line);
-            }
-            Item::Always(a) => {
-                e.u8(4);
-                a.encode(e);
-            }
-            Item::Instance {
-                module,
-                name,
-                params,
-                conns,
-                line,
-            } => {
-                e.u8(5);
-                e.str(module);
-                e.str(name);
-                params.encode(e);
-                conns.encode(e);
-                e.u32(*line);
-            }
-        }
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => Item::NetDecl {
-                kind: NetKind::decode(d)?,
-                range: Option::decode(d)?,
-                names: Vec::decode(d)?,
-                line: d.u32()?,
-            },
-            1 => Item::PortDecl {
-                dir: Dir::decode(d)?,
-                reg: d.bool()?,
-                range: Option::decode(d)?,
-                names: Vec::decode(d)?,
-                line: d.u32()?,
-            },
-            2 => Item::ParamDecl {
-                name: d.str()?,
-                value: Expr::decode(d)?,
-                local: d.bool()?,
-                line: d.u32()?,
-            },
-            3 => Item::Assign {
-                lhs: LValue::decode(d)?,
-                rhs: Expr::decode(d)?,
-                line: d.u32()?,
-            },
-            4 => Item::Always(AlwaysBlock::decode(d)?),
-            5 => Item::Instance {
-                module: d.str()?,
-                name: d.str()?,
-                params: Vec::decode(d)?,
-                conns: Connections::decode(d)?,
-                line: d.u32()?,
-            },
-            _ => return Err(CodecError::new("Item tag")),
-        })
-    }
-}
-
-impl Codec for Module {
-    fn encode(&self, e: &mut Enc) {
-        e.str(&self.name);
-        self.port_order.encode(e);
-        self.items.encode(e);
-        e.u32(self.line);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Module {
-            name: d.str()?,
-            port_order: Vec::decode(d)?,
-            items: Vec::decode(d)?,
-            line: d.u32()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,29 +242,6 @@ mod tests {
         assert_eq!(back.regs(), netlist.regs());
         // A decoded netlist still blasts/elaborates identically downstream.
         assert_eq!(back.stats(), netlist.stats());
-    }
-
-    #[test]
-    fn module_ast_round_trips() {
-        let file = crate::parse(
-            "module sub #(parameter W = 4) (input clk, input [W-1:0] a, output [W-1:0] y);
-               reg [W-1:0] r;
-               always @(posedge clk)
-                 casez (a)
-                   4'b1??0: r <= a + {2{a[1]}};
-                   default: r <= (a > 2) ? ~a : a << 1;
-                 endcase
-               assign y = r;
-             endmodule
-             module m(input clk, input [3:0] x, output [3:0] z);
-               sub #(.W(4)) u0 (.clk(clk), .a(x), .y(z));
-             endmodule",
-        )
-        .expect("parses");
-        for m in &file.modules {
-            let back = Module::from_bytes(&m.to_bytes()).expect("round trip");
-            assert_eq!(&back, m);
-        }
     }
 
     #[test]

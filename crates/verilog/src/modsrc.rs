@@ -12,21 +12,20 @@
 //!   `H(name, text, dep_module_keys)`, dependency-closed over the
 //!   instantiation graph so a module's key transitively covers everything
 //!   its elaboration can read below it,
-//! * [`design_key`] — the dep-closed key of a top module: the compile-stage
-//!   cache key. Editing a module *outside* the top's dependency cone leaves
-//!   it unchanged,
+//! * [`design_key`] — the dep-closed key of a top module, the root of every
+//!   prepare-stage cache key. Editing a module *outside* the top's
+//!   dependency cone leaves it unchanged,
+//! * [`text_keys`] — each module's own text key `H(name, text)`, in
+//!   declaration order (the incremental dirty-module diff), and
 //! * [`dependency_cone`] — the module set reachable from a top (what the
-//!   compile stage is actually a function of), and
-//! * [`shift_lines`] — line-number rebasing so per-module parses (cached
-//!   under `H(module text)`) reassemble into a [`SourceFile`] identical to
-//!   a whole-file parse.
+//!   compile stage is actually a function of).
 //!
 //! Parameter flow is downward (parent instantiates child with overrides),
 //! so dep-closure plus the ancestor chain covers every source a node's
 //! elaboration depends on; [`dependency_cone`] of the top is the union of
 //! both for a whole design.
 
-use crate::ast::{AlwaysBlock, Item, Module, SourceFile, Stmt};
+use crate::ast::{Item, Module, SourceFile};
 use crate::error::VerilogError;
 use crate::lexer::{lex, Tok};
 use rtlt_store::{ContentHash, KeyBuilder};
@@ -138,18 +137,29 @@ pub fn split_modules(source: &str) -> Result<ModuleSources, VerilogError> {
     Ok(ModuleSources { modules: out })
 }
 
-/// Content key of one module's text alone (`H(name, text)`, no dependency
-/// closure). This is the per-module identity the cone-shard keys and the
-/// incremental dirty-module diff use: a cone's provenance set already
-/// contains every contributing module explicitly (descendants via their own
-/// nodes, ancestors via the scope chain), so closing each key over the
-/// instantiation graph would be redundant there — and would wrongly couple
-/// sibling modules through their common parent.
-pub fn text_key(name: &str, text: &str) -> ContentHash {
-    KeyBuilder::new("rtlt.module.text")
-        .str(name)
-        .str(text)
-        .finish()
+/// Content keys of each module's text alone (`H(name, text)`, no
+/// dependency closure), in declaration order; empty when the source cannot
+/// be split. This is the per-module identity the incremental dirty-module
+/// diff uses: a cone's provenance set already contains every contributing
+/// module explicitly (descendants via their own nodes, ancestors via the
+/// scope chain), so closing each key over the instantiation graph would be
+/// redundant there — and would wrongly couple sibling modules through
+/// their common parent.
+pub fn text_keys(source: &str) -> Vec<(String, ContentHash)> {
+    let Ok(sources) = split_modules(source) else {
+        return Vec::new();
+    };
+    sources
+        .modules
+        .into_iter()
+        .map(|m| {
+            let key = KeyBuilder::new("rtlt.module.text")
+                .str(&m.name)
+                .str(&m.text)
+                .finish();
+            (m.name, key)
+        })
+        .collect()
 }
 
 /// Direct dependencies (instantiated module names) of a parsed module,
@@ -202,9 +212,9 @@ fn key_of(
         return *k;
     }
     // A missing module (frontend will error later) or a recursive
-    // instantiation (always an elaboration error) keys by name alone; the
-    // compile stage never caches failed elaborations, so this only has to
-    // be stable, not meaningful.
+    // instantiation (always an elaboration error) keys by name alone; no
+    // stage ever caches a failed elaboration, so this only has to be
+    // stable, not meaningful.
     let key = match texts.get(name) {
         Some(text) if visiting.insert(name.to_owned()) => {
             let mut b = KeyBuilder::new("rtlt.module").str(name).str(text);
@@ -246,7 +256,7 @@ pub fn module_keys(sources: &ModuleSources, file: &SourceFile) -> BTreeMap<Strin
 /// of `top`, folded with the *file position* of every module in `top`'s
 /// dependency cone. Positions matter because declaration line numbers in
 /// the elaborated netlist are absolute file coordinates — moving a cone
-/// module within the file changes the compile artifact even though no
+/// module within the file changes the compiled design even though no
 /// module text changed. Modules outside the cone affect neither text nor
 /// cone positions, so appending or editing them leaves the key unchanged.
 /// `None` when the source cannot be split/parsed (callers fall back to
@@ -263,56 +273,6 @@ pub fn design_key(source: &str, top: &str) -> Option<ContentHash> {
         }
     }
     Some(b.finish())
-}
-
-/// Rebases every line number in a module AST by `delta` — used to reassemble
-/// per-module parses (whose lines are relative to the module text) into
-/// whole-file coordinates.
-pub fn shift_lines(module: &mut Module, delta: u32) {
-    module.line += delta;
-    for item in &mut module.items {
-        match item {
-            Item::NetDecl { line, .. }
-            | Item::PortDecl { line, .. }
-            | Item::ParamDecl { line, .. }
-            | Item::Assign { line, .. }
-            | Item::Instance { line, .. } => *line += delta,
-            Item::Always(a) => shift_always(a, delta),
-        }
-    }
-}
-
-fn shift_always(a: &mut AlwaysBlock, delta: u32) {
-    a.line += delta;
-    shift_stmt(&mut a.body, delta);
-}
-
-fn shift_stmt(s: &mut Stmt, delta: u32) {
-    match s {
-        Stmt::Block(stmts) => {
-            for st in stmts {
-                shift_stmt(st, delta);
-            }
-        }
-        Stmt::If {
-            then_br, else_br, ..
-        } => {
-            shift_stmt(then_br, delta);
-            if let Some(e) = else_br {
-                shift_stmt(e, delta);
-            }
-        }
-        Stmt::Case { arms, default, .. } => {
-            for arm in arms {
-                shift_stmt(&mut arm.body, delta);
-            }
-            if let Some(d) = default {
-                shift_stmt(d, delta);
-            }
-        }
-        Stmt::Assign { line, .. } => *line += delta,
-        Stmt::Empty => {}
-    }
 }
 
 #[cfg(test)]
@@ -343,6 +303,10 @@ endmodule\n";
         let top = mods.get("top").unwrap();
         assert_eq!(top.start_line, 6);
         assert!(top.text.contains("leaf u0"));
+        // Text keys come in declaration order, not name order.
+        let swapped = format!("{}\n{}", top.text, leaf.text);
+        let names: Vec<String> = text_keys(&swapped).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["top", "leaf"]);
     }
 
     #[test]
@@ -351,6 +315,7 @@ endmodule\n";
         assert!(split_modules("endmodule").is_err());
         assert!(split_modules("module a(); endmodule endmodule").is_err());
         assert!(split_modules("module a(); ").is_err());
+        assert!(text_keys("module a(); ").is_empty());
     }
 
     #[test]
@@ -428,19 +393,6 @@ endmodule\n";
         let cone = dependency_cone(&file, "top");
         assert_eq!(cone, vec!["top".to_owned(), "leaf".to_owned()]);
         assert_eq!(dependency_cone(&file, "leaf"), vec!["leaf".to_owned()]);
-    }
-
-    #[test]
-    fn per_module_parse_plus_shift_matches_whole_file_parse() {
-        let whole = crate::parse(TWO_MODULES).unwrap();
-        let mods = split_modules(TWO_MODULES).unwrap();
-        for (m, src) in whole.modules.iter().zip(&mods.modules) {
-            let standalone = crate::parse(&src.text).unwrap();
-            assert_eq!(standalone.modules.len(), 1);
-            let mut shifted = standalone.modules.into_iter().next().unwrap();
-            shift_lines(&mut shifted, src.start_line - 1);
-            assert_eq!(&shifted, m);
-        }
     }
 
     #[test]

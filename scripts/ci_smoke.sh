@@ -113,11 +113,17 @@ case "$job" in
     test "$identical" = "true"
     ;;
 
-  # Disk-tier maintenance round-trip: stats, then a full eviction.
+  # Disk-tier maintenance round-trip: stats, then a full eviction. The
+  # stats table of the cold run's cache must list exactly the namespaces a
+  # prepare + fit writes, so a retired namespace coming back, or a stage
+  # that stops writing, fails the lane.
   cache-maintenance)
     cd "$SMOKE_TMP"
     RTLT_FAST=1 "$BIN_DIR/runtime" --cache-dir "$SMOKE_TMP/rtlt-cache"
-    "$BIN_DIR/runtime" --cache-stats --cache-dir "$SMOKE_TMP/rtlt-cache"
+    "$BIN_DIR/runtime" --cache-stats --cache-dir "$SMOKE_TMP/rtlt-cache" | tee cache-stats.txt
+    namespaces=$(awk '/^-+$/ { t = 1; next } /^total:/ { t = 0 } t { print $1 }' cache-stats.txt | xargs)
+    echo "disk namespaces: ${namespaces}"
+    test "$namespaces" = "blast conesta featurize label model shard"
     "$BIN_DIR/runtime" gc 0 --cache-dir "$SMOKE_TMP/rtlt-cache" | grep -q "KiB remain"
     ;;
 
