@@ -10,19 +10,23 @@
 //!    it feeds (per-namespace store stats),
 //! 2. the warm incremental re-annotation is an order of magnitude faster
 //!    than a cold full prepare of the same edited design, and
-//! 3. the annotated output is byte-identical to a cold recompute.
+//! 3. the annotated output is byte-identical to a cold recompute, and its
+//!    prediction equal to the cold one bit for bit.
 //!
 //! The session then runs a short multi-edit stream — further lanes edited
 //! one after another, then a revert to the base — checking every revision
 //! against a cold recompute and reusing the resident revision each time.
 //! Each warm edit is timed per phase (`begin`/`step`/`finish`); the report
 //! carries `edit_ms_p50` and the phase medians, which the CI smoke lane
-//! gates against `warm_edit_ms` in `ci/bench-baseline.json`.
+//! gates against `warm_edit_ms` in `ci/bench-baseline.json`, and the path
+//! rows and endpoints each edit re-walked through the forests
+//! (`walked_rows` of `total_rows` for the first edit, `stream_*_max` over
+//! the stream), which the lane holds to 5 % of the rows per edited lane.
 //!
 //! With `--selfcheck` the process exits non-zero when any of the structural
 //! invariants (1) or (3) fail, or a streamed revision differs from its
-//! cold recompute or misses the resident revision — the CI smoke job runs
-//! exactly that.
+//! cold recompute (annotation or prediction bits) or misses the resident
+//! revision — the CI smoke job runs exactly that.
 //!
 //! Two extra modes turn the same loop into the live annotation service
 //! (`rtlt-annotated`, see `docs/sessions.md`):
@@ -155,7 +159,8 @@ fn main() {
     let cold = cold_session
         .reannotate(&edited, &model, &Store::in_memory())
         .expect("cold pass");
-    let byte_identical = cold.annotated == warm.annotated;
+    let byte_identical =
+        cold.annotated == warm.annotated && cold.prediction.same_bits(&warm.prediction);
     println!(
         "cold vs warm annotation: {}",
         if byte_identical {
@@ -176,13 +181,30 @@ fn main() {
     }
     stream.push(base.clone());
     let (mut stream_identical, mut stream_resident) = (true, true);
+    // Maxima over the streamed edits; rows also per edited lane, since the
+    // revert edits every lane the stream touched.
+    let (mut stream_walked_rows, mut stream_walked_endpoints) = (0, 0);
+    let mut stream_walked_rows_per_lane = 0;
     for source in &stream {
         let out = phases.pass(&mut annotator, source, &model, &bench.store);
         let cold = IncrementalAnnotator::new(base_d, &cfg)
             .reannotate(source, &model, &Store::in_memory())
             .expect("cold pass");
-        stream_identical &= cold.annotated == out.annotated;
+        stream_identical &=
+            cold.annotated == out.annotated && cold.prediction.same_bits(&out.prediction);
         stream_resident &= out.resident_shards > 0;
+        stream_walked_rows = stream_walked_rows.max(out.walked_rows);
+        stream_walked_endpoints = stream_walked_endpoints.max(out.walked_endpoints);
+        stream_walked_rows_per_lane = stream_walked_rows_per_lane
+            .max(out.walked_rows / out.dirty_modules.len().max(1) as u64);
+        println!(
+            "streamed edit ({:?}): re-walked {} / {} path rows, {} / {} endpoints",
+            out.dirty_modules,
+            out.walked_rows,
+            out.total_rows,
+            out.walked_endpoints,
+            out.total_endpoints
+        );
     }
     let edit_ms_p50 = median(&phases.edit_ms);
     println!(
@@ -192,6 +214,10 @@ fn main() {
         median(&phases.begin_ms),
         median(&phases.step_ms),
         median(&phases.finish_ms),
+    );
+    println!(
+        "re-walked: {} / {} path rows, {} / {} endpoints on the first edit; at most {stream_walked_rows} rows, {stream_walked_endpoints} endpoints per streamed edit",
+        warm.walked_rows, warm.total_rows, warm.walked_endpoints, warm.total_endpoints,
     );
 
     // A taste of the output.
@@ -221,9 +247,12 @@ fn main() {
             "dirty modules = the edited lane",
             warm.dirty_modules == vec![hier::lane_name(edited_lane)],
         ),
-        ("byte-identical to cold recompute", byte_identical),
         (
-            "every streamed revision byte-identical to cold recompute",
+            "byte-identical to cold recompute, prediction bits too",
+            byte_identical,
+        ),
+        (
+            "every streamed revision byte-identical to cold recompute, prediction bits too",
             stream_identical,
         ),
         (
@@ -267,6 +296,19 @@ fn main() {
                 ("begin_ms_p50", Json::Num(median(&phases.begin_ms))),
                 ("step_ms_p50", Json::Num(median(&phases.step_ms))),
                 ("finish_ms_p50", Json::Num(median(&phases.finish_ms))),
+                ("walked_rows", Json::UInt(warm.walked_rows)),
+                ("total_rows", Json::UInt(warm.total_rows)),
+                ("walked_endpoints", Json::UInt(warm.walked_endpoints)),
+                ("total_endpoints", Json::UInt(warm.total_endpoints)),
+                ("stream_walked_rows_max", Json::UInt(stream_walked_rows)),
+                (
+                    "stream_walked_rows_per_lane_max",
+                    Json::UInt(stream_walked_rows_per_lane),
+                ),
+                (
+                    "stream_walked_endpoints_max",
+                    Json::UInt(stream_walked_endpoints),
+                ),
                 ("cold_prepare_seconds", Json::Num(cold_prepare_s)),
                 ("speedup", Json::Num(speedup)),
                 ("byte_identical", Json::Bool(byte_identical)),

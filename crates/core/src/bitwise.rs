@@ -211,6 +211,15 @@ impl BitwiseModel {
         }
     }
 
+    /// The boosted ensemble of a tree model, and whether it reads only
+    /// each group's critical row; `None` for the other families.
+    pub(crate) fn forest(&self) -> Option<(&Gbdt, bool)> {
+        match self {
+            BitwiseModel::Tree { model, crit_only } => Some((model, *crit_only)),
+            BitwiseModel::Mlp { .. } | BitwiseModel::Transformer { .. } => None,
+        }
+    }
+
     /// Predicts per-endpoint arrival times for one design (max over its
     /// sampled paths; `CritOnly` models use the slowest path only).
     pub fn predict_endpoints(&self, data: &VariantData) -> Vec<f64> {

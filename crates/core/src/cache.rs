@@ -291,7 +291,8 @@ impl Codec for ConeEval {
 
 /// The fitted model stack. Only tree-based stacks exist ([`RtlTimer::fit`]
 /// always fits the GBDT family); the [`BitwiseModel`] codec rejects the
-/// ablation-only MLP/transformer variants.
+/// ablation-only MLP/transformer variants, and a stack without one
+/// bit-wise model per representation is rejected too.
 impl Codec for RtlTimer {
     fn encode(&self, e: &mut Enc) {
         self.bitwise.encode(e);
@@ -300,12 +301,16 @@ impl Codec for RtlTimer {
         self.design_timing.encode(e);
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(RtlTimer {
-            bitwise: Vec::<BitwiseModel>::decode(d)?,
-            ensemble: crate::ensemble::EnsembleModel::decode(d)?,
-            signal: crate::signal::SignalModels::decode(d)?,
-            design_timing: crate::design::DesignTimingModel::decode(d)?,
-        })
+        let bitwise = Vec::<BitwiseModel>::decode(d)?;
+        if bitwise.len() != BogVariant::ALL.len() {
+            return Err(CodecError::new("RtlTimer bit-wise model count"));
+        }
+        Ok(RtlTimer::from_parts(
+            bitwise,
+            crate::ensemble::EnsembleModel::decode(d)?,
+            crate::signal::SignalModels::decode(d)?,
+            crate::design::DesignTimingModel::decode(d)?,
+        ))
     }
 }
 

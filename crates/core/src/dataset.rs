@@ -327,6 +327,24 @@ impl FeaturizeScratch {
     }
 }
 
+/// Feature slots the merge writes into every row: the rank percentile
+/// (slot 0) and the variant graph's first three design features (slots
+/// 1..4). Every other slot of a moved row is its prior value, verbatim.
+pub(crate) const MERGED_SLOTS: usize = 4;
+
+/// A run of rows the merge moved over from the prior revision: prior rows
+/// `from..from + len` became merged rows `to..to + len`, equal in every
+/// slot outside [`MERGED_SLOTS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowMove {
+    /// First row in the prior revision.
+    pub from: usize,
+    /// First row in the merged data.
+    pub to: usize,
+    /// Rows moved.
+    pub len: usize,
+}
+
 /// One signal's slice of a variant, as the merge receives it.
 #[derive(Debug)]
 enum Piece {
@@ -355,7 +373,9 @@ impl Piece {
 /// `prior`, the previous revision's data of the same variant over the same
 /// signal list (so its endpoints line up with the merged ones). A moved
 /// row equals the row its shard would give: the merge rewrites exactly the
-/// slots that depend on the rest of the design.
+/// slots that depend on the rest of the design. The moved rows are
+/// reported as runs, adjacent signals' rows folded into one; a shard's
+/// rows have no origin, so a merge without prior data reports none.
 fn merge_pieces(
     variant: BogVariant,
     design_feats: Vec<f64>,
@@ -363,7 +383,8 @@ fn merge_pieces(
     mut prior: Option<&mut VariantData>,
     order: &mut Vec<usize>,
     rank_pct: &mut Vec<f64>,
-) -> VariantData {
+) -> (VariantData, Vec<RowMove>) {
+    let mut moves: Vec<RowMove> = Vec::new();
     let n_eps: usize = pieces.iter().map(Piece::endpoints).sum();
     let n_rows = prior.as_ref().map_or(0, |p| p.rows.len())
         + pieces
@@ -419,6 +440,15 @@ fn merge_pieces(
                 }
                 data.rows
                     .extend(prev.rows[first..end].iter_mut().map(std::mem::take));
+                let len = end - first;
+                match moves.last_mut() {
+                    Some(m) if m.from + m.len == first && m.to + m.len == row_base => m.len += len,
+                    _ => moves.push(RowMove {
+                        from: first,
+                        to: row_base,
+                        len,
+                    }),
+                }
             }
         }
     }
@@ -440,9 +470,9 @@ fn merge_pieces(
     }
     for row in &mut data.rows {
         row.features[0] = rank_pct[row.endpoint];
-        row.features[1..4].copy_from_slice(&data.design_feats[0..3]);
+        row.features[1..MERGED_SLOTS].copy_from_slice(&data.design_feats[0..MERGED_SLOTS - 1]);
     }
-    data
+    (data, moves)
 }
 
 /// One signal's canonical input-cone extraction and its two keys. The
@@ -561,6 +591,9 @@ pub(crate) struct FeaturizeOutput {
     pub variant_data: Vec<VariantData>,
     /// The cone extraction of every signal, in signal order.
     pub extractions: Vec<ConeExtraction>,
+    /// Per variant: the rows moved over from the prior revision (none
+    /// without one).
+    pub moves: Vec<Vec<RowMove>>,
     /// Where the shards came from.
     pub counts: ShardCounts,
 }
@@ -585,6 +618,7 @@ pub struct FeaturizeJob {
     vi: usize,
     sig: usize,
     done: Vec<VariantData>,
+    moves: Vec<Vec<RowMove>>,
     counts: ShardCounts,
 }
 
@@ -637,6 +671,7 @@ impl FeaturizeJob {
             vi: 0,
             sig: 0,
             done: Vec::with_capacity(BogVariant::ALL.len()),
+            moves: Vec::with_capacity(BogVariant::ALL.len()),
             counts: ShardCounts::default(),
         }
     }
@@ -715,14 +750,16 @@ impl FeaturizeJob {
                 design_features(&sog.to_variant(variant))
             };
             let prior = self.prior.as_mut().map(|p| &mut p.variant_data[self.vi]);
-            self.done.push(merge_pieces(
+            let (data, moves) = merge_pieces(
                 variant,
                 design_feats,
                 &self.scratch.pieces,
                 prior,
                 &mut self.scratch.order,
                 &mut self.scratch.rank_pct,
-            ));
+            );
+            self.done.push(data);
+            self.moves.push(moves);
             self.scratch.pieces.clear();
             self.once.clear();
             self.vi += 1;
@@ -789,6 +826,7 @@ impl FeaturizeJob {
         FeaturizeOutput {
             variant_data: self.done,
             extractions: self.extractions,
+            moves: self.moves,
             counts: self.counts,
         }
     }
@@ -930,14 +968,16 @@ mod tests {
                 })
                 .collect();
             let design_feats = design_features(&sog.to_variant(variant));
-            all.push(merge_pieces(
+            let (data, moves) = merge_pieces(
                 variant,
                 design_feats,
                 &pieces,
                 None,
                 &mut order,
                 &mut rank_pct,
-            ));
+            );
+            assert!(moves.is_empty(), "shard rows have no origin");
+            all.push(data);
         }
         all
     }

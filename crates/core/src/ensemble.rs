@@ -106,6 +106,11 @@ impl EnsembleModel {
         self.meta.predict_into(rows, out);
     }
 
+    /// The boosted meta-model.
+    pub(crate) fn forest(&self) -> &Gbdt {
+        &self.meta
+    }
+
     /// Split-count feature importance over
     /// [`META_FEATURE_NAMES`]-ordered features.
     pub fn feature_importance(&self) -> Vec<usize> {

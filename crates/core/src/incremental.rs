@@ -20,11 +20,14 @@
 //!
 //! The annotator also keeps the **last finished revision resident**: every
 //! signal's cone extraction and keys, the merged rows of all four
-//! variants, and the module keys the revision was built from. The next
-//! edit re-extracts only the cones it may have reached and moves every
-//! other signal's rows over instead of looking its shards up, so the
-//! per-edit work that scales with the design shrinks to the design-global
-//! passes (variant conversions, rank percentiles, predict, render).
+//! variants, the module keys the revision was built from, and its
+//! prediction — each path row's and endpoint's, with the split cells they
+//! were predicted from. The next edit re-extracts only the cones it may
+//! have reached and moves every other signal's rows over instead of
+//! looking its shards up, then re-walks the forests only for rows that
+//! are new or whose cells the edit moved, so the per-edit work that
+//! scales with the design shrinks to the design-global passes (variant
+//! conversions, rank percentiles, cell coding, render).
 //!
 //! The ground-truth label flow is deliberately **not** on this path: labels
 //! exist to train models, and an edited design has no ground truth until it
@@ -37,7 +40,10 @@
 use crate::annotate::annotate_source;
 use crate::cache::PrepareKeys;
 use crate::dataset::{ConeExtraction, FeaturizeJob, FeaturizeOutput, PriorRows, VariantData};
-use crate::pipeline::{design_seed, DesignData, Prediction, PrepareStages, RtlTimer, TimerConfig};
+use crate::pipeline::{
+    design_seed, DesignData, PredictCarry, PredictScratch, Prediction, PrepareStages, RtlTimer,
+    TimerConfig,
+};
 use rtlt_bog::{Bog, ConeExtractor, ConeMatch};
 use rtlt_liberty::Library;
 use rtlt_store::{ContentHash, Store};
@@ -70,6 +76,16 @@ pub struct ReannotateOutcome {
     pub resident_shards: u64,
     /// Total shards (signals × 4 representations).
     pub total_shards: u64,
+    /// Path rows this pass walked through the bit-wise forests (all four
+    /// representations); the rest kept the resident revision's
+    /// predictions.
+    pub walked_rows: u64,
+    /// Path rows of the pass (all four representations).
+    pub total_rows: u64,
+    /// Endpoints whose ensemble meta row this pass walked.
+    pub walked_endpoints: u64,
+    /// Endpoints of the pass.
+    pub total_endpoints: u64,
     /// The prediction behind the annotation (for reporting).
     pub prediction: Prediction,
 }
@@ -111,6 +127,9 @@ struct Resident {
     extractions: Vec<ConeExtraction>,
     /// The merged datasets, one per variant.
     variant_data: Vec<VariantData>,
+    /// The revision's prediction, row by row, with the cells it was made
+    /// from.
+    carry: PredictCarry,
 }
 
 impl std::fmt::Debug for Resident {
@@ -168,13 +187,14 @@ fn same_signals(old: &Bog, new: &Bog) -> bool {
 /// rewire a pass-through module no provenance names). Every other signal
 /// is extracted afresh, all through one [`ConeExtractor`]. Either way, a
 /// signal whose content key is unchanged moves its rows over instead of
-/// being looked up.
+/// being looked up. The resident prediction rides along, for the rows
+/// that move.
 fn carry_over(
     prev: Resident,
     sog: &Bog,
     keys: &BTreeMap<String, ContentHash>,
     provenance: &[Vec<String>],
-) -> (Vec<ConeExtraction>, PriorRows) {
+) -> (Vec<ConeExtraction>, PriorRows, PredictCarry) {
     let changed = changed_modules(&prev.module_keys, keys);
     let mut matcher = ConeMatch::new(&prev.sog, sog);
     let mut extractor = ConeExtractor::new(sog);
@@ -206,7 +226,7 @@ fn carry_over(
         variant_data: prev.variant_data,
         reuse,
     };
-    (extractions, prior)
+    (extractions, prior, prev.carry)
 }
 
 /// Driver of the edit → re-annotate loop for one design. `Clone` exists
@@ -287,7 +307,9 @@ impl IncrementalAnnotator {
     /// The job walks the whole design, as a cold pass would, when there is
     /// no usable resident revision: on the first pass, while another job
     /// of this session holds it, when the signal list changed, and for a
-    /// source without module keys. Every path produces the same bytes.
+    /// source without module keys. Its predict re-walks every row as well
+    /// when the resident prediction came from another model. Every path
+    /// produces the same bytes.
     ///
     /// # Errors
     ///
@@ -331,12 +353,12 @@ impl IncrementalAnnotator {
             .resident
             .take()
             .filter(|prev| !flat && same_signals(&prev.sog, &sog));
-        let (extractions, prior) = match resident {
+        let (extractions, prior, carry) = match resident {
             Some(prev) => {
-                let (extractions, prior) = carry_over(prev, &sog, &keys, &provenance);
-                (extractions, Some(prior))
+                let (extractions, prior, carry) = carry_over(prev, &sog, &keys, &provenance);
+                (extractions, Some(prior), Some(carry))
             }
-            None => (ConeExtraction::all(&sog), None),
+            None => (ConeExtraction::all(&sog), None, None),
         };
 
         // Featurize through the shard namespace against the pinned clock.
@@ -347,20 +369,23 @@ impl IncrementalAnnotator {
         // then runs against staged payloads instead of per-key latency.
         store.prefetch(&feat.shard_items(&sog));
         Ok(ReannotateJob {
-            name: self.name.clone(),
-            source: source.to_owned(),
-            clock: self.clock,
-            setup: self.setup,
-            seed,
-            synth_effort: self.cfg.synth_effort,
-            prepare_key: prepare_keys.featurize,
-            ast_feats: compiled.ast_feats.clone(),
-            sog,
+            revision: Revision {
+                name: self.name.clone(),
+                source: source.to_owned(),
+                clock: self.clock,
+                setup: self.setup,
+                seed,
+                synth_effort: self.cfg.synth_effort,
+                prepare_key: prepare_keys.featurize,
+                ast_feats: compiled.ast_feats.clone(),
+                sog,
+            },
             dirty_modules,
             dirty_cone_bound,
             lib: Library::pseudo_bog(),
             feat,
             slot: (!flat).then(|| self.resident.share()),
+            carry,
             module_keys: keys,
         })
     }
@@ -383,6 +408,24 @@ impl IncrementalAnnotator {
 /// this job).
 #[derive(Debug)]
 pub struct ReannotateJob {
+    revision: Revision,
+    dirty_modules: Vec<String>,
+    dirty_cone_bound: Vec<String>,
+    lib: Library,
+    feat: FeaturizeJob,
+    /// The session's resident slot (`None` for a flat source, which never
+    /// keeps its revision).
+    slot: Option<ResidentSlot>,
+    /// The resident revision's prediction, for the rows `feat` moves over
+    /// from it.
+    carry: Option<PredictCarry>,
+    /// Module keys of this revision, kept with it once resident.
+    module_keys: BTreeMap<String, ContentHash>,
+}
+
+/// Everything of an edited revision's [`DesignData`] but its rows.
+#[derive(Debug)]
+struct Revision {
     name: String,
     source: String,
     clock: f64,
@@ -392,22 +435,44 @@ pub struct ReannotateJob {
     prepare_key: ContentHash,
     ast_feats: Vec<f64>,
     sog: Bog,
-    dirty_modules: Vec<String>,
-    dirty_cone_bound: Vec<String>,
-    lib: Library,
-    feat: FeaturizeJob,
-    /// The session's resident slot (`None` for a flat source, which never
-    /// keeps its revision).
-    slot: Option<ResidentSlot>,
-    /// Module keys of this revision, kept with it once resident.
-    module_keys: BTreeMap<String, ContentHash>,
+}
+
+impl Revision {
+    /// The revision's design data over its merged rows. Pseudo labels: the
+    /// SOG pseudo-STA arrivals. Ground truth does not exist for an
+    /// unsynthesized edit; these only feed the labeled-endpoint count of
+    /// the WNS/TNS head and the (unused here) evaluation fields of the
+    /// prediction.
+    fn with_rows(self, variant_data: Vec<VariantData>) -> DesignData {
+        let labels_at: Arc<[f64]> = variant_data[0].endpoint_sta_at.as_slice().into();
+        let signal_names = crate::pipeline::signal_names_of(&self.sog);
+        DesignData {
+            name: self.name.as_str().into(),
+            source: self.source,
+            signal_names,
+            sog: self.sog,
+            variant_data,
+            labels_at,
+            clock: self.clock,
+            setup: self.setup,
+            wns: f64::NAN,
+            tns: f64::NAN,
+            area: f64::NAN,
+            power: f64::NAN,
+            ast_feats: self.ast_feats,
+            synth_seed: self.seed,
+            synth_effort: self.synth_effort,
+            prepare_key: self.prepare_key,
+        }
+    }
 }
 
 impl ReannotateJob {
     /// Evaluates up to `max_shards` more cone shards. Returns `true` once
     /// the pass is ready to [`ReannotateJob::finish`].
     pub fn step(&mut self, store: &Store, max_shards: usize) -> bool {
-        self.feat.step(store, &self.sog, &self.lib, max_shards)
+        self.feat
+            .step(store, &self.revision.sog, &self.lib, max_shards)
     }
 
     /// Total shards this pass evaluates (signals × variants).
@@ -426,49 +491,33 @@ impl ReannotateJob {
     }
 
     /// Assembles the design data, predicts, renders the annotated source,
-    /// and leaves this revision resident in its session. Panics if the job
-    /// was not stepped to completion. The shard counts are the job's own
-    /// (no store is consulted here).
+    /// and leaves this revision resident in its session. A session that
+    /// keeps its revision predicts through the resident prediction:
+    /// only rows the edit added, or whose split cells it moved, are
+    /// walked. Panics if the job was not stepped to completion. The shard
+    /// counts are the job's own (no store is consulted here).
     pub fn finish(self, model: &RtlTimer, _store: &Store) -> ReannotateOutcome {
         let FeaturizeOutput {
             variant_data,
             extractions,
+            moves,
             counts,
         } = self.feat.finish();
-        // Pseudo labels: the SOG pseudo-STA arrivals. Ground truth does not
-        // exist for an unsynthesized edit; these only feed the labeled-
-        // endpoint count of the WNS/TNS head and the (unused here)
-        // evaluation fields of the prediction.
-        let labels_at: Arc<[f64]> = variant_data[0].endpoint_sta_at.as_slice().into();
-        let total_shards = (self.sog.signals().len() * 4) as u64;
-        let signal_names = crate::pipeline::signal_names_of(&self.sog);
-        let d = DesignData {
-            name: self.name.as_str().into(),
-            source: self.source,
-            signal_names,
-            sog: self.sog,
-            variant_data,
-            labels_at,
-            clock: self.clock,
-            setup: self.setup,
-            wns: f64::NAN,
-            tns: f64::NAN,
-            area: f64::NAN,
-            power: f64::NAN,
-            ast_feats: self.ast_feats,
-            synth_seed: self.seed,
-            synth_effort: self.synth_effort,
-            prepare_key: self.prepare_key,
-        };
+        let total_shards = (self.revision.sog.signals().len() * 4) as u64;
+        let d = self.revision.with_rows(variant_data);
 
-        let prediction = model.predict(&d);
+        // A flat source keeps nothing, so it records nothing either.
+        let mut carry = self.slot.is_some().then(|| self.carry.unwrap_or_default());
+        let (prediction, walked) =
+            model.predict_carried(&d, &mut PredictScratch::default(), carry.as_mut(), &moves);
         let annotated = annotate_source(&d, &prediction);
-        if let Some(slot) = self.slot {
+        if let (Some(slot), Some(carry)) = (self.slot, carry) {
             slot.put(Resident {
                 sog: d.sog,
                 module_keys: self.module_keys,
                 extractions,
                 variant_data: d.variant_data,
+                carry,
             });
         }
 
@@ -480,6 +529,10 @@ impl ReannotateJob {
             reused_shards: counts.stored + counts.resident,
             resident_shards: counts.resident,
             total_shards,
+            walked_rows: walked.walked_rows,
+            total_rows: walked.total_rows,
+            walked_endpoints: walked.walked_endpoints,
+            total_endpoints: walked.total_endpoints,
             prediction,
         }
     }
@@ -560,6 +613,25 @@ endmodule"
         cold_twin(a)
             .reannotate(source, model, &Store::in_memory())
             .expect("cold pass")
+    }
+
+    /// A model fitted on `trainer` (top `hier_top`, renamed), prepared
+    /// through `store`.
+    fn fitted_on(trainer: &str, cfg: &TimerConfig, store: &Store) -> RtlTimer {
+        let sources = vec![("trainer".to_owned(), trainer.replace("hier_top", "trainer"))];
+        let set = DesignSet::prepare_named_with(&sources, cfg, store).unwrap();
+        let (train, _) = set.split(&[]);
+        RtlTimer::fit(&train, cfg)
+    }
+
+    /// `source` predicted cold: a job on an empty store with no resident
+    /// revision, its design data handed to [`RtlTimer::predict`].
+    fn cold_prediction(a: &IncrementalAnnotator, source: &str, model: &RtlTimer) -> Prediction {
+        let store = Store::in_memory();
+        let mut job = cold_twin(a).begin(source, &store).expect("cold pass");
+        while !job.step(&store, usize::MAX) {}
+        let d = job.revision.with_rows(job.feat.finish().variant_data);
+        model.predict(&d)
     }
 
     /// The resident revision's rows, field for field, against a cold
@@ -767,6 +839,13 @@ endmodule";
                     let out = annotator.reannotate(&source, &model, &store).unwrap();
                     let cold_out = cold(&annotator, &source, &model);
                     assert_eq!(out.annotated, cold_out.annotated, "revision {passes}");
+                    assert!(
+                        out.prediction.same_bits(&cold_out.prediction),
+                        "revision {passes}: prediction bits"
+                    );
+                    assert!(out
+                        .prediction
+                        .same_bits(&cold_prediction(&annotator, &source, &model)));
                     assert_eq!(
                         out.resident_shards > 0,
                         resident,
@@ -914,5 +993,164 @@ endmodule
         let out = annotator.reannotate(&base, &model, &store).unwrap();
         assert_eq!(out.resident_shards, 0);
         assert_eq!(out.annotated, cold(&annotator, &base, &model).annotated);
+    }
+
+    #[test]
+    fn a_model_switch_walks_every_row_once_then_carries_again() {
+        let (mut annotator, model_a, store, cfg, base) = session();
+        let model_b = fitted_on(&design("x & 8'd7"), &cfg, &store);
+        let walked = |o: &ReannotateOutcome| (o.walked_rows, o.walked_endpoints);
+        let all = |o: &ReannotateOutcome| (o.total_rows, o.total_endpoints);
+
+        let first = annotator.reannotate(&base, &model_a, &store).unwrap();
+        assert!(first.total_rows > 0 && first.total_endpoints > 0);
+        assert_eq!(walked(&first), all(&first), "nothing resident yet");
+        let again = annotator.reannotate(&base, &model_a, &store).unwrap();
+        assert_eq!(walked(&again), (0, 0), "every row moved with its cells");
+
+        let switched = annotator.reannotate(&base, &model_b, &store).unwrap();
+        assert_eq!(walked(&switched), all(&switched), "another model's carry");
+        let next = annotator.reannotate(&base, &model_b, &store).unwrap();
+        assert!(next.walked_rows < next.total_rows);
+        assert!(next
+            .prediction
+            .same_bits(&cold_prediction(&annotator, &base, &model_b)));
+
+        let edited = base.replace("x + 8'd3", "x + (x << 1)");
+        let out = annotator.reannotate(&edited, &model_b, &store).unwrap();
+        assert!(out.walked_rows < out.total_rows, "laneB's rows moved");
+        assert!(out
+            .prediction
+            .same_bits(&cold_prediction(&annotator, &edited, &model_b)));
+    }
+
+    /// A pass of a random edit stream: each `(kind, arg)` step rewrites
+    /// one lane from a small pool, reverts, shifts lines, adds a register,
+    /// breaks the source, notes a remote revision, or switches models.
+    fn apply_step(
+        (kind, arg): (usize, usize),
+        state: &mut StreamState,
+        annotator: &mut IncrementalAnnotator,
+    ) -> Option<String> {
+        const POOL: [&str; 8] = [
+            "x + 8'd3",
+            "x - 8'd1",
+            "x ^ (x >> 1)",
+            "x + (x << 1)",
+            "x & 8'd7",
+            "x | 8'd9",
+            "r + x",
+            "x - x",
+        ];
+        match kind {
+            0..=2 => state.lane_a = POOL[arg % POOL.len()],
+            3 | 4 => state.lane_b = POOL[arg % POOL.len()],
+            5 => *state = StreamState::base(state.model),
+            6 => state.shifted = !state.shifted,
+            7 => state.extra = !state.extra,
+            8 => return Some(state.source().replace("endmodule", "")),
+            9 => {
+                let remote = StreamState {
+                    lane_b: POOL[arg % POOL.len()],
+                    ..*state
+                };
+                annotator.note_revision(&remote.source());
+                return None;
+            }
+            _ => state.model = 1 - state.model,
+        }
+        Some(state.source())
+    }
+
+    /// The revision a random edit stream stands at.
+    #[derive(Clone, Copy)]
+    struct StreamState {
+        lane_a: &'static str,
+        lane_b: &'static str,
+        shifted: bool,
+        extra: bool,
+        model: usize,
+    }
+
+    impl StreamState {
+        fn base(model: usize) -> StreamState {
+            StreamState {
+                lane_a: "x + 8'd3",
+                lane_b: "x ^ (x >> 1)",
+                shifted: false,
+                extra: false,
+                model,
+            }
+        }
+
+        fn source(&self) -> String {
+            let mut a = if self.extra {
+                format!(
+                    "module laneA(input clk, input [7:0] x, output [7:0] y);
+  reg [7:0] r;
+  reg [7:0] extra;
+  always @(posedge clk) r <= {};
+  always @(posedge clk) extra <= r ^ x;
+  assign y = r ^ extra;
+endmodule",
+                    self.lane_a
+                )
+            } else {
+                lane("laneA", self.lane_a)
+            };
+            if self.shifted {
+                a = a.replacen("  assign y", "  // shifted\n  assign y", 1);
+            }
+            design_of(&a, &lane("laneB", self.lane_b))
+        }
+    }
+
+    /// One session and two models fitted on different trainers, shared by
+    /// every case of the stream property.
+    fn stream_fixture() -> &'static (IncrementalAnnotator, [RtlTimer; 2], Store) {
+        static FIXTURE: std::sync::OnceLock<(IncrementalAnnotator, [RtlTimer; 2], Store)> =
+            std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let (annotator, model, store, cfg, _) = session();
+            let other = fitted_on(&design("x & 8'd7"), &cfg, &store);
+            (annotator, [model, other], store)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
+
+        /// After every pass of a random edit stream, the prediction equals
+        /// a cold `RtlTimer::predict` of the revision bit for bit, however
+        /// many rows the pass carried.
+        #[test]
+        fn carried_predictions_match_a_cold_predict_over_random_edit_streams(
+            steps in proptest::collection::vec((0usize..11, 0usize..8), 1..9),
+        ) {
+            let (proto, models, store) = stream_fixture();
+            let mut annotator = proto.clone();
+            let mut state = StreamState::base(0);
+            for (i, &step) in steps.iter().enumerate() {
+                let Some(source) = apply_step(step, &mut state, &mut annotator) else {
+                    continue;
+                };
+                let model = &models[state.model];
+                match annotator.reannotate(&source, model, store) {
+                    Ok(out) => {
+                        let cold = cold_prediction(&annotator, &source, model);
+                        proptest::prop_assert!(
+                            out.prediction.same_bits(&cold),
+                            "step {} {:?}: {} of {} rows walked",
+                            i,
+                            step,
+                            out.walked_rows,
+                            out.total_rows
+                        );
+                        proptest::prop_assert!(out.walked_rows <= out.total_rows);
+                    }
+                    Err(_) => proptest::prop_assert!(step.0 == 8, "only the broken edit fails"),
+                }
+            }
+        }
     }
 }

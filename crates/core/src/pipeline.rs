@@ -12,19 +12,20 @@
 
 use crate::bitwise::{BitModelKind, BitwiseCorpus, BitwiseModel};
 use crate::cache::{model_key, stage, PrepareKeys};
-use crate::dataset::{FeaturizeScratch, VariantData};
+use crate::dataset::{FeaturizeScratch, RowMove, VariantData, MERGED_SLOTS};
 use crate::design::{design_row, direct_wns_tns, DesignTimingModel};
-use crate::ensemble::{meta_rows, meta_rows_into, EnsembleModel};
+use crate::ensemble::{meta_rows, meta_rows_into, EnsembleModel, META_FEATURE_NAMES};
 use crate::metrics;
 use crate::signal::{signal_labels, signal_rows, signal_rows_into, SignalModels};
 use rtlt_bog::{blast, Bog, SignalInfo};
 use rtlt_liberty::{CellFunc, Drive, Library};
-use rtlt_ml::FeatureMatrix;
+use rtlt_ml::{FeatureMatrix, Gbdt};
 use rtlt_store::{ContentHash, KeyBuilder, Store};
 use rtlt_synth::{synthesize, SynthOptions, SynthResult};
 use rtlt_verilog::ast::SourceFile;
 use rtlt_verilog::{modsrc, VerilogError};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Global pipeline configuration.
@@ -776,9 +777,16 @@ impl DesignSet {
     }
 }
 
+/// Source of [`RtlTimer`] ids: one per fitted or decoded stack.
+static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(1);
+
 /// The fitted RTL-Timer model stack.
 #[derive(Debug)]
 pub struct RtlTimer {
+    /// Names this stack among those the process fitted or decoded, so an
+    /// edit session never carries another stack's predictions (never
+    /// persisted; 0 is no stack's).
+    id: u64,
     pub(crate) bitwise: Vec<BitwiseModel>,
     pub(crate) ensemble: EnsembleModel,
     pub(crate) signal: SignalModels,
@@ -786,6 +794,22 @@ pub struct RtlTimer {
 }
 
 impl RtlTimer {
+    /// A stack of fitted or decoded parts, under a fresh id.
+    pub(crate) fn from_parts(
+        bitwise: Vec<BitwiseModel>,
+        ensemble: EnsembleModel,
+        signal: SignalModels,
+        design_timing: DesignTimingModel,
+    ) -> RtlTimer {
+        RtlTimer {
+            id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
+            bitwise,
+            ensemble,
+            signal,
+            design_timing,
+        }
+    }
+
     /// Fits the full stack on the given training designs.
     ///
     /// # Panics
@@ -816,8 +840,8 @@ impl RtlTimer {
                 .map(|v| {
                     bitwise[v].predict_endpoints_with(
                         &d.variant_data[v],
-                        &mut scratch.paths,
-                        &mut scratch.path_preds,
+                        &mut scratch.walk.gather,
+                        &mut scratch.walk.walked,
                     )
                 })
                 .collect();
@@ -868,12 +892,7 @@ impl RtlTimer {
             cfg.seed ^ 0xD,
         );
 
-        RtlTimer {
-            bitwise,
-            ensemble,
-            signal,
-            design_timing,
-        }
+        RtlTimer::from_parts(bitwise, ensemble, signal, design_timing)
     }
 
     /// [`RtlTimer::fit`] through the store: the fitted stack is memoized
@@ -918,19 +937,99 @@ impl RtlTimer {
     /// [`RtlTimer::predict`] with caller-owned scratch, so per-design
     /// prediction loops (cross-validation folds, table6 what-if sweeps)
     /// reuse one set of feature-matrix buffers instead of reallocating
-    /// them per call.
+    /// them per call. [`RtlTimer::predict_carried`] with no carry: every
+    /// row is walked, nothing is recorded.
     pub fn predict_with(&self, d: &DesignData, scratch: &mut PredictScratch) -> Prediction {
-        let variant_bit_preds: Vec<Vec<f64>> = (0..4)
-            .map(|v| {
-                self.bitwise[v].predict_endpoints_with(
-                    &d.variant_data[v],
-                    &mut scratch.paths,
-                    &mut scratch.path_preds,
-                )
-            })
-            .collect();
+        self.predict_carried(d, scratch, None, &[]).0
+    }
+
+    /// The one prediction routine. With a `carry`, it codes the rows into
+    /// split cells, re-walks only the rows an edit may have re-routed, and
+    /// leaves this prediction in `carry` for the next revision:
+    ///
+    /// - a path row that `moves[v]` brought over from the carried
+    ///   revision keeps its carried prediction when the cells of its
+    ///   merged slots (the only ones the merge rewrote) equal the carried
+    ///   ones; every other path row is walked;
+    /// - an endpoint keeps its carried meta prediction when the cells of
+    ///   all its meta features equal the carried ones (endpoints line up:
+    ///   a revision is carried only over an identical signal list);
+    /// - the signal and design heads are walked in full.
+    ///
+    /// A carry made by another stack counts as none, so every row is
+    /// walked. Group maxima are folded afresh in group order. Walked and
+    /// kept rows alike give the bits [`RtlTimer::predict`] gives.
+    pub(crate) fn predict_carried(
+        &self,
+        d: &DesignData,
+        scratch: &mut PredictScratch,
+        mut carry: Option<&mut PredictCarry>,
+        moves: &[Vec<RowMove>],
+    ) -> (Prediction, WalkCounts) {
+        let recording = carry.is_some();
+        let coded = |slots: usize| if recording { slots } else { 0 };
+        let prior = carry
+            .as_deref_mut()
+            .map(std::mem::take)
+            .filter(|p| p.model == self.id);
+        let mut next = PredictCarry {
+            model: self.id,
+            ..PredictCarry::default()
+        };
+        let mut counts = WalkCounts::default();
+
+        let mut variant_bit_preds = Vec::with_capacity(4);
+        for (v, data) in d.variant_data.iter().enumerate().take(4) {
+            let (forest, crit_only) = self.bitwise[v]
+                .forest()
+                .expect("an RtlTimer holds tree models only");
+            let rows = if recording {
+                next.rows.push(CarriedRows::default());
+                next.rows.last_mut().expect("just pushed")
+            } else {
+                &mut scratch.rows
+            };
+            counts.walked_rows += walk_rows(
+                forest,
+                data.rows.len(),
+                |r| &data.rows[r].features,
+                coded(MERGED_SLOTS),
+                moves.get(v).map_or(&[], Vec::as_slice),
+                prior.as_ref().and_then(|p| p.rows.get(v)),
+                rows,
+                &mut scratch.walk,
+            );
+            counts.total_rows += data.rows.len() as u64;
+            variant_bit_preds.push(group_maxima(&data.groups, &rows.pred, crit_only));
+        }
+
         meta_rows_into(&variant_bit_preds, &d.variant_data[0], &mut scratch.meta);
-        let bit_pred = self.ensemble.predict(&scratch.meta);
+        let n_eps = scratch.meta.n_rows();
+        let meta = if recording {
+            &mut next.meta
+        } else {
+            &mut scratch.rows
+        };
+        let meta_rows = &scratch.meta;
+        counts.walked_endpoints = walk_rows(
+            self.ensemble.forest(),
+            n_eps,
+            |e| meta_rows.row(e),
+            coded(META_FEATURE_NAMES.len()),
+            &[RowMove {
+                from: 0,
+                to: 0,
+                len: n_eps,
+            }],
+            prior
+                .as_ref()
+                .map(|p| &p.meta)
+                .filter(|m| m.pred.len() == n_eps),
+            meta,
+            &mut scratch.walk,
+        );
+        counts.total_endpoints = n_eps as u64;
+        let bit_pred = meta.pred.clone();
 
         signal_rows_into(
             &bit_pred,
@@ -946,7 +1045,10 @@ impl RtlTimer {
         let (wns_pred, tns_pred) = self.design_timing.predict(&drow, n_eps);
         let (wns_direct, tns_direct) = direct_wns_tns(&bit_pred, d.clock, d.setup);
 
-        Prediction {
+        if let Some(carry) = carry {
+            *carry = next;
+        }
+        let prediction = Prediction {
             design: d.name.clone(),
             bit_pred,
             bit_label: d.labels_at.clone(),
@@ -963,19 +1065,155 @@ impl RtlTimer {
             tns_label: d.tns,
             clock: d.clock,
             setup: d.setup,
-        }
+        };
+        (prediction, counts)
     }
 }
 
-/// Reusable buffers for [`RtlTimer::predict_with`]: one path-row matrix,
-/// one path-prediction vector, one meta-row matrix and one signal-row
-/// matrix, all retained across designs.
+/// Reusable buffers for [`RtlTimer::predict_with`]: the walk's gather
+/// matrix and buffers, one row-prediction vector, one meta-row matrix and
+/// one signal-row matrix, all retained across designs.
 #[derive(Debug, Default)]
 pub struct PredictScratch {
-    pub(crate) paths: FeatureMatrix,
-    pub(crate) path_preds: Vec<f64>,
+    pub(crate) walk: WalkScratch,
+    rows: CarriedRows,
     pub(crate) meta: FeatureMatrix,
     pub(crate) signals: FeatureMatrix,
+}
+
+/// Buffers of one [`walk_rows`] call.
+#[derive(Debug, Default)]
+pub(crate) struct WalkScratch {
+    /// The rows to walk, gathered.
+    pub(crate) gather: FeatureMatrix,
+    /// Their predictions.
+    pub(crate) walked: Vec<f64>,
+    /// Per row: whether it keeps its carried prediction.
+    keep: Vec<bool>,
+}
+
+/// What an edit session keeps of its last prediction, beside the rows it
+/// was made from: per variant each path row's prediction and the cells of
+/// its merged slots, per endpoint the cells of its meta row and its meta
+/// prediction, and the stack that made them. Derived, never persisted.
+#[derive(Debug, Default)]
+pub(crate) struct PredictCarry {
+    /// The [`RtlTimer`] id that made it.
+    model: u64,
+    /// Per variant, one entry per path row.
+    rows: Vec<CarriedRows>,
+    /// One entry per endpoint.
+    meta: CarriedRows,
+}
+
+/// One forest's rows as last walked or kept: the cells of each row's
+/// coded slots (row-major, empty when nothing was coded) and its
+/// prediction.
+#[derive(Debug, Default)]
+pub(crate) struct CarriedRows {
+    cells: Vec<u32>,
+    pred: Vec<f64>,
+}
+
+/// Rows [`RtlTimer::predict_carried`] walked through the forests, against
+/// the rows it predicted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WalkCounts {
+    /// Path rows walked, all four variants.
+    pub walked_rows: u64,
+    /// Path rows, all four variants.
+    pub total_rows: u64,
+    /// Endpoint meta rows walked.
+    pub walked_endpoints: u64,
+    /// Endpoint meta rows.
+    pub total_endpoints: u64,
+}
+
+/// Predicts rows `0..n` (`row(i)` gives row `i`'s features) through
+/// `forest` into `next.pred` and returns how many it walked. With
+/// `coded > 0` it codes slots `0..coded` of every row into `next.cells`,
+/// and a row a `moves` run brought over from `prior` keeps its prior
+/// prediction when its coded cells equal the prior ones. Every other row
+/// is gathered and walked through the flat kernel.
+#[allow(clippy::too_many_arguments)]
+fn walk_rows<'a>(
+    forest: &Gbdt,
+    n: usize,
+    row: impl Fn(usize) -> &'a [f64],
+    coded: usize,
+    moves: &[RowMove],
+    prior: Option<&CarriedRows>,
+    next: &mut CarriedRows,
+    scratch: &mut WalkScratch,
+) -> u64 {
+    next.cells.clear();
+    next.pred.clear();
+    if n == 0 {
+        return 0;
+    }
+    next.pred.resize(n, 0.0);
+    let keep = &mut scratch.keep;
+    keep.clear();
+    keep.resize(n, false);
+    if coded > 0 {
+        let cells = forest.cells();
+        next.cells.reserve(n * coded);
+        for i in 0..n {
+            let x = row(i);
+            next.cells.extend((0..coded).map(|f| cells.cell(f, x[f])));
+        }
+        if let Some(prior) = prior.filter(|p| p.cells.len() == p.pred.len() * coded) {
+            for m in moves {
+                let was = &prior.cells[m.from * coded..(m.from + m.len) * coded];
+                let now = &next.cells[m.to * coded..(m.to + m.len) * coded];
+                for (k, (a, b)) in was
+                    .chunks_exact(coded)
+                    .zip(now.chunks_exact(coded))
+                    .enumerate()
+                {
+                    if a == b {
+                        keep[m.to + k] = true;
+                        next.pred[m.to + k] = prior.pred[m.from + k];
+                    }
+                }
+            }
+        }
+    }
+    let gather = &mut scratch.gather;
+    gather.reset(row(0).len());
+    for i in (0..n).filter(|&i| !keep[i]) {
+        gather.push_row(row(i));
+    }
+    let walked = gather.n_rows();
+    if walked == n {
+        forest.predict_into(gather, &mut next.pred);
+    } else {
+        forest.predict_into(gather, &mut scratch.walked);
+        let mut preds = scratch.walked.iter();
+        for i in (0..n).filter(|&i| !keep[i]) {
+            next.pred[i] = *preds.next().expect("one prediction per gathered row");
+        }
+    }
+    walked as u64
+}
+
+/// Per group, the max of the row predictions it reads — all its rows, or
+/// with `crit_only` its critical (first) row — folded in group order; an
+/// empty group predicts 0.
+fn group_maxima(groups: &[Vec<usize>], pred: &[f64], crit_only: bool) -> Vec<f64> {
+    groups
+        .iter()
+        .map(|group| {
+            if group.is_empty() {
+                return 0.0;
+            }
+            let take = if crit_only { 1 } else { group.len() };
+            group[..take]
+                .iter()
+                .map(|&r| pred[r])
+                .fold(f64::MIN, f64::max)
+        })
+        .collect()
 }
 
 /// Prediction output for one design, bundled with labels for evaluation.
@@ -1020,6 +1258,26 @@ pub struct Prediction {
 }
 
 impl Prediction {
+    /// Whether every predicted number equals `other`'s bit for bit: the
+    /// ensembled, per-variant and signal-wise predictions, the ranking
+    /// scores and the WNS/TNS heads. Rendered slacks round to two
+    /// decimals, so comparing annotations alone would hide a last-bit
+    /// drift.
+    pub fn same_bits(&self, other: &Prediction) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let heads = |p: &Prediction| [p.wns_pred, p.tns_pred, p.wns_direct, p.tns_direct];
+        same(&self.bit_pred, &other.bit_pred)
+            && self.variant_bit_preds.len() == other.variant_bit_preds.len()
+            && (self.variant_bit_preds.iter())
+                .zip(&other.variant_bit_preds)
+                .all(|(a, b)| same(a, b))
+            && same(&self.signal_pred, &other.signal_pred)
+            && same(&self.signal_rank_score, &other.signal_rank_score)
+            && same(&heads(self), &heads(other))
+    }
+
     fn finite_pairs(pred: &[f64], label: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let mut p = Vec::new();
         let mut l = Vec::new();
@@ -1344,10 +1602,19 @@ endmodule";
         let decoded = RtlTimer::from_bytes(&m1.to_bytes()).expect("model round trip");
         let a = m1.predict(test[0]);
         let b = decoded.predict(test[0]);
-        assert_eq!(a.bit_pred, b.bit_pred);
-        assert_eq!(a.signal_pred, b.signal_pred);
-        assert_eq!(a.signal_rank_score, b.signal_rank_score);
-        assert_eq!((a.wns_pred, a.tns_pred), (b.wns_pred, b.tns_pred));
+        assert!(a.same_bits(&b));
+
+        // A stack short of one bit-wise model per representation is a
+        // corrupt entry, not a stack that panics in predict.
+        let mut e = rtlt_store::Enc::new();
+        e.seq_len(3);
+        for m in &m1.bitwise[..3] {
+            m.encode(&mut e);
+        }
+        m1.ensemble.encode(&mut e);
+        m1.signal.encode(&mut e);
+        m1.design_timing.encode(&mut e);
+        assert!(RtlTimer::from_bytes(&e.into_bytes()).is_err());
 
         // Different train sets / seeds key differently; order does not.
         let (train_b, _) = set.split(&["d0"]);

@@ -1,11 +1,13 @@
 //! Gradient-boosted decision trees with pluggable objectives.
 
+use crate::cells::SplitCells;
 use crate::flat::FlatForest;
 use crate::matrix::FeatureMatrix;
 use crate::tree::{Binner, Tree, TreeParams, TreeScratch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// Boosting hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,6 +125,9 @@ pub struct Gbdt {
     /// SoA inference kernel, derived from `trees` at fit/decode time —
     /// never persisted (the `model` namespace bytes are unchanged).
     flat: FlatForest,
+    /// Split cells, derived from `trees` on first use (edit sessions
+    /// only; fits and cold predicts never build them) — never persisted.
+    cells: OnceLock<SplitCells>,
 }
 
 impl Gbdt {
@@ -180,6 +185,7 @@ impl Gbdt {
             trees,
             n_features,
             flat,
+            cells: OnceLock::new(),
         }
     }
 
@@ -206,6 +212,13 @@ impl Gbdt {
         out
     }
 
+    /// The forest's split cells (built on the first call): rows whose
+    /// cells agree on every feature predict the same bits.
+    pub fn cells(&self) -> &SplitCells {
+        self.cells
+            .get_or_init(|| SplitCells::of(&self.trees, self.n_features))
+    }
+
     /// Split counts per feature (simple importance metric).
     pub fn feature_importance(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_features];
@@ -225,7 +238,9 @@ impl Gbdt {
 
 /// Inference needs only raw split thresholds (the training-time binner is
 /// deliberately not persisted), so a decoded ensemble predicts identically
-/// to the fitted one.
+/// to the fitted one. Decode rejects a split on a feature the ensemble
+/// does not have (the tree codec rejects malformed node arenas), so a
+/// corrupt entry is recomputed instead of panicking in predict.
 impl rtlt_store::Codec for Gbdt {
     fn encode(&self, e: &mut rtlt_store::Enc) {
         e.f64(self.base);
@@ -238,6 +253,12 @@ impl rtlt_store::Codec for Gbdt {
         let learning_rate = d.f64()?;
         let trees: Vec<Tree> = Vec::decode(d)?;
         let n_features = d.usize()?;
+        if trees
+            .iter()
+            .any(|t| t.split_features().into_iter().any(|f| f >= n_features))
+        {
+            return Err(rtlt_store::CodecError::new("GBDT split feature"));
+        }
         let flat = FlatForest::from_trees(&trees, base, learning_rate);
         Ok(Gbdt {
             base,
@@ -245,6 +266,7 @@ impl rtlt_store::Codec for Gbdt {
             trees,
             n_features,
             flat,
+            cells: OnceLock::new(),
         })
     }
 }
@@ -409,6 +431,96 @@ mod tests {
         );
         let imp = model.feature_importance();
         assert!(imp[1] > imp[0], "{imp:?}");
+    }
+
+    /// One node as the tree codec writes it, `bin` as its raw `u32`.
+    enum RawNode {
+        Leaf(f64),
+        /// `(feature, threshold, bin, left, right)`.
+        Split(usize, f64, u32, usize, usize),
+    }
+
+    /// The codec bytes of a forest over hand-made node arenas.
+    fn forest_bytes(n_features: usize, trees: &[&[RawNode]]) -> Vec<u8> {
+        let mut e = rtlt_store::Enc::new();
+        e.f64(0.25);
+        e.f64(0.5);
+        e.seq_len(trees.len());
+        for nodes in trees {
+            e.seq_len(nodes.len());
+            for node in *nodes {
+                match *node {
+                    RawNode::Leaf(value) => {
+                        e.u8(0);
+                        e.f64(value);
+                    }
+                    RawNode::Split(feature, threshold, bin, left, right) => {
+                        e.u8(1);
+                        e.usize(feature);
+                        e.f64(threshold);
+                        e.u32(bin);
+                        e.usize(left);
+                        e.usize(right);
+                    }
+                }
+            }
+        }
+        e.usize(n_features);
+        e.into_bytes()
+    }
+
+    const STUMP: &[RawNode] = &[
+        RawNode::Split(1, 0.5, 3, 1, 2),
+        RawNode::Leaf(-1.0),
+        RawNode::Leaf(1.0),
+    ];
+
+    #[test]
+    fn a_well_formed_hand_made_forest_decodes_and_predicts() {
+        use rtlt_store::Codec;
+        let model = Gbdt::from_bytes(&forest_bytes(2, &[STUMP])).expect("valid forest");
+        assert_eq!(model.predict(&[9.0, 0.5]), 0.25 - 0.5);
+        assert_eq!(model.predict(&[9.0, f64::NAN]), 0.25 + 0.5);
+    }
+
+    #[test]
+    fn decode_rejects_an_empty_tree() {
+        use rtlt_store::Codec;
+        assert!(Gbdt::from_bytes(&forest_bytes(2, &[STUMP, &[]])).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_child_out_of_order_or_range() {
+        use rtlt_store::Codec;
+        for (left, right) in [(1, 3), (1, 0), (0, 2), (1, usize::MAX)] {
+            let tree = [
+                RawNode::Split(0, 0.5, 3, left, right),
+                RawNode::Leaf(-1.0),
+                RawNode::Leaf(1.0),
+            ];
+            let bytes = forest_bytes(2, &[&tree]);
+            assert!(
+                Gbdt::from_bytes(&bytes).is_err(),
+                "children {left}, {right}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_split_on_a_missing_feature() {
+        use rtlt_store::Codec;
+        assert!(Gbdt::from_bytes(&forest_bytes(1, &[STUMP])).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_bin_above_u16() {
+        use rtlt_store::Codec;
+        let tree = [
+            RawNode::Split(0, 0.5, u16::MAX as u32 + 1, 1, 2),
+            RawNode::Leaf(-1.0),
+            RawNode::Leaf(1.0),
+        ];
+        assert!(Gbdt::from_bytes(&forest_bytes(2, &[&tree])).is_err());
     }
 
     /// Training values on a coarse grid, so bin edges (= split thresholds)

@@ -21,6 +21,7 @@
 //! Everything is deterministic given a seed.
 
 mod attention;
+mod cells;
 mod flat;
 mod gbdt;
 mod gnn;
@@ -31,6 +32,7 @@ mod scaler;
 mod tree;
 
 pub use attention::{PathSample, PathTransformer, TransformerParams};
+pub use cells::SplitCells;
 pub use flat::{FlatForest, ROW_BLOCK};
 pub use gbdt::{Gbdt, GbdtParams, GroupedMaxObjective, Objective, SquaredObjective};
 pub use gnn::{Gnn, GnnGraph, GnnParams};

@@ -534,7 +534,8 @@ impl rtlt_store::Codec for Node {
             1 => Node::Split {
                 feature: d.usize()?,
                 threshold: d.f64()?,
-                bin: d.u32()? as u16,
+                bin: u16::try_from(d.u32()?)
+                    .map_err(|_| rtlt_store::CodecError::new("tree split bin above u16::MAX"))?,
                 left: d.usize()?,
                 right: d.usize()?,
             },
@@ -547,10 +548,23 @@ impl rtlt_store::Codec for Tree {
     fn encode(&self, e: &mut rtlt_store::Enc) {
         self.nodes.encode(e);
     }
+    /// Rejects arenas the walks cannot take: an empty tree, and a child
+    /// that is not after its parent or not in the tree. Fit pushes parents
+    /// before their children, and the flat kernel's reverse depth sweep
+    /// relies on it; a `model` entry may come from a remote store.
     fn decode(d: &mut rtlt_store::Dec<'_>) -> Result<Self, rtlt_store::CodecError> {
-        Ok(Tree {
-            nodes: Vec::decode(d)?,
-        })
+        let nodes: Vec<Node> = Vec::decode(d)?;
+        if nodes.is_empty() {
+            return Err(rtlt_store::CodecError::new("tree without nodes"));
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            if let Node::Split { left, right, .. } = *node {
+                if [left, right].iter().any(|&c| c <= i || c >= nodes.len()) {
+                    return Err(rtlt_store::CodecError::new("tree child index"));
+                }
+            }
+        }
+        Ok(Tree { nodes })
     }
 }
 

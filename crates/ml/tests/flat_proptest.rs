@@ -3,13 +3,16 @@
 //! feature values (signed zeros, denormals, infinities, NaNs, and values
 //! exactly equal to split thresholds), and a decoded ensemble must
 //! rebuild a flat kernel that predicts bit-identically to the fitted one.
+//! The split cells an edit session codes rows with must be exact on the
+//! same values: rows whose cells agree predict the same bits.
 
 use proptest::prelude::*;
 use proptest::strategy::Union;
 use rtlt_ml::{
-    Binner, FeatureMatrix, FlatForest, Gbdt, GbdtParams, SquaredObjective, Tree, TreeParams,
+    Binner, FeatureMatrix, FlatForest, Gbdt, GbdtParams, GroupedMaxObjective, SplitCells,
+    SquaredObjective, Tree, TreeParams,
 };
-use rtlt_store::Codec;
+use rtlt_store::{Codec, Enc};
 
 /// Finite training features on a coarse grid plus a continuous band: the
 /// grid guarantees repeated values, so bin edges (= split thresholds)
@@ -174,4 +177,181 @@ proptest! {
             prop_assert_eq!(back.predict(row).to_bits(), want[i].to_bits());
         }
     }
+}
+
+/// A forest fitted through [`Gbdt::fit`] on `train`, under the grouped
+/// max-loss (groups of three rows) or plain squared error.
+fn fitted(train: &FeatureMatrix, grouped: bool, seed: u64) -> Gbdt {
+    let y: Vec<f64> = train.rows().map(|r| r.iter().sum::<f64>()).collect();
+    let params = GbdtParams {
+        n_trees: 8,
+        max_bins: 16,
+        seed,
+        ..GbdtParams::default()
+    };
+    if grouped {
+        let groups: Vec<Vec<usize>> = (0..y.len())
+            .collect::<Vec<_>>()
+            .chunks(3)
+            .map(<[usize]>::to_vec)
+            .collect();
+        let targets = groups
+            .iter()
+            .map(|g| g.iter().map(|&r| y[r]).fold(f64::MIN, f64::max))
+            .collect();
+        Gbdt::fit(train, &GroupedMaxObjective { groups, targets }, &params)
+    } else {
+        Gbdt::fit(train, &SquaredObjective { targets: y }, &params)
+    }
+}
+
+/// Every threshold of every feature with its neighbours one bit pattern
+/// away on either side (the closest values that can fall in another
+/// cell).
+fn threshold_neighbours(cells: &SplitCells) -> Vec<f64> {
+    let mut out = Vec::new();
+    for f in 0..cells.n_features() {
+        for &t in cells.thresholds(f) {
+            let bits = t.to_bits();
+            out.extend([
+                t,
+                f64::from_bits(bits.wrapping_add(1)),
+                f64::from_bits(bits.wrapping_sub(1)),
+            ]);
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Pairs of rows that agree on every feature's cell but not on their
+    /// values (NaN payloads, ±0, ±∞, subnormals, values on and one bit
+    /// beside a threshold) predict the same bits, per row and batched.
+    #[test]
+    fn rows_with_equal_cells_predict_the_same_bits(
+        train_vals in proptest::collection::vec(training_f64(), 24..120),
+        row_vals in proptest::collection::vec(adversarial_f64(), 0..192),
+        other_vals in proptest::collection::vec(adversarial_f64(), 0..96),
+        n_cols in 1usize..4,
+        grouped in 0usize..2,
+        seed in 0u64..1024,
+        pick in 0usize..4096,
+    ) {
+        let train = matrix_of(&train_vals, n_cols);
+        let model = fitted(&train, grouped == 1, seed);
+        let cells = model.cells();
+        prop_assert_eq!(cells.n_features(), n_cols);
+        let mut pool = other_vals.clone();
+        pool.extend(threshold_neighbours(cells));
+        pool.extend(train_vals.iter().copied());
+
+        let xs = matrix_of(&row_vals, n_cols);
+        let mut ys = FeatureMatrix::new(n_cols);
+        for (i, x) in xs.rows().enumerate() {
+            // Per feature, another value of the same cell when the pool
+            // has one, scanned from a drawn offset.
+            let y: Vec<f64> = x
+                .iter()
+                .enumerate()
+                .map(|(f, &v)| {
+                    let c = cells.cell(f, v);
+                    let n = pool.len().max(1);
+                    (0..pool.len())
+                        .map(|k| pool[(pick + i * 7 + k) % n])
+                        .find(|&w| cells.cell(f, w) == c && w.to_bits() != v.to_bits())
+                        .unwrap_or(v)
+                })
+                .collect();
+            prop_assert_eq!(model.predict(&y).to_bits(), model.predict(x).to_bits());
+            ys.push_row(&y);
+        }
+        let (px, py) = (model.predict_all(&xs), model.predict_all(&ys));
+        for (a, b) in px.iter().zip(&py) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// Cells are monotone in the value, NaN takes the top cell, a value
+    /// on `t_k` falls in cell `k`, and `v <= t_k` exactly when
+    /// `cell(v) <= k` — the property the walk's routing rests on.
+    #[test]
+    fn cells_are_monotone_and_route_like_the_thresholds(
+        train_vals in proptest::collection::vec(training_f64(), 24..120),
+        probe_vals in proptest::collection::vec(adversarial_f64(), 0..128),
+        n_cols in 1usize..4,
+        grouped in 0usize..2,
+        seed in 0u64..1024,
+    ) {
+        let train = matrix_of(&train_vals, n_cols);
+        let model = fitted(&train, grouped == 1, seed);
+        let cells = model.cells();
+        let mut probes = probe_vals.clone();
+        probes.extend(threshold_neighbours(cells));
+        probes.extend([0.0, -0.0]);
+        for f in 0..n_cols {
+            let ts = cells.thresholds(f);
+            prop_assert!(ts.iter().all(|t| !t.is_nan()));
+            prop_assert!(ts.windows(2).all(|w| w[0] < w[1]), "ascending, deduplicated");
+            prop_assert_eq!(cells.cell(f, f64::NAN) as usize, ts.len());
+            prop_assert_eq!(cells.cell(f, 0.0), cells.cell(f, -0.0));
+            for (k, &t) in ts.iter().enumerate() {
+                prop_assert_eq!(cells.cell(f, t) as usize, k);
+            }
+            let mut sorted: Vec<f64> = probes.iter().copied().filter(|v| !v.is_nan()).collect();
+            sorted.sort_by(f64::total_cmp);
+            for w in sorted.windows(2) {
+                prop_assert!(cells.cell(f, w[0]) <= cells.cell(f, w[1]), "{} {}", w[0], w[1]);
+            }
+            for &v in &probes {
+                let c = cells.cell(f, v) as usize;
+                for (k, &t) in ts.iter().enumerate() {
+                    prop_assert!((v <= t) == (c <= k), "value {} threshold {}", v, t);
+                }
+            }
+        }
+    }
+}
+
+/// A decoded forest whose splits use a NaN threshold and duplicate `±0`
+/// thresholds builds its cell table without panicking: the NaN threshold
+/// is left out, the zeros collapse into one, and rows in one cell predict
+/// the same bits.
+#[test]
+fn a_decoded_forest_with_nan_and_signed_zero_thresholds_builds_its_cells() {
+    // Each tree: one split on feature 0 at `t`, leaves -1 / +1.
+    let thresholds = [f64::NAN, -0.0, 0.0, 0.0, 1.0, -0.0];
+    let mut e = Enc::new();
+    e.f64(0.0);
+    e.f64(1.0);
+    e.seq_len(thresholds.len());
+    for (i, &t) in thresholds.iter().enumerate() {
+        e.seq_len(3);
+        e.u8(1);
+        e.usize(0);
+        e.f64(t);
+        e.u32(i as u32);
+        e.usize(1);
+        e.usize(2);
+        for leaf in [-1.0, 1.0 + i as f64] {
+            e.u8(0);
+            e.f64(leaf);
+        }
+    }
+    e.usize(1);
+    let model = Gbdt::from_bytes(&e.into_bytes()).expect("a well-formed forest");
+    let cells = model.cells();
+    assert_eq!(cells.thresholds(0), &[0.0, 1.0]);
+    assert_eq!(cells.cell(0, -0.0), 0);
+    assert_eq!(cells.cell(0, 0.0), 0);
+    assert_eq!(cells.cell(0, 0.5), 1);
+    assert_eq!(cells.cell(0, f64::NAN), 2);
+    assert_eq!(cells.cell(0, f64::INFINITY), 2);
+    let bits = |v: f64| model.predict(&[v]).to_bits();
+    assert_eq!(bits(-0.0), bits(0.0));
+    assert_eq!(bits(f64::NEG_INFINITY), bits(-5e-324));
+    assert_eq!(bits(1.0), bits(0.75));
+    assert_eq!(bits(f64::NAN), bits(f64::INFINITY));
+    assert_eq!(bits(f64::from_bits(0xFFF8_0000_0000_0001)), bits(2.0));
 }

@@ -53,10 +53,14 @@ case "$job" in
   # module, then stream edits to three more lanes and a revert to the base
   # through the same session. --selfcheck asserts that only the edited
   # module's cones recompute, that every revision is byte-identical to a
-  # cold recompute, and that each streamed edit reuses the resident
-  # revision; the bin exits non-zero if any of that breaks. The median warm
-  # edit (edit_ms_p50) is then gated against warm_edit_ms in the committed
-  # baseline with the perf gate's 25 % slack.
+  # cold recompute (its prediction bit for bit), and that each streamed
+  # edit reuses the resident revision; the bin exits non-zero if any of
+  # that breaks. The median warm edit (edit_ms_p50) is then gated against
+  # warm_edit_ms in the committed baseline with the perf gate's 25 % slack,
+  # and the path rows an edit re-walks through the forests are held to 5 %
+  # of total_rows per edited lane (the first edit, and the worst streamed
+  # edit, whose revert edits four lanes at once): a silent fallback to
+  # walking the whole design fails here.
   incremental-annotation)
     cd "$SMOKE_TMP"
     RTLT_FAST=1 "$BIN_DIR/annotate" --selfcheck --cache-dir "$SMOKE_TMP/rtlt-cache"
@@ -65,11 +69,16 @@ case "$job" in
     begin_ms=$(json_num begin_ms_p50 BENCH_annotate.json)
     step_ms=$(json_num step_ms_p50 BENCH_annotate.json)
     finish_ms=$(json_num finish_ms_p50 BENCH_annotate.json)
+    walked=$(json_num walked_rows BENCH_annotate.json)
+    stream_walked=$(json_num stream_walked_rows_per_lane_max BENCH_annotate.json)
+    rows=$(json_num total_rows BENCH_annotate.json)
     base_edit=$(json_num warm_edit_ms "$REPO_ROOT/ci/bench-baseline.json")
-    summary="warm edit p50 ${edit_ms}ms (begin ${begin_ms} + step ${step_ms} + finish ${finish_ms} ms; baseline ${base_edit}ms, limit $(awk -v b="$base_edit" 'BEGIN{printf "%.1f", b*1.25}')ms)"
+    summary="warm edit p50 ${edit_ms}ms (begin ${begin_ms} + step ${step_ms} + finish ${finish_ms} ms; baseline ${base_edit}ms, limit $(awk -v b="$base_edit" 'BEGIN{printf "%.1f", b*1.25}')ms); re-walked ${walked} rows on the first edit, at most ${stream_walked} per lane of a streamed edit, of ${rows} (limit 5 %)"
     echo "$summary"
     echo "$summary" >> "${GITHUB_STEP_SUMMARY:-/dev/null}"
     awk -v e="$edit_ms" -v b="$base_edit" 'BEGIN { exit !(e > 0 && e <= b * 1.25) }'
+    awk -v w="$walked" -v s="$stream_walked" -v n="$rows" \
+      'BEGIN { exit !(n > 0 && w <= 0.05 * n && s <= 0.05 * n) }'
     ;;
 
   # Live annotation service smoke: start `annotate --serve`, drive one
