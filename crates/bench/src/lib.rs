@@ -691,11 +691,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats a float with 3 decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// Formats a percentage with 1 decimal.
 pub fn pct(x: f64) -> String {
     format!("{x:.1}")

@@ -356,12 +356,6 @@ impl SessionClient {
         }
     }
 
-    /// Whether the breaker has tripped: after that every call returns
-    /// `None` without touching the network.
-    pub fn is_down(&self) -> bool {
-        self.conn.is_down()
-    }
-
     /// Wire turnarounds paid so far (write→read transitions).
     pub fn round_trips(&self) -> u64 {
         self.conn.round_trips()
@@ -498,12 +492,6 @@ impl LiveAnnotator {
             local: IncrementalAnnotator::new(base, cfg),
             client: Some(SessionClient::new(addr, &base.name)),
         }
-    }
-
-    /// Whether the remote session is still usable (configured and the
-    /// breaker has not tripped).
-    pub fn remote_active(&self) -> bool {
-        self.client.as_ref().is_some_and(|c| !c.is_down())
     }
 
     /// Re-annotates `source` — remotely in one EDIT→ANNOTATE round trip

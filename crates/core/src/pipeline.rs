@@ -830,11 +830,12 @@ impl RtlTimer {
             })
             .collect();
 
-        // 2. Ensemble meta-model over the per-variant predictions.
+        // 2. Ensemble meta-model over the per-variant predictions. Each
+        // design's meta rows are kept for step 3.
         let mut scratch = PredictScratch::default();
         let mut meta_feat = FeatureMatrix::new(crate::ensemble::META_FEATURE_NAMES.len());
         let mut meta_label = Vec::new();
-        let mut per_design_bits: Vec<Vec<f64>> = Vec::new();
+        let mut design_meta = Vec::with_capacity(train.len());
         for d in train {
             let preds: Vec<Vec<f64>> = (0..4)
                 .map(|v| {
@@ -845,14 +846,14 @@ impl RtlTimer {
                     )
                 })
                 .collect();
-            meta_rows_into(&preds, &d.variant_data[0], &mut scratch.meta);
-            for (e, row) in scratch.meta.rows().enumerate() {
+            let meta = meta_rows(&preds, &d.variant_data[0]);
+            for (e, row) in meta.rows().enumerate() {
                 if d.labels_at[e].is_finite() {
                     meta_feat.push_row(row);
                     meta_label.push(d.labels_at[e]);
                 }
             }
-            per_design_bits.push(preds.into_iter().next().expect("sog preds"));
+            design_meta.push(meta);
         }
         let ensemble = EnsembleModel::fit(&meta_feat, &meta_label, cfg.seed ^ 0xE);
 
@@ -862,8 +863,8 @@ impl RtlTimer {
         let mut wns_labels = Vec::new();
         let mut tns_labels = Vec::new();
         let mut ep_counts = Vec::new();
-        for d in train {
-            let bits = Self::ensemble_bits(&bitwise, &ensemble, d);
+        for (d, meta) in train.iter().zip(&design_meta) {
+            let bits = ensemble.predict(meta);
             let srows = signal_rows(
                 &bits,
                 &d.variant_data[0].endpoint_sta_at,
@@ -907,25 +908,6 @@ impl RtlTimer {
     pub fn fit_with(store: &Store, train: &[&DesignData], cfg: &TimerConfig) -> Arc<RtlTimer> {
         let key = model_key(train, cfg);
         store.get_or_compute(stage::MODEL, key, || Self::fit(train, cfg))
-    }
-
-    fn ensemble_bits(
-        bitwise: &[BitwiseModel],
-        ensemble: &EnsembleModel,
-        d: &DesignData,
-    ) -> Vec<f64> {
-        let preds: Vec<Vec<f64>> = (0..4)
-            .map(|v| bitwise[v].predict_endpoints(&d.variant_data[v]))
-            .collect();
-        let rows = meta_rows(&preds, &d.variant_data[0]);
-        ensemble.predict(&rows)
-    }
-
-    /// Per-variant bit-wise predictions (diagnostics / Table 5).
-    pub fn variant_bit_predictions(&self, d: &DesignData) -> Vec<Vec<f64>> {
-        (0..4)
-            .map(|v| self.bitwise[v].predict_endpoints(&d.variant_data[v]))
-            .collect()
     }
 
     /// Runs the full prediction stack on one (unseen) design.

@@ -206,11 +206,6 @@ impl Cell {
         self.timing.out_slew.lookup(in_slew, load)
     }
 
-    /// Total input capacitance across all pins.
-    pub fn input_cap(&self) -> f64 {
-        self.pin_caps.iter().sum()
-    }
-
     /// Capacitance of one input pin.
     ///
     /// # Panics

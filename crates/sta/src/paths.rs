@@ -2,7 +2,7 @@
 
 use crate::arrival::Sta;
 use rand::Rng;
-use rtlt_bog::{BogOp, Endpoint, NodeId};
+use rtlt_bog::{Endpoint, NodeId};
 
 /// A combinational timing path into an endpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,16 +14,6 @@ pub struct TimingPath {
     pub nodes: Vec<NodeId>,
     /// Accumulated arrival time along this specific path (ns).
     pub arrival: f64,
-}
-
-impl TimingPath {
-    /// Number of combinational operators on the path.
-    pub fn op_count(&self, sta: &Sta<'_>) -> usize {
-        self.nodes
-            .iter()
-            .filter(|&&n| sta.bog().node(n).op.is_comb())
-            .count()
-    }
 }
 
 impl<'a> Sta<'a> {
@@ -117,18 +107,6 @@ impl<'a> Sta<'a> {
             }
         }
         out
-    }
-
-    /// Whether `ep` launches from at least one register/input (i.e. the
-    /// cone is non-trivial).
-    pub fn has_logic(&self, ep: Endpoint) -> bool {
-        let n = self.bog.endpoint_node(ep);
-        self.bog.node(n).op.is_comb()
-    }
-
-    /// Source node kind of a traced path (register, input, or constant).
-    pub fn path_source_op(&self, path: &TimingPath) -> BogOp {
-        self.bog.node(path.nodes[0]).op
     }
 }
 

@@ -13,9 +13,9 @@
 //!   run),
 //! * [`entry`] — the checksummed entry envelope every byte tier exchanges,
 //! * [`compress`] — the std-only payload compressor: every byte tier holds
-//!   mode-tagged *frames* (delta-coded float planes, dictionary-coded LZ,
-//!   or a raw escape) and [`Store`] compresses on put / decompresses once
-//!   on get, so disk files and wire payloads shrink together,
+//!   mode-tagged *frames* (dictionary-coded LZ, or a raw escape) and
+//!   [`Store`] compresses on put / decompresses once on get, so disk files
+//!   and wire payloads shrink together,
 //! * [`tier`] — the [`StoreTier`] trait and the local tier impls: the
 //!   byte-LRU [`MemTier`] and the checksummed [`DiskTier`],
 //! * [`wire`]/[`remote`]/[`server`] — the `rtlt-stored` artifact service:

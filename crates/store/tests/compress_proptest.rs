@@ -13,9 +13,9 @@ fn key(label: &str) -> ContentHash {
     KeyBuilder::new("compress-proptest").str(label).finish()
 }
 
-/// f64 values that stress the sortable-bits/delta paths: NaNs with live
-/// payload bits, signed zeros, infinities, denormals, plus ordinary and
-/// fully arbitrary bit patterns.
+/// f64 values with the bit patterns a float table can hold: NaNs with
+/// live payload bits, signed zeros, infinities, denormals, plus ordinary
+/// and fully arbitrary bit patterns.
 fn adversarial_f64() -> Union<f64> {
     prop_oneof![
         Just(0.0f64),
@@ -57,8 +57,8 @@ proptest! {
     ) {
         // Lay the floats out as the codec does: a small header (list
         // lengths etc.) followed by packed little-endian f64 words — the
-        // header shifts the word alignment, which the byte-plane mode must
-        // survive.
+        // header shifts the words off 8-byte alignment, which no frame may
+        // depend on.
         let mut payload = header.clone();
         for v in &values {
             payload.extend_from_slice(&v.to_bits().to_le_bytes());

@@ -4,7 +4,9 @@
 //! the `rtlt-runtime` executor the pipeline threads it through.
 
 use proptest::prelude::*;
-use rtlt_store::{compress, Codec, ContentHash, DiskTier, Enc, KeyBuilder, Store, StoreTier};
+use rtlt_store::{
+    compress, Codec, ContentHash, DiskTier, Enc, KeyBuilder, Store, StoreTier, TierLookup,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -132,6 +134,44 @@ fn truncated_disk_entry_falls_back_to_recompute() {
     assert_eq!(fresh.stats().namespace("ns").corrupt_entries, 1);
     // The bad file was dropped so the slot can heal.
     assert!(!entry.exists());
+}
+
+/// Frames of `vec![0.5f64, 1.0, 1.5, 2.0, 2.5]` in the two retired
+/// compress modes (tags 1 and 2), as their encoders wrote them into older
+/// caches and shared servers.
+const RETIRED_FRAMES: [&[u8]; 2] = [
+    &[
+        1, 44, 17, 4, 5, 251, 19, 0, 18, 224, 16, 8, 8, 0, 63, 0, 0, 1, 41, 0, 0, 0, 4, 64,
+    ],
+    &[
+        2, 44, 245, 255, 255, 255, 255, 255, 255, 255, 255, 1, 246, 255, 255, 253, 7, 128, 128,
+        128, 1, 128, 128, 64, 128, 128, 64, 0, 0, 4, 64,
+    ],
+];
+
+#[test]
+fn retired_compress_modes_heal_on_recompute() {
+    let value = vec![0.5f64, 1.0, 1.5, 2.0, 2.5];
+    for frame in RETIRED_FRAMES {
+        // A well-formed entry (good checksum) whose frame no decoder reads.
+        let scratch = ScratchDir::new("retired");
+        DiskTier::new(&scratch.0).put_bytes("ns", key("old"), frame);
+        let entry = find_entry(&scratch.0);
+
+        let store = Store::on_disk(&scratch.0);
+        assert!(store.get::<Vec<f64>>("ns", key("old")).is_none());
+        let s = store.stats().namespace("ns");
+        assert_eq!((s.corrupt_entries, s.misses), (1, 1));
+        assert!(!entry.exists(), "the slot is removed");
+
+        let v = store.get_or_compute("ns", key("old"), || value.clone());
+        assert_eq!(*v, value);
+        let TierLookup::Hit(healed) = DiskTier::new(&scratch.0).get_bytes("ns", key("old")) else {
+            panic!("the recompute rewrote the slot");
+        };
+        assert!(matches!(healed[0], compress::MODE_LZ | compress::MODE_RAW));
+        assert_eq!(compress::decompress(&healed), Some(value.to_bytes()));
+    }
 }
 
 fn find_entry(root: &std::path::Path) -> PathBuf {

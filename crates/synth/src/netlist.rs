@@ -32,11 +32,6 @@ impl MappedCell {
     pub fn is_comb(&self) -> bool {
         matches!(self.func, Some(f) if f != CellFunc::Dff)
     }
-
-    /// True for sequential cells.
-    pub fn is_seq(&self) -> bool {
-        self.func == Some(CellFunc::Dff)
-    }
 }
 
 /// A mapped register and its provenance.

@@ -6,7 +6,7 @@
 //! expose the area/power side effects of upsizing and retiming that Table 6
 //! tracks.
 
-use crate::netlist::{CellId, MappedNetlist};
+use crate::netlist::MappedNetlist;
 use rtlt_liberty::{CellFunc, Library};
 
 /// Area/power summary of a mapped netlist.
@@ -95,17 +95,6 @@ fn or(a: f64, b: f64) -> f64 {
 
 fn xor(a: f64, b: f64) -> f64 {
     a * (1.0 - b) + b * (1.0 - a)
-}
-
-/// Convenience: cells driving a given set of sinks (used by reports).
-pub fn drivers_of(n: &MappedNetlist, sinks: &[CellId]) -> Vec<CellId> {
-    let mut out = Vec::new();
-    for &s in sinks {
-        out.extend(n.cells[s as usize].fanins.iter().copied());
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 #[cfg(test)]

@@ -510,11 +510,6 @@ impl<'a> WordSim<'a> {
             .unwrap_or_else(|| panic!("no output port {name}"));
         self.values[*id as usize]
     }
-
-    /// Current register state by register index.
-    pub fn reg_value(&self, reg: usize) -> u64 {
-        self.reg_state[reg]
-    }
 }
 
 #[cfg(test)]

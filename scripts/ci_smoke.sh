@@ -52,19 +52,25 @@ case "$job" in
   # Incremental-annotation smoke: prepare a multi-module design, edit one
   # module, then stream edits to three more lanes and a revert to the base
   # through the same session. --selfcheck asserts that only the edited
-  # module's cones recompute, that every revision is byte-identical to a
-  # cold recompute (its prediction bit for bit), and that each streamed
+  # module's cones are re-derived, that every revision is byte-identical to
+  # a cold recompute (its prediction bit for bit), and that each streamed
   # edit reuses the resident revision; the bin exits non-zero if any of
-  # that breaks. The median warm edit (edit_ms_p50) is then gated against
+  # that breaks. In a fresh cache dir the edit computes exactly its cone's
+  # 4 shards. The median warm edit (edit_ms_p50) is then gated against
   # warm_edit_ms in the committed baseline with the perf gate's 25 % slack,
   # and the path rows an edit re-walks through the forests are held to 5 %
   # of total_rows per edited lane (the first edit, and the worst streamed
   # edit, whose revert edits four lanes at once): a silent fallback to
-  # walking the whole design fails here.
+  # walking the whole design fails here. A second --selfcheck run in the
+  # same cache dir must pass too, with the edit's shards served by the
+  # store (0 computed).
   incremental-annotation)
     cd "$SMOKE_TMP"
     RTLT_FAST=1 "$BIN_DIR/annotate" --selfcheck --cache-dir "$SMOKE_TMP/rtlt-cache"
     grep -o '"speedup": *[0-9.]*' BENCH_annotate.json
+    dirty=$(json_num dirty_shards BENCH_annotate.json)
+    echo "fresh cache dir: the edit computed ${dirty} shards"
+    test "$dirty" -eq 4
     edit_ms=$(json_num edit_ms_p50 BENCH_annotate.json)
     begin_ms=$(json_num begin_ms_p50 BENCH_annotate.json)
     step_ms=$(json_num step_ms_p50 BENCH_annotate.json)
@@ -79,6 +85,10 @@ case "$job" in
     awk -v e="$edit_ms" -v b="$base_edit" 'BEGIN { exit !(e > 0 && e <= b * 1.25) }'
     awk -v w="$walked" -v s="$stream_walked" -v n="$rows" \
       'BEGIN { exit !(n > 0 && w <= 0.05 * n && s <= 0.05 * n) }'
+    RTLT_FAST=1 "$BIN_DIR/annotate" --selfcheck --cache-dir "$SMOKE_TMP/rtlt-cache"
+    dirty=$(json_num dirty_shards BENCH_annotate.json)
+    echo "same cache dir, second run: the edit computed ${dirty} shards"
+    test "$dirty" -eq 0
     ;;
 
   # Live annotation service smoke: start `annotate --serve`, drive one
