@@ -50,6 +50,9 @@ use std::time::Instant;
 const TOP: &str = "hier_soc";
 const WIDTH: u32 = 32;
 const DEPTH: u32 = 3;
+/// Most lanes a `hier::soc` top can merge within the frontend's nesting
+/// bound: one level for its `always` statement, one per lane.
+const MAX_LANES: usize = rtlt_verilog::MAX_NESTING as usize - 1;
 
 fn main() {
     let bench = Bench::from_env();
@@ -66,11 +69,20 @@ fn main() {
         .iter()
         .find_map(|a| a.strip_prefix("--connect="))
         .map(str::to_owned);
-    let lanes: usize = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--lanes="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
+    let lanes = match args.iter().find_map(|a| a.strip_prefix("--lanes=")) {
+        None => 12,
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if (1..=MAX_LANES).contains(&n) => n,
+            _ => {
+                eprintln!(
+                    "error: --lanes={v}: need 1..={MAX_LANES} (the top XORs every lane in one \
+                     chain, and the frontend nests at most {} levels)",
+                    rtlt_verilog::MAX_NESTING
+                );
+                std::process::exit(2);
+            }
+        },
+    };
     let trainers = if rtlt_bench::fast() { 2 } else { 4 };
 
     // Base design + a few sibling designs to train on.

@@ -4,7 +4,8 @@
 //! overall WNS/TNS versus the reimplemented SOTA baselines.
 
 use rtl_timer::baselines::{AstStyle, GnnBaseline, MasterRtlStyle, SignalDirect, SnsStyle};
-use rtl_timer::bitwise::{BitModelKind, BitwiseCorpus, BitwiseModel};
+use rtl_timer::bitwise::{BitModelKind, BitwiseCorpus, BitwiseModel, TransformerAblation};
+use rtl_timer::dataset::TokenRow;
 use rtl_timer::metrics::{covr, mape, mean, pearson, r_squared};
 use rtl_timer::pipeline::{cross_validate_with, DesignData};
 use rtlt_bench::{f2, folds, json::Json, pct, Bench, Table};
@@ -50,6 +51,13 @@ impl Acc {
     }
 }
 
+/// One bit-wise ablation: a model over path rows' features, or the
+/// Transformer over their token sequences.
+enum Ablation {
+    Rows(BitModelKind),
+    Tokens,
+}
+
 fn main() {
     let bench = Bench::from_env();
     let set = bench.prepare_suite();
@@ -60,15 +68,28 @@ fn main() {
 
     // ---- Bit-wise section (CV ablations on the SOG representation). ----
     eprintln!("[table4] bit-wise ablations ...");
-    let mut abl: Vec<(&str, BitModelKind)> = vec![
-        ("Tree-based w/o sample", BitModelKind::TreeCritOnly),
-        ("MLP", BitModelKind::MlpMax),
-        ("MLP w/o sample", BitModelKind::MlpCritOnly),
-        ("Transformer", BitModelKind::Transformer),
+    let mut abl: Vec<(&str, Ablation)> = vec![
+        (
+            "Tree-based w/o sample",
+            Ablation::Rows(BitModelKind::TreeCritOnly),
+        ),
+        ("MLP", Ablation::Rows(BitModelKind::MlpMax)),
+        ("MLP w/o sample", Ablation::Rows(BitModelKind::MlpCritOnly)),
+        ("Transformer", Ablation::Tokens),
     ];
     if rtlt_bench::fast() {
         abl.truncate(1);
     }
+    // The Transformer's token sequences, once per design (rows carry none).
+    let tokens: Vec<Vec<TokenRow>> = if abl.iter().any(|(_, a)| matches!(a, Ablation::Tokens)) {
+        set.designs().iter().map(|d| d.token_rows()).collect()
+    } else {
+        Vec::new()
+    };
+    let tokens_of = |name: &str| -> &[TokenRow] {
+        let i = set.designs().iter().position(|d| &*d.name == name);
+        &tokens[i.expect("design of the set")]
+    };
     let mut abl_acc: Vec<Acc> = abl.iter().map(|_| Acc::default()).collect();
     let mut gnn_acc = Acc::default();
     let fold_names = set.folds(k);
@@ -78,17 +99,30 @@ fn main() {
         if test.is_empty() {
             continue;
         }
-        for (ai, (_, kind)) in abl.iter().enumerate() {
+        for (ai, (_, ablation)) in abl.iter().enumerate() {
             let corpus = BitwiseCorpus {
                 designs: train
                     .iter()
                     .map(|d| (&d.variant_data[0], &d.labels_at[..]))
                     .collect(),
             };
-            let model = BitwiseModel::fit(*kind, &corpus, cfg.seed);
-            for d in &test {
-                let p = model.predict_endpoints(&d.variant_data[0]);
-                abl_acc[ai].push(&p, &d.labels_at);
+            match ablation {
+                Ablation::Rows(kind) => {
+                    let model = BitwiseModel::fit(*kind, &corpus, cfg.seed);
+                    for d in &test {
+                        let p = model.predict_endpoints(&d.variant_data[0]);
+                        abl_acc[ai].push(&p, &d.labels_at);
+                    }
+                }
+                Ablation::Tokens => {
+                    let train_tokens: Vec<&[TokenRow]> =
+                        train.iter().map(|d| tokens_of(&d.name)).collect();
+                    let model = TransformerAblation::fit(&corpus, &train_tokens, cfg.seed);
+                    for d in &test {
+                        let p = model.predict_endpoints(&d.variant_data[0], tokens_of(&d.name));
+                        abl_acc[ai].push(&p, &d.labels_at);
+                    }
+                }
             }
         }
         // Customized GNN baseline.

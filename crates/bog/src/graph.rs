@@ -5,6 +5,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 
+use crate::fold::{self, Strash};
+
 /// Node identifier inside a [`Bog`].
 pub type NodeId = u32;
 
@@ -424,10 +426,10 @@ impl PortIndex {
 
 /// The strash table's key: an operator application. It hashes as one
 /// packed `u128`.
-#[derive(Debug, PartialEq, Eq)]
-struct StrashKey {
-    op: BogOp,
-    fanins: [NodeId; 3],
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StrashKey {
+    pub(crate) op: BogOp,
+    pub(crate) fanins: [NodeId; 3],
 }
 
 impl Hash for StrashKey {
@@ -447,10 +449,10 @@ fn folded_multiply(a: u64, b: u64) -> u64 {
 /// from [`RandomState`], since the keys follow circuit structure a network
 /// client controls. The table is only ever probed, never iterated, so the
 /// built graph does not depend on the draw.
-struct StrashKeys([u64; 2]);
+pub(crate) struct StrashKeys([u64; 2]);
 
 impl StrashKeys {
-    fn new() -> StrashKeys {
+    pub(crate) fn new() -> StrashKeys {
         let s = RandomState::new();
         StrashKeys([s.hash_one(0u8), s.hash_one(1u8)])
     }
@@ -467,7 +469,7 @@ impl BuildHasher for StrashKeys {
 }
 
 /// Keyed folded-multiply hash of one packed strash key.
-struct StrashHasher {
+pub(crate) struct StrashHasher {
     keys: [u64; 2],
     state: u64,
 }
@@ -556,25 +558,6 @@ impl BogBuilder {
         id
     }
 
-    fn hashed(&mut self, op: BogOp, fanins: [NodeId; 3]) -> NodeId {
-        match self.strash.entry(StrashKey { op, fanins }) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                e.insert(self.nodes.len() as NodeId);
-                self.raw(op, fanins)
-            }
-        }
-    }
-
-    fn op_of(&self, id: NodeId) -> BogOp {
-        self.nodes[id as usize].op
-    }
-
-    fn is_not_of(&self, maybe_not: NodeId, a: NodeId) -> bool {
-        let n = self.nodes[maybe_not as usize];
-        n.op == BogOp::Not && n.fanins[0] == a
-    }
-
     /// Constant 0 node (shared).
     pub fn const0(&mut self) -> NodeId {
         match self.const0 {
@@ -617,115 +600,22 @@ impl BogBuilder {
 
     /// Inverter with folds.
     pub fn not(&mut self, a: NodeId) -> NodeId {
-        match self.op_of(a) {
-            BogOp::Const0 => self.const1(),
-            BogOp::Const1 => self.const0(),
-            BogOp::Not => self.nodes[a as usize].fanins[0],
-            _ => match self.not_of[a as usize] {
-                NO_NODE => {
-                    let id = self.raw(BogOp::Not, [a, NO_NODE, NO_NODE]);
-                    self.not_of[a as usize] = id;
-                    id
-                }
-                id => id,
-            },
-        }
+        fold::not(self, a)
     }
 
     /// 2-input AND with folds.
     pub fn and2(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (a, b) = (a.min(b), a.max(b));
-        if a == b {
-            return a;
-        }
-        match (self.op_of(a), self.op_of(b)) {
-            (BogOp::Const0, _) | (_, BogOp::Const0) => return self.const0(),
-            (BogOp::Const1, _) => return b,
-            (_, BogOp::Const1) => return a,
-            _ => {}
-        }
-        if self.is_not_of(a, b) || self.is_not_of(b, a) {
-            return self.const0();
-        }
-        self.hashed(BogOp::And2, [a, b, NO_NODE])
+        fold::and2(self, a, b)
     }
 
-    /// 2-input OR with folds.
+    /// 2-input OR with folds (decomposed outside the SOG).
     pub fn or2(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        if !self.variant.allows(BogOp::Or2) {
-            // Decompose per variant.
-            return match self.variant {
-                BogVariant::Aig => {
-                    let na = self.not(a);
-                    let nb = self.not(b);
-                    let n = self.and2(na, nb);
-                    self.not(n)
-                }
-                BogVariant::Aimg => {
-                    let one = self.const1();
-                    self.mux2(a, one, b)
-                }
-                BogVariant::Xag => {
-                    let x = self.xor2(a, b);
-                    let n = self.and2(a, b);
-                    self.xor2(x, n)
-                }
-                BogVariant::Sog => unreachable!(),
-            };
-        }
-        let (a, b) = (a.min(b), a.max(b));
-        if a == b {
-            return a;
-        }
-        match (self.op_of(a), self.op_of(b)) {
-            (BogOp::Const1, _) | (_, BogOp::Const1) => return self.const1(),
-            (BogOp::Const0, _) => return b,
-            (_, BogOp::Const0) => return a,
-            _ => {}
-        }
-        if self.is_not_of(a, b) || self.is_not_of(b, a) {
-            return self.const1();
-        }
-        self.hashed(BogOp::Or2, [a, b, NO_NODE])
+        fold::or2(self, a, b)
     }
 
-    /// 2-input XOR with folds.
+    /// 2-input XOR with folds (decomposed in the AIG and AIMG).
     pub fn xor2(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        if !self.variant.allows(BogOp::Xor2) {
-            return match self.variant {
-                BogVariant::Aig => {
-                    // a^b = !( !(a & !b) & !(!a & b) )
-                    let nb = self.not(b);
-                    let t1 = self.and2(a, nb);
-                    let na = self.not(a);
-                    let t2 = self.and2(na, b);
-                    let n1 = self.not(t1);
-                    let n2 = self.not(t2);
-                    let n = self.and2(n1, n2);
-                    self.not(n)
-                }
-                BogVariant::Aimg => {
-                    let nb = self.not(b);
-                    self.mux2(a, nb, b)
-                }
-                _ => unreachable!(),
-            };
-        }
-        let (a, b) = (a.min(b), a.max(b));
-        if a == b {
-            return self.const0();
-        }
-        match (self.op_of(a), self.op_of(b)) {
-            (BogOp::Const0, _) => return b,
-            (_, BogOp::Const0) => return a,
-            (BogOp::Const1, _) => return self.not(b),
-            (_, BogOp::Const1) => return self.not(a),
-            _ => {}
-        }
-        if self.is_not_of(a, b) || self.is_not_of(b, a) {
-            return self.const1();
-        }
-        self.hashed(BogOp::Xor2, [a, b, NO_NODE])
+        fold::xor2(self, a, b)
     }
 
     /// 2-input XNOR helper.
@@ -734,43 +624,9 @@ impl BogBuilder {
         self.not(x)
     }
 
-    /// 2:1 mux `s ? t : f` with folds.
+    /// 2:1 mux `s ? t : f` with folds (decomposed in the AIG and XAG).
     pub fn mux2(&mut self, s: NodeId, t: NodeId, f: NodeId) -> NodeId {
-        if !self.variant.allows(BogOp::Mux2) {
-            return match self.variant {
-                BogVariant::Aig => {
-                    let a1 = self.and2(s, t);
-                    let ns = self.not(s);
-                    let a2 = self.and2(ns, f);
-                    let n1 = self.not(a1);
-                    let n2 = self.not(a2);
-                    let n = self.and2(n1, n2);
-                    self.not(n)
-                }
-                BogVariant::Xag => {
-                    // s?t:f = f ^ (s & (t ^ f))
-                    let x = self.xor2(t, f);
-                    let g = self.and2(s, x);
-                    self.xor2(f, g)
-                }
-                _ => unreachable!(),
-            };
-        }
-        match self.op_of(s) {
-            BogOp::Const1 => return t,
-            BogOp::Const0 => return f,
-            _ => {}
-        }
-        if t == f {
-            return t;
-        }
-        if self.op_of(t) == BogOp::Const1 && self.op_of(f) == BogOp::Const0 {
-            return s;
-        }
-        if self.op_of(t) == BogOp::Const0 && self.op_of(f) == BogOp::Const1 {
-            return self.not(s);
-        }
-        self.hashed(BogOp::Mux2, [s, t, f])
+        fold::mux2(self, s, t, f)
     }
 
     /// Declares an RTL sequential signal of `width` bits, creating one DFF
@@ -846,6 +702,45 @@ impl BogBuilder {
     /// Whether no nodes exist yet.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+}
+
+impl Strash for BogBuilder {
+    fn variant(&self) -> BogVariant {
+        self.variant
+    }
+
+    fn node_op(&self, id: NodeId) -> BogOp {
+        self.nodes[id as usize].op
+    }
+
+    fn node_fanin0(&self, id: NodeId) -> NodeId {
+        self.nodes[id as usize].fanins[0]
+    }
+
+    fn konst(&mut self, v: bool) -> NodeId {
+        self.constant(v)
+    }
+
+    fn intern_not(&mut self, a: NodeId) -> NodeId {
+        match self.not_of[a as usize] {
+            NO_NODE => {
+                let id = self.raw(BogOp::Not, [a, NO_NODE, NO_NODE]);
+                self.not_of[a as usize] = id;
+                id
+            }
+            id => id,
+        }
+    }
+
+    fn intern(&mut self, op: BogOp, fanins: [NodeId; 3]) -> NodeId {
+        match self.strash.entry(StrashKey { op, fanins }) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                e.insert(self.nodes.len() as NodeId);
+                self.raw(op, fanins)
+            }
+        }
     }
 }
 

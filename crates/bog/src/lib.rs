@@ -39,8 +39,10 @@
 //! ```
 
 mod blast;
+mod census;
 mod codec;
 mod cone;
+mod fold;
 mod graph;
 #[cfg(test)]
 mod oracles;
@@ -50,6 +52,7 @@ mod stats;
 mod variants;
 
 pub use blast::blast;
+pub use census::{CellCounts, VariantCensus};
 pub use cone::{
     cone_fingerprint, extract_signal_cone, input_cone, input_cone_scratch, ConeExtractor, ConeInfo,
     ConeMatch, ConeScratch,

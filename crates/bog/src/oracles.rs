@@ -1,9 +1,10 @@
 //! Test-only oracles of the graph-construction kernels, and the property
 //! tests that hold the kernels to them: [`Bog::topo_order`] against the
 //! per-node fanout-list Kahn walk it replaced, [`ConeExtractor`] against
-//! the per-call hash-map extraction it replaced, and variant conversion
+//! the per-call hash-map extraction it replaced, variant conversion
 //! against itself (every builder draws a fresh hasher key) and against
-//! 64-pattern co-simulation.
+//! 64-pattern co-simulation, and [`VariantCensus`] against converting each
+//! revision of an edit stream from scratch.
 //!
 //! The graphs come in two kinds: SOGs made by the strashing builder, and
 //! graphs the builder never makes, rebuilt through the codec — node ids
@@ -11,6 +12,7 @@
 //! (`x & x`, `s ? s : t`), unfolded operators over constants, and an
 //! `Input` node missing from the input list.
 
+use crate::census::{CellCounts, VariantCensus, CENSUS_VARIANTS};
 use crate::cone::{extract_signal_cone, ConeExtractor};
 use crate::graph::{
     Bog, BogBuilder, BogNode, BogOp, BogReg, BogVariant, NodeId, SignalInfo, NO_NODE,
@@ -418,6 +420,42 @@ proptest! {
         for variant in BogVariant::ALL {
             let converted = bog.to_variant(variant);
             prop_assert_eq!(co_simulate(&converted, &stimuli), reference.clone());
+        }
+    }
+
+    /// A census moved through a stream of revisions counts, after every
+    /// revision, what converting that revision from scratch builds, node
+    /// kind by node kind. Revisions draw one of three seeds with varying
+    /// operator counts, so consecutive ones share prefixes of structure
+    /// that many registers read, and drop or add the rest; a quarter are
+    /// decoded graphs, whose shuffled ids permute the input and register
+    /// ordinals the census matches leaves by.
+    #[test]
+    fn census_counts_like_a_fresh_conversion_over_edit_streams(
+        seed in 0u64..1_000_000,
+        n_in in 1usize..6,
+        n_sig in 1usize..5,
+        stream in proptest::collection::vec((0u64..3, 0usize..90, 0u32..4), 1..8),
+    ) {
+        let mut census = VariantCensus::new();
+        for (offset, n_ops, kind) in stream {
+            let bog = graph(kind == 0, seed + offset, n_in, n_sig, n_ops);
+            census.update(&bog);
+            for variant in CENSUS_VARIANTS {
+                let fresh = bog.to_variant(variant).stats();
+                prop_assert_eq!(census.counts(variant), CellCounts::from(&fresh));
+                let by_op = [
+                    (BogOp::Not, fresh.not),
+                    (BogOp::And2, fresh.and2),
+                    (BogOp::Or2, fresh.or2),
+                    (BogOp::Xor2, fresh.xor2),
+                    (BogOp::Mux2, fresh.mux2),
+                    (BogOp::Input, fresh.inputs),
+                ];
+                for (op, n) in by_op {
+                    prop_assert_eq!(census.op_count(variant, op), n);
+                }
+            }
         }
     }
 }

@@ -3,9 +3,11 @@
 //! All model families share the same interface: fit on path rows grouped by
 //! endpoint, predict an endpoint as the **max** over its sampled paths
 //! (Eq. 3). The `CritOnly` variants are the paper's "w/o sample" ablation —
-//! they see only the pseudo-STA slowest path.
+//! they see only the pseudo-STA slowest path. The Transformer ablation
+//! ([`TransformerAblation`]) reads token sequences, which path rows do not
+//! carry, and takes them as a separate input.
 
-use crate::dataset::VariantData;
+use crate::dataset::{PathRow, TokenRow, VariantData};
 use rtlt_ml::{
     FeatureMatrix, Gbdt, GbdtParams, GroupedMaxObjective, Mlp, MlpParams, PathSample,
     PathTransformer, Scaler, SquaredObjective, TransformerParams,
@@ -23,8 +25,6 @@ pub enum BitModelKind {
     MlpMax,
     /// MLP on the slowest path only ("MLP w/o sample").
     MlpCritOnly,
-    /// Transformer over operator sequences with max-loss.
-    Transformer,
 }
 
 /// A fitted bit-wise model.
@@ -46,11 +46,6 @@ pub enum BitwiseModel {
         scaler: Scaler,
         /// Whether only critical paths are used at inference.
         crit_only: bool,
-    },
-    /// Transformer-based.
-    Transformer {
-        /// The network.
-        model: PathTransformer,
     },
 }
 
@@ -165,49 +160,6 @@ impl BitwiseModel {
                     crit_only,
                 }
             }
-            BitModelKind::Transformer => {
-                // Sequence training is the costliest model; cap the corpus
-                // by endpoint striding (deterministic) to keep the ablation
-                // tractable, as one would subsample for a slow baseline.
-                const MAX_GROUPS: usize = 6000;
-                let total_groups: usize = corpus.designs.iter().map(|(d, _)| d.groups.len()).sum();
-                let stride = (total_groups / MAX_GROUPS).max(1);
-                let mut samples = Vec::new();
-                let mut tf_groups: Vec<Vec<usize>> = Vec::new();
-                let mut tf_targets = Vec::new();
-                let mut counter = 0usize;
-                for (data, labels) in &corpus.designs {
-                    for (e, group) in data.groups.iter().enumerate() {
-                        counter += 1;
-                        if (counter - 1) % stride != 0 {
-                            continue;
-                        }
-                        let y = labels[e];
-                        if !y.is_finite() || group.is_empty() {
-                            continue;
-                        }
-                        let mut g = Vec::new();
-                        for &r in group {
-                            g.push(samples.len());
-                            samples.push(row_to_sample(&data.rows[r]));
-                        }
-                        tf_groups.push(g);
-                        tf_targets.push(y);
-                    }
-                }
-                let mut model = PathTransformer::new(
-                    crate::features::N_OP_CLASSES,
-                    crate::features::N_TOKEN_FEATURES,
-                    7, // design + cone features as globals
-                    TransformerParams {
-                        epochs: 10,
-                        seed,
-                        ..Default::default()
-                    },
-                );
-                model.fit_grouped_max(&samples, &tf_groups, &tf_targets);
-                BitwiseModel::Transformer { model }
-            }
         }
     }
 
@@ -216,7 +168,7 @@ impl BitwiseModel {
     pub(crate) fn forest(&self) -> Option<(&Gbdt, bool)> {
         match self {
             BitwiseModel::Tree { model, crit_only } => Some((model, *crit_only)),
-            BitwiseModel::Mlp { .. } | BitwiseModel::Transformer { .. } => None,
+            BitwiseModel::Mlp { .. } => None,
         }
     }
 
@@ -244,21 +196,6 @@ impl BitwiseModel {
             BitwiseModel::Tree { crit_only, .. } | BitwiseModel::Mlp { crit_only, .. } => {
                 *crit_only
             }
-            BitwiseModel::Transformer { model } => {
-                return data
-                    .groups
-                    .iter()
-                    .map(|group| {
-                        if group.is_empty() {
-                            return 0.0;
-                        }
-                        group
-                            .iter()
-                            .map(|&r| model.predict(&row_to_sample(&data.rows[r])))
-                            .fold(f64::MIN, f64::max)
-                    })
-                    .collect();
-            }
         };
         // Gather the rows each group reads, in group traversal order.
         scratch.reset(nf);
@@ -279,7 +216,6 @@ impl BitwiseModel {
                 scaler.transform_all(scratch);
                 *preds = model.predict_all(scratch);
             }
-            BitwiseModel::Transformer { .. } => unreachable!(),
         }
         // Reduce back to one value per group (empty groups stay 0.0).
         let mut off = 0usize;
@@ -301,10 +237,9 @@ impl BitwiseModel {
     }
 }
 
-/// Persistence for the production (tree-based) model family. The MLP and
-/// transformer variants exist only for the Table-5 ablations and are never
-/// part of a fitted [`crate::pipeline::RtlTimer`]; encoding one is a logic
-/// error.
+/// Persistence for the production (tree-based) model family. The MLP
+/// variants exist only for the Table-4 ablations and are never part of a
+/// fitted [`crate::pipeline::RtlTimer`]; encoding one is a logic error.
 impl rtlt_store::Codec for BitwiseModel {
     fn encode(&self, e: &mut rtlt_store::Enc) {
         match self {
@@ -313,7 +248,7 @@ impl rtlt_store::Codec for BitwiseModel {
                 e.bool(*crit_only);
                 model.encode(e);
             }
-            BitwiseModel::Mlp { .. } | BitwiseModel::Transformer { .. } => {
+            BitwiseModel::Mlp { .. } => {
                 unreachable!("only tree-based bitwise models are persisted")
             }
         }
@@ -329,10 +264,94 @@ impl rtlt_store::Codec for BitwiseModel {
     }
 }
 
-fn row_to_sample(row: &crate::dataset::PathRow) -> PathSample {
+/// The Transformer ablation of Table 4: a [`PathTransformer`] over each
+/// SOG path's operator tokens, with the design and cone features of its row
+/// as globals, fit with the max-loss over each endpoint's sampled paths.
+/// Its tokens come from [`crate::dataset::token_rows`], one [`TokenRow`]
+/// per row of the design's SOG data.
+#[derive(Debug)]
+pub struct TransformerAblation {
+    model: PathTransformer,
+}
+
+impl TransformerAblation {
+    /// Fits on `corpus`, whose `i`-th design's rows have the token
+    /// sequences `tokens[i]`.
+    pub fn fit(
+        corpus: &BitwiseCorpus<'_>,
+        tokens: &[&[TokenRow]],
+        seed: u64,
+    ) -> TransformerAblation {
+        assert_eq!(
+            corpus.designs.len(),
+            tokens.len(),
+            "one token list per design"
+        );
+        // Sequence training is the costliest model; cap the corpus by
+        // endpoint striding (deterministic) to keep the ablation
+        // tractable, as one would subsample for a slow baseline.
+        const MAX_GROUPS: usize = 6000;
+        let total_groups: usize = corpus.designs.iter().map(|(d, _)| d.groups.len()).sum();
+        let stride = (total_groups / MAX_GROUPS).max(1);
+        let mut samples = Vec::new();
+        let mut tf_groups: Vec<Vec<usize>> = Vec::new();
+        let mut tf_targets = Vec::new();
+        let mut counter = 0usize;
+        for ((data, labels), toks) in corpus.designs.iter().zip(tokens) {
+            for (e, group) in data.groups.iter().enumerate() {
+                counter += 1;
+                if (counter - 1) % stride != 0 {
+                    continue;
+                }
+                let y = labels[e];
+                if !y.is_finite() || group.is_empty() {
+                    continue;
+                }
+                let mut g = Vec::new();
+                for &r in group {
+                    g.push(samples.len());
+                    samples.push(path_sample(&data.rows[r], &toks[r]));
+                }
+                tf_groups.push(g);
+                tf_targets.push(y);
+            }
+        }
+        let mut model = PathTransformer::new(
+            crate::features::N_OP_CLASSES,
+            crate::features::N_TOKEN_FEATURES,
+            7, // design + cone features as globals
+            TransformerParams {
+                epochs: 10,
+                seed,
+                ..Default::default()
+            },
+        );
+        model.fit_grouped_max(&samples, &tf_groups, &tf_targets);
+        TransformerAblation { model }
+    }
+
+    /// Predicts per-endpoint arrival times for one design whose rows have
+    /// the token sequences `tokens` (max over its sampled paths).
+    pub fn predict_endpoints(&self, data: &VariantData, tokens: &[TokenRow]) -> Vec<f64> {
+        data.groups
+            .iter()
+            .map(|group| {
+                if group.is_empty() {
+                    return 0.0;
+                }
+                group
+                    .iter()
+                    .map(|&r| self.model.predict(&path_sample(&data.rows[r], &tokens[r])))
+                    .fold(f64::MIN, f64::max)
+            })
+            .collect()
+    }
+}
+
+fn path_sample(row: &PathRow, tokens: &TokenRow) -> PathSample {
     PathSample {
-        ops: row.ops.clone(),
-        tok_feats: row.tok_feats.clone(),
+        ops: tokens.ops.clone(),
+        tok_feats: tokens.tok_feats.clone(),
         global: row.features[..7].to_vec(),
     }
 }

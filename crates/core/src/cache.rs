@@ -73,7 +73,11 @@ pub mod stage {
 /// Epoch 2: featurization moved to the sharded cone-local pipeline
 /// (per-signal pseudo-STA and sampling seeds; AST features restricted to
 /// the top module's dependency cone).
-pub const PIPELINE_EPOCH: u64 = 2;
+///
+/// Epoch 3: path rows hold only their features and endpoint; the
+/// Transformer's token sequences left the `featurize`, `shard` and
+/// `conesta` layouts ([`crate::dataset::token_rows`] replays them).
+pub const PIPELINE_EPOCH: u64 = 3;
 
 /// The chained content keys of one design's preparation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -355,15 +359,11 @@ impl Codec for LabelOutcome {
 impl Codec for PathRow {
     fn encode(&self, e: &mut Enc) {
         self.features.encode(e);
-        self.ops.encode(e);
-        self.tok_feats.encode(e);
         e.usize(self.endpoint);
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(PathRow {
             features: Vec::decode(d)?,
-            ops: Vec::decode(d)?,
-            tok_feats: Vec::decode(d)?,
             endpoint: d.usize()?,
         })
     }

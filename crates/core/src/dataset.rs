@@ -21,6 +21,11 @@
 //! blocks). The per-signal seeded path sampling then *replays* over the
 //! shared evaluation. The tests keep a one-pass per-signal evaluation as the
 //! oracle the replay must match bit for bit.
+//!
+//! A row holds only what the models read: its Table-2 features and its
+//! endpoint. The one consumer of per-node token sequences, the Transformer
+//! ablation of Table 4, gets them from [`token_rows`], which replays the
+//! same path choice over the SOG variant's cones; nothing stores them.
 
 use crate::cache::{conesta_key, shard_key, stage};
 use crate::features::{design_features, op_class, path_features, token_features};
@@ -30,7 +35,7 @@ use rtlt_bog::{
     input_cone_scratch, Bog, BogVariant, ConeExtractor, ConeInfo, ConeScratch, Endpoint, NodeId,
 };
 use rtlt_liberty::Library;
-use rtlt_sta::{LevelScratch, Sta, StaConfig, StaResult};
+use rtlt_sta::{LevelScratch, Sta, StaConfig, StaResult, TimingPath};
 use rtlt_store::{ContentHash, Store};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -43,12 +48,18 @@ use std::time::Instant;
 pub struct PathRow {
     /// Table-2 feature vector ([`crate::features::PATH_FEATURE_NAMES`]).
     pub features: Vec<f64>,
-    /// Operator-class token sequence (source → endpoint).
-    pub ops: Vec<usize>,
-    /// Per-token features.
-    pub tok_feats: Vec<Vec<f64>>,
     /// Owning register endpoint index.
     pub endpoint: usize,
+}
+
+/// The token sequence of one path row, the Transformer ablation's input
+/// ([`token_rows`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TokenRow {
+    /// Operator-class token sequence (source → endpoint).
+    pub ops: Vec<usize>,
+    /// Per-token features ([`crate::features::token_features`]).
+    pub tok_feats: Vec<Vec<f64>>,
 }
 
 /// All sampled paths of one design under one BOG representation.
@@ -118,7 +129,8 @@ pub struct ConeEval {
     /// Input-cone summary per endpoint (bit).
     pub cones: Vec<ConeInfo>,
     /// Critical-path node sequence per endpoint — the dedup filter the
-    /// replay applies to sampled paths.
+    /// replay applies to sampled paths, and the critical row's tokens in
+    /// [`token_rows`].
     pub crit_nodes: Vec<Vec<NodeId>>,
     /// Featurized critical-path row per endpoint. Global slots 0..4 are
     /// placeholders, same contract as [`ConeShard::rows`].
@@ -159,16 +171,8 @@ pub fn compute_cone_eval(
         let cone = input_cone_scratch(vbog, vbog.endpoint_node(ep), cone_scratch);
         let crit = sta.critical_path(ep);
         let features = path_features(&sta, vbog, &crit, &cone, 0.0, &fanout, &design);
-        let ops = crit
-            .nodes
-            .iter()
-            .map(|&n| op_class(vbog.node(n).op))
-            .collect();
-        let tok_feats = token_features(&sta, &crit, &fanout);
         crit_rows.push(PathRow {
             features,
-            ops,
-            tok_feats,
             endpoint: e,
         });
         crit_nodes.push(crit.nodes);
@@ -229,44 +233,106 @@ fn replay_cone_shard_with(
     seed: u64,
     mut crit_row: impl FnMut(&ConeEval, usize) -> PathRow,
 ) -> ConeShard {
-    let cfg = StaConfig {
-        clock_period: clock,
-        ..StaConfig::default()
-    };
-    let sta = Sta::with_result(vbog, lib, cfg, Arc::clone(&eval.sta));
-    let mut rng = StdRng::seed_from_u64(seed);
+    let sta = replay_sta(vbog, eval, lib, clock);
     let mut shard = ConeShard {
         sta_at: Vec::with_capacity(n_eps),
         driving_regs: Vec::with_capacity(n_eps),
         rows: Vec::new(),
         groups: Vec::with_capacity(n_eps),
     };
-    for e in 0..n_eps {
-        let ep = Endpoint::Reg(e as u32);
-        let cone = &eval.cones[e];
-        shard.driving_regs.push(cone.driving_regs as f64);
-        shard.sta_at.push(eval.sta.endpoint_at[e]);
-        let k = (cone.driving_regs / 3).clamp(0, MAX_RANDOM_PATHS);
-        let crit_nodes = &eval.crit_nodes[e];
-        let mut group = vec![shard.rows.len()];
-        shard.rows.push(crit_row(eval, e));
-        for p in sta.sample_paths(ep, k, &mut rng) {
-            if &p.nodes != crit_nodes {
-                let features = path_features(&sta, vbog, &p, cone, 0.0, &eval.fanout, &eval.design);
-                let ops = p.nodes.iter().map(|&n| op_class(vbog.node(n).op)).collect();
-                let tok_feats = token_features(&sta, &p, &eval.fanout);
-                group.push(shard.rows.len());
+    choose_paths(&sta, eval, n_eps, seed, |e, path| {
+        let row = shard.rows.len();
+        match path {
+            None => {
+                shard.driving_regs.push(eval.cones[e].driving_regs as f64);
+                shard.sta_at.push(eval.sta.endpoint_at[e]);
+                shard.groups.push(vec![row]);
+                shard.rows.push(crit_row(eval, e));
+            }
+            Some(p) => {
+                let features = path_features(
+                    &sta,
+                    vbog,
+                    &p,
+                    &eval.cones[e],
+                    0.0,
+                    &eval.fanout,
+                    &eval.design,
+                );
+                shard.groups[e].push(row);
                 shard.rows.push(PathRow {
                     features,
-                    ops,
-                    tok_feats,
                     endpoint: e,
                 });
             }
         }
-        shard.groups.push(group);
-    }
+    });
     shard
+}
+
+/// The STA view a replay walks: the variant-converted cone over the
+/// evaluation's shared tables.
+fn replay_sta<'a>(vbog: &'a Bog, eval: &ConeEval, lib: &'a Library, clock: f64) -> Sta<'a> {
+    let cfg = StaConfig {
+        clock_period: clock,
+        ..StaConfig::default()
+    };
+    Sta::with_result(vbog, lib, cfg, Arc::clone(&eval.sta))
+}
+
+/// The one per-endpoint path choice every row and every token sequence
+/// derives from, visited in row order. For each endpoint `e`: its
+/// critical path first (`None`; the evaluation holds it), then the
+/// `K = clamp(driving_regs / 3, 0, MAX_RANDOM_PATHS)` paths
+/// `sample_paths` draws under `seed`, minus repeats of the critical path.
+/// All RNG draws happen inside `sample_paths`, so the choice is the
+/// per-signal evaluation's exactly.
+fn choose_paths(
+    sta: &Sta<'_>,
+    eval: &ConeEval,
+    n_eps: usize,
+    seed: u64,
+    mut visit: impl FnMut(usize, Option<TimingPath>),
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for e in 0..n_eps {
+        visit(e, None);
+        let k = (eval.cones[e].driving_regs / 3).clamp(0, MAX_RANDOM_PATHS);
+        for p in sta.sample_paths(Endpoint::Reg(e as u32), k, &mut rng) {
+            if p.nodes != eval.crit_nodes[e] {
+                visit(e, Some(p));
+            }
+        }
+    }
+}
+
+/// Replays the SOG paths of a design into token sequences, one
+/// [`TokenRow`] per row of the SOG variant's data and in the same order:
+/// the Transformer ablation's input. Arguments are the ones the design
+/// was featurized with ([`build_all_variant_data`]). Each signal's cone is
+/// evaluated directly — tokens depend only on the signal's own cone, and
+/// a shared evaluation has the same bits — and walked by the same path
+/// choice as the shard replay, so row `i`'s tokens are the nodes of row
+/// `i`'s path.
+pub fn token_rows(sog: &Bog, lib: &Library, clock: f64, design_seed: u64) -> Vec<TokenRow> {
+    let (vi, variant) = (0, BogVariant::ALL[0]);
+    let (mut levels, mut cones) = (LevelScratch::default(), ConeScratch::new());
+    let mut out = Vec::new();
+    for (s, ext) in sog.signals().iter().zip(ConeExtraction::all(sog)) {
+        let n_eps = s.width as usize;
+        let vbog = ext.cone.to_variant(variant);
+        let eval = compute_cone_eval(&vbog, n_eps, lib, clock, &mut levels, &mut cones);
+        let sta = replay_sta(&vbog, &eval, lib, clock);
+        let seed = shard_seed(design_seed, vi, &s.name);
+        choose_paths(&sta, &eval, n_eps, seed, |e, path| {
+            let nodes = path.as_ref().map_or(&eval.crit_nodes[e], |p| &p.nodes);
+            out.push(TokenRow {
+                ops: nodes.iter().map(|&n| op_class(vbog.node(n).op)).collect(),
+                tok_feats: token_features(&sta, nodes, &eval.fanout),
+            });
+        });
+    }
+    out
 }
 
 static TOTAL_SIGNALS: AtomicU64 = AtomicU64::new(0);
@@ -475,6 +541,17 @@ fn merge_pieces(
     (data, moves)
 }
 
+/// Fingerprint multiplicity within one design: only cones that occur more
+/// than once go through the memoized `conesta` path — see
+/// `shared_cone_eval`.
+fn fingerprint_multiplicity(extractions: &[ConeExtraction]) -> HashMap<ContentHash, u32> {
+    let mut multiplicity: HashMap<ContentHash, u32> = HashMap::new();
+    for e in extractions {
+        *multiplicity.entry(e.fingerprint).or_insert(0) += 1;
+    }
+    multiplicity
+}
+
 /// One signal's canonical input-cone extraction and its two keys. The
 /// content hash of the cone's bytes keys the per-seed shard cache
 /// (name-sensitive); the structural fingerprint keys the shared
@@ -615,6 +692,9 @@ pub struct FeaturizeJob {
     prior: Option<PriorRows>,
     scratch: FeaturizeScratch,
     once: HashMap<ContentHash, (Arc<Bog>, Arc<ConeEval>)>,
+    /// Each variant's design-level features, when the caller counted them
+    /// (see [`FeaturizeJob::with_design_features`]).
+    design_feats: Option<Vec<Vec<f64>>>,
     vi: usize,
     sig: usize,
     done: Vec<VariantData>,
@@ -645,13 +725,7 @@ impl FeaturizeJob {
         prior: Option<PriorRows>,
     ) -> FeaturizeJob {
         TOTAL_SIGNALS.fetch_add(extractions.len() as u64, Ordering::Relaxed);
-        // Fingerprint multiplicity within this design: only cones that
-        // occur more than once go through the memoized `conesta` path —
-        // see `shared_cone_eval`.
-        let mut multiplicity: HashMap<ContentHash, u32> = HashMap::new();
-        for e in &extractions {
-            *multiplicity.entry(e.fingerprint).or_insert(0) += 1;
-        }
+        let multiplicity = fingerprint_multiplicity(&extractions);
         UNIQUE_CONES.fetch_add(multiplicity.len() as u64, Ordering::Relaxed);
         if let Some(p) = &prior {
             assert_eq!(
@@ -668,12 +742,22 @@ impl FeaturizeJob {
             prior,
             scratch: FeaturizeScratch::new(),
             once: HashMap::new(),
+            design_feats: None,
             vi: 0,
             sig: 0,
             done: Vec::with_capacity(BogVariant::ALL.len()),
             moves: Vec::with_capacity(BogVariant::ALL.len()),
             counts: ShardCounts::default(),
         }
+    }
+
+    /// Merges each variant with `feats[vi]` as its design-level features
+    /// (in [`BogVariant::ALL`] order) instead of converting the SOG to
+    /// count them. They must equal [`design_features`] of each conversion.
+    pub(crate) fn with_design_features(mut self, feats: Vec<Vec<f64>>) -> FeaturizeJob {
+        assert_eq!(feats.len(), BogVariant::ALL.len(), "one per variant");
+        self.design_feats = Some(feats);
+        self
     }
 
     /// Whether signal `sig` moves its rows over from the prior revision.
@@ -744,10 +828,10 @@ impl FeaturizeJob {
                 self.sig += 1;
             }
             // The SOG is its own SOG variant: only the other three convert.
-            let design_feats = if variant == sog.variant {
-                design_features(sog)
-            } else {
-                design_features(&sog.to_variant(variant))
+            let design_feats = match &self.design_feats {
+                Some(feats) => feats[self.vi].clone(),
+                None if variant == sog.variant => design_features(sog),
+                None => design_features(&sog.to_variant(variant)),
             };
             let prior = self.prior.as_mut().map(|p| &mut p.variant_data[self.vi]);
             let (data, moves) = merge_pieces(
@@ -880,18 +964,19 @@ mod tests {
     use rtlt_bog::blast;
     use rtlt_verilog::compile;
 
-    /// Builds one signal's shard on its extracted cone in one pass: cone-local
-    /// pseudo-STA, then the slowest + `K` random paths per bit endpoint. The
-    /// extracted graph's first `n_eps` registers are the signal's bits;
-    /// boundary registers beyond them are launch points only. The test oracle
-    /// for the shared evaluation + replay split.
+    /// Builds one signal's shard on its extracted cone in one pass:
+    /// cone-local pseudo-STA, then the slowest + `K` random paths per bit
+    /// endpoint, plus each row's token sequence. The extracted graph's
+    /// first `n_eps` registers are the signal's bits; boundary registers
+    /// beyond them are launch points only. The test oracle for the shared
+    /// evaluation + replay split, and for [`token_rows`].
     fn build_cone_shard(
         sub: &Bog,
         n_eps: usize,
         lib: &Library,
         clock: f64,
         seed: u64,
-    ) -> ConeShard {
+    ) -> (ConeShard, Vec<TokenRow>) {
         let cfg = StaConfig {
             clock_period: clock,
             ..StaConfig::default()
@@ -908,6 +993,7 @@ mod tests {
             rows: Vec::new(),
             groups: Vec::with_capacity(n_eps),
         };
+        let mut tokens = Vec::new();
         for e in 0..n_eps {
             let ep = Endpoint::Reg(e as u32);
             let cone = input_cone_scratch(sub, sub.endpoint_node(ep), &mut cone_scratch);
@@ -929,32 +1015,49 @@ mod tests {
                 // the sub-graph are overwritten.
                 let features = path_features(&sta, sub, &p, &cone, 0.0, &fanout, &design);
                 let ops = p.nodes.iter().map(|&n| op_class(sub.node(n).op)).collect();
-                let tok_feats = token_features(&sta, &p, &fanout);
+                let tok_feats = token_features(&sta, &p.nodes, &fanout);
                 group.push(shard.rows.len());
                 shard.rows.push(PathRow {
                     features,
-                    ops,
-                    tok_feats,
                     endpoint: e,
                 });
+                tokens.push(TokenRow { ops, tok_feats });
             }
             shard.groups.push(group);
         }
-        shard
+        (shard, tokens)
+    }
+
+    /// A featurized design as the tests compare it: all four variants'
+    /// data and the SOG rows' token sequences.
+    struct Featurized {
+        data: Vec<VariantData>,
+        tokens: Vec<TokenRow>,
+    }
+
+    /// The production path: the sharded build, then [`token_rows`] over
+    /// the same store.
+    fn featurized(store: &Store, sog: &Bog, lib: &Library, clock: f64, seed: u64) -> Featurized {
+        Featurized {
+            data: build_all_variant_data(store, sog, lib, clock, seed),
+            tokens: token_rows(sog, lib, clock, seed),
+        }
     }
 
     /// The per-signal path every featurize path must match bit for bit:
     /// each signal of each variant evaluates its own cone through
     /// [`build_cone_shard`], and the shards merge through the same
-    /// [`merge_pieces`] production uses.
+    /// [`merge_pieces`] production uses. The SOG shards' tokens, in
+    /// signal order, are the rows' tokens.
     fn build_all_variant_data_naive(
         sog: &Bog,
         lib: &Library,
         clock: f64,
         design_seed: u64,
-    ) -> Vec<VariantData> {
+    ) -> Featurized {
         let (mut order, mut rank_pct) = (Vec::new(), Vec::new());
         let mut all = Vec::new();
+        let mut sog_tokens = Vec::new();
         for (vi, &variant) in BogVariant::ALL.iter().enumerate() {
             let pieces: Vec<Piece> = sog
                 .signals()
@@ -964,7 +1067,11 @@ mod tests {
                     let sub = rtlt_bog::extract_signal_cone(sog, sig).to_variant(variant);
                     let seed = shard_seed(design_seed, vi, &s.name);
                     let n_eps = s.width as usize;
-                    Piece::Shard(Arc::new(build_cone_shard(&sub, n_eps, lib, clock, seed)))
+                    let (shard, tokens) = build_cone_shard(&sub, n_eps, lib, clock, seed);
+                    if vi == 0 {
+                        sog_tokens.extend(tokens);
+                    }
+                    Piece::Shard(Arc::new(shard))
                 })
                 .collect();
             let design_feats = design_features(&sog.to_variant(variant));
@@ -979,7 +1086,10 @@ mod tests {
             assert!(moves.is_empty(), "shard rows have no origin");
             all.push(data);
         }
-        all
+        Featurized {
+            data: all,
+            tokens: sog_tokens,
+        }
     }
 
     /// f64 slices compared as raw bits: `==` on floats would conflate
@@ -988,9 +1098,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn assert_bit_identical(a: &[VariantData], b: &[VariantData]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
+    fn assert_bit_identical(a: &Featurized, b: &Featurized) {
+        assert_eq!(a.data.len(), b.data.len());
+        for (x, y) in a.data.iter().zip(&b.data) {
             assert_eq!(x.variant, y.variant);
             assert_eq!(x.groups, y.groups);
             assert_eq!(bits(&x.endpoint_sta_at), bits(&y.endpoint_sta_at));
@@ -999,12 +1109,17 @@ mod tests {
             assert_eq!(x.rows.len(), y.rows.len());
             for (r, s) in x.rows.iter().zip(&y.rows) {
                 assert_eq!(bits(&r.features), bits(&s.features));
-                assert_eq!(r.ops, s.ops);
                 assert_eq!(r.endpoint, s.endpoint);
-                assert_eq!(r.tok_feats.len(), s.tok_feats.len());
-                for (tf, sf) in r.tok_feats.iter().zip(&s.tok_feats) {
-                    assert_eq!(bits(tf), bits(sf));
-                }
+            }
+        }
+        // Tokens line up with the SOG variant's rows, one per row.
+        assert_eq!(a.tokens.len(), a.data[0].rows.len());
+        assert_eq!(a.tokens.len(), b.tokens.len());
+        for (r, s) in a.tokens.iter().zip(&b.tokens) {
+            assert_eq!(r.ops, s.ops);
+            assert_eq!(r.tok_feats.len(), s.tok_feats.len());
+            for (tf, sf) in r.tok_feats.iter().zip(&s.tok_feats) {
+                assert_eq!(bits(tf), bits(sf));
             }
         }
     }
@@ -1136,7 +1251,7 @@ mod tests {
         for bog in [bog(), twin_bog()] {
             for clock in [1.0, 0.37] {
                 let store = Store::in_memory();
-                let deduped = build_all_variant_data(&store, &bog, &lib, clock, 7);
+                let deduped = featurized(&store, &bog, &lib, clock, 7);
                 let legacy = build_all_variant_data_naive(&bog, &lib, clock, 7);
                 assert_bit_identical(&deduped, &legacy);
                 // One shard per signal × variant, as the per-signal path
@@ -1175,12 +1290,33 @@ mod tests {
         let conesta_misses = store.stats().namespace(stage::CONESTA).misses;
         // Different seed → different shard keys → shards recompute, but the
         // seed-independent evaluations are all served from the store.
-        let second = build_all_variant_data(&store, &bog, &lib, 1.0, 8);
+        let second = featurized(&store, &bog, &lib, 1.0, 8);
         assert_eq!(
             store.stats().namespace(stage::CONESTA).misses,
             conesta_misses
         );
         assert_bit_identical(&second, &build_all_variant_data_naive(&bog, &lib, 1.0, 8));
+    }
+
+    #[test]
+    fn token_rows_replay_shared_evaluations_row_for_row() {
+        // r1/r2 are twins: featurize resolves both SOG cones through one
+        // shared evaluation, while `token_rows` evaluates each cone
+        // itself; both match the per-signal oracle bit for bit.
+        let bog = twin_bog();
+        let lib = Library::pseudo_bog();
+        let store = Store::in_memory();
+        let data = build_all_variant_data(&store, &bog, &lib, 1.0, 7);
+        let tokens = token_rows(&bog, &lib, 1.0, 7);
+        let oracle = build_all_variant_data_naive(&bog, &lib, 1.0, 7);
+        assert_bit_identical(&Featurized { data, tokens }, &oracle);
+        // Each token sequence walks its row's path: its combinational
+        // tokens (classes 2..=6) are the row's `path_levels`.
+        let sog = &oracle.data[0];
+        for (row, tok) in sog.rows.iter().zip(&oracle.tokens) {
+            let levels = tok.ops.iter().filter(|op| (2..=6).contains(*op)).count();
+            assert_eq!(row.features[8], levels as f64);
+        }
     }
 
     /// A design with `twins` isomorphic register cones (same structure over
@@ -1232,7 +1368,7 @@ mod tests {
             let lib = Library::pseudo_bog();
 
             let store = Store::in_memory();
-            let dedup = build_all_variant_data(&store, &sog, &lib, clock, seed);
+            let dedup = featurized(&store, &sog, &lib, clock, seed);
             assert_bit_identical(&dedup, &build_all_variant_data_naive(&sog, &lib, clock, seed));
 
             // One shard per signal × variant, as the naive path computes

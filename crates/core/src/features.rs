@@ -1,6 +1,6 @@
 //! Feature extraction (paper Table 2): design-, cone- and path-level.
 
-use rtlt_bog::{Bog, BogOp, ConeInfo};
+use rtlt_bog::{Bog, BogOp, CellCounts, ConeInfo, NodeId};
 use rtlt_sta::{Sta, TimingPath};
 
 /// Names of the per-path feature vector, in order.
@@ -35,12 +35,17 @@ pub const PATH_FEATURE_NAMES: [&str; 23] = [
 
 /// Design-level feature vector of a BOG (log-scaled cell counts).
 pub fn design_features(bog: &Bog) -> Vec<f64> {
-    let s = bog.stats();
+    design_features_of(&CellCounts::from(&bog.stats()))
+}
+
+/// [`design_features`] from a graph's cell counts (a [`rtlt_bog::VariantCensus`]
+/// gives them without building the graph).
+pub fn design_features_of(c: &CellCounts) -> Vec<f64> {
     vec![
-        (s.dff as f64).ln_1p(),
-        (s.comb_total as f64).ln_1p(),
-        (s.total_cells as f64).ln_1p(),
-        s.max_level as f64,
+        (c.dff as f64).ln_1p(),
+        (c.comb_total as f64).ln_1p(),
+        (c.total_cells() as f64).ln_1p(),
+        c.max_level as f64,
     ]
 }
 
@@ -146,11 +151,11 @@ pub fn path_features(
     ]
 }
 
-/// Token features per path node (for the transformer): fanout, load, and a
-/// normalized position estimate.
-pub fn token_features(sta: &Sta<'_>, path: &TimingPath, fanout: &[u32]) -> Vec<Vec<f64>> {
+/// Token features per path node, source → endpoint (for the transformer):
+/// fanout, load, and arrival.
+pub fn token_features(sta: &Sta<'_>, nodes: &[NodeId], fanout: &[u32]) -> Vec<Vec<f64>> {
     let res = sta.result();
-    path.nodes
+    nodes
         .iter()
         .map(|&n| {
             vec![
@@ -220,7 +225,7 @@ mod tests {
         let sta = Sta::run(&bog, &lib, StaConfig::default());
         let fanout = bog.fanout_counts();
         let path = sta.critical_path(rtlt_bog::Endpoint::Reg(0));
-        let toks = token_features(&sta, &path, &fanout);
+        let toks = token_features(&sta, &path.nodes, &fanout);
         assert_eq!(toks.len(), path.nodes.len());
         assert!(toks.iter().all(|t| t.len() == N_TOKEN_FEATURES));
     }

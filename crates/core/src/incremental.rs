@@ -20,14 +20,16 @@
 //!
 //! The annotator also keeps the **last finished revision resident**: every
 //! signal's cone extraction and keys, the merged rows of all four
-//! variants, the module keys the revision was built from, and its
-//! prediction — each path row's and endpoint's, with the split cells they
-//! were predicted from. The next edit re-extracts only the cones it may
-//! have reached and moves every other signal's rows over instead of
-//! looking its shards up, then re-walks the forests only for rows that
-//! are new or whose cells the edit moved, so the per-edit work that
-//! scales with the design shrinks to the design-global passes (variant
-//! conversions, rank percentiles, cell coding, render).
+//! variants, the module keys the revision was built from, the node counts
+//! of its variant conversions ([`VariantCensus`]), and its prediction —
+//! each path row's and endpoint's, with the split cells they were
+//! predicted from. The next edit re-extracts only the cones it may have
+//! reached and moves every other signal's rows over instead of looking
+//! its shards up, moves the census by converting only the SOG structure
+//! the edit changed, then re-walks the forests only for rows that are new
+//! or whose cells the edit moved, so the per-edit work that scales with
+//! the design shrinks to the design-global passes (recompile and blast,
+//! one hash lookup per SOG node, rank percentiles, cell coding, render).
 //!
 //! The ground-truth label flow is deliberately **not** on this path: labels
 //! exist to train models, and an edited design has no ground truth until it
@@ -40,11 +42,12 @@
 use crate::annotate::annotate_source;
 use crate::cache::PrepareKeys;
 use crate::dataset::{ConeExtraction, FeaturizeJob, FeaturizeOutput, PriorRows, VariantData};
+use crate::features::{design_features, design_features_of};
 use crate::pipeline::{
     design_seed, DesignData, PredictCarry, PredictScratch, Prediction, PrepareStages, RtlTimer,
     TimerConfig,
 };
-use rtlt_bog::{Bog, ConeExtractor, ConeMatch};
+use rtlt_bog::{Bog, BogVariant, ConeExtractor, ConeMatch, VariantCensus};
 use rtlt_liberty::Library;
 use rtlt_store::{ContentHash, Store};
 use rtlt_verilog::VerilogError;
@@ -127,6 +130,9 @@ struct Resident {
     extractions: Vec<ConeExtraction>,
     /// The merged datasets, one per variant.
     variant_data: Vec<VariantData>,
+    /// The node counts of the SOG's variant conversions, which the next
+    /// revision moves instead of converting the whole design again.
+    census: VariantCensus,
     /// The revision's prediction, row by row, with the cells it was made
     /// from.
     carry: PredictCarry,
@@ -166,6 +172,22 @@ impl ResidentSlot {
     fn share(&self) -> ResidentSlot {
         ResidentSlot(Arc::clone(&self.0))
     }
+}
+
+/// Every variant's design-level features of `sog`, in [`BogVariant::ALL`]
+/// order: the SOG's from its own cell counts, the others' from `census`,
+/// which has been moved to `sog`.
+fn census_design_features(sog: &Bog, census: &VariantCensus) -> Vec<Vec<f64>> {
+    BogVariant::ALL
+        .iter()
+        .map(|&v| {
+            if v == sog.variant {
+                design_features(sog)
+            } else {
+                design_features_of(&census.counts(v))
+            }
+        })
+        .collect()
 }
 
 /// Whether two revisions have the same signal list (names and widths, in
@@ -348,11 +370,19 @@ impl IncrementalAnnotator {
             .map(|(s, _)| s.name.clone())
             .collect();
 
-        // A flat source never uses or keeps a resident revision.
-        let resident = self
-            .resident
-            .take()
-            .filter(|prev| !flat && same_signals(&prev.sog, &sog));
+        // A flat source never uses or keeps a resident revision. The
+        // variant census moves to any revision, a changed signal list
+        // included; a first pass builds it from scratch.
+        let mut resident = self.resident.take().filter(|_| !flat);
+        let census = (!flat).then(|| {
+            let mut census = resident
+                .as_mut()
+                .map(|prev| std::mem::take(&mut prev.census))
+                .unwrap_or_default();
+            census.update(&sog);
+            census
+        });
+        let resident = resident.filter(|prev| same_signals(&prev.sog, &sog));
         let (extractions, prior, carry) = match resident {
             Some(prev) => {
                 let (extractions, prior, carry) = carry_over(prev, &sog, &keys, &provenance);
@@ -363,7 +393,10 @@ impl IncrementalAnnotator {
 
         // Featurize through the shard namespace against the pinned clock.
         let seed = design_seed(self.cfg.seed, &self.name);
-        let feat = FeaturizeJob::with_extractions(self.clock, seed, extractions, prior);
+        let mut feat = FeaturizeJob::with_extractions(self.clock, seed, extractions, prior);
+        if let Some(census) = &census {
+            feat = feat.with_design_features(census_design_features(&sog, census));
+        }
         // Pull every cold shard from the fleet cache in one batched GETM
         // round trip (a no-op without a remote tier) — the stepped walk
         // then runs against staged payloads instead of per-key latency.
@@ -385,6 +418,7 @@ impl IncrementalAnnotator {
             lib: Library::pseudo_bog(),
             feat,
             slot: (!flat).then(|| self.resident.share()),
+            census,
             carry,
             module_keys: keys,
         })
@@ -416,6 +450,9 @@ pub struct ReannotateJob {
     /// The session's resident slot (`None` for a flat source, which never
     /// keeps its revision).
     slot: Option<ResidentSlot>,
+    /// This revision's variant census, kept with it once resident (`None`
+    /// exactly when `slot` is).
+    census: Option<VariantCensus>,
     /// The resident revision's prediction, for the rows `feat` moves over
     /// from it.
     carry: Option<PredictCarry>,
@@ -511,12 +548,13 @@ impl ReannotateJob {
         let (prediction, walked) =
             model.predict_carried(&d, &mut PredictScratch::default(), carry.as_mut(), &moves);
         let annotated = annotate_source(&d, &prediction);
-        if let (Some(slot), Some(carry)) = (self.slot, carry) {
+        if let (Some(slot), Some(carry), Some(census)) = (self.slot, carry, self.census) {
             slot.put(Resident {
                 sog: d.sog,
                 module_keys: self.module_keys,
                 extractions,
                 variant_data: d.variant_data,
+                census,
                 carry,
             });
         }

@@ -259,7 +259,7 @@ impl Handler for LiveService {
             Request::Annotate { session } => match conn.open.get_mut(&session) {
                 Some(s) => match s.annotator.begin(&s.source, &self.store) {
                     Ok(job) => return conn.jobs.push((tag, job)),
-                    Err(e) => Response::Failed(format!("edit error: {}", e.message)),
+                    Err(e) => Response::Failed(format!("edit error: {e}")),
                 },
                 None => Response::Failed(format!("no session {session}")),
             },

@@ -546,6 +546,24 @@ impl DesignData {
         signal_labels(&self.labels_at, self.signals())
     }
 
+    /// The token sequences of the SOG variant's rows, one per row
+    /// ([`crate::dataset::token_rows`] under the inputs featurize used).
+    /// Only the Transformer ablation reads them.
+    pub fn token_rows(&self) -> Vec<crate::dataset::TokenRow> {
+        let tokens = crate::dataset::token_rows(
+            &self.sog,
+            &Library::pseudo_bog(),
+            self.clock,
+            self.synth_seed,
+        );
+        assert_eq!(
+            tokens.len(),
+            self.variant_data[0].rows.len(),
+            "token rows line up with the SOG rows"
+        );
+        tokens
+    }
+
     /// Operator histogram (normalized) — the SNS-style baseline input.
     pub fn op_histogram(&self) -> Vec<f64> {
         let s = self.sog.stats();

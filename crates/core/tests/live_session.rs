@@ -496,3 +496,86 @@ fn version_skewed_store_peer_refuses_sessions_and_client_degrades() {
     assert_eq!(out.annotated, twin_out.annotated);
     let _ = std::fs::remove_dir_all(scratch);
 }
+
+#[test]
+fn a_hostile_edit_fails_its_session_while_another_keeps_editing() {
+    let fx = fixture();
+    let svc = LiveService::new(
+        Arc::clone(&fx.model),
+        fx.service_store,
+        &[&fx.alpha.0, &fx.beta.0],
+        &fx.cfg,
+        rtl_timer::live::DEFAULT_STEP_SHARDS,
+    );
+    let handle = rtl_timer::live::spawn("127.0.0.1:0", svc).expect("bind");
+    let addr = handle.addr.to_string();
+
+    // Session beta keeps editing through the live client, byte-identical
+    // to a local twin.
+    let beta = || {
+        let client_store = Store::in_memory();
+        let twin_store = Store::in_memory();
+        let mut live = LiveAnnotator::with_remote(&fx.beta.0, &fx.cfg, &addr);
+        let mut twin = IncrementalAnnotator::new(&fx.beta.0, &fx.cfg);
+        let mut remote_passes = 0;
+        for body in ["x + (x >> 4)", "x | (x << 2)", "x ^ 8'd1"] {
+            let edit = fx.beta.1.replace("x + (x >> 2)", body);
+            let out = live
+                .reannotate(&edit, &fx.model, &client_store)
+                .expect("live pass");
+            let local = twin.reannotate(&edit, &fx.model, &twin_store).unwrap();
+            assert_eq!(out.annotated, local.annotated);
+            remote_passes += u32::from(out.remote);
+        }
+        remote_passes
+    };
+
+    // Session alpha, on a raw connection, edits laneA into a 20,000-term
+    // chain, which used to overflow the loop thread's stack in
+    // elaboration and take every session down with it.
+    let base = fx.alpha.1.clone();
+    let hostile = base.replace("x + 8'd3", &vec!["x"; 20_000].join(" ^ "));
+    let sound = base.replace("x + 8'd3", "x + (x << 1)");
+    let beta_passes = std::thread::scope(|s| {
+        let beta = s.spawn(beta);
+        let mut conn = std::net::TcpStream::connect(handle.addr).expect("connect");
+        let open = exchange(
+            &mut conn,
+            &[Request::Open {
+                design: "alpha".into(),
+                source: base.clone(),
+            }],
+        );
+        let Response::Session { session, .. } = open[0] else {
+            panic!("OPEN refused: {open:?}");
+        };
+        let edit = |from: &str, to: &str| Request::Edit {
+            session,
+            splices: diff_splices(from, to),
+            check: source_check(to),
+        };
+        let annotate = Request::Annotate { session };
+        let replies = exchange(&mut conn, &[edit(&base, &hostile), annotate.clone()]);
+        assert!(
+            matches!(replies[0], Response::Session { .. }),
+            "{replies:?}"
+        );
+        // The reply names the line of laneA's `always` statement.
+        match &replies[1] {
+            Response::Failed(msg) => assert!(msg.contains("line 3: nesting deeper than"), "{msg}"),
+            other => panic!("hostile source annotated: {other:?}"),
+        }
+        // The failed session itself recovers with a sound edit.
+        let replies = exchange(&mut conn, &[edit(&hostile, &sound), annotate]);
+        let Response::Annotation(remote) = &replies[1] else {
+            panic!("sound edit refused: {replies:?}");
+        };
+        let local = IncrementalAnnotator::new(&fx.alpha.0, &fx.cfg)
+            .reannotate(&sound, &fx.model, &Store::in_memory())
+            .unwrap();
+        assert_eq!(remote.annotated, local.annotated);
+        beta.join().expect("beta session")
+    });
+    assert_eq!(beta_passes, 3, "every beta pass served remotely");
+    handle.stop();
+}

@@ -3,7 +3,7 @@
 
 use crate::effort::{optimize_timing, EffortGroup};
 use crate::map::tech_map;
-use crate::netlist::MappedNetlist;
+use crate::netlist::{MappedNetlist, MappedReg};
 use crate::opt::balance;
 use crate::place::place;
 use crate::power::power_area;
@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtlt_bog::Bog;
 use rtlt_liberty::Library;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Criticality path groups for `group_path`-style optimization: BOG register
@@ -112,10 +113,11 @@ pub fn synthesize(bog: &Bog, lib: &Library, opts: &SynthOptions) -> SynthResult 
     // Optional retiming of selected endpoints (before sizing, as tools do).
     if !opts.retime_endpoints.is_empty() {
         let sta = time_netlist(&netlist, lib, clock);
+        let index = reg_index(&netlist.regs);
         let eps: Vec<usize> = opts
             .retime_endpoints
             .iter()
-            .filter_map(|&bog_reg| netlist.regs.iter().position(|r| r.bog_reg == bog_reg))
+            .filter_map(|&bog_reg| index.get(&bog_reg).copied())
             .collect();
         let _ = retime_backward(&mut netlist, &sta, &eps);
     }
@@ -124,6 +126,8 @@ pub fn synthesize(bog: &Bog, lib: &Library, opts: &SynthOptions) -> SynthResult 
     let budget = ((netlist.gate_count() as f64) * opts.effort / 12.0).ceil() as usize;
     let groups: Vec<EffortGroup> = match &opts.path_groups {
         Some(pg) => {
+            // Retiming renames registers, so the table is built after it.
+            let index = reg_index(&netlist.regs);
             let mut groups: Vec<EffortGroup> = pg
                 .groups
                 .iter()
@@ -131,9 +135,7 @@ pub fn synthesize(bog: &Bog, lib: &Library, opts: &SynthOptions) -> SynthResult 
                 .map(|(g, &w)| EffortGroup {
                     endpoints: g
                         .iter()
-                        .filter_map(|&bog_reg| {
-                            netlist.regs.iter().position(|r| r.bog_reg == bog_reg)
-                        })
+                        .filter_map(|&bog_reg| index.get(&bog_reg).copied())
                         .collect(),
                     weight: w,
                 })
@@ -188,6 +190,16 @@ pub fn synthesize(bog: &Bog, lib: &Library, opts: &SynthOptions) -> SynthResult 
         elapsed: start.elapsed(),
         netlist,
     }
+}
+
+/// Register index per RTL register id, the first register carrying the id
+/// winning: the table form of `regs.iter().position(|r| r.bog_reg == id)`.
+fn reg_index(regs: &[MappedReg]) -> HashMap<u32, usize> {
+    let mut index = HashMap::with_capacity(regs.len());
+    for (i, r) in regs.iter().enumerate() {
+        index.entry(r.bog_reg).or_insert(i);
+    }
+    index
 }
 
 #[cfg(test)]

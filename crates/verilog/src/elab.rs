@@ -154,6 +154,16 @@ fn range_width(
 // Builder: global netlist under construction.
 // ---------------------------------------------------------------------------
 
+/// Most module instances one design may elaborate, the top excluded: far
+/// above the generated designs (the 192-lane `hier_soc` has 192), and
+/// low enough that a hierarchy doubling at every level fails in
+/// milliseconds instead of elaborating for hours.
+pub const MAX_INSTANCES: usize = 1 << 14;
+
+/// Deepest module hierarchy, the top included: elaboration recurses once
+/// per level.
+pub const MAX_HIERARCHY_DEPTH: usize = 64;
+
 struct Builder<'a> {
     nodes: Vec<WNode>,
     regs: Vec<WReg>,
@@ -175,6 +185,39 @@ impl Builder<'_> {
         self.nodes.push(WNode { kind, width });
         self.node_scope.push(self.cur_scope);
         id
+    }
+
+    /// Refuses an instance of `module` inside the current scope that would
+    /// recurse without end (the module is already on the instantiation
+    /// stack), nest deeper than [`MAX_HIERARCHY_DEPTH`], or exceed
+    /// [`MAX_INSTANCES`] in the whole design.
+    fn check_instance(&self, module: &str, inst: &str, line: u32) -> Result<(), VerilogError> {
+        let mut depth = 0;
+        let mut scope = Some(self.cur_scope);
+        while let Some(s) = scope {
+            let info = &self.scopes[s as usize];
+            if info.module == module {
+                return Err(VerilogError::at(
+                    line,
+                    format!("instance '{inst}' of module '{module}' recurses into itself"),
+                ));
+            }
+            depth += 1;
+            scope = info.parent;
+        }
+        if depth >= MAX_HIERARCHY_DEPTH {
+            return Err(VerilogError::at(
+                line,
+                format!("instance '{inst}' nests deeper than {MAX_HIERARCHY_DEPTH} levels"),
+            ));
+        }
+        if self.scopes.len() > MAX_INSTANCES {
+            return Err(VerilogError::at(
+                line,
+                format!("instance '{inst}' exceeds the budget of {MAX_INSTANCES} instances"),
+            ));
+        }
+        Ok(())
     }
 
     fn new_scope(&mut self, module: String) -> u32 {
@@ -635,6 +678,7 @@ fn elab_module(
                 let child = b.file.module(child_name).ok_or_else(|| {
                     VerilogError::at(*line, format!("unknown module '{child_name}'"))
                 })?;
+                b.check_instance(child_name, inst, *line)?;
                 let mut overrides = HashMap::new();
                 for (pn, pe) in povr {
                     overrides.insert(pn.clone(), const_eval(pe, &scope.params, *line)?);

@@ -21,6 +21,12 @@
 //! widths ≤ 64 bits, synchronous resets only, no memories/tri-state/latches,
 //! no `generate`/`for` (the benchmark generator emits unrolled code).
 //!
+//! Fixed bounds keep a hostile source from exhausting the stack or the
+//! clock of the thread that compiles it, each an error naming its line:
+//! nesting deeper than [`MAX_NESTING`], an instance of a module already on
+//! the instantiation stack, a hierarchy deeper than
+//! [`MAX_HIERARCHY_DEPTH`], and more than [`MAX_INSTANCES`] instances.
+//!
 //! # Example
 //!
 //! ```
@@ -50,10 +56,10 @@ mod parser;
 pub mod printer;
 pub mod rtlir;
 
-pub use elab::elaborate;
+pub use elab::{elaborate, MAX_HIERARCHY_DEPTH, MAX_INSTANCES};
 pub use error::VerilogError;
 pub use lexer::{lex, Tok, Token};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 
 /// Convenience: parse then elaborate `top` in one call.
 ///

@@ -4,14 +4,31 @@ use crate::ast::*;
 use crate::error::VerilogError;
 use crate::lexer::{lex, Tok, Token};
 
+/// Deepest nesting the parser accepts, counted on the tree it builds:
+/// each enclosing statement, parenthesis, select, concatenation, ternary
+/// branch and unary prefix is one level, and so is each operator of a
+/// chain (`a ^ b ^ c` is three levels deep). Elaboration and every other
+/// pass over the AST recurse on this tree, so the bound keeps them all
+/// within a thread's stack: a debug build compiles 1,024 levels on a
+/// 2 MiB thread and overflows at 1,536. The deepest generated design is
+/// the 192-lane `hier_soc`, whose top XORs its lanes in one chain (193
+/// levels): a `hier_soc` of more than 511 lanes does not parse, and
+/// `annotate --lanes` refuses such counts.
+pub const MAX_NESTING: u32 = 512;
+
 /// Parses Verilog source into a [`SourceFile`].
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntax error with its source line.
+/// Returns the first lexical or syntax error with its source line,
+/// including nesting beyond [`MAX_NESTING`].
 pub fn parse(source: &str) -> Result<SourceFile, VerilogError> {
     let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        nest: 0,
+    };
     let mut modules = Vec::new();
     while p.peek().is_some() {
         modules.push(p.module()?);
@@ -22,7 +39,12 @@ pub fn parse(source: &str) -> Result<SourceFile, VerilogError> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Nesting levels open around the current position.
+    nest: u32,
 }
+
+/// A parsed expression and the depth of its tree.
+type Parsed = (Expr, u32);
 
 impl Parser {
     fn peek(&self) -> Option<&Tok> {
@@ -61,6 +83,40 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> VerilogError {
         VerilogError::at(self.line(), msg)
+    }
+
+    /// Opens one nesting level around a recursive parse.
+    fn enter(&mut self) -> Result<(), VerilogError> {
+        self.nest += 1;
+        if self.nest > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.nest -= 1;
+    }
+
+    /// Checks a node of tree depth `depth` built inside the open levels.
+    fn node(&self, depth: u32) -> Result<u32, VerilogError> {
+        if self.nest + depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(depth)
+    }
+
+    fn too_deep(&self) -> VerilogError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// A nested expression, one level deeper than the construct holding
+    /// it.
+    fn nested_expr(&mut self) -> Result<Parsed, VerilogError> {
+        self.enter()?;
+        let parsed = self.ternary()?;
+        self.leave();
+        Ok(parsed)
     }
 
     fn ident(&mut self) -> Result<String, VerilogError> {
@@ -373,6 +429,13 @@ impl Parser {
     // ---- statements -----------------------------------------------------
 
     fn stmt(&mut self) -> Result<Stmt, VerilogError> {
+        self.enter()?;
+        let stmt = self.stmt_body()?;
+        self.leave();
+        Ok(stmt)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, VerilogError> {
         match self.peek() {
             Some(Tok::Begin) => {
                 self.bump();
@@ -465,11 +528,13 @@ impl Parser {
 
     fn lvalue(&mut self) -> Result<LValue, VerilogError> {
         if self.eat(&Tok::LBrace) {
+            self.enter()?;
             let mut parts = vec![self.lvalue()?];
             while self.eat(&Tok::Comma) {
                 parts.push(self.lvalue()?);
             }
             self.expect(Tok::RBrace)?;
+            self.leave();
             return Ok(LValue::Concat(parts));
         }
         let name = self.ident()?;
@@ -495,29 +560,33 @@ impl Parser {
     // ---- expressions ----------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, VerilogError> {
-        self.ternary()
+        Ok(self.ternary()?.0)
     }
 
-    fn ternary(&mut self) -> Result<Expr, VerilogError> {
-        let cond = self.binary(0)?;
+    fn ternary(&mut self) -> Result<Parsed, VerilogError> {
+        let (cond, dc) = self.binary(0)?;
         if self.eat(&Tok::Question) {
-            let then_e = self.expr()?;
+            let (then_e, dt) = self.nested_expr()?;
             self.expect(Tok::Colon)?;
-            let else_e = self.expr()?;
-            Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then_e: Box::new(then_e),
-                else_e: Box::new(else_e),
-            })
+            let (else_e, de) = self.nested_expr()?;
+            let depth = self.node(1 + dc.max(dt).max(de))?;
+            Ok((
+                Expr::Ternary {
+                    cond: Box::new(cond),
+                    then_e: Box::new(then_e),
+                    else_e: Box::new(else_e),
+                },
+                depth,
+            ))
         } else {
-            Ok(cond)
+            Ok((cond, dc))
         }
     }
 
     /// Precedence-climbing binary expression parser. Levels (low → high):
     /// `||`, `&&`, `|`, `^ ~^`, `&`, `== !=`, `< <= > >=`, `<< >>`, `+ -`, `*`.
-    fn binary(&mut self, min_level: u8) -> Result<Expr, VerilogError> {
-        let mut lhs = self.unary()?;
+    fn binary(&mut self, min_level: u8) -> Result<Parsed, VerilogError> {
+        let (mut lhs, mut depth) = self.unary()?;
         loop {
             let (op, level) = match self.peek() {
                 Some(Tok::PipePipe) => (BinaryOp::LogOr, 0),
@@ -543,45 +612,51 @@ impl Parser {
                 break;
             }
             self.bump();
-            let rhs = self.binary(level + 1)?;
+            let (rhs, dr) = self.binary(level + 1)?;
+            // A left-deep chain grows the tree one level per operator.
+            depth = self.node(1 + depth.max(dr))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn unary(&mut self) -> Result<Expr, VerilogError> {
+    fn unary(&mut self) -> Result<Parsed, VerilogError> {
         let op = match self.peek() {
             Some(Tok::Bang) => Some(UnaryOp::LogNot),
             Some(Tok::Tilde) => Some(UnaryOp::BitNot),
             Some(Tok::Minus) => Some(UnaryOp::Neg),
-            Some(Tok::Plus) => {
-                self.bump();
-                return self.unary();
-            }
+            Some(Tok::Plus) => None,
             Some(Tok::Amp) => Some(UnaryOp::RedAnd),
             Some(Tok::Pipe) => Some(UnaryOp::RedOr),
             Some(Tok::Caret) => Some(UnaryOp::RedXor),
             Some(Tok::TildeAmp) => Some(UnaryOp::RedNand),
             Some(Tok::TildePipe) => Some(UnaryOp::RedNor),
             Some(Tok::TildeCaret) => Some(UnaryOp::RedXnor),
-            _ => None,
+            _ => return self.primary(),
         };
-        if let Some(op) = op {
-            self.bump();
-            let operand = self.unary()?;
-            return Ok(Expr::Unary {
-                op,
-                operand: Box::new(operand),
-            });
+        // Every prefix, unary `+` included, is one level.
+        self.bump();
+        self.enter()?;
+        let (operand, d) = self.unary()?;
+        self.leave();
+        let depth = self.node(1 + d)?;
+        match op {
+            Some(op) => Ok((
+                Expr::Unary {
+                    op,
+                    operand: Box::new(operand),
+                },
+                depth,
+            )),
+            None => Ok((operand, depth)),
         }
-        self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, VerilogError> {
+    fn primary(&mut self) -> Result<Parsed, VerilogError> {
         match self.peek().cloned() {
             Some(Tok::Number {
                 width,
@@ -589,61 +664,84 @@ impl Parser {
                 zmask,
             }) => {
                 self.bump();
-                Ok(Expr::Number {
-                    width,
-                    value,
-                    zmask,
-                })
+                let depth = self.node(1)?;
+                Ok((
+                    Expr::Number {
+                        width,
+                        value,
+                        zmask,
+                    },
+                    depth,
+                ))
             }
             Some(Tok::Ident(_)) => {
                 let name = self.ident()?;
                 if self.eat(&Tok::LBracket) {
-                    let first = self.expr()?;
+                    let (first, df) = self.nested_expr()?;
                     if self.eat(&Tok::Colon) {
-                        let lsb = self.expr()?;
+                        let (lsb, dl) = self.nested_expr()?;
                         self.expect(Tok::RBracket)?;
-                        Ok(Expr::Part {
-                            base: name,
-                            msb: Box::new(first),
-                            lsb: Box::new(lsb),
-                        })
+                        let depth = self.node(1 + df.max(dl))?;
+                        Ok((
+                            Expr::Part {
+                                base: name,
+                                msb: Box::new(first),
+                                lsb: Box::new(lsb),
+                            },
+                            depth,
+                        ))
                     } else {
                         self.expect(Tok::RBracket)?;
-                        Ok(Expr::Bit {
-                            base: name,
-                            index: Box::new(first),
-                        })
+                        let depth = self.node(1 + df)?;
+                        Ok((
+                            Expr::Bit {
+                                base: name,
+                                index: Box::new(first),
+                            },
+                            depth,
+                        ))
                     }
                 } else {
-                    Ok(Expr::Ident(name))
+                    let depth = self.node(1)?;
+                    Ok((Expr::Ident(name), depth))
                 }
             }
             Some(Tok::LParen) => {
                 self.bump();
-                let e = self.expr()?;
+                // Parentheses build no node but are one level.
+                let (e, d) = self.nested_expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                let depth = self.node(1 + d)?;
+                Ok((e, depth))
             }
             Some(Tok::LBrace) => {
                 self.bump();
-                let first = self.expr()?;
+                let (first, df) = self.nested_expr()?;
                 if self.peek() == Some(&Tok::LBrace) {
                     // `{n{e}}` replication.
                     self.bump();
-                    let inner = self.expr()?;
+                    let (inner, di) = self.nested_expr()?;
                     self.expect(Tok::RBrace)?;
                     self.expect(Tok::RBrace)?;
-                    return Ok(Expr::Repeat {
-                        count: Box::new(first),
-                        inner: Box::new(inner),
-                    });
+                    let depth = self.node(1 + df.max(di))?;
+                    return Ok((
+                        Expr::Repeat {
+                            count: Box::new(first),
+                            inner: Box::new(inner),
+                        },
+                        depth,
+                    ));
                 }
                 let mut parts = vec![first];
+                let mut deepest = df;
                 while self.eat(&Tok::Comma) {
-                    parts.push(self.expr()?);
+                    let (part, d) = self.nested_expr()?;
+                    deepest = deepest.max(d);
+                    parts.push(part);
                 }
                 self.expect(Tok::RBrace)?;
-                Ok(Expr::Concat(parts))
+                let depth = self.node(1 + deepest)?;
+                Ok((Expr::Concat(parts), depth))
             }
             other => Err(self.err(format!("unexpected token in expression: {other:?}"))),
         }

@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use rtl_timer_repro::rtl_timer::cache::stage;
-use rtl_timer_repro::rtl_timer::dataset::{build_all_variant_data, VariantData};
+use rtl_timer_repro::rtl_timer::dataset::{
+    build_all_variant_data, token_rows, TokenRow, VariantData,
+};
 use rtl_timer_repro::store::Store;
 
 fn liberty() -> rtl_timer_repro::liberty::Library {
@@ -22,7 +24,23 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn assert_bit_identical(a: &[VariantData], b: &[VariantData]) {
+/// A build's four variants plus the SOG rows' tokens, replayed through
+/// [`token_rows`].
+type Built = (Vec<VariantData>, Vec<TokenRow>);
+
+fn build(
+    store: &Store,
+    sog: &rtl_timer_repro::bog::Bog,
+    lib: &rtl_timer_repro::liberty::Library,
+    clock: f64,
+    seed: u64,
+) -> Built {
+    let data = build_all_variant_data(store, sog, lib, clock, seed);
+    let tokens = token_rows(sog, lib, clock, seed);
+    (data, tokens)
+}
+
+fn assert_bit_identical((a, a_tok): &Built, (b, b_tok): &Built) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.variant, y.variant);
@@ -33,12 +51,15 @@ fn assert_bit_identical(a: &[VariantData], b: &[VariantData]) {
         assert_eq!(x.rows.len(), y.rows.len());
         for (r, s) in x.rows.iter().zip(&y.rows) {
             assert_eq!(bits(&r.features), bits(&s.features));
-            assert_eq!(r.ops, s.ops);
             assert_eq!(r.endpoint, s.endpoint);
-            assert_eq!(r.tok_feats.len(), s.tok_feats.len());
-            for (tf, sf) in r.tok_feats.iter().zip(&s.tok_feats) {
-                assert_eq!(bits(tf), bits(sf));
-            }
+        }
+    }
+    assert_eq!(a_tok.len(), b_tok.len());
+    for (r, s) in a_tok.iter().zip(b_tok) {
+        assert_eq!(r.ops, s.ops);
+        assert_eq!(r.tok_feats.len(), s.tok_feats.len());
+        for (tf, sf) in r.tok_feats.iter().zip(&s.tok_feats) {
+            assert_eq!(bits(tf), bits(sf));
         }
     }
 }
@@ -81,7 +102,7 @@ proptest! {
 
         let reference = {
             let store = Store::on_disk(&dir);
-            let out = build_all_variant_data(&store, &sog, &lib, clock, seed);
+            let out = build(&store, &sog, &lib, clock, seed);
             store.flush();
             out
         };
@@ -103,7 +124,7 @@ proptest! {
 
         let rebuilt = {
             let store = Store::on_disk(&dir);
-            let out = build_all_variant_data(&store, &sog, &lib, clock, seed);
+            let out = build(&store, &sog, &lib, clock, seed);
             store.flush();
             // The corrupt payloads fail their checksum, so every conesta
             // read degrades to a recompute rather than decoding garbage.
@@ -116,7 +137,7 @@ proptest! {
         {
             let _ = std::fs::remove_dir_all(dir.join(stage::SHARD));
             let store = Store::on_disk(&dir);
-            let again = build_all_variant_data(&store, &sog, &lib, clock, seed);
+            let again = build(&store, &sog, &lib, clock, seed);
             prop_assert_eq!(store.stats().namespace(stage::CONESTA).misses, 0);
             assert_bit_identical(&reference, &again);
         }

@@ -136,10 +136,15 @@ fn design_data_round_trips_through_the_disk_store() {
         assert_eq!(dv.rows.len(), cv.rows.len());
         for (dr, cr) in dv.rows.iter().zip(&cv.rows) {
             assert_eq!(dr.features, cr.features);
-            assert_eq!(dr.ops, cr.ops);
-            assert_eq!(dr.tok_feats, cr.tok_feats);
             assert_eq!(dr.endpoint, cr.endpoint);
         }
+    }
+    // Rows carry no tokens: the decoded design replays the computed one's.
+    let (dt, ct) = (decoded.token_rows(), computed.token_rows());
+    assert_eq!(dt.len(), ct.len());
+    for (d, c) in dt.iter().zip(&ct) {
+        assert_eq!(d.ops, c.ops);
+        assert_eq!(d.tok_feats, c.tok_feats);
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -175,4 +180,78 @@ fn labels_respond_to_structure() {
         sig_at("slow"),
         sig_at("fast")
     );
+}
+
+/// Sources that used to abort the process (stack overflow) or elaborate
+/// for hours, each with the line its error names (`None`: the instance
+/// budget, which trips wherever the hierarchy reaches it).
+fn hostile_sources() -> Vec<(&'static str, String, Option<u32>)> {
+    let assign = |expr: String| {
+        format!("module m(input [3:0] a, output [3:0] y);\nassign y = {expr};\nendmodule")
+    };
+    let mut doubling = String::from("module m(input x, output y);\nassign y = ~x;\nendmodule\n");
+    for i in 1..=16 {
+        let child = if i == 1 {
+            "m".to_owned()
+        } else {
+            format!("l{}", i - 1)
+        };
+        let name = if i == 16 {
+            "top".to_owned()
+        } else {
+            format!("l{i}")
+        };
+        doubling.push_str(&format!(
+            "module {name}(input x, output y);\nwire t;\n{child} u0(.x(x), .y(t));\n{child} u1(.x(t), .y(y));\nendmodule\n"
+        ));
+    }
+    vec![
+        (
+            "m",
+            "module m(input a, output y); m u(.a(a), .y(y)); endmodule".to_owned(),
+            Some(1),
+        ),
+        (
+            "m",
+            "module m(input x, output y);\nb u(.x(x), .y(y));\nendmodule\nmodule b(input x, output y);\nm u(.x(x), .y(y));\nendmodule"
+                .to_owned(),
+            Some(5),
+        ),
+        (
+            "m",
+            assign(format!("{}a{}", "(".repeat(5_000), ")".repeat(5_000))),
+            Some(2),
+        ),
+        ("m", assign(vec!["a"; 20_000].join(" ^ ")), Some(2)),
+        ("m", assign(format!("{}a", "~".repeat(100_000))), Some(2)),
+        ("top", doubling, None),
+    ]
+}
+
+#[test]
+fn hostile_sources_fail_to_prepare_with_their_frontend_error() {
+    for (top, src, line) in hostile_sources() {
+        let direct = rtl_timer_repro::verilog::compile(&src, top).expect_err("rejected");
+        let err = DesignSet::prepare_named(&[(top.to_owned(), src)], &cfg()).expect_err("rejected");
+        assert_eq!(err.design, top);
+        assert_eq!(err.source, direct, "the frontend's own error");
+        match line {
+            Some(_) => assert_eq!(err.source.line, line, "{err}"),
+            None => assert!(err.source.message.contains("exceeds the budget"), "{err}"),
+        }
+    }
+}
+
+#[test]
+fn generated_designs_compile_within_the_frontend_bounds() {
+    use rtl_timer_repro::designgen::{generate_all, hier};
+    let mut sources = generate_all();
+    // The deepest generated tree: the 192-lane top XORs every lane in one
+    // chain.
+    sources.push(("hier_soc".to_owned(), hier::soc("hier_soc", 192, 32, 3)));
+    for (name, src) in sources {
+        if let Err(e) = rtl_timer_repro::verilog::compile(&src, &name) {
+            panic!("{name}: {e}");
+        }
+    }
 }
