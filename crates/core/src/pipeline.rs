@@ -2,13 +2,13 @@
 //! ([`PrepareStages`]: compile → blast → label via synthesis → featurize),
 //! model fitting, prediction, cross-validation.
 //!
-//! All CPU parallelism (suite preparation, cross-validation folds) runs on
-//! the shared [`rtlt_runtime`] work-queue executor, and every stage output
-//! is memoizable through the shared [`rtlt_store::Store`] handle threaded
-//! into the `*_with` entry points (see [`crate::cache`] for the key
-//! derivation). The storeless entry points delegate to the same code path
-//! with a pass-through store, so cached and uncached preparation cannot
-//! diverge.
+//! All CPU parallelism (suite preparation, cross-validation fits and
+//! predictions) runs on the shared [`rtlt_runtime`] work-queue executor,
+//! and every stage output is memoizable through the shared
+//! [`rtlt_store::Store`] handle threaded into the `*_with` entry points
+//! (see [`crate::cache`] for the key derivation). The storeless entry
+//! points delegate to the same code path with a pass-through store, so
+//! cached and uncached preparation cannot diverge.
 
 use crate::bitwise::{BitModelKind, BitwiseCorpus, BitwiseModel};
 use crate::cache::{model_key, stage, PrepareKeys};
@@ -26,7 +26,7 @@ use rtlt_verilog::ast::SourceFile;
 use rtlt_verilog::{modsrc, VerilogError};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Global pipeline configuration.
 #[derive(Debug, Clone)]
@@ -828,26 +828,37 @@ impl RtlTimer {
         }
     }
 
-    /// Fits the full stack on the given training designs.
+    /// Fits the full stack on the given training designs: the four
+    /// bit-wise forests one after another, then the heads over them.
     ///
     /// # Panics
     ///
     /// Panics if `train` is empty.
     pub fn fit(train: &[&DesignData], cfg: &TimerConfig) -> RtlTimer {
-        assert!(!train.is_empty(), "RtlTimer::fit needs at least one design");
-        // 1. Four per-representation bit-wise models (grouped max-loss).
-        let bitwise: Vec<BitwiseModel> = (0..4)
-            .map(|v| {
-                let corpus = BitwiseCorpus {
-                    designs: train
-                        .iter()
-                        .map(|d| (&d.variant_data[v], &d.labels_at[..]))
-                        .collect(),
-                };
-                BitwiseModel::fit(BitModelKind::TreeMax, &corpus, cfg.seed ^ (v as u64))
-            })
-            .collect();
+        let bitwise = (0..4).map(|v| Self::fit_forest(train, v, cfg)).collect();
+        Self::fit_heads(train, bitwise, cfg)
+    }
 
+    /// Step 1 of [`RtlTimer::fit`]: the bit-wise model (grouped max-loss)
+    /// of representation `v`. The four are independent of each other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train` is empty.
+    fn fit_forest(train: &[&DesignData], v: usize, cfg: &TimerConfig) -> BitwiseModel {
+        assert!(!train.is_empty(), "RtlTimer::fit needs at least one design");
+        let corpus = BitwiseCorpus {
+            designs: train
+                .iter()
+                .map(|d| (&d.variant_data[v], &d.labels_at[..]))
+                .collect(),
+        };
+        BitwiseModel::fit(BitModelKind::TreeMax, &corpus, cfg.seed ^ (v as u64))
+    }
+
+    /// Steps 2 and 3 of [`RtlTimer::fit`]: the heads over the four
+    /// bit-wise models [`RtlTimer::fit_forest`] fitted on the same `train`.
+    fn fit_heads(train: &[&DesignData], bitwise: Vec<BitwiseModel>, cfg: &TimerConfig) -> RtlTimer {
         // 2. Ensemble meta-model over the per-variant predictions. Each
         // design's meta rows are kept for step 3.
         let mut scratch = PredictScratch::default();
@@ -1350,29 +1361,85 @@ impl Prediction {
 
 /// Runs k-fold cross-validation (train/test splits are disjoint by design,
 /// as in the paper) through a shared artifact store and returns one
-/// [`Prediction`] per design. Every fold's fitted model is memoized (see
-/// [`RtlTimer::fit_with`]), so a warm second run of any cross-validating
-/// bench binary skips model fitting entirely.
+/// [`Prediction`] per design, sorted by design name. Every fold's fitted
+/// model is memoized where [`RtlTimer::fit_with`] memoizes it, so a warm
+/// second run of any cross-validating bench binary skips model fitting
+/// entirely.
+///
+/// The folds share one schedule on `cfg.threads` workers, in three
+/// phases, each one work queue: every fold's stack is looked up; for the
+/// folds that missed, every (fold, representation) forest is fitted, then
+/// each fold's heads, and the stack is stored; every held-out design is
+/// predicted, the most path rows first. Nothing nests a parallel map, so
+/// at most `cfg.threads` fits or predictions run at once, and the stacks
+/// and predictions are those of [`RtlTimer::fit`] and
+/// [`RtlTimer::predict`] whatever the worker count.
 pub fn cross_validate_with(
     set: &DesignSet,
     k: usize,
     cfg: &TimerConfig,
     store: &Store,
 ) -> Vec<Prediction> {
-    let folds = set.folds(k);
-    let results: Vec<Vec<Prediction>> = rtlt_runtime::par_map(cfg.threads, &folds, |fold| {
-        let names: Vec<&str> = fold.iter().map(|s| &**s).collect();
-        let (train, test) = set.split(&names);
-        if test.is_empty() {
-            return Vec::new();
-        }
-        let model = RtlTimer::fit_with(store, &train, cfg);
-        let mut scratch = PredictScratch::default();
-        test.iter()
-            .map(|d| model.predict_with(d, &mut scratch))
-            .collect()
+    let folds: Vec<(Vec<&DesignData>, Vec<&DesignData>)> = set
+        .folds(k)
+        .iter()
+        .map(|fold| set.split(&fold.iter().map(|s| &**s).collect::<Vec<_>>()))
+        .filter(|(_, test)| !test.is_empty())
+        .collect();
+    let keys: Vec<ContentHash> = folds
+        .iter()
+        .map(|(train, _)| model_key(train, cfg))
+        .collect();
+
+    // 1. Every fold's stack from the store.
+    let mut stacks: Vec<Option<Arc<RtlTimer>>> =
+        rtlt_runtime::par_map(cfg.threads, &keys, |&key| store.get(stage::MODEL, key));
+
+    // 2. The folds that missed: their forests from one queue, then each
+    // fold's heads over its four.
+    let missed: Vec<usize> = (0..folds.len()).filter(|&f| stacks[f].is_none()).collect();
+    let tasks: Vec<(usize, usize)> = missed
+        .iter()
+        .flat_map(|&f| (0..4).map(move |v| (f, v)))
+        .collect();
+    let mut forests = rtlt_runtime::par_map(cfg.threads, &tasks, |&(f, v)| {
+        RtlTimer::fit_forest(&folds[f].0, v, cfg)
+    })
+    .into_iter();
+    let forests: Vec<Mutex<Vec<BitwiseModel>>> = missed
+        .iter()
+        .map(|_| Mutex::new(forests.by_ref().take(4).collect()))
+        .collect();
+    let fitted = rtlt_runtime::par_map_indexed(cfg.threads, &missed, |i, &f| {
+        let bitwise = std::mem::take(&mut *forests[i].lock().expect("forest slot lock"));
+        store.put(
+            stage::MODEL,
+            keys[f],
+            RtlTimer::fit_heads(&folds[f].0, bitwise, cfg),
+        )
     });
-    let mut out: Vec<Prediction> = results.into_iter().flatten().collect();
+    for (f, stack) in missed.into_iter().zip(fitted) {
+        stacks[f] = Some(stack);
+    }
+
+    // 3. Every held-out design from one queue, the most path rows first.
+    let mut jobs: Vec<(&RtlTimer, &DesignData)> = folds
+        .iter()
+        .zip(&stacks)
+        .flat_map(|((_, test), stack)| {
+            let stack: &RtlTimer = stack.as_deref().expect("every fold has a stack");
+            test.iter().map(move |&d| (stack, d))
+        })
+        .collect();
+    jobs.sort_by_key(|(_, d)| {
+        std::cmp::Reverse(d.variant_data.iter().map(|v| v.rows.len()).sum::<usize>())
+    });
+    let mut out = rtlt_runtime::par_map_with(
+        cfg.threads,
+        &jobs,
+        PredictScratch::default,
+        |scratch, _, (stack, d)| stack.predict_with(d, scratch),
+    );
     out.sort_by(|a, b| a.design.cmp(&b.design));
     out
 }
@@ -1636,6 +1703,73 @@ endmodule";
             crate::cache::model_key(&train, &cfg),
             crate::cache::model_key(&train, &other_seed)
         );
+    }
+
+    /// The folds of `set` that hold out at least one design, each with the
+    /// stack [`RtlTimer::fit`] fits on its training designs, and every
+    /// held-out design predicted one by one: the serial oracle of
+    /// [`cross_validate_with`].
+    fn serial_cross_validation(
+        set: &DesignSet,
+        k: usize,
+        cfg: &TimerConfig,
+    ) -> (Vec<(ContentHash, RtlTimer)>, Vec<Prediction>) {
+        let mut stacks = Vec::new();
+        let mut preds = Vec::new();
+        for fold in set.folds(k) {
+            let names: Vec<&str> = fold.iter().map(|s| &**s).collect();
+            let (train, test) = set.split(&names);
+            if test.is_empty() {
+                continue;
+            }
+            let stack = RtlTimer::fit(&train, cfg);
+            preds.extend(test.iter().map(|d| stack.predict(d)));
+            stacks.push((crate::cache::model_key(&train, cfg), stack));
+        }
+        preds.sort_by(|a, b| a.design.cmp(&b.design));
+        (stacks, preds)
+    }
+
+    fn assert_same_predictions(got: &[Prediction], want: &[Prediction], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: one prediction per design");
+        for (g, w) in got.iter().zip(want) {
+            assert!(g.same_bits(w), "{what}: {} predicts other bits", w.design);
+        }
+    }
+
+    #[test]
+    fn cross_validation_fits_and_predicts_like_the_serial_oracle() {
+        use rtlt_store::Codec;
+        let cfg = TimerConfig {
+            threads: 2,
+            ..Default::default()
+        };
+        let set = DesignSet::prepare_named_or_panic(&tiny_sources(), &cfg);
+        let (stacks, want) = serial_cross_validation(&set, 3, &cfg);
+        assert_eq!(stacks.len(), 3);
+
+        let store = Store::in_memory();
+        let cold = cross_validate_with(&set, 3, &cfg, &store);
+        assert_same_predictions(&cold, &want, "cold");
+        for (key, stack) in &stacks {
+            let stored: Arc<RtlTimer> = store.get(stage::MODEL, *key).expect("fold stack stored");
+            assert_eq!(stored.to_bytes(), stack.to_bytes(), "stored stack bytes");
+        }
+
+        // A second call takes every stack from the store.
+        let before = store.stats().namespace(stage::MODEL);
+        let warm = cross_validate_with(&set, 3, &cfg, &store);
+        let after = store.stats().namespace(stage::MODEL);
+        assert_eq!(
+            (after.misses, after.hits(), after.bytes_written),
+            (before.misses, before.hits() + 3, before.bytes_written)
+        );
+        assert_same_predictions(&warm, &want, "warm");
+
+        // One worker fits and predicts the same bits.
+        let serial = TimerConfig { threads: 1, ..cfg };
+        let one = cross_validate_with(&set, 3, &serial, &Store::in_memory());
+        assert_same_predictions(&one, &want, "one worker");
     }
 
     #[test]

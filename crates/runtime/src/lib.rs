@@ -1,11 +1,11 @@
 //! Shared parallel-execution layer for the RTL-Timer workspace.
 //!
 //! Every CPU-parallel site in the workspace (suite preparation,
-//! cross-validation folds, per-design optimization flows) goes through the
-//! indexed work-queue executor here instead of hand-rolling
-//! `std::thread::scope` + `AtomicUsize` + result slots. Centralizing the
-//! pattern gives one place to later add sharding, batching, or an async
-//! backend without touching call sites.
+//! cross-validation fits and predictions, per-design optimization flows)
+//! goes through the indexed work-queue executor here instead of
+//! hand-rolling `std::thread::scope` + `AtomicUsize` + result slots.
+//! Centralizing the pattern gives one place to later add sharding,
+//! batching, or an async backend without touching call sites.
 //!
 //! * [`par_map`] — order-preserving parallel map,
 //! * [`try_par_map`] — fallible variant that surfaces the error of the

@@ -157,7 +157,13 @@ fn lz_hash(bytes: &[u8]) -> usize {
     (v.wrapping_mul(2_654_435_761) >> (32 - LZ_HASH_BITS)) as usize
 }
 
-fn lz_decode(mut body: &[u8]) -> Option<Vec<u8>> {
+fn lz_decode(body: &[u8]) -> Option<Vec<u8>> {
+    lz_decode_with(body, copy_match)
+}
+
+/// [`lz_decode`] with the match copy passed in, so tests can decode the
+/// same frame through [`copy_match_bytewise`].
+fn lz_decode_with(mut body: &[u8], copy: fn(&mut Vec<u8>, usize, usize)) -> Option<Vec<u8>> {
     let (decoded_len, used) = varint_decode(body)?;
     if decoded_len > MAX_DECODED {
         return None;
@@ -179,9 +185,7 @@ fn lz_decode(mut body: &[u8]) -> Option<Vec<u8>> {
             if dist == 0 || dist > out.len() {
                 return None;
             }
-            for _ in 0..n {
-                out.push(out[out.len() - dist]);
-            }
+            copy(&mut out, dist, n);
         } else {
             if body.len() < n {
                 return None;
@@ -193,9 +197,32 @@ fn lz_decode(mut body: &[u8]) -> Option<Vec<u8>> {
     (out.len() == total).then_some(out)
 }
 
+/// Appends the `n` bytes that start `dist` bytes (`1..=out.len()`) before
+/// the end of `out`. A match longer than its distance overlaps its own
+/// output: from its source on, the bytes repeat with period `dist`, so
+/// each run copies everything from the source to the end, which doubles
+/// the run while the match overlaps.
+fn copy_match(out: &mut Vec<u8>, dist: usize, n: usize) {
+    let start = out.len() - dist;
+    let end = out.len() + n;
+    while out.len() < end {
+        let run = (out.len() - start).min(end - out.len());
+        out.extend_from_within(start..start + run);
+    }
+}
+
+/// The byte-at-a-time match copy [`copy_match`] replaced: the oracle.
+#[cfg(test)]
+fn copy_match_bytewise(out: &mut Vec<u8>, dist: usize, n: usize) {
+    for _ in 0..n {
+        out.push(out[out.len() - dist]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn xorshift_bytes(mut seed: u64, n: usize) -> Vec<u8> {
         (0..n)
@@ -301,5 +328,65 @@ mod tests {
         }
         assert_eq!(decompress(&[]), None);
         assert_eq!(decompress(&[MODE_LZ + 42]), None, "unknown mode");
+    }
+
+    /// A hand-built LZ body: `prefix` as one literal, then one match per
+    /// `(dist, len)`, its distance clamped to the bytes produced so far.
+    /// Returns the body and what the byte loop decodes it to.
+    fn overlapping_body(prefix: &[u8], matches: &[(usize, usize)]) -> (Vec<u8>, Vec<u8>) {
+        let mut want = prefix.to_vec();
+        let mut tokens = Vec::new();
+        flush_literals(prefix, &mut tokens);
+        for &(dist, len) in matches {
+            let dist = dist.min(want.len());
+            copy_match_bytewise(&mut want, dist, len);
+            varint_encode(((len as u64) << 1) | 1, &mut tokens);
+            varint_encode(dist as u64, &mut tokens);
+        }
+        let mut body = Vec::new();
+        varint_encode(want.len() as u64, &mut body);
+        body.extend_from_slice(&tokens);
+        (body, want)
+    }
+
+    #[test]
+    fn overlapping_matches_copy_their_own_output() {
+        // dist 1 (a byte run), dist < len (a period repeated), dist == len,
+        // and dist > len (no overlap).
+        let (body, want) = overlapping_body(b"abc", &[(1, 9), (4, 13), (5, 5), (20, 7)]);
+        assert_eq!(&want[..12], b"abcccccccccc");
+        assert_eq!(lz_decode(&body), Some(want));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The compressor codes a periodic payload as matches that overlap
+        /// their own output; the run copy decodes them like the byte loop.
+        #[test]
+        fn periodic_payloads_decode_like_the_byte_loop(
+            period in 1usize..17,
+            len in 0usize..4096,
+            seed in 1u64..u64::MAX,
+            head in proptest::collection::vec(0u8..=255, 0..32),
+        ) {
+            let mut payload = head.clone();
+            payload.extend(xorshift_bytes(seed, period).iter().cycle().take(len));
+            let frame = compress(&payload);
+            if frame[0] == MODE_LZ {
+                prop_assert_eq!(lz_decode(&frame[1..]), lz_decode_with(&frame[1..], copy_match_bytewise));
+            }
+            prop_assert_eq!(decompress(&frame), Some(payload));
+        }
+
+        #[test]
+        fn hand_built_overlapping_matches_decode_like_the_byte_loop(
+            prefix in proptest::collection::vec(0u8..=255, 1..40),
+            matches in proptest::collection::vec((1usize..48, 1usize..300), 1..10),
+        ) {
+            let (body, want) = overlapping_body(&prefix, &matches);
+            prop_assert_eq!(lz_decode_with(&body, copy_match_bytewise), Some(want.clone()));
+            prop_assert_eq!(lz_decode(&body), Some(want));
+        }
     }
 }

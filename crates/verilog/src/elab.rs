@@ -25,7 +25,7 @@ pub fn elaborate(file: &SourceFile, top: &str) -> Result<Netlist, VerilogError> 
     let mut b = Builder {
         nodes: Vec::new(),
         regs: Vec::new(),
-        net_target: HashMap::new(),
+        net_target: Vec::new(),
         file,
         scopes: vec![ScopeInfo {
             module: top.to_owned(),
@@ -167,8 +167,9 @@ pub const MAX_HIERARCHY_DEPTH: usize = 64;
 struct Builder<'a> {
     nodes: Vec<WNode>,
     regs: Vec<WReg>,
-    /// Net placeholder node → resolved driver.
-    net_target: HashMap<WId, WId>,
+    /// Net placeholder node → resolved driver, indexed by node id: node
+    /// ids are dense, so a chain of nets resolves without hashing.
+    net_target: Vec<Option<WId>>,
     file: &'a SourceFile,
     /// Module-instance scopes created so far (0 = top).
     scopes: Vec<ScopeInfo>,
@@ -231,6 +232,18 @@ impl Builder<'_> {
 
     fn width(&self, id: WId) -> u32 {
         self.nodes[id as usize].width
+    }
+
+    fn target(&self, net: WId) -> Option<WId> {
+        self.net_target.get(net as usize).copied().flatten()
+    }
+
+    fn set_target(&mut self, net: WId, driver: WId) {
+        let i = net as usize;
+        if self.net_target.len() <= i {
+            self.net_target.resize(i + 1, None);
+        }
+        self.net_target[i] = Some(driver);
     }
 
     fn constant(&mut self, value: u64, width: u32) -> WId {
@@ -587,7 +600,7 @@ fn elab_module(
                     VerilogError::at(d.line, format!("input port '{name}' unconnected"))
                 })?;
                 let bound = b.coerce(bound, d.width);
-                b.net_target.insert(d.node, bound);
+                b.set_target(d.node, bound);
                 if nb_targets.contains(name) || blk_targets.contains(name) {
                     return Err(VerilogError::at(
                         d.line,
@@ -614,7 +627,7 @@ fn elab_module(
                         decl_line: d.line,
                         top_level: scope.prefix.is_empty(),
                     });
-                    b.net_target.insert(d.node, q);
+                    b.set_target(d.node, q);
                 }
             }
         }
@@ -637,7 +650,9 @@ fn elab_module(
                 if seq {
                     for (name, id) in env.nb {
                         let d = scope.decl(&name, a.line)?;
-                        let q = b.net_target[&d.node];
+                        let q = b
+                            .target(d.node)
+                            .expect("every sequential target is bound to its register");
                         let WKind::RegQ { reg } = b.nodes[q as usize].kind else {
                             return Err(VerilogError::at(
                                 a.line,
@@ -789,13 +804,13 @@ fn elab_module(
                 b.new_node(WKind::Concat { parts }, d.width)
             }
         };
-        if b.net_target.contains_key(&d.node) {
+        if b.target(d.node).is_some() {
             return Err(VerilogError::at(
                 d.line,
                 format!("net '{name}' multiply driven"),
             ));
         }
-        b.net_target.insert(d.node, combined);
+        b.set_target(d.node, combined);
     }
 
     // Output map.
@@ -1712,36 +1727,45 @@ fn lower_binary(
 // Resolution: patch Net placeholders, detect cycles.
 // ---------------------------------------------------------------------------
 
-fn resolve(netlist: &mut Netlist, net_target: &HashMap<WId, WId>) -> Result<(), VerilogError> {
+fn resolve(netlist: &mut Netlist, net_target: &[Option<WId>]) -> Result<(), VerilogError> {
     let n = netlist.nodes.len();
-    // canonical[id]: id with Net chains collapsed.
+    // canonical[id]: id with Net chains collapsed; ON_CHAIN marks the nets
+    // of the chain being followed, so a cycle is found in one step.
     let mut canonical: Vec<Option<WId>> = vec![None; n];
+    const ON_CHAIN: WId = WId::MAX;
 
     fn canon(
         id: WId,
         nodes: &[WNode],
-        net_target: &HashMap<WId, WId>,
+        net_target: &[Option<WId>],
         canonical: &mut [Option<WId>],
     ) -> Result<WId, VerilogError> {
         let mut chain = Vec::new();
         let mut cur = id;
         loop {
-            if let Some(c) = canonical[cur as usize] {
-                for &x in &chain {
-                    canonical[x as usize] = Some(c);
+            match canonical[cur as usize] {
+                Some(ON_CHAIN) => {
+                    let WKind::Net { name } = &nodes[cur as usize].kind else {
+                        unreachable!("only nets are marked on a chain");
+                    };
+                    return Err(VerilogError::general(format!(
+                        "combinational cycle through net '{name}'"
+                    )));
                 }
-                return Ok(c);
+                Some(c) => {
+                    for &x in &chain {
+                        canonical[x as usize] = Some(c);
+                    }
+                    return Ok(c);
+                }
+                None => {}
             }
             match &nodes[cur as usize].kind {
                 WKind::Net { name } => {
-                    if chain.contains(&cur) {
-                        return Err(VerilogError::general(format!(
-                            "combinational cycle through net '{name}'"
-                        )));
-                    }
+                    canonical[cur as usize] = Some(ON_CHAIN);
                     chain.push(cur);
-                    match net_target.get(&cur) {
-                        Some(&t) => cur = t,
+                    match net_target.get(cur as usize).copied().flatten() {
+                        Some(t) => cur = t,
                         None => {
                             return Err(VerilogError::general(format!(
                                 "net '{name}' is never driven"

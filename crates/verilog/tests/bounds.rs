@@ -147,3 +147,42 @@ fn hierarchy_depth_is_bounded() {
     // still inside the bound.
     assert_eq!(e.line, Some(3 * MAX_HIERARCHY_DEPTH as u32 - 1), "{e}");
 }
+
+/// `nets` nets in one chain of continuous assigns, `w{i} = w{i-1}`. The
+/// first net is driven by the input, or with `cycle` by the last net.
+fn net_chain(nets: usize, cycle: bool) -> String {
+    let mut src = String::from("module m(input a, output y);\n");
+    for i in 0..nets {
+        src.push_str(&format!("wire w{i};\n"));
+    }
+    let first = if cycle {
+        format!("w{}", nets - 1)
+    } else {
+        "a".to_owned()
+    };
+    src.push_str(&format!("assign w0 = {first};\n"));
+    for i in 1..nets {
+        src.push_str(&format!("assign w{i} = w{};\n", i - 1));
+    }
+    src.push_str(&format!("assign y = w{};\nendmodule\n", nets - 1));
+    src
+}
+
+#[test]
+fn a_long_net_chain_resolves_and_a_long_net_cycle_is_an_error() {
+    // A cycle check that scans the chain followed so far at every net is
+    // quadratic: seconds at this length.
+    let on_small_stack = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            compile(&net_chain(100_000, false), "m").expect("the chain compiles");
+            error(&net_chain(100_000, true), "m")
+        })
+        .expect("spawn a 2 MiB thread");
+    let e = on_small_stack.join().expect("no stack overflow");
+    assert!(
+        e.message
+            .contains("combinational cycle through net 'w99999'"),
+        "{e}"
+    );
+}

@@ -6,12 +6,12 @@
 # locally too: `cargo build --release && scripts/ci_smoke.sh remote-store`.
 #
 # Environment:
-#   BIN_DIR  directory holding runtime/annotate/rtlt-stored
+#   BIN_DIR  directory holding runtime/table5/annotate/rtlt-stored
 #            (default target/release)
 #   SMOKE_TMP scratch root (default: a fresh mktemp -d)
 set -euo pipefail
 
-job="${1:?usage: ci_smoke.sh <warm-cache|incremental-annotation|live-annotate|cache-maintenance|remote-store|compressed-store|multiplexed-store|perf-gate>}"
+job="${1:?usage: ci_smoke.sh <warm-cache|cross-validate|incremental-annotation|live-annotate|cache-maintenance|remote-store|compressed-store|multiplexed-store|perf-gate>}"
 BIN_DIR="${BIN_DIR:-target/release}"
 BIN_DIR="$(cd "$BIN_DIR" && pwd)"
 SMOKE_TMP="${SMOKE_TMP:-$(mktemp -d)}"
@@ -47,6 +47,26 @@ case "$job" in
     lookups=$(json_num prepare_lookups BENCH_runtime.json)
     echo "warm prepare-stage hit rate: ${rate}% over ${lookups} lookups"
     awk -v r="$rate" -v n="$lookups" 'BEGIN { exit !(r >= 90 && n >= 21) }'
+    ;;
+
+  # Cross-validation smoke: `table5` cold, then warm, in one cache dir,
+  # and cold again on one worker in a second. The fold schedule changes
+  # how fast, never what: the three stdouts must be byte-identical. The
+  # warm run must take every fold's stack from the store (0 `model`
+  # misses, one disk hit per fold).
+  cross-validate)
+    cd "$SMOKE_TMP"
+    RTLT_FAST=1 "$BIN_DIR/table5" --cache-dir "$SMOKE_TMP/cv-cache" > cv-cold.txt
+    RTLT_FAST=1 "$BIN_DIR/table5" --cache-dir "$SMOKE_TMP/cv-cache" > cv-warm.txt
+    sed -n '/"model": {/,/}/p' BENCH_table5.json > cv-warm-model.json
+    misses=$(json_num misses cv-warm-model.json)
+    hits=$(json_num disk_hits cv-warm-model.json)
+    RTLT_FAST=1 RTLT_THREADS=1 "$BIN_DIR/table5" --cache-dir "$SMOKE_TMP/cv-cache-1" > cv-one.txt
+    echo "warm cross-validation: ${hits} fold stacks from disk, ${misses} model misses"
+    cmp cv-cold.txt cv-warm.txt
+    cmp cv-cold.txt cv-one.txt
+    test "$misses" -eq 0
+    test "$hits" -eq 3
     ;;
 
   # Incremental-annotation smoke: prepare a multi-module design, edit one
