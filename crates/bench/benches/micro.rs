@@ -128,7 +128,7 @@ fn bench_model(c: &mut Criterion) {
         b.iter(|| model.predict_endpoints(&data))
     });
 
-    // Raw model-stack micro-kernels over the same path rows: the flat SoA
+    // Raw model-stack micro-kernels over the same path rows: the flat arena
     // batch inference kernel, and a single histogram tree grown with a
     // reused scratch histogram (the per-round unit of GBDT training).
     let nf = data.rows.first().map_or(1, |r| r.features.len());

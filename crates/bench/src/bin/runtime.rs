@@ -114,7 +114,7 @@ fn main() {
 
         // Model-stack micro-kernels over this design's path rows (the
         // per-design counterparts of the gbdt_predict_batch_b17 /
-        // tree_fit_hist_b17 criterion micros): flat SoA batch inference,
+        // tree_fit_hist_b17 criterion micros): flat arena batch inference,
         // and one histogram tree grown with a reused scratch histogram.
         let nf = data.rows.first().map_or(1, |r| r.features.len());
         let mut fm = FeatureMatrix::new(nf);

@@ -101,11 +101,6 @@ impl EnsembleModel {
         self.meta.predict_all(rows)
     }
 
-    /// Prediction into a caller-owned buffer (cleared first).
-    pub fn predict_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
-        self.meta.predict_into(rows, out);
-    }
-
     /// The boosted meta-model.
     pub(crate) fn forest(&self) -> &Gbdt {
         &self.meta

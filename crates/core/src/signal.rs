@@ -178,12 +178,6 @@ impl SignalModels {
             self.ranking.score_all(rows),
         )
     }
-
-    /// Prediction into caller-owned buffers (cleared first).
-    pub fn predict_into(&self, rows: &FeatureMatrix, reg: &mut Vec<f64>, rank: &mut Vec<f64>) {
-        self.regression.predict_into(rows, reg);
-        self.ranking.score_into(rows, rank);
-    }
 }
 
 impl rtlt_store::Codec for SignalModels {

@@ -1,95 +1,131 @@
-//! Flat inference kernel: every tree of a fitted ensemble linearized
-//! into one contiguous node array and traversed with a tree-outer ×
-//! row-block loop.
+//! Flat inference kernel: every tree of a fitted ensemble laid out in
+//! fixed 256-slot arenas and walked by `u8` cursors over 16-row blocks.
 //!
-//! The scalar path walks a heap of `Node` enums per row per tree — a
-//! serial pointer chase whose next load depends on the previous compare.
-//! This kernel packs each node's hot fields (threshold, feature, both
-//! children) into one 24-byte [`FlatNode`] so a descent step touches a
-//! single cache line, and encodes **leaves as self-loops** (`left ==
-//! right == self`, threshold `+∞`) so a descent runs a *fixed* number of
-//! branch-free steps (the tree's depth) instead of testing for leaf
-//! arrival. Traversal is tree-outer over [`ROW_BLOCK`]-row blocks,
-//! stepping every row of the block one level per pass: the block's
-//! descents are independent chains, so the CPU overlaps their node loads
-//! instead of serializing one row's full walk at a time.
+//! **Arenas.** Each tree owns one 256-slot entry in each of three
+//! per-forest arrays: `thresholds: [f64; 256]`, `links: [u16; 256]`
+//! (`feature | left << 8`) and `values: [f64; 256]` (learning rate × leaf
+//! value). The root takes
+//! slot 0 and each split's children take the next free pair, so the right
+//! child always sits at `left + 1` and one step is
+//! `next = left + !(v <= threshold)`: a link load, a row-value load, a
+//! threshold compare and an add of its carry. A `u8` cursor indexes a
+//! 256-slot array and a feature is `link & 31` into a 32-wide row, so
+//! every index is in bounds by its type: the step compiles to straight-line
+//! code with no bounds check.
 //!
-//! Comparison order (`value <= threshold`, NaN falls right — a self-loop
-//! leaf re-selects itself on either outcome) and per-row accumulation
-//! order (base, then trees in boosting order) are exactly the scalar
-//! path's, so predictions are bit-identical. The scalar walk
-//! ([`Tree::predict`]) is the oracle the tests hold this kernel to.
+//! **Leaves** have a NaN threshold and `left = slot − 1`, so `!(v <= NaN)`
+//! steps a leaf onto itself whatever the row holds. A descent therefore
+//! runs a fixed number of steps, the tree's depth, with no leaf test.
+//!
+//! **Row blocks.** A batch is walked [`ROW_BLOCK`] rows at a time: the
+//! block is copied into a zero-padded `[[f64; 32]; 16]`, and for each tree
+//! its 16 cursors live in a `[u8; 16]` local the compiler unrolls into
+//! registers. Stepping the block one level per pass gives the CPU 16
+//! independent descents to overlap, and nothing but the result leaves the
+//! registers between steps. The 24-byte-node kernel this replaced kept its
+//! cursors in a memory array and clamped every feature index: five loads,
+//! a store, a clamp and a bounds check per step where this one has three
+//! loads and an add.
+//!
+//! **Shape limits**, checked by [`FlatForest::from_trees`]: at most
+//! [`MAX_NODES`] nodes per tree, at most [`MAX_FEATURES`] features, and
+//! every split on a feature the forest has. `Gbdt::fit` asserts
+//! `max_depth <= MAX_DEPTH` and the width up front; `Gbdt::decode` returns
+//! the error, so a stored forest outside the limits is recomputed.
+//!
+//! Comparison order (`value <= threshold`, NaN falls right) and per-row
+//! accumulation order (base, then `lr · leaf` of each tree in boosting
+//! order) are exactly the scalar walk's, so predictions are bit-identical.
+//! The scalar walk ([`Tree::predict`]) is the oracle the tests hold this
+//! kernel to. The arenas are derived at fit/decode time and never
+//! persisted.
 
 use crate::matrix::FeatureMatrix;
 use crate::tree::{Node, Tree};
 
-/// Rows traversed per tree before moving to the next tree: large enough
-/// to amortize reloading the node array and to expose independent
-/// descent chains, small enough that the block's cursors stay in L1.
-pub const ROW_BLOCK: usize = 64;
+/// Rows a batch walk steps together, one cursor each.
+pub const ROW_BLOCK: usize = 16;
 
-/// One linearized tree node: the descent-hot fields, packed so a step
-/// reads one cache line. Leaves self-loop (`left == right == self`) with
-/// threshold `+∞`; their payload lives in [`FlatForest::value`].
-#[derive(Debug, Clone, Copy, Default)]
-struct FlatNode {
-    /// Split threshold (`value <= threshold` goes left); `+∞` on leaves.
-    threshold: f64,
-    /// Split feature (0 on leaves — compared against `+∞`, never routes).
-    feature: u32,
-    /// Left child index; `self` on leaves.
-    left: u32,
-    /// Right child index; `self` on leaves.
-    right: u32,
-}
+/// Features a forest may have: a split feature is `link & 31`.
+pub const MAX_FEATURES: usize = 32;
 
-/// All trees of a boosted ensemble linearized into one node array.
+/// Nodes a tree may have: the largest odd count that fits 256 slots.
+pub const MAX_NODES: usize = SLOTS - 1;
+
+/// Deepest tree `Gbdt::fit` grows: a full tree of this depth has
+/// [`MAX_NODES`] nodes.
+pub const MAX_DEPTH: usize = 7;
+
+/// Slots per tree arena: every `u8` cursor value.
+const SLOTS: usize = 256;
+
+/// Rows of a block, each padded to [`MAX_FEATURES`] columns.
+type Block = [[f64; MAX_FEATURES]; ROW_BLOCK];
+
+/// All trees of a boosted ensemble in per-tree 256-slot arenas.
 ///
 /// Derived from the fitted [`Tree`]s at fit/decode time — never
 /// persisted, so the stored model bytes and keys are untouched.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FlatForest {
     base: f64,
-    learning_rate: f64,
-    /// Every node of every tree, trees back to back.
-    nodes: Vec<FlatNode>,
-    /// Leaf value per node (0 for split nodes — never read).
-    value: Vec<f64>,
-    /// Per-tree root node.
-    roots: Vec<u32>,
-    /// Per-tree depth: split levels along the deepest path, i.e. the
-    /// fixed step count after which every descent sits on a leaf.
-    steps: Vec<u32>,
+    n_features: usize,
+    /// Per tree, each slot's split threshold; NaN on leaves and unused
+    /// slots.
+    thresholds: Vec<[f64; SLOTS]>,
+    /// Per tree, each slot's `feature | left << 8`; a leaf's `left` is
+    /// `slot − 1`.
+    links: Vec<[u16; SLOTS]>,
+    /// Per tree, each leaf's learning rate × value (0 elsewhere).
+    values: Vec<[f64; SLOTS]>,
+    /// Per tree, its depth: after that many steps every cursor sits on a
+    /// leaf.
+    depths: Vec<u8>,
 }
 
 impl FlatForest {
-    /// Linearizes a fitted ensemble.
-    pub fn from_trees(trees: &[Tree], base: f64, learning_rate: f64) -> FlatForest {
+    /// Lays out a fitted or decoded ensemble over `n_features` columns.
+    ///
+    /// # Errors
+    ///
+    /// Names the broken shape limit: more than [`MAX_FEATURES`] features,
+    /// a split on a feature at or above `n_features`, or a tree that
+    /// takes more than [`MAX_NODES`] slots.
+    pub fn from_trees(
+        trees: &[Tree],
+        n_features: usize,
+        base: f64,
+        learning_rate: f64,
+    ) -> Result<FlatForest, &'static str> {
+        if n_features > MAX_FEATURES {
+            return Err("forest wider than 32 features");
+        }
         let mut f = FlatForest {
             base,
-            learning_rate,
-            ..FlatForest::default()
+            n_features,
+            thresholds: Vec::with_capacity(trees.len()),
+            links: Vec::with_capacity(trees.len()),
+            values: Vec::with_capacity(trees.len()),
+            depths: Vec::with_capacity(trees.len()),
         };
+        // Node index per slot, in the order slots are handed out, so the
+        // list is also the breadth-first queue.
+        let mut order: Vec<usize> = Vec::with_capacity(MAX_NODES);
         for tree in trees {
             let nodes = tree.nodes();
-            let off = f.nodes.len();
-            f.nodes.resize(off + nodes.len(), FlatNode::default());
-            f.value.resize(off + nodes.len(), 0.0);
-            // Node `i` takes slot `off + i`; children carry higher
-            // indices than their parent (fit pushes parents first), so
-            // depths resolve in one reverse sweep.
-            let mut depth = vec![0u32; nodes.len()];
-            for (i, n) in nodes.iter().enumerate().rev() {
-                let s = (off + i) as u32;
-                match n {
+            let mut thresholds = [f64::NAN; SLOTS];
+            let mut links = [0u16; SLOTS];
+            let mut values = [0.0; SLOTS];
+            let mut depth = [0u8; SLOTS];
+            order.clear();
+            order.push(0);
+            let mut slot = 0;
+            while slot < order.len() {
+                match nodes[order[slot]] {
                     Node::Leaf { value } => {
-                        f.nodes[off + i] = FlatNode {
-                            threshold: f64::INFINITY,
-                            feature: 0,
-                            left: s,
-                            right: s,
-                        };
-                        f.value[off + i] = *value;
+                        // `slot` is below `MAX_NODES`, so the cast is exact.
+                        links[slot] = u16::from((slot as u8).wrapping_sub(1)) << 8;
+                        values[slot] = learning_rate * value;
                     }
                     Node::Split {
                         feature,
@@ -98,98 +134,138 @@ impl FlatForest {
                         right,
                         ..
                     } => {
-                        f.nodes[off + i] = FlatNode {
-                            threshold: *threshold,
-                            feature: *feature as u32,
-                            left: (off + *left) as u32,
-                            right: (off + *right) as u32,
-                        };
-                        depth[i] = 1 + depth[*left].max(depth[*right]);
+                        if feature >= n_features {
+                            return Err("split feature outside the forest");
+                        }
+                        let l = order.len();
+                        if l + 2 > MAX_NODES {
+                            return Err("tree larger than 255 nodes");
+                        }
+                        order.extend([left, right]);
+                        thresholds[slot] = threshold;
+                        // `feature < 32` and `l < 255`: both fit their
+                        // byte of the link.
+                        links[slot] = feature as u16 | (l as u16) << 8;
+                        depth[l] = depth[slot] + 1;
+                        depth[l + 1] = depth[slot] + 1;
                     }
                 }
+                slot += 1;
             }
-            f.roots.push(off as u32);
-            f.steps.push(depth[0]);
+            f.thresholds.push(thresholds);
+            f.links.push(links);
+            f.values.push(values);
+            f.depths.push(depth.into_iter().max().unwrap_or(0));
         }
-        f
+        Ok(f)
     }
 
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
-        self.roots.len()
+        self.depths.len()
     }
 
-    /// Predicts one raw feature row (bit-identical to the scalar walk).
-    #[inline]
+    /// Feature columns a row must have.
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    /// Every tree's arenas and depth, in boosting order.
+    fn trees(&self) -> impl Iterator<Item = (&[f64; SLOTS], &[u16; SLOTS], &[f64; SLOTS], u8)> {
+        self.thresholds
+            .iter()
+            .zip(&self.links)
+            .zip(&self.values)
+            .zip(&self.depths)
+            .map(|(((t, l), v), &d)| (t, l, v, d))
+    }
+
+    /// Predicts one raw feature row (bit-identical to the scalar walk)
+    /// without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row width is not [`FlatForest::n_features`].
     pub fn predict_row(&self, row: &[f64]) -> f64 {
+        assert_eq!(row.len(), self.n_features, "feature width mismatch");
+        let mut padded = [0.0; MAX_FEATURES];
+        padded[..row.len()].copy_from_slice(row);
         let mut acc = self.base;
-        for (t, &root) in self.roots.iter().enumerate() {
-            let mut u = root as usize;
-            for _ in 0..self.steps[t] {
-                let n = &self.nodes[u];
-                // `<=` sends NaN right, matching the scalar walk; a leaf
-                // self-loops on either outcome.
-                u = if row[n.feature as usize] <= n.threshold {
-                    n.left
-                } else {
-                    n.right
-                } as usize;
+        for (thresholds, links, values, depth) in self.trees() {
+            let mut cur = 0u8;
+            for _ in 0..depth {
+                cur = step(thresholds, links, &padded, cur);
             }
-            acc += self.learning_rate * self.value[u];
+            acc += values[usize::from(cur)];
         }
         acc
     }
 
-    /// Batch prediction into a caller-owned buffer (cleared first):
-    /// tree-outer over [`ROW_BLOCK`]-row blocks, stepping the whole
-    /// block one tree level per pass so the descents' node loads overlap.
+    /// Batch prediction into a caller-owned buffer (cleared first), one
+    /// [`ROW_BLOCK`]-row block at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty matrix's width is not
+    /// [`FlatForest::n_features`].
     pub fn predict_into(&self, features: &FeatureMatrix, out: &mut Vec<f64>) {
-        let n = features.n_rows();
-        let nf = features.n_cols();
-        let data = features.as_slice();
         out.clear();
-        out.resize(n, self.base);
-        if nf == 0 {
-            // Stump-only forests: every tree is a lone leaf.
-            for (t, &root) in self.roots.iter().enumerate() {
-                debug_assert_eq!(self.steps[t], 0);
-                let v = self.learning_rate * self.value[root as usize];
-                for acc in out.iter_mut() {
-                    *acc += v;
-                }
-            }
+        if features.is_empty() {
             return;
         }
-        let mut idx = [0u32; ROW_BLOCK];
-        let mut start = 0;
-        while start < n {
-            let len = ROW_BLOCK.min(n - start);
-            let block = &data[start * nf..(start + len) * nf];
-            for (t, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.steps[t] {
-                    for (row, cur) in block.chunks_exact(nf).zip(idx[..len].iter_mut()) {
-                        let nd = &self.nodes[*cur as usize];
-                        // `.min(nf - 1)` proves the index in-bounds to the
-                        // optimizer (split features are < nf by
-                        // construction, so it never actually clamps).
-                        let v = row[(nd.feature as usize).min(nf - 1)];
-                        *cur = if v <= nd.threshold { nd.left } else { nd.right };
-                    }
-                }
-                let lr = self.learning_rate;
-                for (r, &u) in idx[..len].iter().enumerate() {
-                    out[start + r] += lr * self.value[u as usize];
-                }
+        let nf = features.n_cols();
+        assert_eq!(nf, self.n_features, "feature width mismatch");
+        out.reserve(features.n_rows());
+        // Columns past `nf`, and the rows past a short last block, stay
+        // padding: no split reads the former, and the latter's results
+        // are dropped.
+        let mut block: Block = [[0.0; MAX_FEATURES]; ROW_BLOCK];
+        for rows in features.as_slice().chunks(ROW_BLOCK * nf) {
+            for (padded, row) in block.iter_mut().zip(rows.chunks_exact(nf)) {
+                padded[..nf].copy_from_slice(row);
             }
-            start += len;
+            out.extend_from_slice(&self.walk_block(&block)[..rows.len() / nf]);
         }
     }
 
     /// Batch prediction.
+    ///
+    /// # Panics
+    ///
+    /// As [`FlatForest::predict_into`].
     pub fn predict_all(&self, features: &FeatureMatrix) -> Vec<f64> {
         let mut out = Vec::new();
         self.predict_into(features, &mut out);
         out
     }
+
+    /// Walks one block through every tree: tree-outer, stepping all 16
+    /// cursors one level per pass.
+    fn walk_block(&self, block: &Block) -> [f64; ROW_BLOCK] {
+        let mut acc = [self.base; ROW_BLOCK];
+        for (thresholds, links, values, depth) in self.trees() {
+            let mut cur = [0u8; ROW_BLOCK];
+            for _ in 0..depth {
+                for (c, row) in cur.iter_mut().zip(block) {
+                    *c = step(thresholds, links, row, *c);
+                }
+            }
+            for (a, &c) in acc.iter_mut().zip(&cur) {
+                *a += values[usize::from(c)];
+            }
+        }
+        acc
+    }
+}
+
+/// One descent step from slot `cur`: left when `value <= threshold`,
+/// else `left + 1`. NaN values fall right, and a leaf's NaN threshold
+/// sends every value to `slot − 1 + 1`, itself.
+#[inline(always)]
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must step right
+fn step(thresholds: &[f64; SLOTS], links: &[u16; SLOTS], row: &[f64; MAX_FEATURES], cur: u8) -> u8 {
+    let link = links[usize::from(cur)];
+    let value = row[usize::from(link) % MAX_FEATURES];
+    let [_, left] = link.to_le_bytes();
+    left.wrapping_add(u8::from(!(value <= thresholds[usize::from(cur)])))
 }

@@ -1,7 +1,7 @@
 //! Gradient-boosted decision trees with pluggable objectives.
 
 use crate::cells::SplitCells;
-use crate::flat::FlatForest;
+use crate::flat::{FlatForest, MAX_DEPTH, MAX_FEATURES};
 use crate::matrix::FeatureMatrix;
 use crate::tree::{Binner, Tree, TreeParams, TreeScratch};
 use rand::rngs::StdRng;
@@ -121,9 +121,9 @@ pub struct Gbdt {
     base: f64,
     learning_rate: f64,
     trees: Vec<Tree>,
-    n_features: usize,
-    /// SoA inference kernel, derived from `trees` at fit/decode time —
-    /// never persisted (the `model` namespace bytes are unchanged).
+    /// Arena inference kernel (and the feature width), derived from
+    /// `trees` at fit/decode time — never persisted (the `model` namespace
+    /// bytes are unchanged).
     flat: FlatForest,
     /// Split cells, derived from `trees` on first use (edit sessions
     /// only; fits and cold predicts never build them) — never persisted.
@@ -135,10 +135,21 @@ impl Gbdt {
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is empty.
+    /// Panics if `rows` is empty, wider than [`MAX_FEATURES`] columns, or
+    /// if `params.tree.max_depth` is above [`MAX_DEPTH`] (the flat
+    /// kernel's shape limits).
     pub fn fit(rows: &FeatureMatrix, objective: &dyn Objective, params: &GbdtParams) -> Gbdt {
         assert!(!rows.is_empty(), "GBDT needs data");
         let n_features = rows.n_cols();
+        assert!(
+            n_features <= MAX_FEATURES,
+            "GBDT fits at most {MAX_FEATURES} feature columns, got {n_features}"
+        );
+        assert!(
+            params.tree.max_depth <= MAX_DEPTH,
+            "GBDT max_depth {} is above the limit of {MAX_DEPTH}",
+            params.tree.max_depth
+        );
         let n = rows.n_rows();
         let binner = Binner::fit(rows, params.max_bins);
         let codes = binner.codes(rows);
@@ -178,12 +189,12 @@ impl Gbdt {
             }
             trees.push(tree);
         }
-        let flat = FlatForest::from_trees(&trees, base, params.learning_rate);
+        let flat = FlatForest::from_trees(&trees, n_features, base, params.learning_rate)
+            .expect("a forest fitted within the asserted limits");
         Gbdt {
             base,
             learning_rate: params.learning_rate,
             trees,
-            n_features,
             flat,
             cells: OnceLock::new(),
         }
@@ -195,17 +206,24 @@ impl Gbdt {
     ///
     /// Panics if the row width differs from training.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        assert_eq!(row.len(), self.n_features, "feature width mismatch");
         self.flat.predict_row(row)
     }
 
     /// Batch prediction into a caller-owned buffer (cleared first) via the
-    /// flat SoA kernel.
+    /// flat arena kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty batch's width differs from training.
     pub fn predict_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
         self.flat.predict_into(rows, out);
     }
 
     /// Batch prediction.
+    ///
+    /// # Panics
+    ///
+    /// As [`Gbdt::predict_into`].
     pub fn predict_all(&self, rows: &FeatureMatrix) -> Vec<f64> {
         let mut out = Vec::new();
         self.predict_into(rows, &mut out);
@@ -216,12 +234,12 @@ impl Gbdt {
     /// cells agree on every feature predict the same bits.
     pub fn cells(&self) -> &SplitCells {
         self.cells
-            .get_or_init(|| SplitCells::of(&self.trees, self.n_features))
+            .get_or_init(|| SplitCells::of(&self.trees, self.flat.n_features()))
     }
 
     /// Split counts per feature (simple importance metric).
     pub fn feature_importance(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_features];
+        let mut counts = vec![0usize; self.flat.n_features()];
         for t in &self.trees {
             for f in t.split_features() {
                 counts[f] += 1;
@@ -238,33 +256,29 @@ impl Gbdt {
 
 /// Inference needs only raw split thresholds (the training-time binner is
 /// deliberately not persisted), so a decoded ensemble predicts identically
-/// to the fitted one. Decode rejects a split on a feature the ensemble
-/// does not have (the tree codec rejects malformed node arenas), so a
-/// corrupt entry is recomputed instead of panicking in predict.
+/// to the fitted one. Decode rejects a forest outside the flat kernel's
+/// shape limits (a split on a feature the ensemble does not have, more
+/// than 32 features, a tree over 255 nodes) in the pass that builds its
+/// arenas, and the tree codec rejects malformed node arenas, so a corrupt
+/// entry is recomputed instead of panicking in predict.
 impl rtlt_store::Codec for Gbdt {
     fn encode(&self, e: &mut rtlt_store::Enc) {
         e.f64(self.base);
         e.f64(self.learning_rate);
         self.trees.encode(e);
-        e.usize(self.n_features);
+        e.usize(self.flat.n_features());
     }
     fn decode(d: &mut rtlt_store::Dec<'_>) -> Result<Self, rtlt_store::CodecError> {
         let base = d.f64()?;
         let learning_rate = d.f64()?;
         let trees: Vec<Tree> = Vec::decode(d)?;
         let n_features = d.usize()?;
-        if trees
-            .iter()
-            .any(|t| t.split_features().into_iter().any(|f| f >= n_features))
-        {
-            return Err(rtlt_store::CodecError::new("GBDT split feature"));
-        }
-        let flat = FlatForest::from_trees(&trees, base, learning_rate);
+        let flat = FlatForest::from_trees(&trees, n_features, base, learning_rate)
+            .map_err(rtlt_store::CodecError::new)?;
         Ok(Gbdt {
             base,
             learning_rate,
             trees,
-            n_features,
             flat,
             cells: OnceLock::new(),
         })
@@ -521,6 +535,88 @@ mod tests {
             RawNode::Leaf(1.0),
         ];
         assert!(Gbdt::from_bytes(&forest_bytes(2, &[&tree])).is_err());
+    }
+
+    /// A chain of `splits` splits on feature 0, each with a leaf on the
+    /// left: `2 · splits + 1` nodes.
+    fn chain(splits: usize) -> Vec<RawNode> {
+        let mut nodes = Vec::new();
+        for k in 0..splits {
+            nodes.push(RawNode::Split(0, k as f64, 0, 2 * k + 1, 2 * k + 2));
+            nodes.push(RawNode::Leaf(k as f64));
+        }
+        nodes.push(RawNode::Leaf(-1.0));
+        nodes
+    }
+
+    #[test]
+    fn decode_rejects_a_tree_over_255_nodes() {
+        use rtlt_store::Codec;
+        let fits = Gbdt::from_bytes(&forest_bytes(1, &[&chain(127)])).expect("255 nodes");
+        assert_eq!(fits.predict(&[200.0]), 0.25 - 0.5);
+        assert!(Gbdt::from_bytes(&forest_bytes(1, &[STUMP, &chain(128)])).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_split_on_feature_32() {
+        use rtlt_store::Codec;
+        let on = |feature| {
+            [
+                RawNode::Split(feature, 0.5, 3, 1, 2),
+                RawNode::Leaf(-1.0),
+                RawNode::Leaf(1.0),
+            ]
+        };
+        assert!(Gbdt::from_bytes(&forest_bytes(32, &[&on(31)])).is_ok());
+        assert!(Gbdt::from_bytes(&forest_bytes(33, &[&on(32)])).is_err());
+        assert!(Gbdt::from_bytes(&forest_bytes(33, &[&on(0)])).is_err());
+    }
+
+    fn tiny(n_cols: usize, max_depth: usize) -> Gbdt {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| (0..n_cols).map(|c| ((i * (c + 3)) % 11) as f64).collect())
+            .collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
+        let mut params = GbdtParams {
+            n_trees: 2,
+            ..GbdtParams::default()
+        };
+        params.tree.max_depth = max_depth;
+        Gbdt::fit(
+            &FeatureMatrix::from_rows(&rows),
+            &SquaredObjective { targets: y },
+            &params,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "max_depth 8 is above the limit of 7")]
+    fn fit_refuses_a_depth_above_seven() {
+        tiny(2, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 feature columns, got 33")]
+    fn fit_refuses_more_than_32_columns() {
+        tiny(33, 3);
+    }
+
+    #[test]
+    fn fit_takes_the_limits_themselves() {
+        assert_eq!(tiny(32, 7).n_trees(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature width mismatch")]
+    fn a_narrower_batch_panics() {
+        let model = tiny(3, 3);
+        let narrow = FeatureMatrix::from_rows(&[vec![1.0, 2.0]]);
+        model.predict_all(&narrow);
+    }
+
+    #[test]
+    fn an_empty_batch_may_have_any_width() {
+        assert!(tiny(3, 3).predict_all(&FeatureMatrix::new(5)).is_empty());
     }
 
     /// Training values on a coarse grid, so bin edges (= split thresholds)

@@ -33,7 +33,7 @@ mod tree;
 
 pub use attention::{PathSample, PathTransformer, TransformerParams};
 pub use cells::SplitCells;
-pub use flat::{FlatForest, ROW_BLOCK};
+pub use flat::{FlatForest, MAX_DEPTH, MAX_FEATURES, MAX_NODES, ROW_BLOCK};
 pub use gbdt::{Gbdt, GbdtParams, GroupedMaxObjective, Objective, SquaredObjective};
 pub use gnn::{Gnn, GnnGraph, GnnParams};
 pub use ltr::{LambdaMart, LtrParams};

@@ -138,11 +138,6 @@ impl LambdaMart {
     pub fn score_all(&self, rows: &FeatureMatrix) -> Vec<f64> {
         self.model.predict_all(rows)
     }
-
-    /// Batch scores into a caller-owned buffer (cleared first).
-    pub fn score_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
-        self.model.predict_into(rows, out);
-    }
 }
 
 impl rtlt_store::Codec for LambdaMart {

@@ -550,8 +550,9 @@ impl rtlt_store::Codec for Tree {
     }
     /// Rejects arenas the walks cannot take: an empty tree, and a child
     /// that is not after its parent or not in the tree. Fit pushes parents
-    /// before their children, and the flat kernel's reverse depth sweep
-    /// relies on it; a `model` entry may come from a remote store.
+    /// before their children, so every walk ends at a leaf (a cycle would
+    /// loop the scalar walks); a `model` entry may come from a remote
+    /// store.
     fn decode(d: &mut rtlt_store::Dec<'_>) -> Result<Self, rtlt_store::CodecError> {
         let nodes: Vec<Node> = Vec::decode(d)?;
         if nodes.is_empty() {

@@ -1,4 +1,4 @@
-//! Property tests of the flat SoA inference kernel: [`FlatForest`] must
+//! Property tests of the flat arena inference kernel: [`FlatForest`] must
 //! predict bit-identically to the scalar `Node`-walk over adversarial
 //! feature values (signed zeros, denormals, infinities, NaNs, and values
 //! exactly equal to split thresholds), and a decoded ensemble must
@@ -111,7 +111,7 @@ proptest! {
     /// `FlatForest::predict_row` and the blocked `predict_all` agree
     /// bit-for-bit with the scalar walk on adversarial inputs, including
     /// rows reused verbatim from training (threshold-equal values) and
-    /// batches spanning multiple `ROW_BLOCK` windows.
+    /// batches spanning multiple `ROW_BLOCK` blocks.
     #[test]
     fn flat_matches_scalar_walk_bit_exactly(
         train_vals in proptest::collection::vec(training_f64(), 24..160),
@@ -121,7 +121,7 @@ proptest! {
         let train = matrix_of(&train_vals, n_cols);
         let (base, lr) = (0.125, 0.3);
         let trees = boost(&train, base, lr, 3);
-        let flat = FlatForest::from_trees(&trees, base, lr);
+        let flat = FlatForest::from_trees(&trees, n_cols, base, lr).expect("within the limits");
         prop_assert_eq!(flat.n_trees(), trees.len());
 
         // Adversarial rows plus every training row appended verbatim, so
