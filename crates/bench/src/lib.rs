@@ -469,7 +469,7 @@ impl Bench {
         let dedup = self.prepared_dedup_stats();
         if dedup.total_signals > 0 {
             println!(
-                "cone dedup: {} unique cones / {} signals ({:.1}% shared), {} evals saved, featurize {:.2}s",
+                "cone dedup: {} unique cones / {} signals ({:.1}% shared), {} evals saved by the per-design once-map, featurize {:.2}s",
                 dedup.unique_cones,
                 dedup.total_signals,
                 100.0 * (1.0 - dedup.unique_cones as f64 / dedup.total_signals as f64),

@@ -1,29 +1,12 @@
-//! [`Codec`] implementations for BOG types, enabling `rtlt-store`
-//! persistence of blasted designs. Lives here (not in the store crate)
-//! because [`Bog`]'s fields are crate-private by design — the codec is the
-//! one sanctioned way to rebuild a graph from raw parts, and it re-checks
-//! nothing: a corrupt stream fails decoding, never constructs a graph.
+//! [`Codec`] implementations for BOG graphs: the SOG of the stored
+//! `blast` artifact, and the bytes an extracted cone's content key hashes.
+//! Lives here (not in the store crate) because [`Bog`]'s fields are
+//! crate-private by design — the codec is the one sanctioned way to
+//! rebuild a graph from raw parts, and it re-checks nothing: a corrupt
+//! stream fails decoding, never constructs a graph.
 
-use crate::cone::ConeInfo;
 use crate::graph::{Bog, BogNode, BogOp, BogReg, BogVariant, SignalInfo};
 use rtlt_store::{Codec, CodecError, Dec, Enc};
-
-impl Codec for ConeInfo {
-    fn encode(&self, e: &mut Enc) {
-        e.usize(self.driving_regs);
-        e.usize(self.driving_inputs);
-        e.usize(self.size);
-        e.u32(self.depth);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(ConeInfo {
-            driving_regs: d.usize()?,
-            driving_inputs: d.usize()?,
-            size: d.usize()?,
-            depth: d.u32()?,
-        })
-    }
-}
 
 impl Codec for BogOp {
     fn encode(&self, e: &mut Enc) {
@@ -194,5 +177,15 @@ mod tests {
     fn truncation_fails_cleanly() {
         let bytes = sample_bog().to_bytes();
         assert!(Bog::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn corrupt_tag_fails_cleanly() {
+        let mut bytes = BogOp::Mux2.to_bytes();
+        bytes[0] = 9;
+        assert!(BogOp::from_bytes(&bytes).is_err());
+        let mut bytes = BogVariant::Xag.to_bytes();
+        bytes[0] = 4;
+        assert!(BogVariant::from_bytes(&bytes).is_err());
     }
 }

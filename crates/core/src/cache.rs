@@ -10,29 +10,28 @@
 //! label     = H(blast, cfg.seed, cfg.synth_effort) // the label flow's inputs
 //! featurize = H(label)                             // derives everything else
 //! shard     = H(variant, clock, seed,              // per-signal featurize
-//!               cone module keys, cone content)    //   slice
+//!               cone content)                      //   slice
 //! model     = H(sorted train prepare_keys, seed)   // fitted RtlTimer
 //! ```
 //!
-//! The design-level keys are **module-granular** since PR 3:
-//! `module_key = H(name, text, dep_module_keys)` (see
+//! Every key also hashes [`PIPELINE_EPOCH`]. The design-level keys are
+//! **module-granular**: `module_key = H(name, text, dep_module_keys)` (see
 //! [`rtlt_verilog::modsrc`]), so editing a module invalidates only the
 //! designs whose top-module dependency cone contains it, and — through the
-//! `shard` namespace — only the cones it feeds inside those designs.
+//! `shard` namespace, whose cone content changes only where the edit
+//! reaches — only the cones it feeds inside those designs.
 //!
 //! `cfg.threads` deliberately appears in **no** key: it changes how fast a
 //! suite prepares, never what is prepared. The [`Codec`] impls in this
-//! module (plus the ones in `rtlt-bog`/`rtlt-verilog`/`rtlt-ml` for graph
-//! and model types) make every stage artifact storable in the `rtlt-store`
-//! disk tier, so a warm run of any bench binary skips suite preparation
+//! module (plus the ones in `rtlt-bog`/`rtlt-ml` for graph and model
+//! types) make every stage artifact storable in the `rtlt-store` disk
+//! tier, so a warm run of any bench binary skips suite preparation
 //! entirely.
 
 use crate::bitwise::BitwiseModel;
-use crate::dataset::{ConeEval, ConeShard, PathRow, VariantData};
+use crate::dataset::{ConeShard, PathRow, VariantData};
 use crate::optimize::FlowMetrics;
-use crate::pipeline::{
-    BlastedDesign, CompiledDesign, DesignData, LabelOutcome, RtlTimer, TimerConfig,
-};
+use crate::pipeline::{BlastedDesign, DesignData, LabelOutcome, RtlTimer, TimerConfig};
 use rtlt_bog::{Bog, BogVariant};
 use rtlt_store::{Codec, CodecError, ContentHash, Dec, Enc, KeyBuilder};
 use std::sync::Arc;
@@ -41,8 +40,8 @@ use std::sync::Arc;
 /// attributable per stage and makes the on-disk layout self-describing
 /// (`<cache-dir>/<namespace>/<key>.bin`).
 pub mod stage {
-    /// Bit-blasted SOG, with the frontend artifacts it was blasted from
-    /// (parse + AST features + elaborate).
+    /// Bit-blasted SOG, with what the later stages read of the frontend
+    /// (AST features, module keys, per-signal provenance).
     pub const BLAST: &str = "blast";
     /// Ground-truth label flow outcome.
     pub const LABEL: &str = "label";
@@ -50,8 +49,9 @@ pub mod stage {
     pub const FEATURIZE: &str = "featurize";
     /// Per-signal featurize shards (cone-granular invalidation).
     pub const SHARD: &str = "shard";
-    /// Seed-independent shared cone evaluations (levelized pseudo-STA +
-    /// critical paths), one per unique canonical cone content.
+    /// Retired: nothing reads or writes it. Shared cone evaluations live
+    /// only in one featurize job's once-map; the name stays for readers
+    /// of per-namespace stats, which count nothing under it.
     pub const CONESTA: &str = "conesta";
     /// Fitted model stacks ([`RtlTimer`]), keyed by train set × seed.
     pub const MODEL: &str = "model";
@@ -70,20 +70,23 @@ pub mod stage {
 /// rules, featurization, …) so warm caches from older builds read as
 /// misses instead of silently serving stale artifacts.
 ///
+/// The `blast` artifact stores each signal's module provenance
+/// ([`rtlt_bog::signal_provenance`]), so a change to what that function
+/// returns needs a bump too, as a change to the blasting rules does.
+///
 /// Epoch 2: featurization moved to the sharded cone-local pipeline
 /// (per-signal pseudo-STA and sampling seeds; AST features restricted to
 /// the top module's dependency cone).
 ///
 /// Epoch 3: path rows hold only their features and endpoint; the
-/// Transformer's token sequences left the `featurize`, `shard` and
-/// `conesta` layouts ([`crate::dataset::token_rows`] replays them).
+/// Transformer's token sequences left the `featurize` and `shard` layouts
+/// ([`crate::dataset::token_rows`] replays them).
 pub const PIPELINE_EPOCH: u64 = 3;
 
 /// The chained content keys of one design's preparation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrepareKeys {
-    /// Key of the blast-stage artifact (which carries the compiled
-    /// design).
+    /// Key of the blast-stage artifact ([`BlastedDesign`]).
     pub blast: ContentHash,
     /// Key of the label-stage artifact.
     pub label: ContentHash,
@@ -177,21 +180,6 @@ pub fn shard_key(
         .finish()
 }
 
-/// Key of one shared cone evaluation ([`crate::dataset::ConeEval`]):
-/// representation × clock × the cone's **structural** fingerprint
-/// ([`rtlt_bog::cone_fingerprint`]). Unlike [`shard_key`] there is no
-/// sampling seed (the evaluation is seed-independent by construction) and
-/// no name strings in the hashed content — so N signals with isomorphic
-/// cones, whose shard keys all differ, map to one `conesta` entry.
-pub fn conesta_key(variant_idx: usize, clock: f64, fingerprint: &ContentHash) -> ContentHash {
-    KeyBuilder::new("rtlt.conesta")
-        .u64(PIPELINE_EPOCH)
-        .u64(variant_idx as u64)
-        .f64(clock)
-        .key(fingerprint)
-        .finish()
-}
-
 /// Key of a fitted [`RtlTimer`]: the sorted content keys of the training
 /// preparations plus the only [`TimerConfig`] field `fit` reads (`seed` —
 /// `synth_effort` is already inside every `prepare_key`, and `threads`
@@ -208,36 +196,6 @@ pub fn model_key(train: &[&DesignData], cfg: &TimerConfig) -> ContentHash {
     b.finish()
 }
 
-impl Codec for CompiledDesign {
-    fn encode(&self, e: &mut Enc) {
-        e.str(&self.name);
-        e.str(&self.source);
-        self.ast_feats.encode(e);
-        self.netlist.encode(e);
-        e.seq_len(self.module_keys.len());
-        for (name, key) in &self.module_keys {
-            e.str(name);
-            key.encode(e);
-        }
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(CompiledDesign {
-            name: d.str()?,
-            source: d.str()?,
-            ast_feats: Vec::decode(d)?,
-            netlist: rtlt_verilog::rtlir::Netlist::decode(d)?,
-            module_keys: {
-                let n = d.seq_len(1)?;
-                let mut out = Vec::with_capacity(n);
-                for _ in 0..n {
-                    out.push((d.str()?, ContentHash::decode(d)?));
-                }
-                out
-            },
-        })
-    }
-}
-
 impl Codec for ConeShard {
     fn encode(&self, e: &mut Enc) {
         self.sta_at.encode(e);
@@ -251,44 +209,6 @@ impl Codec for ConeShard {
             driving_regs: Vec::decode(d)?,
             rows: Vec::decode(d)?,
             groups: Vec::decode(d)?,
-        })
-    }
-}
-
-impl Codec for ConeEval {
-    fn encode(&self, e: &mut Enc) {
-        self.sta.arrival.encode(e);
-        self.sta.slew.encode(e);
-        self.sta.load.encode(e);
-        self.sta.delay.encode(e);
-        self.sta.endpoint_at.encode(e);
-        self.sta.endpoint_slack.encode(e);
-        e.f64(self.sta.wns);
-        e.f64(self.sta.tns);
-        self.fanout.encode(e);
-        self.cones.encode(e);
-        self.crit_nodes.encode(e);
-        self.crit_rows.encode(e);
-        self.design.encode(e);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let sta = rtlt_sta::StaResult {
-            arrival: Vec::decode(d)?,
-            slew: Vec::decode(d)?,
-            load: Vec::decode(d)?,
-            delay: Vec::decode(d)?,
-            endpoint_at: Vec::decode(d)?,
-            endpoint_slack: Vec::decode(d)?,
-            wns: d.f64()?,
-            tns: d.f64()?,
-        };
-        Ok(ConeEval {
-            sta: Arc::new(sta),
-            fanout: Vec::decode(d)?,
-            cones: Vec::decode(d)?,
-            crit_nodes: Vec::decode(d)?,
-            crit_rows: Vec::decode(d)?,
-            design: Vec::decode(d)?,
         })
     }
 }
@@ -320,14 +240,32 @@ impl Codec for RtlTimer {
 
 impl Codec for BlastedDesign {
     fn encode(&self, e: &mut Enc) {
-        self.compiled.encode(e);
+        e.str(&self.name);
+        e.str(&self.source);
+        self.ast_feats.encode(e);
+        e.seq_len(self.module_keys.len());
+        for (name, key) in &self.module_keys {
+            e.str(name);
+            key.encode(e);
+        }
+        self.provenance.encode(e);
         self.sog.encode(e);
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(BlastedDesign {
-            compiled: CompiledDesign::decode(d)?,
+        let blasted = BlastedDesign {
+            name: d.str()?,
+            source: d.str()?,
+            ast_feats: Vec::decode(d)?,
+            module_keys: (0..d.seq_len(1)?)
+                .map(|_| Ok((d.str()?, ContentHash::decode(d)?)))
+                .collect::<Result<_, CodecError>>()?,
+            provenance: Vec::decode(d)?,
             sog: Bog::decode(d)?,
-        })
+        };
+        if blasted.provenance.len() != blasted.sog.signals().len() {
+            return Err(CodecError::new("BlastedDesign provenance per signal"));
+        }
+        Ok(blasted)
     }
 }
 
@@ -553,5 +491,34 @@ endmodule";
             area: 88.25,
         };
         assert_eq!(FlowMetrics::from_bytes(&m.to_bytes()).unwrap(), m);
+    }
+
+    #[test]
+    fn a_stored_blast_carries_the_provenance_of_a_fresh_compile() {
+        let source = rtlt_designgen::hier::soc("hier_soc", 4, 8, 3);
+        let c = cfg(1, 0.6, 1);
+        let stages = crate::PrepareStages::new(&c);
+        let blasted = stages.blast(stages.compile("hier_soc", &source).unwrap());
+        let dir = std::env::temp_dir().join(format!("rtlt-blast-codec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = PrepareKeys::derive("hier_soc", &source, &c).blast;
+        rtlt_store::Store::on_disk(&dir).put(stage::BLAST, key, blasted.clone());
+        // A fresh store decodes the entry from disk.
+        let back = rtlt_store::Store::on_disk(&dir)
+            .get::<BlastedDesign>(stage::BLAST, key)
+            .expect("stored blast decodes");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let netlist = rtlt_verilog::compile(&source, "hier_soc").unwrap();
+        let provenance = rtlt_bog::signal_provenance(&netlist);
+        assert!(provenance.iter().any(|m| m.len() > 1), "hierarchical");
+        assert_eq!(back.provenance, provenance);
+        assert_eq!(back.provenance.len(), back.sog.signals().len());
+        assert_eq!(
+            (&back.name, &back.source, &back.module_keys),
+            (&blasted.name, &blasted.source, &blasted.module_keys)
+        );
+        assert_eq!(back.ast_feats.to_bytes(), blasted.ast_feats.to_bytes());
+        assert_eq!(back.sog.to_bytes(), blasted.sog.to_bytes());
     }
 }

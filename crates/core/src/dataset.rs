@@ -5,29 +5,31 @@
 //! [`build_all_variant_data`] is the one construction path: one
 //! [`ConeShard`] per RTL signal, computed on the signal's canonically
 //! extracted input cone ([`rtlt_bog::extract_signal_cone`]) and memoized
-//! in the store under a module-set × cone-content key. Shards carry only
-//! cone-local quantities; the cheap merge step splices in the
-//! design-global features (rank percentile, cell counts). Editing one
-//! module recomputes only the shards whose cones it feeds.
+//! in the store under a variant × clock × seed × cone-content key
+//! ([`crate::cache::shard_key`]). Shards carry only cone-local
+//! quantities; the cheap merge step splices in the design-global features
+//! (rank percentile, cell counts). Editing one module recomputes only the
+//! shards whose cones' content it changes.
 //!
 //! Each shard splits into a **seed-independent kernel** and a
 //! **seed-dependent replay**. Everything a per-signal evaluation derives
 //! before the RNG is ever consulted — levelized pseudo-STA tables,
 //! per-endpoint cone summaries, the critical path and its featurized row —
-//! is a pure function of the cone's canonical content, so it is computed
-//! once per *unique* cone ([`ConeEval`], memoized in the `conesta` store
-//! namespace plus an in-process once-map) and shared by every signal whose
-//! extracted cone is byte-identical (bit lanes of one word, replicated
+//! is a pure function of the cone's structure, so within one design ×
+//! variant it is computed once per *unique* cone (`ConeEval`, kept in the
+//! featurize job's once-map) and shared by every signal whose extracted
+//! cone is structurally identical (bit lanes of one word, replicated
 //! blocks). The per-signal seeded path sampling then *replays* over the
-//! shared evaluation. The tests keep a one-pass per-signal evaluation as the
-//! oracle the replay must match bit for bit.
+//! shared evaluation. Evaluations are never stored: the `shard` entries
+//! they produce are. The tests keep a one-pass per-signal evaluation as
+//! the oracle the replay must match bit for bit.
 //!
 //! A row holds only what the models read: its Table-2 features and its
 //! endpoint. The one consumer of per-node token sequences, the Transformer
 //! ablation of Table 4, gets them from [`token_rows`], which replays the
 //! same path choice over the SOG variant's cones; nothing stores them.
 
-use crate::cache::{conesta_key, shard_key, stage};
+use crate::cache::{shard_key, stage};
 use crate::features::{design_features, op_class, path_features, token_features};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,29 +118,28 @@ pub fn shard_seed(design_seed: u64, variant_idx: usize, signal: &str) -> u64 {
 
 /// The seed-independent evaluation of one canonical cone under one
 /// representation: everything a per-signal evaluation derives before the
-/// RNG is ever consulted. One evaluation is shared by all signals whose
-/// extracted cones are byte-identical — within a design through the
-/// in-process once-map, across designs and runs through the `conesta`
-/// store namespace ([`crate::cache::conesta_key`]).
+/// RNG is ever consulted. Within one design × variant, one evaluation is
+/// shared by all signals whose extracted cones are structurally identical
+/// (a [`FeaturizeJob`]'s once-map).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ConeEval {
+struct ConeEval {
     /// Pseudo-STA tables of the variant-converted cone (levelized kernel).
-    pub sta: Arc<StaResult>,
+    sta: Arc<StaResult>,
     /// Fanout counts per node.
-    pub fanout: Vec<u32>,
+    fanout: Vec<u32>,
     /// Input-cone summary per endpoint (bit).
-    pub cones: Vec<ConeInfo>,
+    cones: Vec<ConeInfo>,
     /// Critical-path node sequence per endpoint — the dedup filter the
     /// replay applies to sampled paths, and the critical row's tokens in
     /// [`token_rows`].
-    pub crit_nodes: Vec<Vec<NodeId>>,
+    crit_nodes: Vec<Vec<NodeId>>,
     /// Featurized critical-path row per endpoint. Global slots 0..4 are
     /// placeholders, same contract as [`ConeShard::rows`].
-    pub crit_rows: Vec<PathRow>,
+    crit_rows: Vec<PathRow>,
     /// Design features of the variant-converted cone — per-graph constants
     /// that fill the placeholder slots 1..4 of every replayed row (two full
     /// node passes each, so computed once here instead of once per row).
-    pub design: Vec<f64>,
+    design: Vec<f64>,
 }
 
 /// Computes the seed-independent evaluation of a variant-converted cone:
@@ -147,7 +148,7 @@ pub struct ConeEval {
 /// depth memo is shared across the cone's endpoints), critical path, and
 /// its featurized row. Bit-identical to what the per-signal evaluation
 /// derives for the same inputs.
-pub fn compute_cone_eval(
+fn compute_cone_eval(
     vbog: &Bog,
     n_eps: usize,
     lib: &Library,
@@ -193,7 +194,7 @@ pub fn compute_cone_eval(
 /// endpoint against the already-computed STA tables. The RNG consumption
 /// sequence matches the per-signal evaluation exactly (all draws happen
 /// inside `sample_paths`), so the resulting shard is bit-identical.
-pub fn replay_cone_shard(
+fn replay_cone_shard(
     vbog: &Bog,
     eval: &ConeEval,
     n_eps: usize,
@@ -210,7 +211,7 @@ pub fn replay_cone_shard(
 /// moved into the shard instead of deep-cloned. This is the singleton-cone
 /// fast path — an evaluation used by exactly one signal never needs its
 /// rows again.
-pub fn replay_cone_shard_owned(
+fn replay_cone_shard_owned(
     vbog: &Bog,
     mut eval: ConeEval,
     n_eps: usize,
@@ -348,8 +349,9 @@ pub struct ConeDedupStats {
     pub total_signals: u64,
     /// Distinct canonical cone contents among them (per design, summed).
     pub unique_cones: u64,
-    /// Seed-independent evaluations answered by the once-map or the
-    /// `conesta` namespace instead of being recomputed.
+    /// Seed-independent evaluations a featurize job's once-map answered
+    /// (an earlier signal of the same design × variant had a structurally
+    /// identical cone) instead of computing them again.
     pub saved_evals: u64,
     /// Wall time spent inside `build_all_variant_data` (seconds, summed
     /// across threads).
@@ -542,8 +544,7 @@ fn merge_pieces(
 }
 
 /// Fingerprint multiplicity within one design: only cones that occur more
-/// than once go through the memoized `conesta` path — see
-/// `shared_cone_eval`.
+/// than once go through the once-map — see [`FeaturizeJob`]'s `shard`.
 fn fingerprint_multiplicity(extractions: &[ConeExtraction]) -> HashMap<ContentHash, u32> {
     let mut multiplicity: HashMap<ContentHash, u32> = HashMap::new();
     for e in extractions {
@@ -554,8 +555,8 @@ fn fingerprint_multiplicity(extractions: &[ConeExtraction]) -> HashMap<ContentHa
 
 /// One signal's canonical input-cone extraction and its two keys. The
 /// content hash of the cone's bytes keys the per-seed shard cache
-/// (name-sensitive); the structural fingerprint keys the shared
-/// seed-independent evaluation (name-free, so isomorphic cones of
+/// (name-sensitive); the structural fingerprint keys the once-map of
+/// shared seed-independent evaluations (name-free, so isomorphic cones of
 /// different signals collide).
 #[derive(Debug, Clone)]
 pub(crate) struct ConeExtraction {
@@ -616,10 +617,10 @@ pub fn build_all_variant_data(
 }
 
 /// [`build_all_variant_data`] with an explicit scratch: a [`FeaturizeJob`]
-/// stepped to completion in one call. Each *unique* canonical cone gets one
-/// seed-independent [`ConeEval`] — computed via the levelized kernel,
-/// memoized in-process and in the `conesta` namespace — and every signal
-/// sharing it replays only the seeded sampling.
+/// stepped to completion in one call. Each *unique* canonical cone of a
+/// variant gets one seed-independent evaluation — computed via the
+/// levelized kernel, kept in the job's once-map — and every signal sharing
+/// it replays only the seeded sampling.
 pub fn build_all_variant_data_scratch(
     store: &Store,
     sog: &Bog,
@@ -654,6 +655,9 @@ pub(crate) struct PriorRows {
 pub(crate) struct ShardCounts {
     /// Shards computed (`shard`-namespace misses).
     pub computed: u64,
+    /// The part of `computed` that replayed an evaluation from the job's
+    /// once-map instead of evaluating its cone.
+    pub shared: u64,
     /// Shards the store served.
     pub stored: u64,
     /// Shards whose rows moved over from the previous revision, with no
@@ -691,7 +695,9 @@ pub struct FeaturizeJob {
     multiplicity: HashMap<ContentHash, u32>,
     prior: Option<PriorRows>,
     scratch: FeaturizeScratch,
-    once: HashMap<ContentHash, (Arc<Bog>, Arc<ConeEval>)>,
+    /// The current variant's evaluations of cones that occur more than
+    /// once in the design, by fingerprint, with their converted cones.
+    once: HashMap<ContentHash, (Bog, ConeEval)>,
     /// Each variant's design-level features, when the caller counted them
     /// (see [`FeaturizeJob::with_design_features`]).
     design_feats: Option<Vec<Vec<f64>>>,
@@ -866,37 +872,34 @@ impl FeaturizeJob {
         let seed = shard_seed(self.design_seed, vi, &s.name);
         let (levels, cone_scratch) = (&mut self.scratch.levels, &mut self.scratch.cones);
         let (once, multiplicity) = (&mut self.once, &self.multiplicity);
-        let computed = Cell::new(false);
+        let (computed, evaluated) = (Cell::new(false), Cell::new(false));
         let key = shard_key(vi, clock, seed, &ext.content);
         let shard = store.get_or_compute(stage::SHARD, key, || {
             computed.set(true);
-            let sub = &ext.cone;
+            let mut evaluate = || {
+                evaluated.set(true);
+                let vbog = ext.cone.to_variant(variant);
+                let eval = compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
+                (vbog, eval)
+            };
             if multiplicity.get(&ext.fingerprint).copied().unwrap_or(1) > 1 {
-                let (vbog, eval) = shared_cone_eval(
-                    store,
-                    once,
-                    vi,
-                    variant,
-                    clock,
-                    &ext.fingerprint,
-                    sub,
-                    n_eps,
-                    lib,
-                    levels,
-                    cone_scratch,
-                );
-                replay_cone_shard(&vbog, &eval, n_eps, lib, clock, seed)
+                // The first signal of a repeated cone evaluates it; the
+                // others replay that evaluation.
+                let (vbog, eval) = once.entry(ext.fingerprint).or_insert_with(evaluate);
+                replay_cone_shard(vbog, eval, n_eps, lib, clock, seed)
             } else {
                 // Singleton cone (~90 % of signals on the bundled suites):
-                // compute and replay in place — no store round-trip, no
-                // Arc, crit rows moved not cloned.
-                let vbog = sub.to_variant(variant);
-                let eval = compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
+                // compute and replay in place, crit rows moved not cloned.
+                let (vbog, eval) = evaluate();
                 replay_cone_shard_owned(&vbog, eval, n_eps, lib, clock, seed)
             }
         });
         if computed.get() {
             self.counts.computed += 1;
+            if !evaluated.get() {
+                self.counts.shared += 1;
+                SAVED_EVALS.fetch_add(1, Ordering::Relaxed);
+            }
         } else {
             self.counts.stored += 1;
         }
@@ -914,47 +917,6 @@ impl FeaturizeJob {
             counts: self.counts,
         }
     }
-}
-
-/// Resolves the shared evaluation of one canonical cone: the once-map
-/// first (an earlier signal of the same design × variant), then the
-/// `conesta` namespace (other designs, earlier runs), then a fresh
-/// levelized-kernel computation. Counts every resolution that skipped the
-/// computation.
-///
-/// Only called for fingerprints with multiplicity > 1 within the design —
-/// singleton cones (~90 % on the bundled suites) bypass the `conesta`
-/// round-trip entirely, since persisting their (large) STA tables costs
-/// more than the dedup would save.
-#[allow(clippy::too_many_arguments)]
-fn shared_cone_eval(
-    store: &Store,
-    once: &mut HashMap<ContentHash, (Arc<Bog>, Arc<ConeEval>)>,
-    vi: usize,
-    variant: BogVariant,
-    clock: f64,
-    fingerprint: &ContentHash,
-    sub: &Bog,
-    n_eps: usize,
-    lib: &Library,
-    levels: &mut LevelScratch,
-    cone_scratch: &mut ConeScratch,
-) -> (Arc<Bog>, Arc<ConeEval>) {
-    if let Some((vbog, eval)) = once.get(fingerprint) {
-        SAVED_EVALS.fetch_add(1, Ordering::Relaxed);
-        return (Arc::clone(vbog), Arc::clone(eval));
-    }
-    let vbog = Arc::new(sub.to_variant(variant));
-    let computed = Cell::new(false);
-    let eval = store.get_or_compute(stage::CONESTA, conesta_key(vi, clock, fingerprint), || {
-        computed.set(true);
-        compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch)
-    });
-    if !computed.get() {
-        SAVED_EVALS.fetch_add(1, Ordering::Relaxed);
-    }
-    once.insert(*fingerprint, (Arc::clone(&vbog), Arc::clone(&eval)));
-    (vbog, eval)
 }
 
 #[cfg(test)]
@@ -1035,13 +997,23 @@ mod tests {
         tokens: Vec<TokenRow>,
     }
 
-    /// The production path: the sharded build, then [`token_rows`] over
-    /// the same store.
-    fn featurized(store: &Store, sog: &Bog, lib: &Library, clock: f64, seed: u64) -> Featurized {
-        Featurized {
-            data: build_all_variant_data(store, sog, lib, clock, seed),
+    /// The production path: the sharded build as one [`FeaturizeJob`],
+    /// then [`token_rows`]; also the job's shard counts.
+    fn featurized(
+        store: &Store,
+        sog: &Bog,
+        lib: &Library,
+        clock: f64,
+        seed: u64,
+    ) -> (Featurized, ShardCounts) {
+        let mut job = FeaturizeJob::new(sog, clock, seed);
+        while !job.step(store, sog, lib, usize::MAX) {}
+        let out = job.finish();
+        let data = Featurized {
+            data: out.variant_data,
             tokens: token_rows(sog, lib, clock, seed),
-        }
+        };
+        (data, out.counts)
     }
 
     /// The per-signal path every featurize path must match bit for bit:
@@ -1251,7 +1223,7 @@ mod tests {
         for bog in [bog(), twin_bog()] {
             for clock in [1.0, 0.37] {
                 let store = Store::in_memory();
-                let deduped = featurized(&store, &bog, &lib, clock, 7);
+                let (deduped, _) = featurized(&store, &bog, &lib, clock, 7);
                 let legacy = build_all_variant_data_naive(&bog, &lib, clock, 7);
                 assert_bit_identical(&deduped, &legacy);
                 // One shard per signal × variant, as the per-signal path
@@ -1269,33 +1241,16 @@ mod tests {
         let bog = twin_bog();
         let lib = Library::pseudo_bog();
         let store = Store::in_memory();
-        build_all_variant_data(&store, &bog, &lib, 1.0, 7);
-        // r1/r2 cones are isomorphic: one conesta entry per variant serves
-        // both signals' shards.
-        let conesta = store.stats().namespace(stage::CONESTA).misses;
-        let shard = store.stats().namespace(stage::SHARD).misses;
-        assert_eq!(shard as usize, bog.signals().len() * 4);
-        assert_eq!(conesta as usize, 4, "one shared evaluation per variant");
-    }
-
-    #[test]
-    fn conesta_survives_round_trip_through_store() {
-        // A second build over the same store must not recompute conesta
-        // entries, and replaying from decoded (not in-process) evaluations
-        // must give identical bytes.
-        let bog = twin_bog();
-        let lib = Library::pseudo_bog();
-        let store = Store::in_memory();
-        build_all_variant_data(&store, &bog, &lib, 1.0, 7);
-        let conesta_misses = store.stats().namespace(stage::CONESTA).misses;
-        // Different seed → different shard keys → shards recompute, but the
-        // seed-independent evaluations are all served from the store.
-        let second = featurized(&store, &bog, &lib, 1.0, 8);
-        assert_eq!(
-            store.stats().namespace(stage::CONESTA).misses,
-            conesta_misses
-        );
-        assert_bit_identical(&second, &build_all_variant_data_naive(&bog, &lib, 1.0, 8));
+        let (_, counts) = featurized(&store, &bog, &lib, 1.0, 7);
+        // r1/r2 cones are isomorphic: per variant, the first computes the
+        // evaluation and the second replays it from the once-map.
+        assert_eq!(counts.computed as usize, bog.signals().len() * 4);
+        assert_eq!(counts.shared, 4, "one shared evaluation per variant");
+        // A second job starts with an empty once-map, and every shard is
+        // served by the store.
+        let (_, again) = featurized(&store, &bog, &lib, 1.0, 7);
+        assert_eq!((again.computed, again.shared), (0, 0));
+        assert_eq!(again.stored as usize, bog.signals().len() * 4);
     }
 
     #[test]
@@ -1368,23 +1323,16 @@ mod tests {
             let lib = Library::pseudo_bog();
 
             let store = Store::in_memory();
-            let dedup = featurized(&store, &sog, &lib, clock, seed);
+            let (dedup, counts) = featurized(&store, &sog, &lib, clock, seed);
             assert_bit_identical(&dedup, &build_all_variant_data_naive(&sog, &lib, clock, seed));
 
             // One shard per signal × variant, as the naive path computes
-            // them, and the twins collapse onto shared evaluations (fewer
-            // conesta entries than shard entries).
-            let stats = store.stats();
-            let shard = stats.namespace(stage::SHARD).misses;
+            // them, and per variant every twin after the first replays the
+            // first one's evaluation.
+            let shard = store.stats().namespace(stage::SHARD).misses;
             prop_assert_eq!(shard as usize, sog.signals().len() * 4);
-            let conesta = stats.namespace(stage::CONESTA).misses;
-            prop_assert!(conesta > 0);
-            prop_assert!(
-                conesta < shard,
-                "isomorphic cones should share evaluations ({} conesta vs {} shard)",
-                conesta,
-                shard
-            );
+            prop_assert_eq!(counts.computed, shard);
+            prop_assert_eq!(counts.shared as usize, 4 * (twins - 1));
         }
     }
 

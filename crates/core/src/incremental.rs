@@ -11,7 +11,8 @@
 //! 1. recompile (one whole-file parse) unless the store holds the
 //!    revision's `blast` artifact; the dirty-module set is the text-key
 //!    diff against the previous pass,
-//! 2. re-blast (cheap, linear),
+//! 2. re-blast (cheap, linear) and record each signal's module provenance
+//!    (both stored in the `blast` artifact),
 //! 3. refeaturize through the `shard` namespace — only cones fed by an
 //!    edited module miss ([`crate::cache::shard_key`]); everything else is
 //!    served from the store,
@@ -346,26 +347,26 @@ impl IncrementalAnnotator {
             &self.name,
             source,
         )?;
-        let compiled = &blasted.compiled;
         let sog = blasted.sog.clone();
 
         // Dirty-module diff against the previous pass (text-level hashes:
         // the report names what was edited, not its dependents). The
-        // compiled design carries the keys; a flat source the splitter
+        // blasted design carries the keys; a flat source the splitter
         // could not handle carries none.
-        let keys: BTreeMap<String, ContentHash> = compiled.module_keys.iter().cloned().collect();
+        let keys: BTreeMap<String, ContentHash> = blasted.module_keys.iter().cloned().collect();
         let dirty_modules = changed_modules(&self.module_keys, &keys);
         self.module_keys = keys.clone();
         let flat = keys.is_empty();
 
-        // The provenance map bounds what this edit may invalidate: cones
-        // whose module set contains a dirty module. Without module keys
-        // nothing bounds the edit, so every signal is in the bound.
-        let provenance = rtlt_bog::signal_provenance(&compiled.netlist);
+        // The provenance map, stored with the blasted design, bounds what
+        // this edit may invalidate: cones whose module set contains a dirty
+        // module. Without module keys nothing bounds the edit, so every
+        // signal is in the bound.
+        let provenance = &blasted.provenance;
         let dirty_cone_bound: Vec<String> = sog
             .signals()
             .iter()
-            .zip(&provenance)
+            .zip(provenance)
             .filter(|(_, mods)| flat || mods.iter().any(|m| dirty_modules.contains(m)))
             .map(|(s, _)| s.name.clone())
             .collect();
@@ -385,7 +386,7 @@ impl IncrementalAnnotator {
         let resident = resident.filter(|prev| same_signals(&prev.sog, &sog));
         let (extractions, prior, carry) = match resident {
             Some(prev) => {
-                let (extractions, prior, carry) = carry_over(prev, &sog, &keys, &provenance);
+                let (extractions, prior, carry) = carry_over(prev, &sog, &keys, provenance);
                 (extractions, Some(prior), Some(carry))
             }
             None => (ConeExtraction::all(&sog), None, None),
@@ -410,7 +411,7 @@ impl IncrementalAnnotator {
                 seed,
                 synth_effort: self.cfg.synth_effort,
                 prepare_key: prepare_keys.featurize,
-                ast_feats: compiled.ast_feats.clone(),
+                ast_feats: blasted.ast_feats.clone(),
                 sog,
             },
             dirty_modules,
@@ -695,6 +696,20 @@ endmodule"
         }
     }
 
+    /// The signals of `source` whose freshly compiled provenance names a
+    /// module of `dirty`, in signal order.
+    fn fresh_cone_bound(source: &str, dirty: &[String]) -> Vec<String> {
+        let netlist = rtlt_verilog::compile(source, "hier_top").unwrap();
+        let provenance = rtlt_bog::signal_provenance(&netlist);
+        rtlt_bog::blast(&netlist)
+            .signals()
+            .iter()
+            .zip(&provenance)
+            .filter(|(_, mods)| mods.iter().any(|m| dirty.contains(m)))
+            .map(|(s, _)| s.name.clone())
+            .collect()
+    }
+
     fn run(job: ReannotateJob, model: &RtlTimer, store: &Store) -> ReannotateOutcome {
         let mut job = job;
         while !job.step(store, usize::MAX) {}
@@ -870,11 +885,21 @@ endmodule";
                 true,
             ),
         ];
-        let mut passes = 0;
+        let blast_misses = || store.stats().namespace(stage::BLAST).misses;
+        let (mut passes, mut stored_blasts) = (0, 0);
         for step in stream {
             match step {
                 Edit(source, resident) => {
+                    let misses = blast_misses();
                     let out = annotator.reannotate(&source, &model, &store).unwrap();
+                    // The bound read from the `blast` artifact, stored or
+                    // fresh, is the one a fresh compile's provenance gives.
+                    stored_blasts += usize::from(blast_misses() == misses);
+                    assert_eq!(
+                        out.dirty_cone_bound,
+                        fresh_cone_bound(&source, &out.dirty_modules),
+                        "revision {passes}"
+                    );
                     let cold_out = cold(&annotator, &source, &model);
                     assert_eq!(out.annotated, cold_out.annotated, "revision {passes}");
                     assert!(
@@ -902,6 +927,8 @@ endmodule";
             }
         }
         assert!(passes >= 8);
+        // The base (first pass and both reverts) and `a1`'s revert.
+        assert_eq!(stored_blasts, 4);
     }
 
     #[test]

@@ -144,7 +144,8 @@ pub struct CompiledDesign {
     /// module's dependency cone — the `blast` artifact that carries them
     /// must be a pure function of its module-granular key.
     pub ast_feats: Vec<f64>,
-    /// Elaborated word-level netlist.
+    /// Elaborated word-level netlist: [`PrepareStages::blast`] lowers it
+    /// and derives the signals' provenance from it, then drops it.
     pub netlist: rtlt_verilog::rtlir::Netlist,
     /// Per-module text keys of the source ([`modsrc::text_keys`], in
     /// declaration order; empty when the source cannot be split) — the
@@ -155,11 +156,24 @@ pub struct CompiledDesign {
     pub module_keys: Vec<(String, ContentHash)>,
 }
 
-/// Output of [`PrepareStages::blast`]: the design plus its SOG.
+/// Output of [`PrepareStages::blast`], the stored `blast` artifact: what
+/// the later stages and the edit loop read of the compiled design, plus
+/// its SOG. The word-level netlist is not kept; the per-signal module
+/// provenance derived from it is.
 #[derive(Debug, Clone)]
 pub struct BlastedDesign {
-    /// Frontend artifacts.
-    pub compiled: CompiledDesign,
+    /// Design name (top module).
+    pub name: String,
+    /// Original Verilog source.
+    pub source: String,
+    /// AST features ([`CompiledDesign::ast_feats`]).
+    pub ast_feats: Vec<f64>,
+    /// Per-module text keys ([`CompiledDesign::module_keys`]).
+    pub module_keys: Vec<(String, ContentHash)>,
+    /// Module names feeding each signal's input cone, in SOG signal order
+    /// ([`rtlt_bog::signal_provenance`]): the edit loop's invalidation
+    /// bound.
+    pub provenance: Vec<Vec<String>>,
     /// Bit-blasted SOG representation.
     pub sog: Bog,
 }
@@ -222,10 +236,11 @@ impl LabelOutcome {
 /// [`DesignData::prepare`] runs all four back to back; calling the stages
 /// separately lets a driver memoize, distribute, or batch each boundary
 /// independently. [`PrepareStages::run_with`] is the memoized runner: the
-/// `blast` (which carries the compiled design), `label` and `featurize`
-/// outputs each have a content key, and the runner consults the given
-/// [`rtlt_store::Store`] before computing one, so anything from compile +
-/// blast to the whole preparation can be skipped on a warm cache.
+/// `blast` (which carries what the later stages read of the compiled
+/// design), `label` and `featurize` outputs each have a content key, and
+/// the runner consults the given [`rtlt_store::Store`] before computing
+/// one, so anything from compile + blast to the whole preparation can be
+/// skipped on a warm cache.
 #[derive(Debug, Clone, Copy)]
 pub struct PrepareStages<'a> {
     cfg: &'a TimerConfig,
@@ -267,17 +282,25 @@ impl<'a> PrepareStages<'a> {
     }
 
     /// **Stage 2 — blast**: lower the word-level netlist to the bit-level
-    /// SOG whose register bits are the timing endpoints.
+    /// SOG whose register bits are the timing endpoints, and record each
+    /// signal's module provenance while the netlist is at hand; the
+    /// netlist itself is dropped.
     pub fn blast(&self, compiled: CompiledDesign) -> BlastedDesign {
-        let sog = blast(&compiled.netlist);
-        BlastedDesign { compiled, sog }
+        BlastedDesign {
+            sog: blast(&compiled.netlist),
+            provenance: rtlt_bog::signal_provenance(&compiled.netlist),
+            name: compiled.name,
+            source: compiled.source,
+            ast_feats: compiled.ast_feats,
+            module_keys: compiled.module_keys,
+        }
     }
 
     /// The label synthesis flow (stage 3's body, shared by the cached and
     /// uncached runners).
     fn run_label_flow(&self, blasted: &BlastedDesign) -> (SynthResult, u64, f64) {
         let lib = Library::nangate45_like();
-        let seed = design_seed(self.cfg.seed, &blasted.compiled.name);
+        let seed = design_seed(self.cfg.seed, &blasted.name);
         let synth = synthesize(
             &blasted.sog,
             &lib,
@@ -322,11 +345,7 @@ impl<'a> PrepareStages<'a> {
     /// variants against the label clock and assemble the [`DesignData`].
     pub fn featurize(&self, labeled: LabeledDesign) -> DesignData {
         let outcome = LabelOutcome::of(&labeled);
-        let keys = PrepareKeys::derive(
-            &labeled.blasted.compiled.name,
-            &labeled.blasted.compiled.source,
-            self.cfg,
-        );
+        let keys = PrepareKeys::derive(&labeled.blasted.name, &labeled.blasted.source, self.cfg);
         self.featurize_parts(
             &Store::disabled(),
             &labeled.blasted,
@@ -369,7 +388,6 @@ impl<'a> PrepareStages<'a> {
         prepare_key: ContentHash,
         scratch: &mut FeaturizeScratch,
     ) -> DesignData {
-        let compiled = &blasted.compiled;
         let sog = blasted.sog.clone();
         let pseudo = Library::pseudo_bog();
         let variant_data = crate::dataset::build_all_variant_data_scratch(
@@ -382,8 +400,8 @@ impl<'a> PrepareStages<'a> {
         );
 
         DesignData {
-            name: compiled.name.as_str().into(),
-            source: compiled.source.clone(),
+            name: blasted.name.as_str().into(),
+            source: blasted.source.clone(),
             signal_names: signal_names_of(&sog),
             sog,
             variant_data,
@@ -394,7 +412,7 @@ impl<'a> PrepareStages<'a> {
             tns: label.tns,
             area: label.area,
             power: label.power,
-            ast_feats: compiled.ast_feats.clone(),
+            ast_feats: blasted.ast_feats.clone(),
             synth_seed: label.synth_seed,
             synth_effort: self.cfg.synth_effort,
             prepare_key,
@@ -438,11 +456,11 @@ impl<'a> PrepareStages<'a> {
         source: &str,
     ) -> Result<Arc<BlastedDesign>, VerilogError> {
         let b = self.stored_blast(store, keys, name, source)?;
-        if b.compiled.source == source {
+        if b.source == source {
             return Ok(b);
         }
         let mut patched = (*b).clone();
-        patched.compiled.source = source.to_owned();
+        patched.source = source.to_owned();
         Ok(Arc::new(patched))
     }
 
@@ -1638,7 +1656,7 @@ endmodule";
         let blasted = stages
             .blasted_with(&store, "top", &appended)
             .expect("compiles");
-        assert_eq!(blasted.compiled.source, appended);
+        assert_eq!(blasted.source, appended);
 
         // Moving the cone (a leading line) shifts declaration lines and
         // must be a different preparation, not a patched hit.

@@ -20,7 +20,11 @@ use std::sync::Arc;
 ///
 /// v3: tier payloads are [`crate::compress`] frames (mode-tagged, possibly
 /// compressed) rather than bare codec bytes.
-pub const FORMAT_VERSION: u32 = 3;
+///
+/// v4: the `blast` artifact holds each signal's module provenance instead
+/// of the word-level netlist it was derived from. No key changed, so a v3
+/// `blast` entry would otherwise be misread under its unchanged key.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Decode failure — a truncated, corrupted, or differently-versioned byte
 /// stream. The store maps every decode failure to "recompute the artifact".

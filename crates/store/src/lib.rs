@@ -88,13 +88,6 @@ pub const DEFAULT_MEM_BUDGET: usize = 2 << 30;
 /// 21 designs of shards do not crowd out the hot tiny namespaces.
 pub const FEATURIZE_MEM_QUOTA: usize = 64 << 20;
 
-/// Decoded-front-cache quota for the `conesta` namespace (seed-independent
-/// shared cone evaluations). The entries are read many times during one
-/// design's featurize (once per signal sharing the cone) but rarely after,
-/// so they get a bounded share rather than crowding out the hot tiny
-/// namespaces.
-pub const CONESTA_MEM_QUOTA: usize = 32 << 20;
-
 /// Decoded-front-cache quota for the `blast` namespace (whole-design
 /// SOGs). A prepare passes its SOG down the stage chain by value and never
 /// reads it back; an edit session blasts every revision and reads one
@@ -103,13 +96,12 @@ pub const CONESTA_MEM_QUOTA: usize = 32 << 20;
 pub const BLAST_MEM_QUOTA: usize = 16 << 20;
 
 /// The tier policy of namespace `ns`: its decoded-front-cache quota, if
-/// capped. Bulk `featurize` tables, shared `conesta` evaluations and
-/// whole-design `blast` graphs are capped (cheap to re-read from
-/// compressed disk, or to recompute); every other namespace has no quota.
+/// capped. Bulk `featurize` tables and whole-design `blast` graphs are
+/// capped (cheap to re-read from compressed disk, or to recompute); every
+/// other namespace has no quota.
 fn namespace_policy(ns: &str) -> Option<usize> {
     match ns {
         "featurize" => Some(FEATURIZE_MEM_QUOTA),
-        "conesta" => Some(CONESTA_MEM_QUOTA),
         "blast" => Some(BLAST_MEM_QUOTA),
         _ => None,
     }
@@ -938,53 +930,49 @@ mod tests {
     }
 
     #[test]
-    fn every_namespace_packs_and_three_are_capped() {
+    fn every_namespace_packs_and_two_are_capped() {
         // Zeros compress to a sliver: every namespace's frame is far
         // smaller than its payload.
         let store = Store::with_tiers(0, vec![Arc::new(MemTier::new(1 << 20))]);
-        for ns in ["featurize", "conesta", "blast", "label", "shard", "model"] {
+        for ns in ["featurize", "blast", "label", "shard", "model"] {
             store.put(ns, key(1), vec![0u64; 512]);
             let s = store.stats().namespace(ns);
             assert!(s.stored_bytes_written < s.bytes_written / 4, "{ns}");
         }
         assert_eq!(namespace_policy("featurize"), Some(FEATURIZE_MEM_QUOTA));
-        assert_eq!(namespace_policy("conesta"), Some(CONESTA_MEM_QUOTA));
         assert_eq!(namespace_policy("blast"), Some(BLAST_MEM_QUOTA));
-        assert_eq!(
-            (FEATURIZE_MEM_QUOTA, CONESTA_MEM_QUOTA, BLAST_MEM_QUOTA),
-            (64 << 20, 32 << 20, 16 << 20)
-        );
+        assert_eq!((FEATURIZE_MEM_QUOTA, BLAST_MEM_QUOTA), (64 << 20, 16 << 20));
         assert_eq!(namespace_policy("label"), None);
         assert_eq!(namespace_policy("shard"), None);
     }
 
     #[test]
     fn namespace_mem_quota_bounds_the_decoded_cache() {
-        // The global budget is roomy; `conesta` is capped at
-        // CONESTA_MEM_QUOTA, so a third entry sized at a third of it
+        // The global budget is roomy; `blast` is capped at
+        // BLAST_MEM_QUOTA, so a third entry sized at a third of it
         // evicts the namespace's own LRU entry while "other" is untouched.
         let store = Store::in_memory();
-        let third = CONESTA_MEM_QUOTA / 8 / 3 + 1; // u64s; 3 entries overflow
+        let third = BLAST_MEM_QUOTA / 8 / 3 + 1; // u64s; 3 entries overflow
         let v = |x: u64| vec![x; third];
         store.put("other", key(9), v(9));
-        store.put("conesta", key(1), v(1));
-        store.put("conesta", key(2), v(2));
-        assert!(store.get::<Vec<u64>>("conesta", key(1)).is_some());
-        store.put("conesta", key(3), v(3));
+        store.put("blast", key(1), v(1));
+        store.put("blast", key(2), v(2));
+        assert!(store.get::<Vec<u64>>("blast", key(1)).is_some());
+        store.put("blast", key(3), v(3));
         assert!(
-            store.get::<Vec<u64>>("conesta", key(2)).is_none(),
+            store.get::<Vec<u64>>("blast", key(2)).is_none(),
             "namespace LRU victim"
         );
-        assert!(store.get::<Vec<u64>>("conesta", key(1)).is_some());
-        assert!(store.get::<Vec<u64>>("conesta", key(3)).is_some());
+        assert!(store.get::<Vec<u64>>("blast", key(1)).is_some());
+        assert!(store.get::<Vec<u64>>("blast", key(3)).is_some());
         assert!(
             store.get::<Vec<u64>>("other", key(9)).is_some(),
             "other namespaces keep their entries"
         );
         assert_eq!(store.stats().evictions, 1);
         // An artifact over the namespace quota skips admission entirely.
-        store.put("conesta", key(4), vec![0u64; CONESTA_MEM_QUOTA / 8]);
-        assert!(store.get::<Vec<u64>>("conesta", key(4)).is_none());
+        store.put("blast", key(4), vec![0u64; BLAST_MEM_QUOTA / 8]);
+        assert!(store.get::<Vec<u64>>("blast", key(4)).is_none());
     }
 
     #[test]

@@ -47,7 +47,6 @@
 
 pub mod ast;
 pub mod astfeat;
-mod codec;
 mod elab;
 mod error;
 mod lexer;

@@ -571,4 +571,27 @@ mod tests {
         assert_eq!(st.regs, 2);
         assert_eq!(st.reg_bits, 16);
     }
+
+    #[test]
+    fn instance_scopes_chain_to_the_top() {
+        let n = compile(
+            "module sub(input clk, input d, output q);
+               reg r;
+               always @(posedge clk) r <= d;
+               assign q = r;
+             endmodule
+             module m(input clk, input d, output q);
+               sub u0 (.clk(clk), .d(d), .q(q));
+             endmodule",
+            "m",
+        )
+        .unwrap();
+        assert_eq!(n.scopes().len(), 2);
+        assert_eq!(n.scopes()[0].module, "m");
+        assert_eq!(n.scopes()[1].module, "sub");
+        assert_eq!(n.scope_module_chain(0), vec!["m"]);
+        assert_eq!(n.scope_module_chain(1), vec!["sub", "m"]);
+        // The instance's register is created in the instance's scope.
+        assert_eq!(n.node_scope(n.regs()[0].q), 1);
+    }
 }

@@ -162,7 +162,7 @@ case "$job" in
     "$BIN_DIR/runtime" --cache-stats --cache-dir "$SMOKE_TMP/rtlt-cache" | tee cache-stats.txt
     namespaces=$(awk '/^-+$/ { t = 1; next } /^total:/ { t = 0 } t { print $1 }' cache-stats.txt | xargs)
     echo "disk namespaces: ${namespaces}"
-    test "$namespaces" = "blast conesta featurize label model shard"
+    test "$namespaces" = "blast featurize label model shard"
     "$BIN_DIR/runtime" gc 0 --cache-dir "$SMOKE_TMP/rtlt-cache" | grep -q "KiB remain"
     ;;
 
