@@ -4,16 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rtl_timer::bitwise::{BitModelKind, BitwiseCorpus, BitwiseModel};
-use rtl_timer::dataset::{
-    build_all_variant_data, build_all_variant_data_scratch, FeaturizeScratch,
-};
+use rtl_timer::dataset::{build_all_variant_data, FeaturizeScratch};
 use rtlt_bog::{blast, BogVariant, ConeExtractor};
 use rtlt_liberty::Library;
 use rtlt_ml::{
     Binner, FeatureMatrix, Gbdt, GbdtParams, SquaredObjective, Tree, TreeParams, TreeScratch,
 };
 use rtlt_sta::{LevelScratch, Sta, StaConfig};
-use rtlt_store::Store;
 use rtlt_synth::{synthesize, SynthOptions};
 
 fn src() -> String {
@@ -75,15 +72,13 @@ fn bench_cone_kernel(c: &mut Criterion) {
         b.iter(|| Sta::run_levelized(&sog, &lib, StaConfig::default(), &mut scratch))
     });
     // The path dataset as the pipeline builds it: all four variants through
-    // the sharded featurize, cold (a fresh store per iteration).
+    // the sharded featurize, cold (a fresh scratch per iteration).
     let mut group = c.benchmark_group("cone");
     group.sample_size(10);
     group.bench_function("dataset_b17", |b| {
         b.iter_batched(
-            || (Store::in_memory(), FeaturizeScratch::new()),
-            |(store, mut scratch)| {
-                build_all_variant_data_scratch(&store, &sog, &lib, 1.0, 7, &mut scratch)
-            },
+            FeaturizeScratch::new,
+            |mut scratch| build_all_variant_data(&sog, &lib, 1.0, 7, &mut scratch),
             BatchSize::SmallInput,
         )
     });
@@ -107,7 +102,8 @@ fn bench_model(c: &mut Criterion) {
     let netlist = rtlt_verilog::compile(&src(), "b17").expect("compiles");
     let sog = blast(&netlist);
     let pseudo = Library::pseudo_bog();
-    let data = build_all_variant_data(&Store::in_memory(), &sog, &pseudo, 1.0, 7).swap_remove(0);
+    let data =
+        build_all_variant_data(&sog, &pseudo, 1.0, 7, &mut FeaturizeScratch::new()).swap_remove(0);
     let labels: Vec<f64> = data.endpoint_sta_at.iter().map(|a| a * 0.8).collect();
     let mut group = c.benchmark_group("model");
     group.sample_size(10);

@@ -7,7 +7,7 @@
 //! wall time, cache counters and micro-bench medians (the perf trajectory's
 //! machine-readable record; CI asserts a warm second run hits ≥ 90 %).
 
-use rtl_timer::dataset::{build_all_variant_data_scratch, FeaturizeScratch};
+use rtl_timer::dataset::{build_all_variant_data, FeaturizeScratch};
 use rtl_timer::optimize::{path_groups_from_scores, retime_set_from_scores};
 use rtl_timer::pipeline::RtlTimer;
 use rtlt_bench::{json::Json, median, pct, positional_args, Bench, Table};
@@ -17,7 +17,6 @@ use rtlt_ml::{
     Binner, FeatureMatrix, Gbdt, GbdtParams, SquaredObjective, Tree, TreeParams, TreeScratch,
 };
 use rtlt_sta::{LevelScratch, Sta, StaConfig};
-use rtlt_store::Store;
 use rtlt_synth::{synthesize, SynthOptions};
 use std::time::Instant;
 
@@ -97,12 +96,10 @@ fn main() {
 
         // Register-oriented processing (pseudo-STA + path sampling +
         // features) as the pipeline runs it: the sharded featurize of all
-        // four representations, cold — a fresh in-memory store, so nothing
+        // four representations, cold — featurize reads no store, so nothing
         // is served from the suite's warmed artifact cache.
-        let cold = Store::in_memory();
         let t0 = Instant::now();
-        let variants = build_all_variant_data_scratch(
-            &cold,
+        let variants = build_all_variant_data(
             &sog,
             &pseudo,
             synth.clock_period,

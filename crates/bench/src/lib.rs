@@ -38,6 +38,7 @@ pub mod json;
 
 use json::Json;
 use rtl_timer::cache::stage;
+use rtl_timer::dataset::ConeDedupStats;
 use rtl_timer::pipeline::{DesignSet, TimerConfig};
 use rtlt_store::{NamespaceStats, RemoteTier, StatsSnapshot, Store, TierKind};
 use std::cell::Cell;
@@ -314,11 +315,8 @@ pub struct Bench {
     pub cfg: TimerConfig,
     /// Shared two-tier artifact store (disk tier per [`cache_dir`]).
     pub store: Store,
-    prep_seconds: Cell<f64>,
-    /// Shared-cone dedup counters snapshotted when the last preparation
-    /// finished, so later featurize calls (e.g. the runtime analysis
-    /// loop's uncached measurements) don't leak into the report.
-    dedup_stats: Cell<Option<rtl_timer::dataset::ConeDedupStats>>,
+    /// Wall time and featurize counts of the last [`Bench::prepare_suite`].
+    prepared: Cell<Option<(f64, ConeDedupStats)>>,
 }
 
 impl Default for Bench {
@@ -349,8 +347,7 @@ impl Bench {
         Bench {
             cfg: config(),
             store,
-            prep_seconds: Cell::new(f64::NAN),
-            dedup_stats: Cell::new(None),
+            prepared: Cell::new(None),
         }
     }
 
@@ -371,9 +368,7 @@ impl Bench {
         let t = Instant::now();
         let set = DesignSet::prepare_suite_with(&self.cfg, &self.store);
         let secs = t.elapsed().as_secs_f64();
-        self.prep_seconds.set(secs);
-        self.dedup_stats
-            .set(Some(rtl_timer::dataset::cone_dedup_stats()));
+        self.prepared.set(Some((secs, set.featurize_stats())));
         let agg = self.prepare_stats();
         eprintln!(
             "[harness] suite ready in {secs:.1}s (prepare stages: {} hits / {} lookups = {:.1}% hit rate)",
@@ -384,17 +379,15 @@ impl Bench {
         set
     }
 
-    /// Shared-cone dedup counters as of the end of the last preparation
-    /// (live counters before any preparation has run).
-    pub fn prepared_dedup_stats(&self) -> rtl_timer::dataset::ConeDedupStats {
-        self.dedup_stats
-            .get()
-            .unwrap_or_else(rtl_timer::dataset::cone_dedup_stats)
+    /// Shared-cone dedup counters of the last [`Bench::prepare_suite`]'s
+    /// featurize jobs (zero before any run).
+    pub fn prepared_dedup_stats(&self) -> ConeDedupStats {
+        self.prepared.get().map_or_else(Default::default, |p| p.1)
     }
 
     /// Wall time of the last [`Bench::prepare_suite`] (NaN before any run).
     pub fn prep_seconds(&self) -> f64 {
-        self.prep_seconds.get()
+        self.prepared.get().map_or(f64::NAN, |p| p.0)
     }
 
     /// Aggregate store counters over the stored prepare stages.
@@ -548,9 +541,8 @@ impl Bench {
                 Json::UInt(snap.namespace("featurize").bytes_read),
             ),
             // Shared-cone featurization: how much per-signal evaluation the
-            // structural dedup collapsed, and the wall time spent inside
-            // `build_all_variant_data` (the cold featurize kernel the CI
-            // perf gate tracks as `cold_prepare_seconds`).
+            // structural dedup collapsed, and the wall time the suite
+            // prepare's featurize jobs took.
             ("unique_cones".to_owned(), Json::UInt(dedup.unique_cones)),
             ("total_signals".to_owned(), Json::UInt(dedup.total_signals)),
             (

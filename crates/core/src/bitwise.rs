@@ -359,11 +359,10 @@ fn path_sample(row: &PathRow, tokens: &TokenRow) -> PathSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::build_all_variant_data;
+    use crate::dataset::{build_all_variant_data, FeaturizeScratch};
     use crate::metrics::pearson;
     use rtlt_bog::blast;
     use rtlt_liberty::Library;
-    use rtlt_store::Store;
     use rtlt_verilog::compile;
 
     fn variant_and_labels() -> (VariantData, Vec<f64>) {
@@ -383,7 +382,8 @@ mod tests {
             .unwrap(),
         );
         let lib = Library::pseudo_bog();
-        let data = build_all_variant_data(&Store::in_memory(), &bog, &lib, 1.0, 3).swap_remove(0);
+        let data =
+            build_all_variant_data(&bog, &lib, 1.0, 3, &mut FeaturizeScratch::new()).swap_remove(0);
         // Synthetic labels: a monotone transform of the pseudo-STA arrival
         // (learnable from path features).
         let labels: Vec<f64> = data

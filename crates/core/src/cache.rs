@@ -9,17 +9,17 @@
 //!                                                  //   reads no config
 //! label     = H(blast, cfg.seed, cfg.synth_effort) // the label flow's inputs
 //! featurize = H(label)                             // derives everything else
-//! shard     = H(variant, clock, seed,              // per-signal featurize
-//!               cone content)                      //   slice
 //! model     = H(sorted train prepare_keys, seed)   // fitted RtlTimer
 //! ```
 //!
 //! Every key also hashes [`PIPELINE_EPOCH`]. The design-level keys are
 //! **module-granular**: `module_key = H(name, text, dep_module_keys)` (see
 //! [`rtlt_verilog::modsrc`]), so editing a module invalidates only the
-//! designs whose top-module dependency cone contains it, and — through the
-//! `shard` namespace, whose cone content changes only where the edit
-//! reaches — only the cones it feeds inside those designs.
+//! designs whose top-module dependency cone contains it. Inside an edited
+//! design no store key is finer than the design: an edit session moves
+//! the rows of every cone whose content the edit left alone out of its
+//! previous revision ([`crate::incremental`]), and each row is stored once,
+//! in its design's `featurize` entry.
 //!
 //! `cfg.threads` deliberately appears in **no** key: it changes how fast a
 //! suite prepares, never what is prepared. The [`Codec`] impls in this
@@ -29,7 +29,7 @@
 //! entirely.
 
 use crate::bitwise::BitwiseModel;
-use crate::dataset::{ConeShard, PathRow, VariantData};
+use crate::dataset::{PathRow, VariantData};
 use crate::optimize::FlowMetrics;
 use crate::pipeline::{BlastedDesign, DesignData, LabelOutcome, RtlTimer, TimerConfig};
 use rtlt_bog::{Bog, BogVariant};
@@ -47,7 +47,10 @@ pub mod stage {
     pub const LABEL: &str = "label";
     /// Fully featurized design data.
     pub const FEATURIZE: &str = "featurize";
-    /// Per-signal featurize shards (cone-granular invalidation).
+    /// Retired: nothing reads or writes it. A featurize shard's rows live
+    /// only in its design's `featurize` entry and in an edit session's
+    /// resident revision; the name stays for readers of per-namespace
+    /// stats, which count nothing under it.
     pub const SHARD: &str = "shard";
     /// Retired: nothing reads or writes it. Shared cone evaluations live
     /// only in one featurize job's once-map; the name stays for readers
@@ -156,30 +159,6 @@ pub fn opt_flow_key(prepare_key: &ContentHash, scores: &[f64]) -> ContentHash {
     b.finish()
 }
 
-/// Key of one featurize shard: representation × clock × sampling seed ×
-/// the canonical content of the signal's extracted cone.
-///
-/// The cone content is itself a pure function of the module set feeding
-/// the cone (the provenance map [`rtlt_bog::signal_provenance`] exposes) —
-/// editing a module can only change the cones it feeds, so the content key
-/// *refines* module-set keying: an edit invalidates exactly the cones
-/// whose logic actually changed, not every cone of every touched module.
-/// Touching one `always` block leaves the module's other cones warm.
-pub fn shard_key(
-    variant_idx: usize,
-    clock: f64,
-    seed: u64,
-    cone_content: &ContentHash,
-) -> ContentHash {
-    KeyBuilder::new("rtlt.shard")
-        .u64(PIPELINE_EPOCH)
-        .u64(variant_idx as u64)
-        .f64(clock)
-        .u64(seed)
-        .key(cone_content)
-        .finish()
-}
-
 /// Key of a fitted [`RtlTimer`]: the sorted content keys of the training
 /// preparations plus the only [`TimerConfig`] field `fit` reads (`seed` —
 /// `synth_effort` is already inside every `prepare_key`, and `threads`
@@ -194,23 +173,6 @@ pub fn model_key(train: &[&DesignData], cfg: &TimerConfig) -> ContentHash {
         b = b.key(k);
     }
     b.finish()
-}
-
-impl Codec for ConeShard {
-    fn encode(&self, e: &mut Enc) {
-        self.sta_at.encode(e);
-        self.driving_regs.encode(e);
-        self.rows.encode(e);
-        self.groups.encode(e);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(ConeShard {
-            sta_at: Vec::decode(d)?,
-            driving_regs: Vec::decode(d)?,
-            rows: Vec::decode(d)?,
-            groups: Vec::decode(d)?,
-        })
-    }
 }
 
 /// The fitted model stack. Only tree-based stacks exist ([`RtlTimer::fit`]
@@ -459,17 +421,6 @@ endmodule";
         let edited = base.replace("~a", "a");
         let e = PrepareKeys::derive("m", &edited, &c);
         assert_ne!(a.blast, e.blast);
-    }
-
-    #[test]
-    fn shard_key_tracks_each_ingredient() {
-        let cone = ContentHash::of_bytes(b"cone");
-        let base = shard_key(0, 1.0, 7, &cone);
-        assert_eq!(base, shard_key(0, 1.0, 7, &cone));
-        assert_ne!(base, shard_key(1, 1.0, 7, &cone));
-        assert_ne!(base, shard_key(0, 1.5, 7, &cone));
-        assert_ne!(base, shard_key(0, 1.0, 8, &cone));
-        assert_ne!(base, shard_key(0, 1.0, 7, &ContentHash::of_bytes(b"other")));
     }
 
     #[test]

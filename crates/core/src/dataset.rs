@@ -2,14 +2,17 @@
 //! paper §3.2): for every register endpoint, the slowest path plus `K`
 //! random paths from its input cone, featurized for the bit-wise models.
 //!
-//! [`build_all_variant_data`] is the one construction path: one
-//! [`ConeShard`] per RTL signal, computed on the signal's canonically
-//! extracted input cone ([`rtlt_bog::extract_signal_cone`]) and memoized
-//! in the store under a variant × clock × seed × cone-content key
-//! ([`crate::cache::shard_key`]). Shards carry only cone-local
-//! quantities; the cheap merge step splices in the design-global features
-//! (rank percentile, cell counts). Editing one module recomputes only the
-//! shards whose cones' content it changes.
+//! [`FeaturizeJob`] is the one construction path: one shard per RTL
+//! signal × variant, computed on the signal's canonically extracted input
+//! cone ([`rtlt_bog::extract_signal_cone`]). A shard is a pure function of
+//! the variant, the clock, the signal's sampling seed and the cone's
+//! content, and carries only cone-local quantities; the cheap merge step
+//! moves the shards' rows into one table and splices in the
+//! design-global features (rank percentile, cell counts). Nothing here
+//! touches the store: the prepare stores the merged table as its
+//! `featurize` entry, and an edit session hands the job its previous
+//! revision, whose rows move over for every signal whose cone content is
+//! unchanged.
 //!
 //! Each shard splits into a **seed-independent kernel** and a
 //! **seed-dependent replay**. Everything a per-signal evaluation derives
@@ -20,8 +23,7 @@
 //! featurize job's once-map) and shared by every signal whose extracted
 //! cone is structurally identical (bit lanes of one word, replicated
 //! blocks). The per-signal seeded path sampling then *replays* over the
-//! shared evaluation. Evaluations are never stored: the `shard` entries
-//! they produce are. The tests keep a one-pass per-signal evaluation as
+//! shared evaluation. The tests keep a one-pass per-signal evaluation as
 //! the oracle the replay must match bit for bit.
 //!
 //! A row holds only what the models read: its Table-2 features and its
@@ -29,7 +31,6 @@
 //! ablation of Table 4, gets them from [`token_rows`], which replays the
 //! same path choice over the SOG variant's cones; nothing stores them.
 
-use crate::cache::{shard_key, stage};
 use crate::features::{design_features, op_class, path_features, token_features};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,10 +39,8 @@ use rtlt_bog::{
 };
 use rtlt_liberty::Library;
 use rtlt_sta::{LevelScratch, Sta, StaConfig, StaResult, TimingPath};
-use rtlt_store::{ContentHash, Store};
-use std::cell::Cell;
+use rtlt_store::ContentHash;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -88,20 +87,20 @@ pub const MAX_RANDOM_PATHS: usize = 5;
 /// One signal's slice of a variant dataset: everything the per-endpoint
 /// processing derives from the signal's input cone alone. Global context
 /// (rank percentile, design cell counts) is deliberately absent — the merge
-/// step fills it — so a shard is reusable across any edit that leaves the
-/// cone's feeding modules unchanged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConeShard {
+/// step fills it — so a signal's merged rows stay valid across any edit
+/// that leaves its cone's content unchanged.
+#[derive(Debug)]
+struct ConeShard {
     /// Cone-local pseudo-STA arrival per endpoint (bit), LSB first.
-    pub sta_at: Vec<f64>,
+    sta_at: Vec<f64>,
     /// Driving-register count per endpoint.
-    pub driving_regs: Vec<f64>,
+    driving_regs: Vec<f64>,
     /// Path rows; `endpoint` is the bit index within the signal, and
     /// feature slots 0..4 (rank percentile + design features) are
     /// placeholders overwritten at merge.
-    pub rows: Vec<PathRow>,
+    rows: Vec<PathRow>,
     /// Row indices per endpoint (bit).
-    pub groups: Vec<Vec<usize>>,
+    groups: Vec<Vec<usize>>,
 }
 
 /// Deterministic per-shard sampling seed: a function of the design seed,
@@ -193,46 +192,18 @@ fn compute_cone_eval(
 /// evaluation: re-seeds the sampler and draws the `K` random paths per
 /// endpoint against the already-computed STA tables. The RNG consumption
 /// sequence matches the per-signal evaluation exactly (all draws happen
-/// inside `sample_paths`), so the resulting shard is bit-identical.
+/// inside `sample_paths`), so the resulting shard is bit-identical. The
+/// critical-path rows move out of `owned` when it holds them (a singleton
+/// cone's evaluation, which no other signal reads) and are cloned from
+/// `eval` otherwise.
 fn replay_cone_shard(
     vbog: &Bog,
     eval: &ConeEval,
+    mut owned: Vec<PathRow>,
     n_eps: usize,
     lib: &Library,
     clock: f64,
     seed: u64,
-) -> ConeShard {
-    replay_cone_shard_with(vbog, eval, n_eps, lib, clock, seed, |eval, e| {
-        eval.crit_rows[e].clone()
-    })
-}
-
-/// [`replay_cone_shard`] consuming the evaluation: critical-path rows are
-/// moved into the shard instead of deep-cloned. This is the singleton-cone
-/// fast path — an evaluation used by exactly one signal never needs its
-/// rows again.
-fn replay_cone_shard_owned(
-    vbog: &Bog,
-    mut eval: ConeEval,
-    n_eps: usize,
-    lib: &Library,
-    clock: f64,
-    seed: u64,
-) -> ConeShard {
-    let mut crit_rows = std::mem::take(&mut eval.crit_rows);
-    replay_cone_shard_with(vbog, &eval, n_eps, lib, clock, seed, |_, e| {
-        std::mem::take(&mut crit_rows[e])
-    })
-}
-
-fn replay_cone_shard_with(
-    vbog: &Bog,
-    eval: &ConeEval,
-    n_eps: usize,
-    lib: &Library,
-    clock: f64,
-    seed: u64,
-    mut crit_row: impl FnMut(&ConeEval, usize) -> PathRow,
 ) -> ConeShard {
     let sta = replay_sta(vbog, eval, lib, clock);
     let mut shard = ConeShard {
@@ -248,7 +219,10 @@ fn replay_cone_shard_with(
                 shard.driving_regs.push(eval.cones[e].driving_regs as f64);
                 shard.sta_at.push(eval.sta.endpoint_at[e]);
                 shard.groups.push(vec![row]);
-                shard.rows.push(crit_row(eval, e));
+                let crit = owned.get_mut(e).map(std::mem::take);
+                shard
+                    .rows
+                    .push(crit.unwrap_or_else(|| eval.crit_rows[e].clone()));
             }
             Some(p) => {
                 let features = path_features(
@@ -336,14 +310,11 @@ pub fn token_rows(sog: &Bog, lib: &Library, clock: f64, design_seed: u64) -> Vec
     out
 }
 
-static TOTAL_SIGNALS: AtomicU64 = AtomicU64::new(0);
-static UNIQUE_CONES: AtomicU64 = AtomicU64::new(0);
-static SAVED_EVALS: AtomicU64 = AtomicU64::new(0);
-static FEATURIZE_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide shared-cone featurization counters, accumulated by every
-/// [`build_all_variant_data`] call (cache-warm or cold).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Shared-cone featurization counts of one [`FeaturizeJob`], or of a
+/// prepare summed over the designs it featurized
+/// ([`crate::pipeline::DesignSet::featurize_stats`]). Each job counts its
+/// own, so concurrent prepares never see each other's.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConeDedupStats {
     /// Signals featurized (one canonical extraction each).
     pub total_signals: u64,
@@ -353,18 +324,16 @@ pub struct ConeDedupStats {
     /// (an earlier signal of the same design × variant had a structurally
     /// identical cone) instead of computing them again.
     pub saved_evals: u64,
-    /// Wall time spent inside `build_all_variant_data` (seconds, summed
-    /// across threads).
+    /// Wall time spent featurizing (seconds, summed across threads).
     pub featurize_seconds: f64,
 }
 
-/// Snapshot of the shared-cone dedup counters.
-pub fn cone_dedup_stats() -> ConeDedupStats {
-    ConeDedupStats {
-        total_signals: TOTAL_SIGNALS.load(Ordering::Relaxed),
-        unique_cones: UNIQUE_CONES.load(Ordering::Relaxed),
-        saved_evals: SAVED_EVALS.load(Ordering::Relaxed),
-        featurize_seconds: FEATURIZE_NANOS.load(Ordering::Relaxed) as f64 * 1e-9,
+impl std::ops::AddAssign for ConeDedupStats {
+    fn add_assign(&mut self, other: ConeDedupStats) {
+        self.total_signals += other.total_signals;
+        self.unique_cones += other.unique_cones;
+        self.saved_evals += other.saved_evals;
+        self.featurize_seconds += other.featurize_seconds;
     }
 }
 
@@ -416,85 +385,69 @@ pub(crate) struct RowMove {
 /// One signal's slice of a variant, as the merge receives it.
 #[derive(Debug)]
 enum Piece {
-    /// A shard from the store or freshly computed: its rows are cloned.
-    Shard(Arc<ConeShard>),
+    /// A shard the job computed: its rows move into the merged data.
+    Shard(ConeShard),
     /// A signal of `width` endpoints whose rows move over from the
-    /// previous revision's merged data.
-    Prior { width: usize },
+    /// previous revision's merged data, where its endpoints start at
+    /// `from`.
+    Prior { width: usize, from: usize },
 }
 
-impl Piece {
-    fn endpoints(&self) -> usize {
-        match self {
-            Piece::Shard(shard) => shard.sta_at.len(),
-            Piece::Prior { width } => *width,
-        }
-    }
-}
-
-/// The one merge behind every featurize path: splices the pieces (signal
+/// The one merge behind every featurize path: moves the pieces (signal
 /// order) into a full [`VariantData`], then splices in the design-global
 /// context — endpoint rank percentiles over the merged arrivals and the
 /// variant graph's design features, slots 0..4 of every row.
 ///
 /// A [`Piece::Prior`] moves its rows, groups and endpoint arrays out of
-/// `prior`, the previous revision's data of the same variant over the same
-/// signal list (so its endpoints line up with the merged ones). A moved
-/// row equals the row its shard would give: the merge rewrites exactly the
-/// slots that depend on the rest of the design. The moved rows are
-/// reported as runs, adjacent signals' rows folded into one; a shard's
-/// rows have no origin, so a merge without prior data reports none.
+/// `prior`, the previous revision's data of the same variant, and re-bases
+/// each moved row's endpoint onto the merged signal list (the two lists
+/// may differ in order and membership). A moved row equals the row its
+/// shard would give: the merge rewrites exactly the slots that depend on
+/// the rest of the design. The moved rows are reported as runs, adjacent
+/// signals' rows folded into one; a shard's rows have no origin, so a
+/// merge without prior data reports none.
 fn merge_pieces(
     variant: BogVariant,
     design_feats: Vec<f64>,
-    pieces: &[Piece],
+    pieces: &mut Vec<Piece>,
     mut prior: Option<&mut VariantData>,
     order: &mut Vec<usize>,
     rank_pct: &mut Vec<f64>,
 ) -> (VariantData, Vec<RowMove>) {
     let mut moves: Vec<RowMove> = Vec::new();
-    let n_eps: usize = pieces.iter().map(Piece::endpoints).sum();
-    let n_rows = prior.as_ref().map_or(0, |p| p.rows.len())
-        + pieces
-            .iter()
-            .map(|p| match p {
-                Piece::Shard(shard) => shard.rows.len(),
-                Piece::Prior { .. } => 0,
-            })
-            .sum::<usize>();
     let mut data = VariantData {
         variant,
-        rows: Vec::with_capacity(n_rows),
-        groups: Vec::with_capacity(n_eps),
-        endpoint_sta_at: Vec::with_capacity(n_eps),
-        driving_regs: Vec::with_capacity(n_eps),
+        rows: Vec::new(),
+        groups: Vec::new(),
+        endpoint_sta_at: Vec::new(),
+        driving_regs: Vec::new(),
         design_feats,
     };
-    for piece in pieces {
+    for piece in pieces.drain(..) {
         let row_base = data.rows.len();
         let ep_base = data.endpoint_sta_at.len();
         match piece {
             Piece::Shard(shard) => {
-                data.endpoint_sta_at.extend_from_slice(&shard.sta_at);
-                data.driving_regs.extend_from_slice(&shard.driving_regs);
-                for g in &shard.groups {
-                    data.groups.push(g.iter().map(|r| r + row_base).collect());
+                data.endpoint_sta_at.extend(shard.sta_at);
+                data.driving_regs.extend(shard.driving_regs);
+                for mut g in shard.groups {
+                    for r in &mut g {
+                        *r += row_base;
+                    }
+                    data.groups.push(g);
                 }
-                for row in &shard.rows {
-                    let mut row = row.clone();
+                data.rows.extend(shard.rows.into_iter().map(|mut row| {
                     row.endpoint += ep_base;
-                    data.rows.push(row);
-                }
+                    row
+                }));
             }
-            Piece::Prior { width } => {
+            Piece::Prior { width, from } => {
                 let prev = prior.as_deref_mut().expect("prior pieces need prior data");
-                debug_assert_eq!(prev.groups.len(), n_eps, "prior signal list differs");
-                let eps = ep_base..ep_base + width;
-                // Every group starts with its endpoint's critical-path row,
-                // so a signal's rows run from its first group's head to the
-                // next signal's.
-                let first = prev.groups[ep_base][0];
-                let end = prev.groups.get(eps.end).map_or(prev.rows.len(), |g| g[0]);
+                let eps = from..from + width;
+                // A signal's groups list its rows in order, one contiguous
+                // run from its first group's head to its last group's end.
+                let first = prev.groups[from][0];
+                let end = prev.groups[eps.end - 1].last().expect("a row per endpoint") + 1;
                 data.endpoint_sta_at
                     .extend_from_slice(&prev.endpoint_sta_at[eps.clone()]);
                 data.driving_regs
@@ -507,7 +460,11 @@ fn merge_pieces(
                     data.groups.push(g);
                 }
                 data.rows
-                    .extend(prev.rows[first..end].iter_mut().map(std::mem::take));
+                    .extend(prev.rows[first..end].iter_mut().map(|row| {
+                        let mut row = std::mem::take(row);
+                        row.endpoint = row.endpoint - from + ep_base;
+                        row
+                    }));
                 let len = end - first;
                 match moves.last_mut() {
                     Some(m) if m.from + m.len == first && m.to + m.len == row_base => m.len += len,
@@ -522,6 +479,7 @@ fn merge_pieces(
     }
 
     // Endpoint rank percentile by merged pseudo-STA arrival.
+    let n_eps = data.endpoint_sta_at.len();
     order.clear();
     order.extend(0..n_eps);
     order.sort_by(|&a, &b| {
@@ -554,10 +512,11 @@ fn fingerprint_multiplicity(extractions: &[ConeExtraction]) -> HashMap<ContentHa
 }
 
 /// One signal's canonical input-cone extraction and its two keys. The
-/// content hash of the cone's bytes keys the per-seed shard cache
-/// (name-sensitive); the structural fingerprint keys the once-map of
-/// shared seed-independent evaluations (name-free, so isomorphic cones of
-/// different signals collide).
+/// content hash of the cone's bytes decides whether an edit session moves
+/// the signal's rows over from its previous revision (name-sensitive); the
+/// structural fingerprint keys the once-map of shared seed-independent
+/// evaluations (name-free, so isomorphic cones of different signals
+/// collide).
 #[derive(Debug, Clone)]
 pub(crate) struct ConeExtraction {
     /// The extracted cone ([`rtlt_bog::extract_signal_cone`]).
@@ -590,78 +549,48 @@ impl ConeExtraction {
     }
 }
 
-/// Builds all four variants' datasets through the sharded path: one
-/// extraction per signal, one memoized [`ConeShard`] per (signal ×
-/// variant), keyed by the canonical cone content (see
-/// [`crate::cache::shard_key`]). The extraction is cheap (linear in the
-/// cone, no STA/sampling) — it is the probe that decides whether the
-/// expensive shard computation can be skipped.
-///
-/// Allocates a fresh [`FeaturizeScratch`]; the pipeline's parallel prepare
-/// path calls [`build_all_variant_data_scratch`] with a worker-local one.
-pub fn build_all_variant_data(
-    store: &Store,
-    sog: &Bog,
-    lib: &Library,
-    clock: f64,
-    design_seed: u64,
-) -> Vec<VariantData> {
-    build_all_variant_data_scratch(
-        store,
-        sog,
-        lib,
-        clock,
-        design_seed,
-        &mut FeaturizeScratch::new(),
-    )
-}
-
-/// [`build_all_variant_data`] with an explicit scratch: a [`FeaturizeJob`]
-/// stepped to completion in one call. Each *unique* canonical cone of a
+/// Builds all four variants' datasets of `sog`: a [`FeaturizeJob`]
+/// stepped to completion in one call on `scratch` (the pipeline's
+/// parallel prepare passes one per worker). One extraction per signal,
+/// then one shard per signal × variant; each *unique* canonical cone of a
 /// variant gets one seed-independent evaluation — computed via the
 /// levelized kernel, kept in the job's once-map — and every signal sharing
 /// it replays only the seeded sampling.
-pub fn build_all_variant_data_scratch(
-    store: &Store,
+pub fn build_all_variant_data(
     sog: &Bog,
     lib: &Library,
     clock: f64,
     design_seed: u64,
     scratch: &mut FeaturizeScratch,
 ) -> Vec<VariantData> {
-    let mut job = FeaturizeJob::new(sog, clock, design_seed);
-    std::mem::swap(&mut job.scratch, scratch);
-    while !job.step(store, sog, lib, usize::MAX) {}
-    std::mem::swap(&mut job.scratch, scratch);
-    job.finish().variant_data
+    FeaturizeJob::new(sog, clock, design_seed)
+        .run(sog, lib, scratch)
+        .variant_data
 }
 
-/// The previous revision's merged datasets, offered to a [`FeaturizeJob`]
-/// over the same signal list. A signal flagged in `reuse` — its shard keys
-/// are unchanged — moves its rows out of `variant_data` instead of being
-/// looked up.
+/// The previous revision's merged datasets, offered to a [`FeaturizeJob`].
+/// A signal with a `from` entry — its cone content is unchanged — moves
+/// its rows out of `variant_data` instead of computing its shards.
 #[derive(Debug)]
 pub(crate) struct PriorRows {
     /// The previous revision's data, one per variant in
     /// [`BogVariant::ALL`] order.
     pub variant_data: Vec<VariantData>,
-    /// Per signal: whether its rows move over.
-    pub reuse: Vec<bool>,
+    /// Per signal of the job: the first endpoint of its rows in
+    /// `variant_data`, if they move over.
+    pub from: Vec<Option<usize>>,
 }
 
 /// Where a [`FeaturizeJob`]'s shards came from — counted by the job
-/// itself, so concurrent jobs on one store never see each other's lookups.
+/// itself, so concurrent jobs never see each other's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ShardCounts {
-    /// Shards computed (`shard`-namespace misses).
+    /// Shards computed.
     pub computed: u64,
     /// The part of `computed` that replayed an evaluation from the job's
     /// once-map instead of evaluating its cone.
     pub shared: u64,
-    /// Shards the store served.
-    pub stored: u64,
-    /// Shards whose rows moved over from the previous revision, with no
-    /// store lookup at all.
+    /// Shards whose rows moved over from the previous revision.
     pub resident: u64,
 }
 
@@ -677,14 +606,16 @@ pub(crate) struct FeaturizeOutput {
     pub moves: Vec<Vec<RowMove>>,
     /// Where the shards came from.
     pub counts: ShardCounts,
+    /// The job's shared-cone counts and featurize time.
+    pub stats: ConeDedupStats,
 }
 
 /// The resumable sharded featurize walk behind every featurize path,
 /// sliced into bounded `step` calls so a single-threaded event loop can
 /// interleave many re-annotations without one large design starving the
-/// tick. Iteration order, cache keys, dedup behavior and merged output do
-/// not depend on the slicing — a job stepped to completion produces the
-/// same [`VariantData`] as [`build_all_variant_data`] (which is this job
+/// tick. Iteration order, dedup behavior and merged output do not depend
+/// on the slicing — a job stepped to completion produces the same
+/// [`VariantData`] as [`build_all_variant_data`] (which is this job
 /// stepped in one call; the live annotation service's whole degrade story
 /// rests on this).
 #[derive(Debug)]
@@ -706,6 +637,8 @@ pub struct FeaturizeJob {
     done: Vec<VariantData>,
     moves: Vec<Vec<RowMove>>,
     counts: ShardCounts,
+    /// Wall time spent extracting and stepping (seconds).
+    seconds: f64,
 }
 
 impl FeaturizeJob {
@@ -714,37 +647,30 @@ impl FeaturizeJob {
     /// must then be given the same `sog`.
     pub fn new(sog: &Bog, clock: f64, design_seed: u64) -> FeaturizeJob {
         let started = Instant::now();
-        let job =
+        let mut job =
             FeaturizeJob::with_extractions(clock, design_seed, ConeExtraction::all(sog), None);
-        FEATURIZE_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        job.seconds = started.elapsed().as_secs_f64();
         job
     }
 
     /// A job over cones the caller already extracted (signal order of the
-    /// SOG later passed to `step`). With `prior`, every signal it flags
-    /// moves its rows over from the previous revision; the rest are looked
-    /// up as usual.
+    /// SOG later passed to `step`). With `prior`, every signal it gives a
+    /// `from` moves its rows over from the previous revision; the rest are
+    /// computed.
     pub(crate) fn with_extractions(
         clock: f64,
         design_seed: u64,
         extractions: Vec<ConeExtraction>,
         prior: Option<PriorRows>,
     ) -> FeaturizeJob {
-        TOTAL_SIGNALS.fetch_add(extractions.len() as u64, Ordering::Relaxed);
-        let multiplicity = fingerprint_multiplicity(&extractions);
-        UNIQUE_CONES.fetch_add(multiplicity.len() as u64, Ordering::Relaxed);
         if let Some(p) = &prior {
-            assert_eq!(
-                p.reuse.len(),
-                extractions.len(),
-                "prior signal list differs"
-            );
+            assert_eq!(p.from.len(), extractions.len(), "one entry per signal");
         }
         FeaturizeJob {
             clock,
             design_seed,
+            multiplicity: fingerprint_multiplicity(&extractions),
             extractions,
-            multiplicity,
             prior,
             scratch: FeaturizeScratch::new(),
             once: HashMap::new(),
@@ -754,6 +680,7 @@ impl FeaturizeJob {
             done: Vec::with_capacity(BogVariant::ALL.len()),
             moves: Vec::with_capacity(BogVariant::ALL.len()),
             counts: ShardCounts::default(),
+            seconds: 0.0,
         }
     }
 
@@ -764,28 +691,6 @@ impl FeaturizeJob {
         assert_eq!(feats.len(), BogVariant::ALL.len(), "one per variant");
         self.design_feats = Some(feats);
         self
-    }
-
-    /// Whether signal `sig` moves its rows over from the prior revision.
-    fn reuses(&self, sig: usize) -> bool {
-        self.prior.as_ref().is_some_and(|p| p.reuse[sig])
-    }
-
-    /// Every `(namespace, key)` pair the job will look up, in walk order —
-    /// one [`Store::prefetch`] over these pulls all cold shards in a
-    /// single batched GETM round trip before stepping begins.
-    pub fn shard_items(&self, sog: &Bog) -> Vec<(String, ContentHash)> {
-        let mut items = Vec::with_capacity(BogVariant::ALL.len() * self.extractions.len());
-        for vi in 0..BogVariant::ALL.len() {
-            for (sig, s) in sog.signals().iter().enumerate() {
-                if !self.reuses(sig) {
-                    let seed = shard_seed(self.design_seed, vi, &s.name);
-                    let key = shard_key(vi, self.clock, seed, &self.extractions[sig].content);
-                    items.push((stage::SHARD.to_owned(), key));
-                }
-            }
-        }
-        items
     }
 
     /// Total shards the job evaluates (signals × variants).
@@ -805,11 +710,11 @@ impl FeaturizeJob {
         self.vi >= BogVariant::ALL.len()
     }
 
-    /// Evaluates up to `max_shards` more store lookups (at least one),
-    /// merging each variant as its last shard lands; rows moving over from
-    /// the prior revision cost no lookup and no budget. Returns `true` once
-    /// the job is done and `finish` may be called.
-    pub fn step(&mut self, store: &Store, sog: &Bog, lib: &Library, max_shards: usize) -> bool {
+    /// Computes up to `max_shards` more shards (at least one), merging
+    /// each variant as its last shard lands; rows moving over from the
+    /// prior revision cost no budget. Returns `true` once the job is done
+    /// and `finish` may be called.
+    pub fn step(&mut self, sog: &Bog, lib: &Library, max_shards: usize) -> bool {
         let started = Instant::now();
         let mut budget = max_shards.max(1);
         let n = sog.signals().len();
@@ -817,18 +722,20 @@ impl FeaturizeJob {
         while self.vi < BogVariant::ALL.len() {
             let variant = BogVariant::ALL[self.vi];
             while self.sig < n {
-                let piece = if self.reuses(self.sig) {
-                    self.counts.resident += 1;
-                    Piece::Prior {
-                        width: sog.signals()[self.sig].width as usize,
+                let piece = match self.prior.as_ref().and_then(|p| p.from[self.sig]) {
+                    Some(from) => {
+                        self.counts.resident += 1;
+                        let width = sog.signals()[self.sig].width as usize;
+                        Piece::Prior { width, from }
                     }
-                } else if budget == 0 {
-                    FEATURIZE_NANOS
-                        .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    return false;
-                } else {
-                    budget -= 1;
-                    Piece::Shard(self.shard(store, sog, lib))
+                    None if budget == 0 => {
+                        self.seconds += started.elapsed().as_secs_f64();
+                        return false;
+                    }
+                    None => {
+                        budget -= 1;
+                        Piece::Shard(self.shard(sog, lib))
+                    }
                 };
                 self.scratch.pieces.push(piece);
                 self.sig += 1;
@@ -843,27 +750,26 @@ impl FeaturizeJob {
             let (data, moves) = merge_pieces(
                 variant,
                 design_feats,
-                &self.scratch.pieces,
+                &mut self.scratch.pieces,
                 prior,
                 &mut self.scratch.order,
                 &mut self.scratch.rank_pct,
             );
             self.done.push(data);
             self.moves.push(moves);
-            self.scratch.pieces.clear();
             self.once.clear();
             self.vi += 1;
             self.sig = 0;
         }
         // Only husks of the prior revision remain: release them now.
         self.prior = None;
-        FEATURIZE_NANOS.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.seconds += started.elapsed().as_secs_f64();
         true
     }
 
-    /// Looks the current signal's shard of the current variant up in the
-    /// `shard` namespace, computing it on a miss, and counts which it was.
-    fn shard(&mut self, store: &Store, sog: &Bog, lib: &Library) -> Arc<ConeShard> {
+    /// Computes the current signal's shard of the current variant and
+    /// counts it.
+    fn shard(&mut self, sog: &Bog, lib: &Library) -> ConeShard {
         let (vi, clock) = (self.vi, self.clock);
         let variant = BogVariant::ALL[vi];
         let s = &sog.signals()[self.sig];
@@ -871,50 +777,65 @@ impl FeaturizeJob {
         let n_eps = s.width as usize;
         let seed = shard_seed(self.design_seed, vi, &s.name);
         let (levels, cone_scratch) = (&mut self.scratch.levels, &mut self.scratch.cones);
-        let (once, multiplicity) = (&mut self.once, &self.multiplicity);
-        let (computed, evaluated) = (Cell::new(false), Cell::new(false));
-        let key = shard_key(vi, clock, seed, &ext.content);
-        let shard = store.get_or_compute(stage::SHARD, key, || {
-            computed.set(true);
-            let mut evaluate = || {
-                evaluated.set(true);
-                let vbog = ext.cone.to_variant(variant);
-                let eval = compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
-                (vbog, eval)
-            };
-            if multiplicity.get(&ext.fingerprint).copied().unwrap_or(1) > 1 {
-                // The first signal of a repeated cone evaluates it; the
-                // others replay that evaluation.
-                let (vbog, eval) = once.entry(ext.fingerprint).or_insert_with(evaluate);
-                replay_cone_shard(vbog, eval, n_eps, lib, clock, seed)
-            } else {
-                // Singleton cone (~90 % of signals on the bundled suites):
-                // compute and replay in place, crit rows moved not cloned.
-                let (vbog, eval) = evaluate();
-                replay_cone_shard_owned(&vbog, eval, n_eps, lib, clock, seed)
-            }
-        });
-        if computed.get() {
-            self.counts.computed += 1;
-            if !evaluated.get() {
-                self.counts.shared += 1;
-                SAVED_EVALS.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut evaluated = false;
+        let mut evaluate = || {
+            evaluated = true;
+            let vbog = ext.cone.to_variant(variant);
+            let eval = compute_cone_eval(&vbog, n_eps, lib, clock, levels, cone_scratch);
+            (vbog, eval)
+        };
+        let shard = if self
+            .multiplicity
+            .get(&ext.fingerprint)
+            .copied()
+            .unwrap_or(1)
+            > 1
+        {
+            // The first signal of a repeated cone evaluates it; the others
+            // replay that evaluation.
+            let (vbog, eval) = self.once.entry(ext.fingerprint).or_insert_with(evaluate);
+            replay_cone_shard(vbog, eval, Vec::new(), n_eps, lib, clock, seed)
         } else {
-            self.counts.stored += 1;
-        }
+            // Singleton cone (~90 % of signals on the bundled suites):
+            // compute and replay in place, crit rows moved not cloned.
+            let (vbog, mut eval) = evaluate();
+            let owned = std::mem::take(&mut eval.crit_rows);
+            replay_cone_shard(&vbog, &eval, owned, n_eps, lib, clock, seed)
+        };
+        self.counts.computed += 1;
+        self.counts.shared += u64::from(!evaluated);
         shard
     }
 
-    /// The merged variant datasets, the extractions and the shard counts.
+    /// Steps the job to completion on `scratch` and finishes it.
+    pub(crate) fn run(
+        mut self,
+        sog: &Bog,
+        lib: &Library,
+        scratch: &mut FeaturizeScratch,
+    ) -> FeaturizeOutput {
+        std::mem::swap(&mut self.scratch, scratch);
+        while !self.step(sog, lib, usize::MAX) {}
+        std::mem::swap(&mut self.scratch, scratch);
+        self.finish()
+    }
+
+    /// The merged variant datasets, the extractions and the job's counts.
     /// Panics if the job is not done.
     pub(crate) fn finish(self) -> FeaturizeOutput {
         assert!(self.is_done(), "FeaturizeJob finished before completion");
+        let stats = ConeDedupStats {
+            total_signals: self.extractions.len() as u64,
+            unique_cones: self.multiplicity.len() as u64,
+            saved_evals: self.counts.shared,
+            featurize_seconds: self.seconds,
+        };
         FeaturizeOutput {
             variant_data: self.done,
             extractions: self.extractions,
             moves: self.moves,
             counts: self.counts,
+            stats,
         }
     }
 }
@@ -999,16 +920,8 @@ mod tests {
 
     /// The production path: the sharded build as one [`FeaturizeJob`],
     /// then [`token_rows`]; also the job's shard counts.
-    fn featurized(
-        store: &Store,
-        sog: &Bog,
-        lib: &Library,
-        clock: f64,
-        seed: u64,
-    ) -> (Featurized, ShardCounts) {
-        let mut job = FeaturizeJob::new(sog, clock, seed);
-        while !job.step(store, sog, lib, usize::MAX) {}
-        let out = job.finish();
+    fn featurized(sog: &Bog, lib: &Library, clock: f64, seed: u64) -> (Featurized, ShardCounts) {
+        let out = FeaturizeJob::new(sog, clock, seed).run(sog, lib, &mut FeaturizeScratch::new());
         let data = Featurized {
             data: out.variant_data,
             tokens: token_rows(sog, lib, clock, seed),
@@ -1031,7 +944,7 @@ mod tests {
         let mut all = Vec::new();
         let mut sog_tokens = Vec::new();
         for (vi, &variant) in BogVariant::ALL.iter().enumerate() {
-            let pieces: Vec<Piece> = sog
+            let mut pieces: Vec<Piece> = sog
                 .signals()
                 .iter()
                 .enumerate()
@@ -1043,14 +956,14 @@ mod tests {
                     if vi == 0 {
                         sog_tokens.extend(tokens);
                     }
-                    Piece::Shard(Arc::new(shard))
+                    Piece::Shard(shard)
                 })
                 .collect();
             let design_feats = design_features(&sog.to_variant(variant));
             let (data, moves) = merge_pieces(
                 variant,
                 design_feats,
-                &pieces,
+                &mut pieces,
                 None,
                 &mut order,
                 &mut rank_pct,
@@ -1114,10 +1027,10 @@ mod tests {
         )
     }
 
-    /// The SOG variant of the sharded build over a fresh store.
+    /// The SOG variant of the sharded build.
     fn sog_data(bog: &Bog, seed: u64) -> VariantData {
         let lib = Library::pseudo_bog();
-        let mut all = build_all_variant_data(&Store::in_memory(), bog, &lib, 1.0, seed);
+        let mut all = build_all_variant_data(bog, &lib, 1.0, seed, &mut FeaturizeScratch::new());
         all.swap_remove(0)
     }
 
@@ -1165,8 +1078,7 @@ mod tests {
     fn sharded_build_covers_all_endpoints_consistently() {
         let bog = bog();
         let lib = Library::pseudo_bog();
-        let store = Store::in_memory();
-        let all = build_all_variant_data(&store, &bog, &lib, 1.0, 7);
+        let (Featurized { data: all, .. }, counts) = featurized(&bog, &lib, 1.0, 7);
         assert_eq!(all.len(), 4);
         for data in &all {
             assert_eq!(data.groups.len(), bog.regs().len());
@@ -1182,13 +1094,12 @@ mod tests {
                 }
             }
         }
-        // Shards were populated: signals × 4 misses, and a second build is
-        // answered entirely from the store with identical output.
-        let misses = store.stats().namespace(stage::SHARD).misses;
-        assert_eq!(misses as usize, bog.signals().len() * 4);
-        let again = build_all_variant_data(&store, &bog, &lib, 1.0, 7);
-        assert_eq!(store.stats().namespace(stage::SHARD).misses, misses);
-        for (a, b) in all.iter().zip(&again) {
+        // The job computed one shard per signal × variant, and a second
+        // job computes them all again with identical output.
+        assert_eq!(counts.computed as usize, bog.signals().len() * 4);
+        let (again, again_counts) = featurized(&bog, &lib, 1.0, 7);
+        assert_eq!(again_counts, counts);
+        for (a, b) in all.iter().zip(&again.data) {
             assert_eq!(a.rows, b.rows);
             assert_eq!(a.endpoint_sta_at, b.endpoint_sta_at);
         }
@@ -1222,16 +1133,12 @@ mod tests {
         let lib = Library::pseudo_bog();
         for bog in [bog(), twin_bog()] {
             for clock in [1.0, 0.37] {
-                let store = Store::in_memory();
-                let (deduped, _) = featurized(&store, &bog, &lib, clock, 7);
+                let (deduped, counts) = featurized(&bog, &lib, clock, 7);
                 let legacy = build_all_variant_data_naive(&bog, &lib, clock, 7);
                 assert_bit_identical(&deduped, &legacy);
                 // One shard per signal × variant, as the per-signal path
                 // computes them.
-                assert_eq!(
-                    store.stats().namespace(stage::SHARD).misses as usize,
-                    bog.signals().len() * 4
-                );
+                assert_eq!(counts.computed as usize, bog.signals().len() * 4);
             }
         }
     }
@@ -1240,17 +1147,16 @@ mod tests {
     fn isomorphic_cones_share_one_evaluation() {
         let bog = twin_bog();
         let lib = Library::pseudo_bog();
-        let store = Store::in_memory();
-        let (_, counts) = featurized(&store, &bog, &lib, 1.0, 7);
+        let (_, counts) = featurized(&bog, &lib, 1.0, 7);
         // r1/r2 cones are isomorphic: per variant, the first computes the
         // evaluation and the second replays it from the once-map.
         assert_eq!(counts.computed as usize, bog.signals().len() * 4);
         assert_eq!(counts.shared, 4, "one shared evaluation per variant");
-        // A second job starts with an empty once-map, and every shard is
-        // served by the store.
-        let (_, again) = featurized(&store, &bog, &lib, 1.0, 7);
-        assert_eq!((again.computed, again.shared), (0, 0));
-        assert_eq!(again.stored as usize, bog.signals().len() * 4);
+        assert_eq!(counts.resident, 0, "no prior revision");
+        // A second job starts with an empty once-map of its own and counts
+        // the same again.
+        let (_, again) = featurized(&bog, &lib, 1.0, 7);
+        assert_eq!(again, counts);
     }
 
     #[test]
@@ -1260,8 +1166,7 @@ mod tests {
         // itself; both match the per-signal oracle bit for bit.
         let bog = twin_bog();
         let lib = Library::pseudo_bog();
-        let store = Store::in_memory();
-        let data = build_all_variant_data(&store, &bog, &lib, 1.0, 7);
+        let data = build_all_variant_data(&bog, &lib, 1.0, 7, &mut FeaturizeScratch::new());
         let tokens = token_rows(&bog, &lib, 1.0, 7);
         let oracle = build_all_variant_data_naive(&bog, &lib, 1.0, 7);
         assert_bit_identical(&Featurized { data, tokens }, &oracle);
@@ -1322,17 +1227,80 @@ mod tests {
             let sog = blast(&compile(&twin_source(width, twins, ops[pick]), "t").expect("compiles"));
             let lib = Library::pseudo_bog();
 
-            let store = Store::in_memory();
-            let (dedup, counts) = featurized(&store, &sog, &lib, clock, seed);
+            let (dedup, counts) = featurized(&sog, &lib, clock, seed);
             assert_bit_identical(&dedup, &build_all_variant_data_naive(&sog, &lib, clock, seed));
 
             // One shard per signal × variant, as the naive path computes
             // them, and per variant every twin after the first replays the
             // first one's evaluation.
-            let shard = store.stats().namespace(stage::SHARD).misses;
-            prop_assert_eq!(shard as usize, sog.signals().len() * 4);
-            prop_assert_eq!(counts.computed, shard);
+            prop_assert_eq!(counts.computed as usize, sog.signals().len() * 4);
             prop_assert_eq!(counts.shared as usize, 4 * (twins - 1));
+        }
+    }
+
+    #[test]
+    fn a_move_between_reordered_signal_lists_rebases_endpoints_like_a_fresh_merge() {
+        let sog = blast(&compile(&twin_source(4, 3, "+"), "t").expect("compiles"));
+        let lib = Library::pseudo_bog();
+        let variant = BogVariant::ALL[0];
+        let widths: Vec<usize> = sog.signals().iter().map(|s| s.width as usize).collect();
+        let n = widths.len();
+        assert!(n >= 4, "rz and three twins");
+        let shard = |sig: usize| {
+            let sub = rtlt_bog::extract_signal_cone(&sog, sig).to_variant(variant);
+            let seed = shard_seed(7, 0, &sog.signals()[sig].name);
+            Piece::Shard(build_cone_shard(&sub, widths[sig], &lib, 1.0, seed).0)
+        };
+        let merge = |pieces: &mut Vec<Piece>, prior: Option<&mut VariantData>| {
+            let feats = design_features(&sog);
+            merge_pieces(
+                variant,
+                feats,
+                pieces,
+                prior,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            )
+        };
+        // The prior revision lists every signal in order; the next lists
+        // them reversed, without signal 1. Every other signal of the next
+        // list moves over, the rest are computed afresh.
+        let (mut prior, _) = merge(&mut (0..n).map(shard).collect(), None);
+        let before = prior.clone();
+        let next: Vec<usize> = (0..n).rev().filter(|&sig| sig != 1).collect();
+        let mut pieces: Vec<Piece> = next
+            .iter()
+            .enumerate()
+            .map(|(i, &sig)| match i % 2 {
+                0 => Piece::Prior {
+                    width: widths[sig],
+                    from: widths[..sig].iter().sum(),
+                },
+                _ => shard(sig),
+            })
+            .collect();
+        let (moved, moves) = merge(&mut pieces, Some(&mut prior));
+        let (fresh, _) = merge(&mut next.iter().map(|&sig| shard(sig)).collect(), None);
+
+        assert_eq!(moved.groups, fresh.groups);
+        assert_eq!(bits(&moved.endpoint_sta_at), bits(&fresh.endpoint_sta_at));
+        assert_eq!(bits(&moved.driving_regs), bits(&fresh.driving_regs));
+        assert_eq!(moved.rows.len(), fresh.rows.len());
+        for (r, s) in moved.rows.iter().zip(&fresh.rows) {
+            assert_eq!(r.endpoint, s.endpoint, "endpoints re-based");
+            assert_eq!(bits(&r.features), bits(&s.features));
+        }
+        // One run per moved signal (reversed order folds none), each equal
+        // to the prior rows it came from outside the merged slots.
+        assert_eq!(moves.len(), next.len().div_ceil(2));
+        for m in &moves {
+            for k in 0..m.len {
+                let (was, now) = (&before.rows[m.from + k], &moved.rows[m.to + k]);
+                assert_eq!(
+                    bits(&was.features[MERGED_SLOTS..]),
+                    bits(&now.features[MERGED_SLOTS..])
+                );
+            }
         }
     }
 

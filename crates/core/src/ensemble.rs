@@ -127,11 +127,10 @@ impl rtlt_store::Codec for EnsembleModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::build_all_variant_data;
+    use crate::dataset::{build_all_variant_data, FeaturizeScratch};
     use crate::metrics::pearson;
     use rtlt_bog::blast;
     use rtlt_liberty::Library;
-    use rtlt_store::Store;
     use rtlt_verilog::compile;
 
     #[test]
@@ -148,7 +147,8 @@ mod tests {
             .unwrap(),
         );
         let lib = Library::pseudo_bog();
-        let sog = build_all_variant_data(&Store::in_memory(), &bog, &lib, 1.0, 1).swap_remove(0);
+        let sog =
+            build_all_variant_data(&bog, &lib, 1.0, 1, &mut FeaturizeScratch::new()).swap_remove(0);
         let n = sog.endpoint_sta_at.len();
         // Fake variant predictions.
         let preds: Vec<Vec<f64>> = (0..4)
@@ -177,7 +177,7 @@ mod tests {
             .unwrap(),
         );
         let lib = Library::pseudo_bog();
-        let variants = build_all_variant_data(&Store::in_memory(), &bog, &lib, 1.0, 2);
+        let variants = build_all_variant_data(&bog, &lib, 1.0, 2, &mut FeaturizeScratch::new());
         let n = variants[0].endpoint_sta_at.len();
         let labels: Vec<f64> = variants[0]
             .endpoint_sta_at

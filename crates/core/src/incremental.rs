@@ -13,24 +13,26 @@
 //!    diff against the previous pass,
 //! 2. re-blast (cheap, linear) and record each signal's module provenance
 //!    (both stored in the `blast` artifact),
-//! 3. refeaturize through the `shard` namespace — only cones fed by an
-//!    edited module miss ([`crate::cache::shard_key`]); everything else is
-//!    served from the store,
+//! 3. refeaturize: every signal whose cone content the edit left alone
+//!    moves its rows over from the resident revision (below); only the
+//!    others' shards are computed,
 //! 4. predict with the caller's (typically memoized, see
 //!    [`RtlTimer::fit_with`]) model and re-emit the annotated source.
 //!
-//! The annotator also keeps the **last finished revision resident**: every
+//! The annotator keeps the **last finished revision resident**: every
 //! signal's cone extraction and keys, the merged rows of all four
 //! variants, the module keys the revision was built from, the node counts
 //! of its variant conversions ([`VariantCensus`]), and its prediction —
 //! each path row's and endpoint's, with the split cells they were
-//! predicted from. The next edit re-extracts only the cones it may have
-//! reached and moves every other signal's rows over instead of looking
-//! its shards up, moves the census by converting only the SOG structure
-//! the edit changed, then re-walks the forests only for rows that are new
-//! or whose cells the edit moved, so the per-edit work that scales with
-//! the design shrinks to the design-global passes (recompile and blast,
-//! one hash lookup per SOG node, rank percentiles, cell coding, render).
+//! predicted from. The next edit pairs its signals with the resident ones
+//! by name, re-extracts only the cones it may have reached and moves every
+//! other signal's rows over, moves the census by converting only the SOG
+//! structure the edit changed, then re-walks the forests only for rows
+//! that are new or whose cells the edit moved, so the per-edit work that
+//! scales with the design shrinks to the design-global passes (recompile
+//! and blast, one hash lookup per SOG node, rank percentiles, cell coding,
+//! render). The prepared base design stands in for an empty slot
+//! ([`IncrementalAnnotator::begin`]).
 //!
 //! The ground-truth label flow is deliberately **not** on this path: labels
 //! exist to train models, and an edited design has no ground truth until it
@@ -41,7 +43,7 @@
 //! never what is computed.
 
 use crate::annotate::annotate_source;
-use crate::cache::PrepareKeys;
+use crate::cache::{stage, PrepareKeys};
 use crate::dataset::{ConeExtraction, FeaturizeJob, FeaturizeOutput, PriorRows, VariantData};
 use crate::features::{design_features, design_features_of};
 use crate::pipeline::{
@@ -52,7 +54,7 @@ use rtlt_bog::{Bog, BogVariant, ConeExtractor, ConeMatch, VariantCensus};
 use rtlt_liberty::Library;
 use rtlt_store::{ContentHash, Store};
 use rtlt_verilog::VerilogError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Result of one [`IncrementalAnnotator::reannotate`] pass.
@@ -72,12 +74,9 @@ pub struct ReannotateOutcome {
     pub dirty_cone_bound: Vec<String>,
     /// Featurize shards this pass computed.
     pub dirty_shards: u64,
-    /// Featurize shards this pass reused: served by the store or moved
-    /// over from the resident revision.
+    /// Featurize shards whose rows this pass moved over from the resident
+    /// revision (or from the prepared base design standing in for it).
     pub reused_shards: u64,
-    /// The part of `reused_shards` moved over from the resident revision,
-    /// with no store lookup.
-    pub resident_shards: u64,
     /// Total shards (signals × 4 representations).
     pub total_shards: u64,
     /// Path rows this pass walked through the bit-wise forests (all four
@@ -151,7 +150,8 @@ impl std::fmt::Debug for Resident {
 /// A session's resident-revision slot, shared with its in-flight job:
 /// [`IncrementalAnnotator::begin`] takes the revision out and
 /// [`ReannotateJob::finish`] puts the new one back, so a second job begun
-/// meanwhile finds the slot empty and walks the whole design.
+/// meanwhile finds the slot empty and starts from the prepared base
+/// design.
 #[derive(Debug, Default)]
 struct ResidentSlot(Arc<Mutex<Option<Resident>>>);
 
@@ -191,27 +191,17 @@ fn census_design_features(sog: &Bog, census: &VariantCensus) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Whether two revisions have the same signal list (names and widths, in
-/// order) — the precondition for moving rows between them.
-fn same_signals(old: &Bog, new: &Bog) -> bool {
-    old.signals().len() == new.signals().len()
-        && old
-            .signals()
-            .iter()
-            .zip(new.signals())
-            .all(|(a, b)| a.name == b.name && a.width == b.width)
-}
-
-/// Carries a resident revision over to `sog`, a revision with the same
-/// signal list. A signal outside the provenance bound of the modules
-/// changed since the resident revision keeps its extraction once a
-/// lockstep [`ConeMatch`] against the resident SOG shows a fresh extraction
-/// would be identical (an edit can still shift declaration lines, or
-/// rewire a pass-through module no provenance names). Every other signal
-/// is extracted afresh, all through one [`ConeExtractor`]. Either way, a
-/// signal whose content key is unchanged moves its rows over instead of
-/// being looked up. The resident prediction rides along, for the rows
-/// that move.
+/// Carries a resident revision over to `sog`. Each signal pairs with the
+/// resident signal of the same name and width, wherever either list has
+/// it. A paired signal outside the provenance bound of the modules changed
+/// since the resident revision keeps its extraction once a lockstep
+/// [`ConeMatch`] against the resident SOG shows a fresh extraction would
+/// be identical (an edit can still shift declaration lines, or rewire a
+/// pass-through module no provenance names). Every other signal is
+/// extracted afresh, all through one [`ConeExtractor`]; a source without
+/// module keys bounds every signal. Either way, a paired signal whose
+/// content key is unchanged moves its rows over instead of computing its
+/// shards. The resident prediction rides along, for the rows that move.
 fn carry_over(
     prev: Resident,
     sog: &Bog,
@@ -221,33 +211,49 @@ fn carry_over(
     let changed = changed_modules(&prev.module_keys, keys);
     let mut matcher = ConeMatch::new(&prev.sog, sog);
     let mut extractor = ConeExtractor::new(sog);
-    let mut reuse = Vec::with_capacity(prev.extractions.len());
-    let extractions = prev
-        .extractions
-        .into_iter()
+    // Each resident signal by name: its index and its first endpoint.
+    let mut resident: HashMap<&str, (usize, usize)> = HashMap::new();
+    let mut ep = 0;
+    for (i, s) in prev.sog.signals().iter().enumerate() {
+        resident.insert(&s.name, (i, ep));
+        ep += s.width as usize;
+    }
+    let mut olds: Vec<Option<ConeExtraction>> = prev.extractions.into_iter().map(Some).collect();
+    let mut from = Vec::with_capacity(sog.signals().len());
+    let extractions = sog
+        .signals()
+        .iter()
         .enumerate()
-        .map(|(sig, old)| {
-            let bound = provenance[sig].iter().any(|m| changed.contains(m));
-            if !bound && matcher.same_signal_cone(&prev.sog, sig, sog, sig) {
+        .map(|(sig, s)| {
+            let paired = resident
+                .get(s.name.as_str())
+                .filter(|&&(o, _)| prev.sog.signals()[o].width == s.width)
+                .and_then(|&(o, ep)| Some((o, ep, olds[o].take()?)));
+            let Some((o, ep, old)) = paired else {
+                from.push(None);
+                return ConeExtraction::of(&mut extractor, sig);
+            };
+            let bound = keys.is_empty() || provenance[sig].iter().any(|m| changed.contains(m));
+            if !bound && matcher.same_signal_cone(&prev.sog, o, sog, sig) {
                 #[cfg(test)]
                 assert_eq!(
                     ConeExtraction::of(&mut extractor, sig).content,
                     old.content,
                     "reused extraction of {} differs from a fresh one",
-                    sog.signals()[sig].name
+                    s.name
                 );
-                reuse.push(true);
+                from.push(Some(ep));
                 old
             } else {
                 let fresh = ConeExtraction::of(&mut extractor, sig);
-                reuse.push(fresh.content == old.content);
+                from.push((fresh.content == old.content).then_some(ep));
                 fresh
             }
         })
         .collect();
     let prior = PriorRows {
         variant_data: prev.variant_data,
-        reuse,
+        from,
     };
     (extractions, prior, prev.carry)
 }
@@ -263,6 +269,9 @@ pub struct IncrementalAnnotator {
     cfg: TimerConfig,
     clock: f64,
     setup: f64,
+    /// The base design's `featurize` key ([`DesignData::prepare_key`]): an
+    /// empty slot is seeded from that entry.
+    base_key: ContentHash,
     module_keys: BTreeMap<String, ContentHash>,
     resident: ResidentSlot,
 }
@@ -276,6 +285,7 @@ impl Clone for IncrementalAnnotator {
             cfg: self.cfg.clone(),
             clock: self.clock,
             setup: self.setup,
+            base_key: self.base_key,
             module_keys: self.module_keys.clone(),
             resident: ResidentSlot::default(),
         }
@@ -291,6 +301,7 @@ impl IncrementalAnnotator {
             cfg: cfg.clone(),
             clock: base.clock,
             setup: base.setup,
+            base_key: base.prepare_key,
             module_keys: module_key_map(&base.source),
             resident: ResidentSlot::default(),
         }
@@ -321,17 +332,16 @@ impl IncrementalAnnotator {
     }
 
     /// Starts a resumable re-annotation pass: recompile + re-blast, diff
-    /// the dirty modules, bound the invalidation through provenance, carry
-    /// the resident revision over, and prefetch every shard left to look
-    /// up in one batched round trip. The returned [`ReannotateJob`] is then
-    /// driven by bounded [`ReannotateJob::step`] calls — the live
+    /// the dirty modules, bound the invalidation through provenance, and
+    /// carry the resident revision over. The returned [`ReannotateJob`] is
+    /// then driven by bounded [`ReannotateJob::step`] calls — the live
     /// annotation service interleaves many of these on one event-loop tick.
     ///
-    /// The job walks the whole design, as a cold pass would, when there is
-    /// no usable resident revision: on the first pass, while another job
-    /// of this session holds it, when the signal list changed, and for a
-    /// source without module keys. Its predict re-walks every row as well
-    /// when the resident prediction came from another model. Every path
+    /// An empty slot is seeded from the base design's `featurize` entry in
+    /// `store` when that entry was featurized against the session's pinned
+    /// clock and seed; without one the job computes every shard, as a cold
+    /// pass would. Its predict re-walks every row when the resident
+    /// prediction came from another model (or there is none). Every path
     /// produces the same bytes.
     ///
     /// # Errors
@@ -356,7 +366,6 @@ impl IncrementalAnnotator {
         let keys: BTreeMap<String, ContentHash> = blasted.module_keys.iter().cloned().collect();
         let dirty_modules = changed_modules(&self.module_keys, &keys);
         self.module_keys = keys.clone();
-        let flat = keys.is_empty();
 
         // The provenance map, stored with the blasted design, bounds what
         // this edit may invalidate: cones whose module set contains a dirty
@@ -367,41 +376,30 @@ impl IncrementalAnnotator {
             .signals()
             .iter()
             .zip(provenance)
-            .filter(|(_, mods)| flat || mods.iter().any(|m| dirty_modules.contains(m)))
+            .filter(|(_, mods)| keys.is_empty() || mods.iter().any(|m| dirty_modules.contains(m)))
             .map(|(s, _)| s.name.clone())
             .collect();
 
-        // A flat source never uses or keeps a resident revision. The
-        // variant census moves to any revision, a changed signal list
-        // included; a first pass builds it from scratch.
-        let mut resident = self.resident.take().filter(|_| !flat);
-        let census = (!flat).then(|| {
-            let mut census = resident
-                .as_mut()
-                .map(|prev| std::mem::take(&mut prev.census))
-                .unwrap_or_default();
-            census.update(&sog);
-            census
-        });
-        let resident = resident.filter(|prev| same_signals(&prev.sog, &sog));
+        // The variant census moves to any revision; the rows move wherever
+        // a signal's cone content is unchanged.
+        let seed = design_seed(self.cfg.seed, &self.name);
+        let mut resident = self.resident.take().or_else(|| self.seeded(store, seed));
+        let mut census = resident
+            .as_mut()
+            .map(|prev| std::mem::take(&mut prev.census))
+            .unwrap_or_default();
+        census.update(&sog);
         let (extractions, prior, carry) = match resident {
             Some(prev) => {
                 let (extractions, prior, carry) = carry_over(prev, &sog, &keys, provenance);
-                (extractions, Some(prior), Some(carry))
+                (extractions, Some(prior), carry)
             }
-            None => (ConeExtraction::all(&sog), None, None),
+            None => (ConeExtraction::all(&sog), None, PredictCarry::default()),
         };
 
-        // Featurize through the shard namespace against the pinned clock.
-        let seed = design_seed(self.cfg.seed, &self.name);
-        let mut feat = FeaturizeJob::with_extractions(self.clock, seed, extractions, prior);
-        if let Some(census) = &census {
-            feat = feat.with_design_features(census_design_features(&sog, census));
-        }
-        // Pull every cold shard from the fleet cache in one batched GETM
-        // round trip (a no-op without a remote tier) — the stepped walk
-        // then runs against staged payloads instead of per-key latency.
-        store.prefetch(&feat.shard_items(&sog));
+        // Featurize against the pinned clock.
+        let feat = FeaturizeJob::with_extractions(self.clock, seed, extractions, prior)
+            .with_design_features(census_design_features(&sog, &census));
         Ok(ReannotateJob {
             revision: Revision {
                 name: self.name.clone(),
@@ -418,10 +416,30 @@ impl IncrementalAnnotator {
             dirty_cone_bound,
             lib: Library::pseudo_bog(),
             feat,
-            slot: (!flat).then(|| self.resident.share()),
+            slot: self.resident.share(),
             census,
             carry,
             module_keys: keys,
+        })
+    }
+
+    /// The prepared base design as a resident revision: its `featurize`
+    /// entry in `store`, if that entry was featurized against the
+    /// session's pinned clock and `seed` (a base given another clock is
+    /// not). Its rows move like a finished revision's; it carries no
+    /// census and no prediction.
+    fn seeded(&self, store: &Store, seed: u64) -> Option<Resident> {
+        let base = store.get::<DesignData>(stage::FEATURIZE, self.base_key)?;
+        if base.clock.to_bits() != self.clock.to_bits() || base.synth_seed != seed {
+            return None;
+        }
+        Some(Resident {
+            extractions: ConeExtraction::all(&base.sog),
+            sog: base.sog.clone(),
+            module_keys: module_key_map(&base.source),
+            variant_data: base.variant_data.clone(),
+            census: VariantCensus::default(),
+            carry: PredictCarry::default(),
         })
     }
 
@@ -448,15 +466,13 @@ pub struct ReannotateJob {
     dirty_cone_bound: Vec<String>,
     lib: Library,
     feat: FeaturizeJob,
-    /// The session's resident slot (`None` for a flat source, which never
-    /// keeps its revision).
-    slot: Option<ResidentSlot>,
-    /// This revision's variant census, kept with it once resident (`None`
-    /// exactly when `slot` is).
-    census: Option<VariantCensus>,
+    /// The session's resident slot.
+    slot: ResidentSlot,
+    /// This revision's variant census, kept with it once resident.
+    census: VariantCensus,
     /// The resident revision's prediction, for the rows `feat` moves over
     /// from it.
-    carry: Option<PredictCarry>,
+    carry: PredictCarry,
     /// Module keys of this revision, kept with it once resident.
     module_keys: BTreeMap<String, ContentHash>,
 }
@@ -506,11 +522,11 @@ impl Revision {
 }
 
 impl ReannotateJob {
-    /// Evaluates up to `max_shards` more cone shards. Returns `true` once
-    /// the pass is ready to [`ReannotateJob::finish`].
-    pub fn step(&mut self, store: &Store, max_shards: usize) -> bool {
-        self.feat
-            .step(store, &self.revision.sog, &self.lib, max_shards)
+    /// Computes up to `max_shards` more cone shards. Returns `true` once
+    /// the pass is ready to [`ReannotateJob::finish`]. The pass reads no
+    /// store here.
+    pub fn step(&mut self, _store: &Store, max_shards: usize) -> bool {
+        self.feat.step(&self.revision.sog, &self.lib, max_shards)
     }
 
     /// Total shards this pass evaluates (signals × variants).
@@ -528,45 +544,42 @@ impl ReannotateJob {
         &self.dirty_modules
     }
 
-    /// Assembles the design data, predicts, renders the annotated source,
-    /// and leaves this revision resident in its session. A session that
-    /// keeps its revision predicts through the resident prediction:
-    /// only rows the edit added, or whose split cells it moved, are
-    /// walked. Panics if the job was not stepped to completion. The shard
-    /// counts are the job's own (no store is consulted here).
+    /// Assembles the design data, predicts through the resident
+    /// prediction (only rows the edit added, or whose split cells it
+    /// moved, are walked), renders the annotated source, and leaves this
+    /// revision resident in its session. Panics if the job was not stepped
+    /// to completion. The shard counts are the job's own (no store is
+    /// consulted here).
     pub fn finish(self, model: &RtlTimer, _store: &Store) -> ReannotateOutcome {
         let FeaturizeOutput {
             variant_data,
             extractions,
             moves,
             counts,
+            ..
         } = self.feat.finish();
         let total_shards = (self.revision.sog.signals().len() * 4) as u64;
         let d = self.revision.with_rows(variant_data);
 
-        // A flat source keeps nothing, so it records nothing either.
-        let mut carry = self.slot.is_some().then(|| self.carry.unwrap_or_default());
+        let mut carry = self.carry;
         let (prediction, walked) =
-            model.predict_carried(&d, &mut PredictScratch::default(), carry.as_mut(), &moves);
+            model.predict_carried(&d, &mut PredictScratch::default(), Some(&mut carry), &moves);
         let annotated = annotate_source(&d, &prediction);
-        if let (Some(slot), Some(carry), Some(census)) = (self.slot, carry, self.census) {
-            slot.put(Resident {
-                sog: d.sog,
-                module_keys: self.module_keys,
-                extractions,
-                variant_data: d.variant_data,
-                census,
-                carry,
-            });
-        }
+        self.slot.put(Resident {
+            sog: d.sog,
+            module_keys: self.module_keys,
+            extractions,
+            variant_data: d.variant_data,
+            census: self.census,
+            carry,
+        });
 
         ReannotateOutcome {
             annotated,
             dirty_modules: self.dirty_modules,
             dirty_cone_bound: self.dirty_cone_bound,
             dirty_shards: counts.computed,
-            reused_shards: counts.stored + counts.resident,
-            resident_shards: counts.resident,
+            reused_shards: counts.resident,
             total_shards,
             walked_rows: walked.walked_rows,
             total_rows: walked.total_rows,
@@ -580,7 +593,7 @@ impl ReannotateJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::stage;
+    use crate::dataset::FeaturizeScratch;
     use crate::pipeline::DesignSet;
 
     fn lane(name: &str, body: &str) -> String {
@@ -639,17 +652,10 @@ endmodule"
         (annotator, model, store, cfg, base)
     }
 
-    /// The same session context with no diff base and no resident revision.
-    fn cold_twin(a: &IncrementalAnnotator) -> IncrementalAnnotator {
-        IncrementalAnnotator {
-            module_keys: BTreeMap::new(),
-            ..a.clone()
-        }
-    }
-
-    /// `source` annotated from scratch on an empty store.
+    /// `source` annotated from scratch: a clone (an empty slot) on an
+    /// empty store.
     fn cold(a: &IncrementalAnnotator, source: &str, model: &RtlTimer) -> ReannotateOutcome {
-        cold_twin(a)
+        a.clone()
             .reannotate(source, model, &Store::in_memory())
             .expect("cold pass")
     }
@@ -667,7 +673,7 @@ endmodule"
     /// revision, its design data handed to [`RtlTimer::predict`].
     fn cold_prediction(a: &IncrementalAnnotator, source: &str, model: &RtlTimer) -> Prediction {
         let store = Store::in_memory();
-        let mut job = cold_twin(a).begin(source, &store).expect("cold pass");
+        let mut job = a.clone().begin(source, &store).expect("cold pass");
         while !job.step(&store, usize::MAX) {}
         let d = job.revision.with_rows(job.feat.finish().variant_data);
         model.predict(&d)
@@ -680,11 +686,11 @@ endmodule"
         let slot = a.resident.lock();
         let r = slot.as_ref().expect("a revision is resident");
         let cold = crate::dataset::build_all_variant_data(
-            &Store::in_memory(),
             &r.sog,
             &Library::pseudo_bog(),
             a.clock,
             design_seed(a.cfg.seed, &a.name),
+            &mut FeaturizeScratch::new(),
         );
         for (x, y) in r.variant_data.iter().zip(&cold) {
             assert_eq!(x.variant, y.variant);
@@ -719,13 +725,13 @@ endmodule"
     #[test]
     fn editing_one_module_dirties_only_its_cones() {
         let (mut annotator, model, store, _cfg, base) = session();
-        // First pass on the unedited source: every shard hits (they were
-        // filled by the suite preparation against the same pinned clock).
+        // First pass on the unedited source: every row moves over from the
+        // prepared design's `featurize` entry (featurized against the same
+        // pinned clock).
         let out0 = annotator.reannotate(&base, &model, &store).unwrap();
         assert!(out0.dirty_modules.is_empty());
         assert_eq!(out0.dirty_shards, 0, "baseline pass is fully warm");
         assert_eq!(out0.reused_shards, out0.total_shards);
-        assert_eq!(out0.resident_shards, 0, "nothing resident yet");
 
         // Edit laneB only. The provenance bound covers laneB's register and
         // the downstream merge register (it reads yb); the content keys
@@ -748,10 +754,6 @@ endmodule"
             "recomputation stays within the provenance bound"
         );
         assert_eq!(out.reused_shards, 8, "laneA + merge cones are reused");
-        assert_eq!(
-            out.resident_shards, 8,
-            "... straight from the last revision"
-        );
         assert!(out.annotated.contains("(merge_r) Slack@"));
     }
 
@@ -782,8 +784,7 @@ endmodule"
         // slicing the live service uses to keep one slow session from
         // starving its event-loop tick must not change a single byte.
         let cold_store = Store::in_memory();
-        let mut twin = cold_twin(&annotator);
-        let mut job = twin.begin(&edited, &cold_store).unwrap();
+        let mut job = annotator.clone().begin(&edited, &cold_store).unwrap();
         assert_eq!(job.total_shards(), 12);
         let mut steps = 0;
         while !job.step(&cold_store, 1) {
@@ -817,7 +818,7 @@ endmodule"
         // resident.
         let ok = annotator.reannotate(&base, &model, &store).unwrap();
         assert!(ok.annotated.contains("Slack@"));
-        assert_eq!(ok.resident_shards, ok.total_shards);
+        assert_eq!(ok.reused_shards, ok.total_shards);
     }
 
     #[test]
@@ -833,7 +834,7 @@ endmodule"
             .into_iter()
             .map(|(n, _)| n)
             .collect();
-        let expected = [stage::BLAST, stage::FEATURIZE, stage::LABEL, stage::SHARD];
+        let expected = [stage::BLAST, stage::FEATURIZE, stage::LABEL];
         assert_eq!(names, expected);
     }
 
@@ -851,45 +852,49 @@ endmodule"
   assign y = r ^ extra;
 endmodule";
         enum Step {
-            Edit(String, bool),
+            Edit(String),
             Broken,
             Remote(String),
         }
         use Step::{Broken, Edit, Remote};
         let a1 = design_of(&lane_a("x + 8'd5"), &lane_b("x ^ (x >> 1)"));
+        // Every pass moves some rows over: from the prepared base design
+        // (the first pass, and the pass after the remote one) or from the
+        // resident revision.
         let stream = [
-            // (revision, whether some rows must come from the resident one)
-            Edit(base.clone(), false),
-            Edit(a1.clone(), true),
-            Edit(design_of(&lane_a("x + 8'd5"), &lane_b("x | 8'd9")), true),
+            Edit(base.clone()),
+            Edit(a1.clone()),
+            Edit(design_of(&lane_a("x + 8'd5"), &lane_b("x | 8'd9"))),
             // Two lanes in one revision.
-            Edit(design_of(&lane_a("x - x"), &lane_b("x & 8'd7")), true),
+            Edit(design_of(&lane_a("x - x"), &lane_b("x & 8'd7"))),
             // laneA's cone now reads its own register, so it samples more
             // paths and laneB's resident rows after it shift.
-            Edit(design_of(&lane_a("r + x"), &lane_b("x & 8'd7")), true),
-            // A revert to the base: warm in the store, merge cone resident.
-            Edit(base.clone(), true),
-            // A new register signal: the signal list changed.
-            Edit(design_of(lane_a_extra, &lane_b("x ^ (x >> 1)")), false),
+            Edit(design_of(&lane_a("r + x"), &lane_b("x & 8'd7"))),
+            // A revert to the base: merge cone resident.
+            Edit(base.clone()),
+            // A new register signal: the signal list changed, and the
+            // signals pair by name.
+            Edit(design_of(lane_a_extra, &lane_b("x ^ (x >> 1)"))),
             Broken,
-            Edit(design_of(lane_a_extra, &lane_b("x + 8'd1")), true),
-            Edit(a1.clone(), false),
+            Edit(design_of(lane_a_extra, &lane_b("x + 8'd1"))),
+            // The register goes again; laneB's rows move to its new index.
+            Edit(design_of(&lane_a("x + 8'd3"), &lane_b("x + 8'd1"))),
+            // Both lanes change; the merge cone reads two launch registers
+            // as before.
+            Edit(a1.clone()),
             // A remote pass produced this revision: nothing stays resident.
             Remote(base.replace("x ^ (x >> 1)", "x ^ (x >> 3)")),
-            Edit(base.replace("x ^ (x >> 1)", "x ^ (x >> 4)"), false),
-            Edit(base.clone(), true),
+            Edit(base.replace("x ^ (x >> 1)", "x ^ (x >> 4)")),
+            Edit(base.clone()),
             // A line added to laneA shifts every declaration below it: the
             // shifted cones are extracted afresh, laneA's rows stay.
-            Edit(
-                base.replacen("  assign y = r;", "  // widened next\n  assign y = r;", 1),
-                true,
-            ),
+            Edit(base.replacen("  assign y = r;", "  // widened next\n  assign y = r;", 1)),
         ];
         let blast_misses = || store.stats().namespace(stage::BLAST).misses;
         let (mut passes, mut stored_blasts) = (0, 0);
         for step in stream {
             match step {
-                Edit(source, resident) => {
+                Edit(source) => {
                     let misses = blast_misses();
                     let out = annotator.reannotate(&source, &model, &store).unwrap();
                     // The bound read from the `blast` artifact, stored or
@@ -909,12 +914,7 @@ endmodule";
                     assert!(out
                         .prediction
                         .same_bits(&cold_prediction(&annotator, &source, &model)));
-                    assert_eq!(
-                        out.resident_shards > 0,
-                        resident,
-                        "revision {passes}: {} resident shards",
-                        out.resident_shards
-                    );
+                    assert!(out.reused_shards > 0, "revision {passes} reuses rows");
                     assert_eq!(out.dirty_shards + out.reused_shards, out.total_shards);
                     assert_resident_rows_are_cold(&annotator);
                     passes += 1;
@@ -978,7 +978,7 @@ endmodule
             b.reannotate(&base, &model, &store).unwrap();
             (a, b, model, store, base)
         };
-        let counts = |o: &ReannotateOutcome| (o.dirty_shards, o.reused_shards, o.resident_shards);
+        let counts = |o: &ReannotateOutcome| (o.dirty_shards, o.reused_shards);
 
         let (mut a, mut b, model, store, base) = sessions();
         let alone_a = a.reannotate(&edit_a(&base), &model, &store).unwrap();
@@ -995,13 +995,13 @@ endmodule
         let (ia, ib) = (ja.finish(&model, &store), jb.finish(&model, &store));
         assert_eq!(counts(&ia), counts(&alone_a));
         assert_eq!(counts(&ib), counts(&alone_b));
-        assert_eq!(counts(&ia), (4, 8, 8), "one lane cone computed");
+        assert_eq!(counts(&ia), (4, 8), "one lane cone computed");
         assert_eq!(ia.annotated, alone_a.annotated);
         assert_eq!(ib.annotated, alone_b.annotated);
     }
 
     #[test]
-    fn a_job_begun_while_another_holds_the_revision_walks_the_whole_design() {
+    fn a_job_begun_while_another_holds_the_revision_seeds_from_the_prepared_design() {
         let (mut annotator, model, store, _cfg, base) = session();
         annotator.reannotate(&base, &model, &store).unwrap();
         let first = base.replace("x + 8'd3", "x + 8'd6");
@@ -1009,13 +1009,23 @@ endmodule
         let j1 = annotator.begin(&first, &store).unwrap();
         let j2 = annotator.begin(&second, &store).unwrap();
         let (o1, o2) = (run(j1, &model, &store), run(j2, &model, &store));
-        assert!(o1.resident_shards > 0, "the first job took the revision");
-        assert_eq!(o2.resident_shards, 0, "the second found the slot empty");
+        // The first job took the revision; the second found the slot empty
+        // and moved the prepared design's rows instead: both edit one lane.
+        assert_eq!((o1.dirty_shards, o1.reused_shards), (4, 8));
+        assert_eq!((o2.dirty_shards, o2.reused_shards), (4, 8));
         assert_eq!(o1.annotated, cold(&annotator, &first, &model).annotated);
         assert_eq!(o2.annotated, cold(&annotator, &second, &model).annotated);
+        // On a store without the base's entry the second job computes
+        // every shard, with the same bytes.
+        let fresh = Store::in_memory();
+        let j1 = annotator.begin(&first, &fresh).unwrap();
+        let o2_cold = run(annotator.begin(&second, &fresh).unwrap(), &model, &fresh);
+        assert_eq!(o2_cold.dirty_shards, o2_cold.total_shards);
+        assert_eq!(o2_cold.annotated, o2.annotated);
+        run(j1, &model, &fresh);
         // The slot holds a finished revision again.
         let again = annotator.reannotate(&base, &model, &store).unwrap();
-        assert!(again.resident_shards > 0);
+        assert!(again.reused_shards > 0);
         assert_eq!(again.annotated, cold(&annotator, &base, &model).annotated);
     }
 
@@ -1024,19 +1034,48 @@ endmodule
         let (mut annotator, model, store, _cfg, base) = session();
         annotator.reannotate(&base, &model, &store).unwrap();
         let edited = base.replace("x + 8'd3", "x + 8'd4");
+        // On a store without the base's entry, the clone's empty slot
+        // leaves it nothing to move: it does not see the original's
+        // revision.
         let mut clone = annotator.clone();
-        let from_clone = clone.reannotate(&edited, &model, &store).unwrap();
-        assert_eq!(from_clone.resident_shards, 0);
-        let from_original = annotator.reannotate(&edited, &model, &store).unwrap();
-        assert!(
-            from_original.resident_shards > 0,
+        let fresh = Store::in_memory();
+        let from_clone = clone.reannotate(&edited, &model, &fresh).unwrap();
+        assert_eq!(from_clone.reused_shards, 0);
+        let from_original = annotator.reannotate(&edited, &model, &fresh).unwrap();
+        assert_eq!(
+            (from_original.dirty_shards, from_original.reused_shards),
+            (4, 8),
             "original kept its revision"
         );
         assert_eq!(from_clone.annotated, from_original.annotated);
     }
 
     #[test]
-    fn a_source_without_module_keys_bounds_every_signal_and_reuses_nothing() {
+    fn a_first_pass_moves_the_prepared_rows_only_when_the_store_holds_them() {
+        let (annotator, model, store, cfg, base) = session();
+        let warm = annotator.clone().reannotate(&base, &model, &store).unwrap();
+        assert_eq!(warm.dirty_shards, 0, "every row moved from the base");
+        let cold_out = cold(&annotator, &base, &model);
+        assert_eq!(cold_out.dirty_shards, cold_out.total_shards);
+        assert_eq!(warm.annotated, cold_out.annotated);
+        assert!(warm.prediction.same_bits(&cold_out.prediction));
+
+        // A base given another clock is not seeded from the entry its key
+        // names: that entry was featurized against the label clock.
+        let set =
+            DesignSet::prepare_named_with(&[("hier_top".to_owned(), base.clone())], &cfg, &store)
+                .unwrap();
+        let mut other = (**set.designs().first().unwrap()).clone();
+        other.clock *= 1.5;
+        let mut retimed = IncrementalAnnotator::new(&other, &cfg);
+        let out = retimed.reannotate(&base, &model, &store).unwrap();
+        assert_eq!(out.dirty_shards, out.total_shards, "nothing seeded");
+        assert_eq!(out.annotated, cold(&retimed, &base, &model).annotated);
+        assert_resident_rows_are_cold(&retimed);
+    }
+
+    #[test]
+    fn a_source_without_module_keys_bounds_every_signal_and_still_moves_rows() {
         let (mut annotator, model, store, _cfg, base) = session();
         annotator.reannotate(&base, &model, &store).unwrap();
         // Two modules on one line: the splitter refuses the source, so the
@@ -1046,18 +1085,24 @@ endmodule
         };
         assert!(module_key_map(&flat("x + 8'd3")).is_empty());
         let all = vec!["merge_r".to_owned(), "u0.r".to_owned(), "u1.r".to_owned()];
-        for body in ["x + 8'd3", "x + 8'd2"] {
+        // Every cone is re-extracted, and its rows move wherever its
+        // content is unchanged. Joining the lines moves every declaration
+        // below laneA's up a line, so the first flat pass keeps laneA's
+        // rows only; the second edits laneA and keeps the other two.
+        for (body, reused) in [("x + 8'd3", 4), ("x + 8'd2", 8)] {
             let source = flat(body);
             let out = annotator.reannotate(&source, &model, &store).unwrap();
             assert_eq!(out.dirty_cone_bound, all, "every signal is bound");
-            assert_eq!(out.resident_shards, 0, "a flat source reuses nothing");
-            assert!(out.dirty_shards <= 4 * out.dirty_cone_bound.len() as u64);
+            assert_eq!(out.reused_shards, reused);
             assert_eq!(out.annotated, cold(&annotator, &source, &model).annotated);
+            assert_resident_rows_are_cold(&annotator);
         }
-        // A flat pass leaves nothing resident for the next revision either.
+        // Back to a source with module keys: the last flat revision is
+        // resident, and the base differs from it in every cone.
         let out = annotator.reannotate(&base, &model, &store).unwrap();
-        assert_eq!(out.resident_shards, 0);
+        assert_eq!(out.dirty_shards, out.total_shards);
         assert_eq!(out.annotated, cold(&annotator, &base, &model).annotated);
+        assert_resident_rows_are_cold(&annotator);
     }
 
     #[test]

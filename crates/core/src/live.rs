@@ -121,9 +121,10 @@ pub fn diff_splices(old: &str, new: &str) -> Vec<EditSplice> {
 }
 
 /// The live annotation service's shared state: the trained model, the
-/// artifact store every session's shard lookups run through, and a
-/// prototype annotator per prepared design (OPEN clones it, so sessions
-/// start from the same pinned clock and diff base as a local loop would).
+/// artifact store every session reads its revisions' `blast` entries and
+/// its first pass's prepared rows from, and a prototype annotator per
+/// prepared design (OPEN clones it, so sessions start from the same
+/// pinned clock and diff base as a local loop would).
 pub struct LiveService {
     model: Arc<RtlTimer>,
     store: Store,

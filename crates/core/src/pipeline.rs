@@ -12,7 +12,9 @@
 
 use crate::bitwise::{BitModelKind, BitwiseCorpus, BitwiseModel};
 use crate::cache::{model_key, stage, PrepareKeys};
-use crate::dataset::{FeaturizeScratch, RowMove, VariantData, MERGED_SLOTS};
+use crate::dataset::{
+    ConeDedupStats, FeaturizeJob, FeaturizeScratch, RowMove, VariantData, MERGED_SLOTS,
+};
 use crate::design::{design_row, direct_wns_tns, DesignTimingModel};
 use crate::ensemble::{meta_rows, meta_rows_into, EnsembleModel, META_FEATURE_NAMES};
 use crate::metrics;
@@ -346,65 +348,38 @@ impl<'a> PrepareStages<'a> {
     pub fn featurize(&self, labeled: LabeledDesign) -> DesignData {
         let outcome = LabelOutcome::of(&labeled);
         let keys = PrepareKeys::derive(&labeled.blasted.name, &labeled.blasted.source, self.cfg);
-        self.featurize_parts(
-            &Store::disabled(),
-            &labeled.blasted,
-            &outcome,
-            keys.featurize,
-        )
+        let scratch = &mut FeaturizeScratch::new();
+        self.featurize_parts(&labeled.blasted, &outcome, keys.featurize, scratch)
+            .0
     }
 
     /// Stage 4's body: assemble a [`DesignData`] from the blasted design
-    /// and the label outcome. Featurization runs through the sharded path
-    /// (one memoized [`crate::dataset::ConeShard`] per signal × variant);
-    /// with a pass-through store that is simply the canonical computation.
+    /// and the label outcome, featurizing through one
+    /// [`crate::dataset::FeaturizeJob`] on `scratch` (the parallel prepare
+    /// path passes one per worker thread, so the levelized-kernel tables
+    /// and merge buffers are reused across every design a worker
+    /// processes), and return it with the job's shared-cone counts.
     /// `prepare_key` is the caller's already-derived featurize key (keys
     /// are derived once per preparation, not re-derived per stage).
     pub(crate) fn featurize_parts(
         &self,
-        store: &Store,
-        blasted: &BlastedDesign,
-        label: &LabelOutcome,
-        prepare_key: ContentHash,
-    ) -> DesignData {
-        self.featurize_parts_scratch(
-            store,
-            blasted,
-            label,
-            prepare_key,
-            &mut FeaturizeScratch::new(),
-        )
-    }
-
-    /// [`Self::featurize_parts`] with a caller-owned featurize scratch —
-    /// the parallel prepare path passes one per worker thread so the
-    /// levelized-kernel tables and merge buffers are reused across every
-    /// design a worker processes.
-    pub(crate) fn featurize_parts_scratch(
-        &self,
-        store: &Store,
         blasted: &BlastedDesign,
         label: &LabelOutcome,
         prepare_key: ContentHash,
         scratch: &mut FeaturizeScratch,
-    ) -> DesignData {
+    ) -> (DesignData, ConeDedupStats) {
         let sog = blasted.sog.clone();
-        let pseudo = Library::pseudo_bog();
-        let variant_data = crate::dataset::build_all_variant_data_scratch(
-            store,
+        let featurized = FeaturizeJob::new(&sog, label.clock, label.synth_seed).run(
             &sog,
-            &pseudo,
-            label.clock,
-            label.synth_seed,
+            &Library::pseudo_bog(),
             scratch,
         );
 
-        DesignData {
+        let d = DesignData {
             name: blasted.name.as_str().into(),
             source: blasted.source.clone(),
             signal_names: signal_names_of(&sog),
             sog,
-            variant_data,
             labels_at: label.endpoint_at.as_slice().into(),
             clock: label.clock,
             setup: label.setup,
@@ -416,7 +391,9 @@ impl<'a> PrepareStages<'a> {
             synth_seed: label.synth_seed,
             synth_effort: self.cfg.synth_effort,
             prepare_key,
-        }
+            variant_data: featurized.variant_data,
+        };
+        (d, featurized.stats)
     }
 
     /// Runs all four stages back to back.
@@ -512,30 +489,32 @@ impl<'a> PrepareStages<'a> {
         name: &str,
         source: &str,
     ) -> Result<Arc<DesignData>, VerilogError> {
-        self.run_with_scratch(store, name, source, &mut FeaturizeScratch::new())
+        let scratch = &mut FeaturizeScratch::new();
+        Ok(self.run_with_scratch(store, name, source, scratch)?.0)
     }
 
     /// [`Self::run_with`] with a caller-owned featurize scratch (reused
-    /// across the designs a prepare worker processes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates frontend errors from [`PrepareStages::compile`].
-    pub fn run_with_scratch(
+    /// across the designs a prepare worker processes), also returning the
+    /// shared-cone counts of the featurize it ran (none on a `featurize`
+    /// hit).
+    fn run_with_scratch(
         &self,
         store: &Store,
         name: &str,
         source: &str,
         scratch: &mut FeaturizeScratch,
-    ) -> Result<Arc<DesignData>, VerilogError> {
+    ) -> Result<(Arc<DesignData>, ConeDedupStats), VerilogError> {
         let keys = PrepareKeys::derive(name, source, self.cfg);
+        let mut stats = ConeDedupStats::default();
         let d = store.get_or_try_compute(stage::FEATURIZE, keys.featurize, || {
             let blasted = self.stored_blast(store, &keys, name, source)?;
             let label =
                 store.get_or_compute(stage::LABEL, keys.label, || self.label_outcome(&blasted));
-            Ok(self.featurize_parts_scratch(store, &blasted, &label, keys.featurize, scratch))
+            let (d, featurized) = self.featurize_parts(&blasted, &label, keys.featurize, scratch);
+            stats = featurized;
+            Ok(d)
         })?;
-        Ok(Self::design_with_live_source(d, source))
+        Ok((Self::design_with_live_source(d, source), stats))
     }
 }
 
@@ -607,19 +586,22 @@ impl DesignData {
 #[derive(Debug, Default)]
 pub struct DesignSet {
     designs: Vec<Arc<DesignData>>,
+    /// The shared-cone counts of the featurize jobs the preparation ran.
+    featurize: ConeDedupStats,
 }
 
 impl DesignSet {
     /// Wraps prepared designs.
     pub fn new(designs: Vec<DesignData>) -> DesignSet {
-        DesignSet {
-            designs: designs.into_iter().map(Arc::new).collect(),
-        }
+        DesignSet::from_shared(designs.into_iter().map(Arc::new).collect())
     }
 
     /// Wraps already-shared prepared designs.
     pub fn from_shared(designs: Vec<Arc<DesignData>>) -> DesignSet {
-        DesignSet { designs }
+        DesignSet {
+            designs,
+            featurize: ConeDedupStats::default(),
+        }
     }
 
     /// Prepares the full 21-design benchmark suite in parallel.
@@ -692,7 +674,15 @@ impl DesignSet {
         // subsequent warm run on another machine (or the round-trip
         // counters a bench samples here) see a settled store.
         store.flush();
-        Ok(DesignSet { designs: prepared? })
+        let mut featurize = ConeDedupStats::default();
+        let designs = prepared?
+            .into_iter()
+            .map(|(d, stats)| {
+                featurize += stats;
+                d
+            })
+            .collect();
+        Ok(DesignSet { designs, featurize })
     }
 
     /// Batched read-ahead of the whole set's prepare keys through the
@@ -741,6 +731,13 @@ impl DesignSet {
     /// The prepared designs.
     pub fn designs(&self) -> &[Arc<DesignData>] {
         &self.designs
+    }
+
+    /// The shared-cone counts and featurize time of the designs this
+    /// set's preparation featurized, summed (zero for a set it read whole
+    /// from the store, or one not prepared here).
+    pub fn featurize_stats(&self) -> ConeDedupStats {
+        self.featurize
     }
 
     /// Finds a design by name.
@@ -1575,6 +1572,43 @@ mod tests {
         for (a, b) in cold.designs().iter().zip(warm.designs()) {
             assert!(Arc::ptr_eq(a, b), "warm run shares the cold artifacts");
         }
+        // The cold run featurized every design; the warm one none.
+        assert_eq!(cold.featurize_stats().total_signals, {
+            let signals = cold.designs().iter().map(|d| d.signals().len());
+            signals.sum::<usize>() as u64
+        });
+        assert_eq!(warm.featurize_stats(), ConeDedupStats::default());
+    }
+
+    #[test]
+    fn concurrent_prepares_each_report_only_their_own_featurize_counts() {
+        let cfg = TimerConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let sources = tiny_sources();
+        let (left, right) = sources.split_at(1);
+        let counts = |part: &[(String, String)]| {
+            let set = DesignSet::prepare_named_with(part, &cfg, &Store::in_memory()).unwrap();
+            let s = set.featurize_stats();
+            assert!(s.total_signals > 0 && s.featurize_seconds > 0.0);
+            (s.total_signals, s.unique_cones, s.saved_evals)
+        };
+        let alone = (counts(left), counts(right));
+        // Both at once, released together on two threads.
+        let start = std::sync::Barrier::new(2);
+        let together = std::thread::scope(|scope| {
+            let spawn = |part| {
+                let (start, counts) = (&start, &counts);
+                scope.spawn(move || {
+                    start.wait();
+                    counts(part)
+                })
+            };
+            let (l, r) = (spawn(left), spawn(right));
+            (l.join().unwrap(), r.join().unwrap())
+        });
+        assert_eq!(together, alone);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! opcodes with `Failed`) — falling back to local recompute with the same
 //! bytes.
 
+use rtl_timer::cache::stage;
 use rtl_timer::live::{diff_splices, source_check, LiveAnnotator, LiveService};
 use rtl_timer::pipeline::{DesignSet, RtlTimer, TimerConfig};
 use rtl_timer::IncrementalAnnotator;
@@ -105,20 +106,18 @@ fn two_concurrent_sessions_interleave_byte_identically() {
     let handle = rtl_timer::live::spawn("127.0.0.1:0", svc).expect("bind");
     let addr = handle.addr.to_string();
 
-    let run_session = |base: &rtl_timer::DesignData, base_src: &str, edits: Vec<String>| {
+    let run_session = |base: &rtl_timer::DesignData, edits: Vec<String>| {
         let model = Arc::clone(&fx.model);
         let cfg = fx.cfg.clone();
         let addr = addr.clone();
         let base = base.clone();
-        let base_src = base_src.to_owned();
         move || {
             let client_store = Store::in_memory();
-            // The local twin's store holds the base revision's shards, as
-            // the service's does, so both see the same shards as cold.
+            // The local twin's store holds the base design's `featurize`
+            // entry, as the service's does, so both first passes move the
+            // same prepared rows.
             let local_store = Store::in_memory();
-            IncrementalAnnotator::new(&base, &cfg)
-                .reannotate(&base_src, &model, &local_store)
-                .expect("warm the twin's store");
+            local_store.put(stage::FEATURIZE, base.prepare_key, base.clone());
             let mut live = LiveAnnotator::with_remote(&base, &cfg, &addr);
             let mut local = IncrementalAnnotator::new(&base, &cfg);
             let mut remote_passes = 0u32;
@@ -173,8 +172,8 @@ fn two_concurrent_sessions_interleave_byte_identically() {
             .replace("x + (x >> 2)", "x ^ 8'd1")
             .replace("x ^ (x >> 1)", "x + 8'd2"),
     ];
-    let a = run_session(&fx.alpha.0, &fx.alpha.1, alpha_edits);
-    let b = run_session(&fx.beta.0, &fx.beta.1, beta_edits);
+    let a = run_session(&fx.alpha.0, alpha_edits);
+    let b = run_session(&fx.beta.0, beta_edits);
     let (ra, rb) = std::thread::scope(|s| {
         let ta = s.spawn(a);
         let tb = s.spawn(b);
@@ -212,7 +211,7 @@ fn pipelined_annotates_on_one_session_match_the_local_loop() {
     let fx = fixture();
     // One shard per tick: the first pipelined job is still in flight when
     // the second begins, so the second finds the session's resident
-    // revision taken and walks the whole design.
+    // revision taken and starts from the prepared design's rows.
     let svc = LiveService::new(
         Arc::clone(&fx.model),
         fx.service_store,
@@ -283,8 +282,9 @@ fn pipelined_annotates_on_one_session_match_the_local_loop() {
 #[test]
 fn a_warm_annotate_may_overtake_a_cold_one_and_replies_match_by_tag() {
     let fx = fixture();
-    // One shard per tick: the cold first pass of session A walks the whole
-    // design while session B, already warm, re-annotates one lane.
+    // One shard per tick: the first pass of session A walks every row
+    // through the forests while session B, already warm, re-annotates one
+    // lane.
     let svc = LiveService::new(
         Arc::clone(&fx.model),
         fx.service_store,
@@ -326,7 +326,7 @@ fn a_warm_annotate_may_overtake_a_cold_one_and_replies_match_by_tag() {
         &mut conn,
         &[edit(b, &beta, &beta1), Request::Annotate { session: b }],
     );
-    // Then, in one write, A's cold first pass and B's warm one.
+    // Then, in one write, A's first pass and B's warm one.
     let replies = exchange(
         &mut conn,
         &[

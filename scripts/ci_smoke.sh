@@ -75,15 +75,14 @@ case "$job" in
   # module's cones are re-derived, that every revision is byte-identical to
   # a cold recompute (its prediction bit for bit), and that each streamed
   # edit reuses the resident revision; the bin exits non-zero if any of
-  # that breaks. In a fresh cache dir the edit computes exactly its cone's
-  # 4 shards. The median warm edit (edit_ms_p50) is then gated against
+  # that breaks. The edit computes exactly its cone's 4 shards. The median warm edit (edit_ms_p50) is then gated against
   # warm_edit_ms in the committed baseline with the perf gate's 25 % slack,
   # and the path rows an edit re-walks through the forests are held to 5 %
   # of total_rows per edited lane (the first edit, and the worst streamed
   # edit, whose revert edits four lanes at once): a silent fallback to
   # walking the whole design fails here. A second --selfcheck run in the
-  # same cache dir must pass too, with the edit's shards served by the
-  # store (0 computed).
+  # same cache dir must pass too, and computes the edit's 4 shards again:
+  # the store keeps no per-cone rows, only each design's `featurize` entry.
   incremental-annotation)
     cd "$SMOKE_TMP"
     RTLT_FAST=1 "$BIN_DIR/annotate" --selfcheck --cache-dir "$SMOKE_TMP/rtlt-cache"
@@ -108,7 +107,7 @@ case "$job" in
     RTLT_FAST=1 "$BIN_DIR/annotate" --selfcheck --cache-dir "$SMOKE_TMP/rtlt-cache"
     dirty=$(json_num dirty_shards BENCH_annotate.json)
     echo "same cache dir, second run: the edit computed ${dirty} shards"
-    test "$dirty" -eq 0
+    test "$dirty" -eq 4
     ;;
 
   # Live annotation service smoke: start `annotate --serve`, drive one
@@ -162,7 +161,7 @@ case "$job" in
     "$BIN_DIR/runtime" --cache-stats --cache-dir "$SMOKE_TMP/rtlt-cache" | tee cache-stats.txt
     namespaces=$(awk '/^-+$/ { t = 1; next } /^total:/ { t = 0 } t { print $1 }' cache-stats.txt | xargs)
     echo "disk namespaces: ${namespaces}"
-    test "$namespaces" = "blast featurize label model shard"
+    test "$namespaces" = "blast featurize label model"
     "$BIN_DIR/runtime" gc 0 --cache-dir "$SMOKE_TMP/rtlt-cache" | grep -q "KiB remain"
     ;;
 
